@@ -83,9 +83,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs import (  # noqa: E402  (path set up above)
+    RunRecord,
     build_manifest,
-    drain_spans,
     metrics_path,
+    run_record,
     timer,
     write_manifest,
 )
@@ -147,9 +148,8 @@ def _silent(name, fn, *args, **kwargs):
 
 
 def bench_runner(uops: int, multicore_uops: int, quick: bool,
-                 baseline: tuple = None) -> tuple:
-    """Return ``(record, cold_engine)``; the cold engine's telemetry
-    (per-spec timings, stall aggregation) feeds the run manifest."""
+                 baseline: tuple = None) -> dict:
+    """Cold, warm-memory and warm-disk wall-clock of the full report."""
     from repro import engine
     from repro.experiments.runner import run_figures, run_tables
 
@@ -160,7 +160,6 @@ def bench_runner(uops: int, multicore_uops: int, quick: bool,
     # Cold: fresh engine, nothing cached anywhere.
     engine.configure(jobs=1, cache_dir=None)
     cold_seconds, _ = _silent("runner.cold", full_report)
-    cold_engine = engine.get_engine()
 
     # Warm memory: same engine, same process.
     warm_memory_seconds, _ = _silent("runner.warm_memory", full_report)
@@ -197,7 +196,7 @@ def bench_runner(uops: int, multicore_uops: int, quick: bool,
         record["speedup_vs_seed"] = round(SEED_RUNNER_SECONDS / cold_seconds, 2)
         record["gate_seconds"] = RUNNER_GATE_SECONDS
         record["gate_ok"] = cold_seconds <= RUNNER_GATE_SECONDS
-    return record, cold_engine
+    return record
 
 
 def bench_thermal(grid: int, solves: int) -> dict:
@@ -769,7 +768,13 @@ def main() -> None:
                         help="write a schema-versioned run manifest (JSON) "
                              "here; $REPRO_METRICS sets the default")
     args = parser.parse_args()
+    with run_record() as run:
+        bench(args, run)
 
+
+def bench(args: argparse.Namespace, run: RunRecord) -> None:
+    """Every benchmark section; ``run`` collects the invocation's
+    telemetry and timer spans for the manifest."""
     if args.quick:
         sizes = dict(uops=1000, multicore_uops=3000, grid=8, solves=3,
                      limiter_uops=20000, kernel_uops=2000,
@@ -818,7 +823,7 @@ def main() -> None:
 
     print(f"benchmarking runner (uops={sizes['uops']}, "
           f"multicore_uops={sizes['multicore_uops']}) ...")
-    record["runner"], cold_engine = bench_runner(
+    record["runner"] = bench_runner(
         sizes["uops"], sizes["multicore_uops"], args.quick, baseline=baseline
     )
     print(f"  cold {record['runner']['cold_seconds']}s, "
@@ -928,11 +933,7 @@ def main() -> None:
     destination = metrics_path(args.metrics_out)
     if destination:
         mode = "--quick" if args.quick else "full"
-        manifest = build_manifest(
-            command=f"scripts/bench.py {mode}",
-            engine=cold_engine,
-            timers=drain_spans(),
-        )
+        manifest = build_manifest(f"scripts/bench.py {mode}", run)
         write_manifest(manifest, destination)
         print(f"wrote manifest {destination}")
 

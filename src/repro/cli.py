@@ -62,7 +62,13 @@ import sys
 
 from repro import engine
 from repro.core.structures import structures_by_name
-from repro.obs import build_manifest, metrics_path, write_manifest
+from repro.obs import (
+    attach_section,
+    build_manifest,
+    metrics_path,
+    run_record,
+    write_manifest,
+)
 from repro.experiments import figures as figmod
 from repro.experiments import tables as tabmod
 from repro.experiments.tables import print_rows
@@ -281,7 +287,6 @@ def cmd_explore(args: argparse.Namespace) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> None:
-    from repro.obs import record_serve
     from repro.serve import ReproServer
 
     server = ReproServer(
@@ -301,7 +306,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
     except KeyboardInterrupt:
         print("draining...", flush=True)
         server.stop(drain=True)
-    record_serve(server.serve_section())
+    attach_section("serve", server.serve_section())
     snapshot = server.stats.snapshot()
     print(f"served {snapshot['requests']} requests "
           f"({snapshot['errors']} errors, {snapshot['rejected']} rejected)")
@@ -316,8 +321,6 @@ def cmd_manycore(args: argparse.Namespace) -> None:
         get_scenario,
         scenario_names,
     )
-    from repro.obs import record_manycore
-
     token = args.scenario
     if token.endswith(".json"):
         try:
@@ -346,7 +349,7 @@ def cmd_manycore(args: argparse.Namespace) -> None:
     seconds = time.perf_counter() - start
     report.print()
     noc = report.resolved.noc
-    record_manycore({
+    attach_section("manycore", {
         "scenario": grid.name,
         "rows": grid.rows,
         "cols": grid.cols,
@@ -517,17 +520,20 @@ def main(argv=None) -> None:
         # Replacing the engine drops its in-memory layer, so only do it
         # when the invocation actually asks for a different setup.
         engine.configure(jobs=args.jobs, cache_dir=args.cache_dir)
-    try:
-        args.func(args)
-    finally:
-        # Written even when the command fails (e.g. validate found drift):
-        # CI uploads the manifest with the embedded drift report.
-        destination = metrics_path(getattr(args, "metrics_out", None))
-        if destination:
-            write_manifest(
-                build_manifest(command="repro " + " ".join(raw)), destination
-            )
-            print(f"wrote manifest {destination}")
+    with run_record() as record:
+        try:
+            args.func(args)
+        finally:
+            # Written even when the command fails (e.g. validate found
+            # drift): CI uploads the manifest with the embedded drift
+            # report.
+            destination = metrics_path(getattr(args, "metrics_out", None))
+            if destination:
+                write_manifest(
+                    build_manifest("repro " + " ".join(raw), record),
+                    destination,
+                )
+                print(f"wrote manifest {destination}")
 
 
 if __name__ == "__main__":

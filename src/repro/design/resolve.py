@@ -41,6 +41,7 @@ from repro.design.registry import (
     PAPER_SINGLE_CORE,
     get_point,
 )
+from repro.lru import LruMemo
 from repro.partition.planner import plan_core
 from repro.tech.process import (
     LayerSpec,
@@ -105,8 +106,10 @@ def build_stack(point: PointLike) -> StackSpec:
 
 #: Memo for plan-backed derivations: planning 12 structures per design is
 #: pure but not free, and table/figure/sweep entry points re-derive the
-#: same points many times per run.
-_FREQUENCY_MEMO: Dict[tuple, FrequencyDerivation] = {}
+#: same points many times per run.  Capped because a long-lived server
+#: adds one entry per distinct ``/points`` frequency signature; the
+#: paper registry plus the golden explore space need 42.
+_FREQUENCY_MEMO = LruMemo(cap=256)
 
 _REFERENCE_TABLES = {"table6": TABLE6_M3D, "table8": TABLE8_HETERO}
 
@@ -147,10 +150,8 @@ def derive_frequency(point: PointLike,
     point = as_point(point)
     upv = point.use_paper_values if use_paper_values is None else use_paper_values
     signature = _frequency_signature(point, upv)
-    cached = _FREQUENCY_MEMO.get(signature)
-    if cached is None:
-        cached = _derive_frequency_uncached(point, upv)
-        _FREQUENCY_MEMO[signature] = cached
+    cached = _FREQUENCY_MEMO.get(
+        signature, lambda: _derive_frequency_uncached(point, upv))
     if cached.design != point.display_name:
         # Same physics, different point name: reuse the derivation,
         # relabel the cosmetic ``design`` field.

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Iterable, Optional, Tuple
 
 from repro.durability import sqlite_synchronous
+from repro.obs.record import current_record
 
 _FINGERPRINT: Optional[str] = None
 
@@ -265,7 +266,7 @@ class ResultCache:
         with self._lock:
             memory = self._memory
             if key in memory:
-                self.stats.memory_hits += 1
+                self._count("memory_hits")
                 # Refresh recency: a hit entry moves to the back of the
                 # eviction queue (dicts preserve insertion order).
                 value = memory.pop(key)
@@ -277,10 +278,10 @@ class ResultCache:
                 except sqlite3.Error:
                     hit, value = False, None
                 if hit:
-                    self.stats.disk_hits += 1
+                    self._count("disk_hits")
                     self._remember(key, value)
                     return True, value
-            self.stats.misses += 1
+            self._count("misses")
             return False, None
 
     def put(self, key: str, value: Any) -> None:
@@ -294,7 +295,7 @@ class ResultCache:
         failed write is counted in ``stats.disk_put_failures``.
         """
         with self._lock:
-            self.stats.stores += 1
+            self._count("stores")
             self._remember(key, value)
             if self._disk is not None:
                 try:
@@ -313,9 +314,9 @@ class ResultCache:
         """
         items = list(items)
         with self._lock:
+            self._count("stores", len(items))
             blobs = []
             for key, value in items:
-                self.stats.stores += 1
                 self._remember(key, value)
                 if self._disk is not None:
                     try:
@@ -329,7 +330,7 @@ class ResultCache:
                 try:
                     self._disk.put_many(blobs)
                 except (sqlite3.Error, OSError) as exc:
-                    self.stats.disk_put_failures += len(blobs) - 1
+                    self._count("disk_put_failures", len(blobs) - 1)
                     self._degrade(exc)
 
     def clear_memory(self) -> None:
@@ -350,8 +351,15 @@ class ResultCache:
 
     # -- internals ------------------------------------------------------------
 
+    def _count(self, name: str, n: int = 1) -> None:
+        """Bump a lifetime counter and the active run record's delta."""
+        setattr(self.stats, name, getattr(self.stats, name) + n)
+        record = current_record()
+        if record is not None:
+            record.cache[name] += n
+
     def _degrade(self, exc: BaseException) -> None:
-        self.stats.disk_put_failures += 1
+        self._count("disk_put_failures")
         if not self._disk_warned:
             self._disk_warned = True
             warnings.warn(

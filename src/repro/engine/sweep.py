@@ -30,7 +30,7 @@ from repro.design.resolve import (
 from repro.engine import pool as worker_pool
 from repro.engine.cache import ResultCache, make_key
 from repro.lru import LruMemo
-from repro.obs.telemetry import EngineTelemetry
+from repro.obs.record import current_record
 from repro.uarch.kernel import kernel_enabled, run_trace_batch
 from repro.uarch.multicore import MulticoreResult, run_parallel, \
     run_parallel_batch
@@ -327,7 +327,6 @@ class ExperimentEngine:
             raise ValueError("pass either cache or cache_dir, not both")
         self.jobs = max(1, int(jobs))
         self.cache = cache if cache is not None else ResultCache(cache_dir)
-        self.telemetry = EngineTelemetry()
 
     # -- batch execution ------------------------------------------------------
 
@@ -339,10 +338,11 @@ class ExperimentEngine:
         grouped by shared trace and each group runs through the batched
         SoA kernel — inline (``jobs == 1``) or across a process pool
         (one group per work unit) — then lands in the cache for the
-        sweeps that follow.  Every batch leaves a record in
-        :attr:`telemetry` (hit/miss split, kernel batch widths and
-        fallbacks, per-spec wall time — a group's time split evenly over
-        its specs — and aggregated pipeline stall counters).
+        sweeps that follow.  Every batch leaves its telemetry in the
+        active :class:`~repro.obs.record.RunRecord`, if one is open
+        (hit/miss split, kernel batch widths and fallbacks, per-spec
+        wall time — a group's time split evenly over its specs — and
+        aggregated pipeline stall counters).
 
         ``use_cache=False`` bypasses the result cache in both directions
         (no lookups, no stores): every spec is simulated fresh.  The
@@ -366,9 +366,10 @@ class ExperimentEngine:
         is already resolved.
 
         Cache stores and telemetry land at :meth:`PendingSpecs.result`
-        time, on the resolving thread; a spec submitted twice before the
-        first batch resolves is therefore evaluated twice (pipelined
-        callers deduplicate up front, as ``repro.explore`` does).
+        time, on the resolving thread and in the record active there; a
+        spec submitted twice before the first batch resolves is
+        therefore evaluated twice (pipelined callers deduplicate up
+        front, as ``repro.explore`` does).
         """
         batch_start = time.perf_counter()
         keys = [spec.cache_key() for spec in specs]
@@ -443,6 +444,7 @@ class ExperimentEngine:
                       unit_indices: List[List[int]],
                       timed: List[tuple]) -> List[object]:
         """Assemble unit outcomes into spec order; store + record."""
+        record = current_record()
         durations: Dict[int, float] = {}
         for indices, outcome in zip(unit_indices, timed):
             fresh, seconds, used_kernel, path, shm_used = outcome
@@ -455,16 +457,18 @@ class ExperimentEngine:
                 self.cache.put_many(
                     (keys[index], results[index]) for index in indices
                 )
-            self.telemetry.record_kernel_batch(
-                mode=first.mode,
-                width=len(indices),
-                seconds=seconds,
-                used_kernel=used_kernel,
-                path=path,
-                shm=shm_used,
-            )
-        telemetry = self.telemetry
-        telemetry.record_batch(
+            if record is not None:
+                record.add_kernel_batch(
+                    mode=first.mode,
+                    width=len(indices),
+                    seconds=seconds,
+                    used_kernel=used_kernel,
+                    path=path,
+                    shm=shm_used,
+                )
+        if record is None:
+            return results
+        record.add_batch(
             specs=len(specs),
             hits=len(specs) - len(missing),
             misses=len(missing),
@@ -473,7 +477,7 @@ class ExperimentEngine:
         )
         missing_set = set(missing)
         for index, (spec, key) in enumerate(zip(specs, keys)):
-            telemetry.record_spec(
+            record.add_spec(
                 key=key,
                 mode=spec.mode,
                 config=spec.config.name,
@@ -483,7 +487,7 @@ class ExperimentEngine:
                 cached=index not in missing_set,
                 seconds=durations.get(index),
             )
-            telemetry.observe_result(results[index])
+            record.observe_result(results[index])
         return results
 
     def _plan_units(self, groups: List[List[int]],

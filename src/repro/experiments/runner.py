@@ -13,7 +13,7 @@ import time
 
 from repro import engine
 from repro.experiments import figures, tables
-from repro.obs import build_manifest, metrics_path, write_manifest
+from repro.obs import build_manifest, metrics_path, run_record, write_manifest
 
 
 def run_tables() -> None:
@@ -79,16 +79,17 @@ def main() -> None:
     engine.configure(jobs=args.jobs, cache_dir=args.cache_dir)
 
     started = time.time()
-    if not args.figures_only:
-        run_tables()
-    if not args.tables_only:
-        run_figures(args.uops, args.multicore_uops)
-    if args.sweep:
-        run_sweep(args.sweep, args.uops)
+    with run_record() as record:
+        if not args.figures_only:
+            run_tables()
+        if not args.tables_only:
+            run_figures(args.uops, args.multicore_uops)
+        if args.sweep:
+            run_sweep(args.sweep, args.uops)
     stats = engine.get_engine().cache.stats
     print(f"\nTotal experiment time: {time.time() - started:.1f}s "
           f"(cache: {stats.hits} hits, {stats.misses} misses)")
-    kernel = engine.get_engine().telemetry.kernel_summary()
+    kernel = record.kernel_summary()
     if kernel["groups"]:
         print(f"kernel: {kernel['batched_specs']} specs batched across "
               f"{kernel['groups']} groups (max width {kernel['max_width']}, "
@@ -100,7 +101,7 @@ def main() -> None:
         command = (f"repro.experiments.runner --uops {args.uops} "
                    f"--multicore-uops {args.multicore_uops} "
                    f"--jobs {args.jobs}")
-        write_manifest(build_manifest(command=command), destination)
+        write_manifest(build_manifest(command, record), destination)
         print(f"wrote manifest {destination}")
 
 

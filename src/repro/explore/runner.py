@@ -23,9 +23,9 @@ evaluation the same way.
 At the end of a run — *including* a crashed one — the runner extracts
 the Pareto frontier of the committed records
 (:mod:`repro.explore.frontier`) and records a progress summary for the
-run manifest (:func:`repro.obs.record_explore`, manifest schema v7); a
-failed run's summary carries an ``error`` field instead of silently
-vanishing.
+active run record's manifest (:func:`repro.obs.attach_section`,
+manifest schema v7); a failed run's summary carries an ``error`` field
+instead of silently vanishing.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def explore(space: SpaceSpec,
     with a summary dict.  Evaluation parameters mirror
     :func:`repro.design.sweep.evaluate_points`.
 
-    The manifest summary (:func:`repro.obs.record_explore`) is recorded
+    The manifest summary (:func:`repro.obs.attach_section`) is attached
     even when the run raises — with an ``error`` field and the counts
     up to the failure — and the exception then propagates.
     """
@@ -239,9 +239,9 @@ def explore(space: SpaceSpec,
             error=error,
         )
 
-        from repro.obs import record_explore
+        from repro.obs import attach_section
 
-        record_explore(report.as_dict())
+        attach_section("explore", report.as_dict())
     return report
 
 

@@ -182,9 +182,9 @@ def run_validation(only: Optional[Sequence[str]] = None,
         },
     }
 
-    from repro.obs import record_validation
+    from repro.obs import attach_section
 
-    record_validation(report)
+    attach_section("validation", report)
     if report_path is not None:
         import json
         from pathlib import Path

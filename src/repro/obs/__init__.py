@@ -1,17 +1,19 @@
-"""Observability layer: run manifests, engine telemetry, named timers.
+"""Observability layer: run records, run manifests, named timers.
 
 :mod:`repro.obs` is the reporting surface the rest of the stack threads
 through:
 
+* :class:`~repro.obs.record.RunRecord` — what one CLI invocation or one
+  served request did (engine telemetry, cache deltas, timer spans,
+  summary sections), opened with :func:`~repro.obs.record.run_record`
+  and found by the engine, the cache and the timers through a context
+  variable;
 * :func:`~repro.obs.timer.timer` — the one wall-clock primitive
   (``scripts/bench.py`` and the manifests share its span format);
-* :class:`~repro.obs.telemetry.EngineTelemetry` — per-batch/per-spec
-  execution records plus aggregated pipeline stall attribution, owned by
-  every :class:`~repro.engine.sweep.ExperimentEngine`;
 * :func:`~repro.obs.manifest.build_manifest` /
   :func:`~repro.obs.manifest.validate_manifest` — schema-versioned JSON
-  run records (``--metrics-out`` / ``$REPRO_METRICS`` on every entry
-  point; ``python -m repro.obs`` validates one from the shell).
+  views of one record (``--metrics-out`` / ``$REPRO_METRICS`` on every
+  entry point; ``python -m repro.obs`` validates one from the shell).
 """
 
 from repro.obs.manifest import (
@@ -19,59 +21,41 @@ from repro.obs.manifest import (
     ManifestError,
     build_manifest,
     check_manifest,
-    clear_explore,
-    clear_manycore,
-    clear_serve,
-    clear_validation,
     metrics_path,
-    record_explore,
-    record_manycore,
-    record_serve,
-    record_validation,
-    recorded_explore,
-    recorded_manycore,
-    recorded_serve,
-    recorded_validation,
     validate_manifest,
     write_manifest,
 )
+from repro.obs.record import (
+    RunRecord,
+    attach_section,
+    current_record,
+    run_record,
+)
 from repro.obs.telemetry import (
     BatchRecord,
-    EngineTelemetry,
     KernelBatchRecord,
     ModelDisagreementWarning,
     SpecTiming,
     warn_model_disagreement,
 )
-from repro.obs.timer import TimerSpan, drain_spans, recorded_spans, timer
+from repro.obs.timer import TimerSpan, timer
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "BatchRecord",
-    "EngineTelemetry",
     "KernelBatchRecord",
     "ManifestError",
     "ModelDisagreementWarning",
+    "RunRecord",
     "SpecTiming",
     "warn_model_disagreement",
     "TimerSpan",
+    "attach_section",
     "build_manifest",
     "check_manifest",
-    "clear_explore",
-    "clear_manycore",
-    "clear_serve",
-    "clear_validation",
-    "drain_spans",
+    "current_record",
     "metrics_path",
-    "record_explore",
-    "record_manycore",
-    "record_serve",
-    "record_validation",
-    "recorded_explore",
-    "recorded_manycore",
-    "recorded_serve",
-    "recorded_spans",
-    "recorded_validation",
+    "run_record",
     "timer",
     "validate_manifest",
     "write_manifest",

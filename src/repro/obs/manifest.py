@@ -6,23 +6,21 @@ Every entry point (``python -m repro``, the experiment runner,
 
 * identity — schema version, timestamp, the command line, the source
   fingerprint the cache keys use, the platform;
-* the engine configuration (jobs, cache directory) and its cache
-  hit/miss/store/failure counters;
+* the engine configuration (jobs, cache directory) and the run's
+  result-cache hit/miss/store/failure counts;
 * per-batch and per-spec execution records (what was simulated, what was
   served from cache, and how long each fresh simulation took);
 * aggregated pipeline telemetry — per-stage stall cycles, activity
   counters, memory-level histograms — from every result the engine
   returned;
 * the named :mod:`repro.obs.timer` spans completed during the run;
-* the golden-validation drift report (``repro validate``), when one was
-  recorded this process via :func:`record_validation` — the optional
-  ``validation`` section added in schema v3;
-* the design-space exploration summary (``repro explore``), when one was
-  recorded this process via :func:`record_explore` — the optional
-  ``explore`` section added in schema v5;
-* the server telemetry (``repro serve``), when recorded this process via
-  :func:`record_serve` — the optional ``serve`` section added in
-  schema v8.
+* the optional summary sections the run attached: the golden-validation
+  drift report (``validation``, schema v3), the design-space
+  exploration summary (``explore``, v5), the tile-grid scenario summary
+  (``manycore``, v6) and the server telemetry (``serve``, v8).
+
+A manifest describes exactly one :class:`~repro.obs.record.RunRecord`:
+one CLI invocation, or one served request.
 
 :func:`validate_manifest` is a dependency-free structural validator
 (``python -m repro.obs <manifest.json>`` runs it from the command line;
@@ -36,7 +34,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs.timer import TimerSpan, recorded_spans
+from repro.obs.record import RunRecord
 
 #: Current manifest schema identifier; bump when the shape changes.
 #: v2 added the ``kernel`` section (batched SoA-kernel usage records).
@@ -66,119 +64,20 @@ class ManifestError(ValueError):
     """Raised by :func:`check_manifest` for a structurally invalid manifest."""
 
 
-# -- validation-report capture ------------------------------------------------
-
-#: The drift report recorded by the last ``repro validate`` run in this
-#: process, if any (mirrors the timer-span pattern: repro.golden records
-#: here so the manifest layer never imports repro.golden).
-_VALIDATION_REPORT: Optional[Dict[str, Any]] = None
-
-
-def record_validation(report: Dict[str, Any]) -> None:
-    """Record a golden-validation drift report for the next manifest."""
-    global _VALIDATION_REPORT
-    _VALIDATION_REPORT = report
-
-
-def recorded_validation() -> Optional[Dict[str, Any]]:
-    """The drift report recorded this process (``None`` when no run)."""
-    return _VALIDATION_REPORT
-
-
-def clear_validation() -> None:
-    """Forget the recorded drift report (test isolation)."""
-    global _VALIDATION_REPORT
-    _VALIDATION_REPORT = None
-
-
-# -- explore-summary capture --------------------------------------------------
-
-#: The exploration summary recorded by the last ``repro explore`` run in
-#: this process, if any (same capture pattern as the validation report:
-#: repro.explore records here so this layer never imports repro.explore).
-_EXPLORE_SUMMARY: Optional[Dict[str, Any]] = None
-
-
-def record_explore(summary: Dict[str, Any]) -> None:
-    """Record a design-space exploration summary for the next manifest."""
-    global _EXPLORE_SUMMARY
-    _EXPLORE_SUMMARY = summary
-
-
-def recorded_explore() -> Optional[Dict[str, Any]]:
-    """The exploration summary recorded this process (``None`` if none)."""
-    return _EXPLORE_SUMMARY
-
-
-def clear_explore() -> None:
-    """Forget the recorded exploration summary (test isolation)."""
-    global _EXPLORE_SUMMARY
-    _EXPLORE_SUMMARY = None
-
-
-# -- manycore-summary capture -------------------------------------------------
-
-#: The tile-grid scenario summary recorded by the last ``repro manycore``
-#: run in this process, if any (same capture pattern as the explore
-#: summary).
-_MANYCORE_SUMMARY: Optional[Dict[str, Any]] = None
-
-
-def record_manycore(summary: Dict[str, Any]) -> None:
-    """Record a manycore scenario summary for the next manifest."""
-    global _MANYCORE_SUMMARY
-    _MANYCORE_SUMMARY = summary
-
-
-def recorded_manycore() -> Optional[Dict[str, Any]]:
-    """The manycore summary recorded this process (``None`` if none)."""
-    return _MANYCORE_SUMMARY
-
-
-def clear_manycore() -> None:
-    """Forget the recorded manycore summary (test isolation)."""
-    global _MANYCORE_SUMMARY
-    _MANYCORE_SUMMARY = None
-
-
-# -- serve-summary capture ----------------------------------------------------
-
-#: The server telemetry recorded by the last ``repro serve`` activity in
-#: this process, if any (same capture pattern as the explore summary:
-#: repro.serve records here so this layer never imports repro.serve).
-_SERVE_SUMMARY: Optional[Dict[str, Any]] = None
-
-
-def record_serve(summary: Dict[str, Any]) -> None:
-    """Record a serve telemetry summary for the next manifest."""
-    global _SERVE_SUMMARY
-    _SERVE_SUMMARY = summary
-
-
-def recorded_serve() -> Optional[Dict[str, Any]]:
-    """The serve summary recorded this process (``None`` if none)."""
-    return _SERVE_SUMMARY
-
-
-def clear_serve() -> None:
-    """Forget the recorded serve summary (test isolation)."""
-    global _SERVE_SUMMARY
-    _SERVE_SUMMARY = None
-
-
 # -- construction -------------------------------------------------------------
 
 
-def build_manifest(command: str, engine: Optional[object] = None,
-                   timers: Optional[List[TimerSpan]] = None,
+def build_manifest(command: str, record: RunRecord,
+                   engine: Optional[object] = None,
                    created: Optional[str] = None) -> Dict[str, Any]:
-    """Assemble a manifest for ``engine`` (default: the process engine).
+    """Assemble the manifest describing ``record``.
 
-    ``timers`` defaults to every span the process has recorded so far;
-    ``created`` (an ISO timestamp) is stamped automatically when omitted.
+    ``engine`` (default: the process engine) supplies only the static
+    ``engine`` section, its job count and cache directory; ``created``
+    (an ISO timestamp) is stamped automatically when omitted.
     """
-    # Imported lazily: repro.engine imports repro.obs.telemetry, so a
-    # module-level import here would be circular.
+    # Imported lazily: repro.engine imports repro.obs, so a module-level
+    # import here would be circular.
     import platform
 
     from repro.engine.cache import code_fingerprint
@@ -191,8 +90,6 @@ def build_manifest(command: str, engine: Optional[object] = None,
         from datetime import datetime, timezone
 
         created = datetime.now(timezone.utc).isoformat()
-    telemetry = engine.telemetry
-    stats = engine.cache.stats
     cache_dir = engine.cache.cache_dir
     manifest = {
         "schema": MANIFEST_SCHEMA_VERSION,
@@ -208,41 +105,21 @@ def build_manifest(command: str, engine: Optional[object] = None,
             "jobs": engine.jobs,
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
         },
-        "cache": {
-            "memory_hits": stats.memory_hits,
-            "disk_hits": stats.disk_hits,
-            "misses": stats.misses,
-            "stores": stats.stores,
-            "disk_put_failures": stats.disk_put_failures,
-        },
-        "batches": [batch.as_record() for batch in telemetry.batches],
+        "cache": dict(record.cache),
+        "batches": [batch.as_record() for batch in record.batches],
         "kernel": {
-            "summary": telemetry.kernel_summary(),
-            "batches": [
-                record.as_record() for record in telemetry.kernel_batches
-            ],
+            "summary": record.kernel_summary(),
+            "batches": [batch.as_record() for batch in record.kernel_batches],
         },
-        "specs": [spec.as_record() for spec in telemetry.spec_timings],
-        "stalls": dict(telemetry.stall_cycles),
-        "counters": dict(telemetry.counters),
-        "mem_level_counts": dict(telemetry.mem_level_counts),
-        "timers": [
-            span.as_record()
-            for span in (timers if timers is not None else recorded_spans())
-        ],
+        "specs": [spec.as_record() for spec in record.spec_timings],
+        "stalls": dict(record.stall_cycles),
+        "counters": dict(record.counters),
+        "mem_level_counts": dict(record.mem_level_counts),
+        "timers": [span.as_record() for span in record.timers],
     }
-    validation = recorded_validation()
-    if validation is not None:
-        manifest["validation"] = validation
-    explore = recorded_explore()
-    if explore is not None:
-        manifest["explore"] = explore
-    manycore = recorded_manycore()
-    if manycore is not None:
-        manifest["manycore"] = manycore
-    serve = recorded_serve()
-    if serve is not None:
-        manifest["serve"] = serve
+    for name in ("validation", "explore", "manycore", "serve"):
+        if name in record.sections:
+            manifest[name] = record.sections[name]
     return manifest
 
 

@@ -1,25 +1,24 @@
-"""Engine-side telemetry: per-batch, per-spec and per-stage accounting.
+"""Engine-side telemetry entries: per-batch, per-group and per-spec.
 
-The :class:`~repro.engine.sweep.ExperimentEngine` owns one
-:class:`EngineTelemetry` and feeds it from ``run_specs``:
+The :class:`~repro.engine.sweep.ExperimentEngine` feeds the active
+:class:`~repro.obs.record.RunRecord` from ``run_specs``:
 
 * one :class:`BatchRecord` per batch (spec count, hit/miss split, wall
   time, workers used),
+* one :class:`KernelBatchRecord` per same-trace spec group,
 * one :class:`SpecTiming` per spec (content key, identity, whether it
   was served from cache, and — for fresh simulations — its wall time),
-* aggregated per-stage stall cycles, activity counters and memory-level
-  histograms from every :class:`~repro.uarch.ooo.SimResult` /
-  :class:`~repro.uarch.multicore.MulticoreResult` the engine returns.
 
-This module deliberately imports nothing from ``repro.engine`` or
-``repro.uarch`` — results are consumed by duck typing — so it can be
+plus the aggregated stall/activity/memory-level counters the record
+keeps.  This module deliberately imports nothing from ``repro.engine``
+or ``repro.uarch`` — results are consumed by duck typing — so it can be
 loaded from anywhere in the stack without cycles.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Activity counters aggregated from every result the engine serves.
 COUNTER_FIELDS = (
@@ -126,101 +125,3 @@ def warn_model_disagreement(message: str) -> None:
     import warnings
 
     warnings.warn(message, ModelDisagreementWarning, stacklevel=3)
-
-
-class EngineTelemetry:
-    """Accumulates everything one engine did, for the run manifest."""
-
-    def __init__(self) -> None:
-        self.batches: List[BatchRecord] = []
-        self.kernel_batches: List[KernelBatchRecord] = []
-        self.spec_timings: List[SpecTiming] = []
-        self.stall_cycles: Dict[str, int] = {}
-        self.counters: Dict[str, int] = {name: 0 for name in COUNTER_FIELDS}
-        self.mem_level_counts: Dict[str, int] = {}
-
-    # -- feeding --------------------------------------------------------------
-
-    def record_batch(self, specs: int, hits: int, misses: int,
-                     seconds: float, workers: int) -> None:
-        self.batches.append(BatchRecord(specs, hits, misses, seconds, workers))
-
-    def record_kernel_batch(self, mode: str, width: int, seconds: float,
-                            used_kernel: bool, path: Optional[str] = None,
-                            shm: bool = False) -> None:
-        self.kernel_batches.append(
-            KernelBatchRecord(mode, width, seconds, used_kernel, path, shm)
-        )
-
-    def kernel_summary(self) -> Dict[str, object]:
-        """Aggregate kernel usage: how many specs were batched through
-        the SoA kernel vs fell back to the scalar oracle.
-
-        ``fallback_specs`` counts only specs in groups wide enough to
-        batch (width >= 2) that ran scalar anyway — singletons have
-        nothing to batch and are reported separately."""
-        batched = fallback = singleton = 0
-        vectorized = scalar = mixed = shm_groups = 0
-        max_width = 0
-        seconds = 0.0
-        for record in self.kernel_batches:
-            seconds += record.seconds
-            if record.used_kernel:
-                batched += record.width
-                max_width = max(max_width, record.width)
-            elif record.width > 1:
-                fallback += record.width
-            else:
-                singleton += 1
-            if record.path == "vectorized":
-                vectorized += 1
-            elif record.path == "scalar":
-                scalar += 1
-            elif record.path == "mixed":
-                mixed += 1
-            if record.shm:
-                shm_groups += 1
-        return {
-            "groups": len(self.kernel_batches),
-            "batched_specs": batched,
-            "fallback_specs": fallback,
-            "singleton_specs": singleton,
-            "max_width": max_width,
-            "seconds": round(seconds, 6),
-            "vectorized_groups": vectorized,
-            "scalar_groups": scalar,
-            "mixed_groups": mixed,
-            "shm_groups": shm_groups,
-        }
-
-    def record_spec(self, key: str, mode: str, config: str, profile: str,
-                    uops: int, seed: int, cached: bool,
-                    seconds: Optional[float] = None) -> None:
-        self.spec_timings.append(
-            SpecTiming(key, mode, config, profile, uops, seed, cached, seconds)
-        )
-
-    def observe_result(self, result: object) -> None:
-        """Fold one simulation result (single- or multicore) into the
-        aggregate stall/activity counters.  Cache hits count too: the
-        aggregate describes what the sweeps *reported*, not what was
-        freshly simulated."""
-        per_core = getattr(result, "per_core", None)
-        if per_core is not None:
-            for core_result in per_core:
-                self._observe_stats(core_result.stats)
-            return
-        stats = getattr(result, "stats", None)
-        if stats is not None:
-            self._observe_stats(stats)
-
-    def _observe_stats(self, stats: object) -> None:
-        counters = self.counters
-        for name in COUNTER_FIELDS:
-            counters[name] += int(getattr(stats, name, 0))
-        stall_cycles = self.stall_cycles
-        for cause, cycles in getattr(stats, "stall_cycles", {}).items():
-            stall_cycles[cause] = stall_cycles.get(cause, 0) + int(cycles)
-        mem_levels = self.mem_level_counts
-        for level, count in getattr(stats, "mem_level_counts", {}).items():
-            mem_levels[level] = mem_levels.get(level, 0) + int(count)

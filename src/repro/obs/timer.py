@@ -1,10 +1,11 @@
 """Named wall-clock spans, shared by the benchmark and the manifests.
 
-``timer("runner.cold")`` measures one region and records a
-:class:`TimerSpan` in a process-wide registry; a manifest built later
-picks the recorded spans up as its ``timers`` section.  This is the one
-timing primitive the repository uses, so ``BENCH_<timestamp>.json`` and
-the run manifests report wall time in exactly the same shape.
+``timer("runner.cold")`` measures one region and attaches a
+:class:`TimerSpan` to the active :class:`~repro.obs.record.RunRecord`;
+the manifest built from that record reports it in its ``timers``
+section.  This is the one timing primitive the repository uses, so
+``BENCH_<timestamp>.json`` and the run manifests report wall time in
+exactly the same shape.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
+
+from repro.obs.record import current_record
 
 
 @dataclasses.dataclass
@@ -26,31 +29,17 @@ class TimerSpan:
         return {"name": self.name, "seconds": round(self.seconds, 6)}
 
 
-#: Process-wide span registry, in completion order.
-_SPANS: List[TimerSpan] = []
-
-
 @contextlib.contextmanager
 def timer(name: str, record: bool = True) -> Iterator[TimerSpan]:
     """Time a ``with`` block; the yielded span's ``seconds`` is filled in
-    on exit (and registered for later manifests unless ``record=False``)."""
+    on exit and, unless ``record=False``, the span joins the record that
+    is active at that moment (none active: it is only yielded)."""
     span = TimerSpan(name)
     start = time.perf_counter()
     try:
         yield span
     finally:
         span.seconds = time.perf_counter() - start
-        if record:
-            _SPANS.append(span)
-
-
-def recorded_spans() -> List[TimerSpan]:
-    """Every span completed so far (oldest first)."""
-    return list(_SPANS)
-
-
-def drain_spans() -> List[TimerSpan]:
-    """Pop and return the recorded spans (the registry empties)."""
-    spans = list(_SPANS)
-    _SPANS.clear()
-    return spans
+        active = current_record() if record else None
+        if active is not None:
+            active.timers.append(span)

@@ -14,13 +14,16 @@ Architecture (DESIGN.md §15):
   :func:`~repro.serve.protocol.execute_request` on the shared
   :class:`~repro.engine.sweep.ExperimentEngine` — whose worker pool is
   where the actual parallelism lives.  One service thread is deliberate:
-  the engine's trace memo and telemetry are single-threaded by design,
-  so the queue serialises *bookkeeping* while the process pool
-  parallelises *simulation*.
-* **Responses are run manifests**: each reply carries the engine
-  manifest sliced to the request's own telemetry delta, plus a
-  ``serve`` section (schema v8) with queue depth, wait/service time and
-  the cache hit ratio for that request.
+  the engine's trace memo is single-threaded by design, so the queue
+  serialises *bookkeeping* while the process pool parallelises
+  *simulation*.
+* **Responses are run manifests**: each request runs inside its own
+  :class:`~repro.obs.record.RunRecord`, and its reply carries that
+  record's manifest plus a ``serve`` section (schema v8) with queue
+  depth, wait/service time and the cache hit ratio for that request.
+  Closing the record folds its fixed-size totals into the server's
+  lifetime record, so building a response costs O(request), not
+  O(history).
 * **Graceful drain**: ``stop(drain=True)`` (or ``POST /shutdown``)
   stops admissions, lets queued tickets finish, waits for open
   connections to flush their responses, then closes.
@@ -33,12 +36,15 @@ what ``python -m repro serve`` runs.
 from __future__ import annotations
 
 import asyncio
+import glob
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple
 
+from repro.obs import RunRecord, build_manifest, current_record, run_record
 from repro.serve.protocol import (
     SERVE_SCHEMA_VERSION,
     ProtocolError,
@@ -89,6 +95,9 @@ class ReproServer:
         self.max_body_bytes = max_body_bytes
         self.warm_workers = warm_workers
         self.stats = ServeStats()
+        #: The lifetime record request records fold into: the record
+        #: active where :meth:`start` ran, else one of the server's own.
+        self.record: Optional[RunRecord] = None
         self._engine = engine
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -121,6 +130,7 @@ class ReproServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
+        self.record = current_record() or RunRecord()
         engine = self.engine  # resolve before the loop thread races us
         if self.warm_workers and engine.jobs > 1:
             from repro.engine.pool import persistent_pool_enabled, warm_up
@@ -247,86 +257,42 @@ class ReproServer:
 
     def _service(self, ticket: RequestTicket) -> Tuple[int, Dict[str, Any]]:
         ticket.started_at = time.monotonic()
-        engine = self.engine
-        telemetry = engine.telemetry
-        stats_before = (engine.cache.stats.hits, engine.cache.stats.misses)
-        marks = {
-            "batches": len(telemetry.batches),
-            "kernel_batches": len(telemetry.kernel_batches),
-            "specs": len(telemetry.spec_timings),
-        }
-        counter_marks = {
-            "stalls": dict(telemetry.stall_cycles),
-            "counters": dict(telemetry.counters),
-            "mem_level_counts": dict(telemetry.mem_level_counts),
-        }
-        from repro.obs import recorded_spans
-
-        timer_mark = len(recorded_spans())
-        try:
-            results = execute_request(ticket.endpoint, ticket.request,
-                                      engine)
-        except ProtocolError as exc:
+        # Opened here, on the service thread: run_in_executor does not
+        # carry the event loop's context over.
+        with run_record(parent=self.record) as record:
+            try:
+                results = execute_request(ticket.endpoint, ticket.request,
+                                          self.engine)
+            except ProtocolError as exc:
+                ticket.finished_at = time.monotonic()
+                return self._error_payload(exc.status, str(exc))
             ticket.finished_at = time.monotonic()
-            return self._error_payload(exc.status, str(exc))
-        ticket.finished_at = time.monotonic()
-        hits = engine.cache.stats.hits - stats_before[0]
-        lookups = hits + (engine.cache.stats.misses - stats_before[1])
-        manifest = self._request_manifest(
-            ticket, engine, marks, counter_marks, timer_mark,
-            cache_hit_ratio=hits / lookups if lookups else 0.0,
-        )
-        return 200, {
-            "schema": SERVE_SCHEMA_VERSION,
-            "status": "ok",
-            "endpoint": ticket.endpoint,
-            "request": ticket.request,
-            "results": results,
-            "manifest": manifest,
-        }
-
-    def _request_manifest(self, ticket: RequestTicket, engine,
-                          marks: Dict[str, int],
-                          counter_marks: Dict[str, Dict[str, float]],
-                          timer_mark: int,
-                          cache_hit_ratio: float) -> Dict[str, Any]:
-        """The engine manifest sliced to this request's telemetry delta.
-
-        The engine's telemetry accumulates for the server's lifetime;
-        responses carry only what *this* request added (otherwise
-        response N grows with all N-1 predecessors).  List sections are
-        sliced at the pre-request marks; counter maps are subtracted.
-        """
-        from repro.obs import build_manifest, recorded_spans
-
-        manifest = build_manifest(
-            f"serve {ticket.endpoint}", engine=engine,
-            timers=recorded_spans()[timer_mark:])
-        manifest["batches"] = manifest["batches"][marks["batches"]:]
-        manifest["specs"] = manifest["specs"][marks["specs"]:]
-        manifest["kernel"]["batches"] = \
-            manifest["kernel"]["batches"][marks["kernel_batches"]:]
-        for section in ("stalls", "mem_level_counts"):
-            before = counter_marks[section]
-            manifest[section] = {
-                key: value - before.get(key, 0)
-                for key, value in manifest[section].items()
-                if value - before.get(key, 0)
+            return 200, {
+                "schema": SERVE_SCHEMA_VERSION,
+                "status": "ok",
+                "endpoint": ticket.endpoint,
+                "request": ticket.request,
+                "results": results,
+                "manifest": self._request_manifest(ticket, record),
             }
-        before = counter_marks["counters"]
-        manifest["counters"] = {
-            key: value - before.get(key, 0)
-            for key, value in manifest["counters"].items()
-        }
-        manifest["serve"] = {
+
+    def _request_manifest(self, ticket: RequestTicket,
+                          record: RunRecord) -> Dict[str, Any]:
+        """The manifest of the request's own record, with its ``serve``
+        section."""
+        cache = record.cache
+        hits = cache["memory_hits"] + cache["disk_hits"]
+        lookups = hits + cache["misses"]
+        record.sections["serve"] = {
             "requests": 1,
             "rejected": 0,
             "queue_depth": ticket.queue_depth_at_enqueue,
             "wait_seconds": ticket.wait_seconds,
             "service_seconds": ticket.service_seconds,
-            "cache_hit_ratio": cache_hit_ratio,
+            "cache_hit_ratio": hits / lookups if lookups else 0.0,
         }
-        return manifest
+        return build_manifest(f"serve {ticket.endpoint}", record,
+                              engine=self.engine)
 
     def serve_section(self) -> Dict[str, Any]:
         """Aggregate lifetime ``serve`` section (the shutdown manifest)."""
@@ -446,6 +412,7 @@ class ReproServer:
                     "hit_ratio": cache.hit_ratio,
                 },
                 "pool": pool_stats(),
+                "process": _process_stats(),
             }
         raise ProtocolError(404, f"unknown endpoint {path!r}")
 
@@ -478,6 +445,26 @@ class ReproServer:
                      f"retry later") from None
         self.stats.note_admitted(ticket)
         return await ticket.future
+
+
+def _process_stats() -> Dict[str, int]:
+    """Fixed-size resource gauges of this process (``GET /stats``)."""
+    rss_kb = 0
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    rss_kb = int(line.split()[1])
+                    break
+        open_fds = len(os.listdir("/proc/self/fd"))
+    except OSError:  # no procfs
+        open_fds = 0
+    return {
+        "rss_kb": rss_kb,
+        "open_fds": open_fds,
+        "threads": threading.active_count(),
+        "shm_segments": len(glob.glob("/dev/shm/psm_*")),
+    }
 
 
 def request_json(port: int, method: str, path: str,

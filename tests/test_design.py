@@ -180,6 +180,50 @@ class TestResolveMatchesRetiredWiring:
             == pytest.approx(pinned.frequency)
 
 
+class TestFrequencyMemo:
+    """The derivation memo is capped: a long-lived server adds one entry
+    per distinct ``/points`` frequency signature."""
+
+    def test_cap_evicts_oldest_and_rebuilds_it(self, monkeypatch):
+        import importlib
+
+        from repro.lru import LruMemo
+
+        # The package re-exports a ``resolve`` function over the module.
+        resolve_module = importlib.import_module("repro.design.resolve")
+        cap = resolve_module._FREQUENCY_MEMO.cap
+        assert cap == 256
+        memo = LruMemo(cap=cap)
+        monkeypatch.setattr(resolve_module, "_FREQUENCY_MEMO", memo)
+        real = resolve_module._derive_frequency_uncached
+        builds = []
+
+        def counting(point, upv):
+            builds.append(point.fixed_frequency)
+            return real(point, upv)
+
+        monkeypatch.setattr(resolve_module, "_derive_frequency_uncached",
+                            counting)
+        points = [
+            dataclasses.replace(get_point("Base"), name=f"fixed-{i}",
+                                config_name=None, frequency_policy="fixed",
+                                fixed_frequency=2.0e9 + i)
+            for i in range(cap + 1)
+        ]
+        for point in points:
+            derive_frequency(point)
+        assert len(memo) == cap and len(builds) == cap + 1
+        # The oldest signature was evicted: deriving it again rebuilds.
+        oldest = derive_frequency(points[0])
+        assert len(builds) == cap + 2
+        assert oldest.frequency == points[0].fixed_frequency
+        assert len(memo) == cap
+        # The newest is still cached, and a renamed twin is relabelled.
+        twin = dataclasses.replace(points[-1], name="twin")
+        assert derive_frequency(twin).design == "twin"
+        assert len(builds) == cap + 2
+
+
 class TestTable11Golden:
     """Golden pins: derived paper-config clocks vs published Table 11.
 

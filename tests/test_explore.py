@@ -442,27 +442,19 @@ class TestExploreRunner:
             explore(small_cartesian(), chunk_size=0)
 
     def test_manifest_explore_section(self, fresh_engine):
-        from repro.obs import (
-            build_manifest,
-            clear_explore,
-            recorded_explore,
-            validate_manifest,
-        )
+        from repro.obs import build_manifest, run_record, validate_manifest
 
-        clear_explore()
-        try:
+        with run_record() as record:
             explore(small_cartesian(), engine=fresh_engine, **FAST)
-            summary = recorded_explore()
-            assert summary is not None and summary["space"] == "grid"
-            manifest = build_manifest("test explore", engine=fresh_engine)
-            assert manifest["explore"] == summary
-            assert validate_manifest(manifest) == []
-            # A corrupted section must be reported.
-            manifest["explore"] = {"space": "grid"}
-            assert any("explore" in problem
-                       for problem in validate_manifest(manifest))
-        finally:
-            clear_explore()
+        summary = record.sections["explore"]
+        assert summary["space"] == "grid"
+        manifest = build_manifest("test explore", record, engine=fresh_engine)
+        assert manifest["explore"] == summary
+        assert validate_manifest(manifest) == []
+        # A corrupted section must be reported.
+        manifest["explore"] = {"space": "grid"}
+        assert any("explore" in problem
+                   for problem in validate_manifest(manifest))
 
 
 class TestPipelinedExplore:
@@ -501,7 +493,7 @@ class TestPipelinedExplore:
     def test_kill_between_chunks_resumes_without_reevaluation(
             self, tmp_path):
         from repro.engine.sweep import ExperimentEngine
-        from repro.obs import clear_explore, recorded_explore
+        from repro.obs import run_record
 
         path = tmp_path / "store.jsonl"
         kwargs = dict(limit=9, chunk_size=3, **FAST)
@@ -513,20 +505,16 @@ class TestPipelinedExplore:
             if update["chunk"] == 1:
                 raise Boom("killed between chunks")
 
-        clear_explore()
-        try:
+        with run_record() as record:
             with pytest.raises(Boom):
                 explore(GOLDEN_SPACE, store_path=path, in_flight=2,
                         engine=ExperimentEngine(jobs=2, cache_dir=None),
                         progress=die_after_first_chunk, **kwargs)
-            # The aborted run still left a validating manifest section,
-            # with the failure recorded.
-            aborted = recorded_explore()
-            assert aborted is not None
-            assert aborted["error"] == "Boom: killed between chunks"
-            assert aborted["chunks"] == 1
-        finally:
-            clear_explore()
+        # The aborted run still left a validating manifest section, with
+        # the failure recorded.
+        aborted = record.sections["explore"]
+        assert aborted["error"] == "Boom: killed between chunks"
+        assert aborted["chunks"] == 1
 
         # Group commit is chunk-atomic: the committed chunk survived the
         # crash in full, the abandoned in-flight chunk left no lines.

@@ -29,17 +29,11 @@ from repro.golden import (
     write_golden,
 )
 from repro.obs import (
+    RunRecord,
     build_manifest,
-    clear_validation,
-    recorded_validation,
+    run_record,
     validate_manifest,
 )
-
-
-@pytest.fixture(autouse=True)
-def _isolate_validation_record():
-    yield
-    clear_validation()
 
 
 @pytest.fixture
@@ -267,11 +261,12 @@ class TestRunValidation:
     def test_manifest_embeds_drift_report(self, goldens):
         from repro.engine.sweep import ExperimentEngine
 
-        report = run_validation(only=["table1"], goldens_dir=goldens)
-        assert recorded_validation() is report
+        with run_record() as record:
+            report = run_validation(only=["table1"], goldens_dir=goldens)
+        assert record.sections["validation"] is report
         manifest = build_manifest(
-            "unit-test", engine=ExperimentEngine(jobs=1, cache_dir=None),
-            timers=[],
+            "unit-test", record,
+            engine=ExperimentEngine(jobs=1, cache_dir=None),
         )
         assert manifest["validation"]["status"] == "pass"
         assert validate_manifest(manifest) == []
@@ -280,8 +275,8 @@ class TestRunValidation:
         from repro.engine.sweep import ExperimentEngine
 
         manifest = build_manifest(
-            "unit-test", engine=ExperimentEngine(jobs=1, cache_dir=None),
-            timers=[],
+            "unit-test", RunRecord(),
+            engine=ExperimentEngine(jobs=1, cache_dir=None),
         )
         manifest["validation"] = {"status": "maybe"}
         assert validate_manifest(manifest) != []

@@ -313,9 +313,12 @@ def test_figure6_identical_with_kernel_disabled(monkeypatch):
 def test_engine_telemetry_counts_kernel_batches():
     from repro.engine.sweep import ExperimentEngine
 
+    from repro.obs import run_record
+
     eng = ExperimentEngine(jobs=1, cache_dir=None)
-    eng.single_core_runs(700, profiles=spec_profiles()[:2])
-    summary = eng.telemetry.kernel_summary()
+    with run_record() as record:
+        eng.single_core_runs(700, profiles=spec_profiles()[:2])
+    summary = record.kernel_summary()
     assert summary["groups"] == 2  # one batch per profile
     assert summary["batched_specs"] == 2 * len(single_core_configs())
     assert summary["max_width"] == len(single_core_configs())
@@ -352,11 +355,12 @@ def test_generated_trace_digests_pinned(case):
 
 def test_manifest_kernel_section_roundtrip():
     from repro.engine.sweep import ExperimentEngine
-    from repro.obs import build_manifest, validate_manifest
+    from repro.obs import build_manifest, run_record, validate_manifest
 
     eng = ExperimentEngine(jobs=1, cache_dir=None)
-    eng.single_core_runs(600, profiles=spec_profiles()[:1])
-    manifest = build_manifest("test", engine=eng)
+    with run_record() as record:
+        eng.single_core_runs(600, profiles=spec_profiles()[:1])
+    manifest = build_manifest("test", record, engine=eng)
     assert validate_manifest(manifest) == []
     assert manifest["kernel"]["summary"]["batched_specs"] == len(
         single_core_configs()
@@ -367,10 +371,10 @@ def test_manifest_kernel_section_roundtrip():
 
 def test_manifest_rejects_malformed_kernel_section():
     from repro.engine.sweep import ExperimentEngine
-    from repro.obs import build_manifest, validate_manifest
+    from repro.obs import RunRecord, build_manifest, validate_manifest
 
     manifest = build_manifest(
-        "test", engine=ExperimentEngine(jobs=1, cache_dir=None)
+        "test", RunRecord(), engine=ExperimentEngine(jobs=1, cache_dir=None)
     )
     manifest["kernel"] = {"summary": {"groups": "lots"}, "batches": [{}]}
     problems = validate_manifest(manifest)

@@ -296,14 +296,12 @@ class TestManycoreGolden:
 class TestManycoreManifest:
     def test_record_round_trip(self):
         from repro.obs import (
+            attach_section,
             build_manifest,
-            clear_manycore,
-            record_manycore,
-            recorded_manycore,
+            run_record,
             validate_manifest,
         )
 
-        clear_manycore()
         summary = {
             "scenario": "mixed-2x2", "rows": 2, "cols": 2, "tiles": 4,
             "apps": 2, "folded_tiles": False, "injection_rate": 0.2,
@@ -311,50 +309,38 @@ class TestManycoreManifest:
             "dropped_phases": 0, "max_peak_c": 91.5, "thermal_grid": 24,
             "seconds": 1.25,
         }
-        try:
-            record_manycore(summary)
-            assert recorded_manycore() == summary
-            manifest = build_manifest(command="test")
-            assert manifest["manycore"] == summary
-            assert validate_manifest(manifest) == []
-        finally:
-            clear_manycore()
+        with run_record() as record:
+            attach_section("manycore", summary)
+        assert record.sections["manycore"] == summary
+        manifest = build_manifest("test", record)
+        assert manifest["manycore"] == summary
+        assert validate_manifest(manifest) == []
 
     def test_negative_counts_rejected(self):
-        from repro.obs import (
-            build_manifest,
-            clear_manycore,
-            record_manycore,
-            validate_manifest,
-        )
+        from repro.obs import RunRecord, build_manifest, validate_manifest
 
-        clear_manycore()
-        try:
-            record_manycore({"scenario": "x", "tiles": -1})
-            problems = validate_manifest(build_manifest(command="test"))
-            assert any("tiles" in problem for problem in problems)
-        finally:
-            clear_manycore()
+        record = RunRecord()
+        record.sections["manycore"] = {"scenario": "x", "tiles": -1}
+        problems = validate_manifest(build_manifest("test", record))
+        assert any("tiles" in problem for problem in problems)
 
 
 class TestManycoreCli:
-    def test_scenario_run_records_summary(self, capsys):
-        from repro import cli
-        from repro.obs import clear_manycore, recorded_manycore
+    def test_scenario_run_records_summary(self, capsys, tmp_path):
+        import json
 
-        clear_manycore()
-        try:
-            cli.main(["--uops", "400", "manycore", "mixed-2x2",
-                      "--apps", "1", "--grid", "6"])
-            out = capsys.readouterr().out
-            assert "manycore mixed-2x2: 2x2 mesh" in out
-            assert "Barnes" in out
-            summary = recorded_manycore()
-            assert summary["scenario"] == "mixed-2x2"
-            assert summary["apps"] == 1
-            assert summary["seconds"] > 0
-        finally:
-            clear_manycore()
+        from repro import cli
+
+        out_path = tmp_path / "manifest.json"
+        cli.main(["--uops", "400", "--metrics-out", str(out_path),
+                  "manycore", "mixed-2x2", "--apps", "1", "--grid", "6"])
+        out = capsys.readouterr().out
+        assert "manycore mixed-2x2: 2x2 mesh" in out
+        assert "Barnes" in out
+        summary = json.loads(out_path.read_text())["manycore"]
+        assert summary["scenario"] == "mixed-2x2"
+        assert summary["apps"] == 1
+        assert summary["seconds"] > 0
 
     def test_grid_json_path(self, tmp_path, capsys):
         from repro import cli

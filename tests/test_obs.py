@@ -11,14 +11,16 @@ from repro.engine import ExperimentEngine
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
     ManifestError,
+    RunRecord,
     build_manifest,
     check_manifest,
+    current_record,
     metrics_path,
+    run_record,
     timer,
     validate_manifest,
     write_manifest,
 )
-from repro.obs.timer import drain_spans, recorded_spans
 from repro.uarch.multicore import run_parallel
 from repro.uarch.ooo import STALL_CAUSES, run_trace
 from repro.workloads.generator import generate_trace
@@ -28,37 +30,42 @@ from repro.workloads.spec import spec_profiles
 UOPS = 600
 
 
-def _small_engine_with_work(jobs: int = 1) -> ExperimentEngine:
-    engine = ExperimentEngine(jobs=jobs)
+def _small_sweep(engine: ExperimentEngine) -> None:
     engine.single_core_runs(
         UOPS,
         configs=single_core_configs()[:2],
         profiles=spec_profiles()[:2],
     )
-    return engine
+
+
+def _small_run(jobs: int = 1):
+    """An engine and the closed record of one small sweep on it."""
+    engine = ExperimentEngine(jobs=jobs)
+    with run_record() as record:
+        _small_sweep(engine)
+    return engine, record
 
 
 class TestTimer:
     def test_span_records_duration(self):
-        drain_spans()
-        with timer("unit.test") as span:
-            pass
+        with run_record() as record:
+            with timer("unit.test") as span:
+                pass
         assert span.seconds >= 0.0
-        names = [s.name for s in drain_spans()]
-        assert "unit.test" in names
+        assert [s.name for s in record.timers] == ["unit.test"]
 
     def test_record_false_skips_registry(self):
-        drain_spans()
-        with timer("unit.skipped", record=False):
-            pass
-        assert all(s.name != "unit.skipped" for s in recorded_spans())
+        with run_record() as record:
+            with timer("unit.skipped", record=False):
+                pass
+        assert record.timers == []
 
     def test_span_survives_exceptions(self):
-        drain_spans()
-        with pytest.raises(RuntimeError):
-            with timer("unit.raises"):
-                raise RuntimeError("boom")
-        assert [s.name for s in drain_spans()] == ["unit.raises"]
+        with run_record() as record:
+            with pytest.raises(RuntimeError):
+                with timer("unit.raises"):
+                    raise RuntimeError("boom")
+        assert [s.name for s in record.timers] == ["unit.raises"]
 
 
 class TestStallAttribution:
@@ -93,32 +100,117 @@ class TestStallAttribution:
 
 class TestEngineTelemetry:
     def test_batches_and_specs_recorded(self):
-        engine = _small_engine_with_work()
-        telemetry = engine.telemetry
-        assert len(telemetry.batches) == 1
-        batch = telemetry.batches[0]
+        _, record = _small_run()
+        assert len(record.batches) == 1
+        batch = record.batches[0]
         assert batch.specs == 4 and batch.misses == 4 and batch.hits == 0
-        assert len(telemetry.spec_timings) == 4
-        assert all(s.seconds is not None for s in telemetry.spec_timings)
-        assert telemetry.counters["uops"] > 0
-        assert sum(telemetry.stall_cycles.values()) > 0
+        assert len(record.spec_timings) == 4
+        assert all(s.seconds is not None for s in record.spec_timings)
+        assert record.counters["uops"] > 0
+        assert sum(record.stall_cycles.values()) > 0
 
     def test_cache_hits_marked(self):
-        engine = _small_engine_with_work()
-        engine.single_core_runs(
-            UOPS,
-            configs=single_core_configs()[:2],
-            profiles=spec_profiles()[:2],
-        )
-        second_batch = engine.telemetry.spec_timings[4:]
+        engine = ExperimentEngine(jobs=1)
+        with run_record() as record:
+            _small_sweep(engine)
+            _small_sweep(engine)
+        second_batch = record.spec_timings[4:]
         assert all(s.cached and s.seconds is None for s in second_batch)
-        assert engine.telemetry.batches[1].hits == 4
+        assert record.batches[1].hits == 4
+
+
+class TestRunRecord:
+    def test_no_active_record_keeps_nothing(self):
+        assert current_record() is None
+        engine = ExperimentEngine(jobs=1)
+        _small_sweep(engine)  # telemetry has nowhere to go: no error
+        assert engine.cache.stats.stores == 4
+
+    def test_records_are_independent(self):
+        engine = ExperimentEngine(jobs=1)
+        with run_record() as cold:
+            _small_sweep(engine)
+        with run_record() as warm:
+            _small_sweep(engine)
+        assert cold.cache["misses"] == 4 and cold.cache["stores"] == 4
+        assert warm.cache == {"memory_hits": 4, "disk_hits": 0,
+                              "misses": 0, "stores": 0,
+                              "disk_put_failures": 0}
+        assert cold.kernel_summary()["groups"] == 2
+        assert warm.kernel_summary()["groups"] == 0
+        assert len(warm.spec_timings) == 4 and not warm.kernel_batches
+
+    def test_child_folds_fixed_size_totals_only(self):
+        engine = ExperimentEngine(jobs=1)
+        with run_record() as parent:
+            with run_record() as child:
+                _small_sweep(engine)
+                with timer("unit.child"):
+                    pass
+                child.sections["serve"] = {"requests": 1}
+            assert current_record() is parent
+        assert parent.counters == child.counters
+        assert parent.stall_cycles == child.stall_cycles
+        assert parent.mem_level_counts == child.mem_level_counts
+        assert parent.cache == child.cache
+        assert parent.kernel_summary() == child.kernel_summary()
+        assert parent.batches == parent.spec_timings == []
+        assert parent.kernel_batches == parent.timers == []
+        assert parent.sections == {}
+
+    def test_explicit_parent_and_max_width_fold(self):
+        lifetime = RunRecord()
+        for width in (3, 5, 2):
+            with run_record(parent=lifetime) as child:
+                child.add_kernel_batch("single", width, 0.5, True)
+        summary = lifetime.kernel_summary()
+        assert summary["groups"] == 3 and summary["batched_specs"] == 10
+        assert summary["max_width"] == 5 and summary["seconds"] == 1.5
+        assert current_record() is None
+
+    def test_concurrent_folds_lose_no_update(self):
+        import sys
+        import threading
+
+        lifetime = RunRecord()
+        workers, folds, causes = 8, 400, [f"cause{i}" for i in range(32)]
+
+        def work():
+            for _ in range(folds):
+                with run_record(parent=lifetime) as child:
+                    child.cache["memory_hits"] += 1
+                    child.stall_cycles.update(dict.fromkeys(causes, 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lifetime.cache["memory_hits"] == workers * folds
+        assert lifetime.stall_cycles == dict.fromkeys(causes, workers * folds)
+
+    def test_record_does_not_follow_into_a_thread(self):
+        import threading
+
+        seen = []
+        with run_record():
+            thread = threading.Thread(
+                target=lambda: seen.append(current_record()))
+            thread.start()
+            thread.join()
+        assert seen == [None]
 
 
 class TestManifest:
     def test_build_and_validate(self):
-        engine = _small_engine_with_work()
-        manifest = build_manifest("unit-test", engine=engine, timers=[])
+        engine, record = _small_run()
+        manifest = build_manifest("unit-test", record, engine=engine)
         assert validate_manifest(manifest) == []
         assert manifest["schema"] == MANIFEST_SCHEMA_VERSION
         assert manifest["cache"]["stores"] == 4
@@ -127,8 +219,8 @@ class TestManifest:
         assert manifest["counters"]["cycles"] > 0
 
     def test_manifest_is_json_serialisable(self, tmp_path):
-        engine = _small_engine_with_work()
-        manifest = build_manifest("unit-test", engine=engine, timers=[])
+        engine, record = _small_run()
+        manifest = build_manifest("unit-test", record, engine=engine)
         out = write_manifest(manifest, tmp_path / "m.json")
         assert validate_manifest(json.loads(out.read_text())) == []
 
@@ -146,8 +238,8 @@ class TestManifest:
         ],
     )
     def test_validation_rejects_corruption(self, corrupt):
-        engine = _small_engine_with_work()
-        manifest = build_manifest("unit-test", engine=engine, timers=[])
+        engine, record = _small_run()
+        manifest = build_manifest("unit-test", record, engine=engine)
         corrupt(manifest)
         assert validate_manifest(manifest) != []
         with pytest.raises(ManifestError):
@@ -160,9 +252,9 @@ class TestManifest:
     def test_validator_cli(self, tmp_path, capsys):
         from repro.obs.__main__ import main as validate_main
 
-        engine = _small_engine_with_work()
+        engine, record = _small_run()
         good = write_manifest(
-            build_manifest("unit-test", engine=engine, timers=[]),
+            build_manifest("unit-test", record, engine=engine),
             tmp_path / "good.json",
         )
         bad = tmp_path / "bad.json"

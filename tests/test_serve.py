@@ -125,6 +125,10 @@ class TestServerBasics:
             assert status == 200
             assert body["serve"]["requests"] == 0
             assert "cache" in body and "pool" in body
+            assert set(body["process"]) == {"rss_kb", "open_fds", "threads",
+                                            "shm_segments"}
+            assert body["process"]["rss_kb"] > 0
+            assert body["process"]["threads"] >= 2  # loop + caller
 
             status, body = request_json(server.port, "GET", "/nope")
             assert status == 404 and body["status"] == "error"
@@ -170,6 +174,28 @@ class TestServerBasics:
             assert second["manifest"]["serve"]["cache_hit_ratio"] == 1.0
             assert second["manifest"]["kernel"]["batches"] == []
             assert validate_manifest(second["manifest"]) == []
+
+    def test_warm_repeat_manifest_describes_only_itself(self):
+        """The cache and kernel sections are the request's own, not the
+        server's lifetime totals."""
+        with _server() as server:
+            request_json(server.port, "POST", "/sweep", SWEEP_BODY)
+            _, warm = request_json(server.port, "POST", "/sweep", SWEEP_BODY)
+        manifest = warm["manifest"]
+        assert manifest["cache"]["misses"] == 0
+        assert manifest["cache"]["stores"] == 0
+        assert manifest["cache"]["memory_hits"] == 4
+        assert manifest["kernel"]["summary"]["groups"] == 0
+
+    def test_validation_section_stays_with_its_request(self):
+        with _server() as server:
+            status, validated = request_json(
+                server.port, "POST", "/validate", {"only": ["table1"]})
+            assert status == 200
+            assert validated["manifest"]["validation"]["status"] == "pass"
+            _, swept = request_json(server.port, "POST", "/sweep",
+                                    SWEEP_BODY)
+        assert "validation" not in swept["manifest"]
 
     def test_served_sweep_identical_to_serial(self):
         reference = serial_reference("/sweep", SWEEP_BODY, engine=_engine())
@@ -327,15 +353,64 @@ class TestGracefulShutdown:
         assert section["requests"] == 1 and section["rejected"] == 0
         assert section["service_seconds"] > 0
         # Round-trips through the manifest layer as schema v8.
-        from repro.obs import build_manifest, clear_serve, record_serve
+        from repro.obs import attach_section, build_manifest, run_record
 
-        record_serve(section)
-        try:
-            manifest = build_manifest("test serve", engine=server.engine)
-            assert manifest["serve"] == section
-            assert validate_manifest(manifest) == []
-        finally:
-            clear_serve()
+        with run_record() as record:
+            attach_section("serve", section)
+        manifest = build_manifest("test serve", record, engine=server.engine)
+        assert manifest["serve"] == section
+        assert validate_manifest(manifest) == []
+
+
+class TestBoundedResources:
+    """A long warm stream must not grow the server: no record list grows
+    with the request count, RSS stays flat, and fds, threads and
+    shared-memory segments come back to where they started."""
+
+    REQUESTS = 2000
+    BODY = {"points": ["Base"], "uops": 300, "apps": 1}
+    #: 0.5 kB per request: half of what keeping every request's
+    #: telemetry costs on this stream (about 1 kB per request).
+    RSS_GROWTH_BOUND_KB = 1024
+
+    def test_warm_stream_holds_bounded_resources(self):
+        with _server() as server:
+            def process():
+                status, body = request_json(server.port, "GET", "/stats")
+                assert status == 200
+                return body["process"]
+
+            def list_sizes():
+                record = server.record
+                return [len(record.batches), len(record.kernel_batches),
+                        len(record.spec_timings), len(record.timers),
+                        len(record.sections)]
+
+            for _ in range(50):  # the cold request, then warm-up
+                request_json(server.port, "POST", "/sweep", self.BODY)
+            start = process()
+            sizes = list_sizes()
+            hits = server.record.cache["memory_hits"]
+            for _ in range(self.REQUESTS):
+                status, _ = request_json(server.port, "POST", "/sweep",
+                                         self.BODY)
+                assert status == 200
+            assert list_sizes() == sizes == [0, 0, 0, 0, 0]
+            # The requests did fold into the lifetime record.
+            assert server.record.cache["memory_hits"] \
+                == hits + self.REQUESTS
+
+            def settled():
+                # Connection teardown is asynchronous: poll, don't race.
+                now = process()
+                return now if all(
+                    now[key] == start[key]
+                    for key in ("open_fds", "threads", "shm_segments")
+                ) else None
+
+            end = wait_until(settled)
+        assert end["rss_kb"] - start["rss_kb"] < self.RSS_GROWTH_BOUND_KB, \
+            (start, end)
 
 
 class TestHttpPlumbing:

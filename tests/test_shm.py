@@ -19,6 +19,7 @@ from repro.engine.sweep import (
     SimSpec,
     _timed_execute_unit,
 )
+from repro.obs import run_record
 from repro.uarch import shm
 from repro.uarch.ooo import run_trace
 from repro.workloads.generator import generate_trace
@@ -143,13 +144,14 @@ def test_pool_sharding_matches_serial_and_records_shm():
         specs, use_cache=False
     )
     engine = ExperimentEngine(jobs=2, cache_dir=None)
-    parallel = engine.run_specs(specs, use_cache=False)
+    with run_record() as record:
+        parallel = engine.run_specs(specs, use_cache=False)
     assert parallel == serial
-    shards = [r for r in engine.telemetry.kernel_batches if r.shm]
+    shards = [r for r in record.kernel_batches if r.shm]
     assert len(shards) == 2  # one wide group sharded across both workers
     assert sum(r.width for r in shards) == len(specs)
     assert all(r.used_kernel and r.path == "vectorized" for r in shards)
-    assert engine.telemetry.kernel_summary()["shm_groups"] == 2
+    assert record.kernel_summary()["shm_groups"] == 2
     leftovers = [f for f in os.listdir("/dev/shm") if f.startswith("psm_")]
     assert leftovers == []
 
@@ -161,9 +163,10 @@ def test_pool_fallback_disabled_shm_is_identical(monkeypatch):
     )
     monkeypatch.setenv("REPRO_KERNEL_SHM", "0")
     engine = ExperimentEngine(jobs=2, cache_dir=None)
-    fallback = engine.run_specs(specs, use_cache=False)
+    with run_record() as record:
+        fallback = engine.run_specs(specs, use_cache=False)
     assert fallback == serial
-    records = engine.telemetry.kernel_batches
+    records = record.kernel_batches
     assert len(records) == 1  # whole group in one copy unit
     assert records[0].width == len(specs)
     assert not records[0].shm
@@ -180,9 +183,11 @@ def test_publish_failure_keeps_copy_path(monkeypatch):
 
     monkeypatch.setattr(shm, "publish_group", broken_publish)
     engine = ExperimentEngine(jobs=2, cache_dir=None)
-    results = engine.run_specs(specs, use_cache=False)
+    with run_record() as record:
+        results = engine.run_specs(specs, use_cache=False)
     assert results == serial
-    assert all(not r.shm for r in engine.telemetry.kernel_batches)
+    assert record.kernel_batches  # the group ran, on the copy path
+    assert all(not r.shm for r in record.kernel_batches)
 
 
 def test_engine_unlinks_when_submission_raises(monkeypatch):
