@@ -19,14 +19,9 @@ Sections
     on-disk pass (fresh engine, populated cache directory — must not
     simulate anything).
 ``kernel``
-    Per-config scalar oracle vs :func:`repro.uarch.kernel.run_trace_batch`
-    on one shared trace — both the forced batched-scalar path and the
-    vectorized path — plus the max CPI divergence vs the oracle
+    Per-config scalar oracle vs one :func:`repro.uarch.kernel.run_trace_batch`
+    pass on the same trace, plus the max CPI divergence vs the oracle
     (must be 0: the kernel is cycle-exact).
-``kernel_crossover``
-    Scalar / batched-scalar / vectorized seconds at widths 2-64 via
-    :func:`repro.uarch.kernel.calibrate`, the measured dispatch
-    crossover, and the tuned threshold persisted for this host.
 ``thermal``
     Scalar ``lil_matrix``+``spsolve`` reference vs the vectorized,
     ``splu``-factorized fast path, amortised over a Figure-8-sized batch
@@ -253,13 +248,9 @@ def bench_thermal(grid: int, solves: int) -> dict:
 def bench_kernel(uops: int) -> dict:
     """Scalar oracle vs the batched SoA kernel on one shared trace.
 
-    Three passes over the same workload, each on a freshly generated
-    trace so none inherits the previous pass's decode/replay memos:
-    per-config ``run_trace`` (the oracle), ``run_trace_batch`` with the
-    vectorized path forced off (the batched-scalar loop — the tuned
-    threshold now sits at/below this width, so the default dispatch
-    would take the vectorized path), and ``run_trace_batch`` forced
-    through the vectorized path.
+    Two passes over the same workload, each on a freshly generated trace
+    so neither inherits the other's decode/replay memos: per-config
+    ``run_trace`` (the oracle) and one ``run_trace_batch`` call.
     """
     from repro.core.configs import single_core_configs
     from repro.uarch import ooo
@@ -277,18 +268,7 @@ def bench_kernel(uops: int) -> dict:
     with timer("kernel.scalar") as scalar_span:
         oracle = [ooo.run_trace(config, trace) for config in configs]
     with timer("kernel.batched") as batched_span:
-        batched = run_trace_batch(configs, fresh_trace(),
-                                  min_vector_width=10**9)
-    with timer("kernel.vectorized") as vector_span:
-        vectorized = run_trace_batch(configs, fresh_trace(),
-                                     min_vector_width=1)
-
-    def max_cpi_divergence(results):
-        return max(
-            abs(r.cycles / max(1, r.stats.uops)
-                - o.cycles / max(1, o.stats.uops))
-            for r, o in zip(results, oracle)
-        )
+        batched = run_trace_batch(configs, fresh_trace())
 
     scalar_seconds = scalar_span.seconds
     batched_seconds = batched_span.seconds
@@ -297,68 +277,14 @@ def bench_kernel(uops: int) -> dict:
         "batch_width": len(configs),
         "scalar_seconds": round(scalar_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),
-        "vectorized_seconds": round(vector_span.seconds, 4),
         "batched_speedup": round(
             scalar_seconds / max(batched_seconds, 1e-9), 2
         ),
-        "vectorized_speedup": round(
-            scalar_seconds / max(vector_span.seconds, 1e-9), 2
-        ),
         "max_cpi_divergence": max(
-            max_cpi_divergence(batched), max_cpi_divergence(vectorized)
+            abs(r.cycles / max(1, r.stats.uops)
+                - o.cycles / max(1, o.stats.uops))
+            for r, o in zip(batched, oracle)
         ),
-    }
-
-
-def bench_kernel_crossover(uops: int, repeats: int,
-                           widths=(2, 4, 8, 16, 32, 64)) -> dict:
-    """Scalar vs batched-scalar vs vectorized seconds across batch
-    widths, plus the measured crossover, persisted as the tuned default.
-
-    ``batched`` and ``vectorized`` come from
-    :func:`repro.uarch.kernel.calibrate` (min-of-``repeats``, shared
-    decode/replay — the two internal batch paths); ``scalar`` is the
-    full per-config oracle at each width for scale.  The calibration
-    record lands in the tuning file, so subsequent runs on this host
-    dispatch at the measured crossover rather than the static default.
-    """
-    from repro.core.configs import single_core_configs
-    from repro.uarch import kernel, ooo
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.spec import spec_profiles
-
-    with timer("kernel.calibrate") as span:
-        calibration = kernel.calibrate(widths=widths, uops=uops,
-                                       repeats=repeats)
-    tuning_file = kernel.save_tuning(calibration)
-
-    profile = spec_profiles()[0]
-    base = single_core_configs()
-    trace = generate_trace(profile, uops, seed=1234)
-    scalar_seconds = {}
-    for width in widths:
-        configs = [base[k % len(base)] for k in range(width)]
-        with timer(f"kernel.scalar_w{width}") as scalar_span:
-            for config in configs:
-                ooo.run_trace(config, trace)
-        scalar_seconds[str(width)] = round(scalar_span.seconds, 4)
-
-    return {
-        "uops": uops,
-        "repeats": repeats,
-        "widths": list(widths),
-        "scalar_seconds": scalar_seconds,
-        "batched_seconds": {
-            k: round(v, 4) for k, v in calibration["batched_seconds"].items()
-        },
-        "vectorized_seconds": {
-            k: round(v, 4)
-            for k, v in calibration["vectorized_seconds"].items()
-        },
-        "crossover": calibration["crossover"],
-        "tuned_vector_min": calibration["vector_min"],
-        "tuning_file": str(tuning_file),
-        "calibrate_seconds": round(span.seconds, 3),
     }
 
 
@@ -778,7 +704,6 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
     if args.quick:
         sizes = dict(uops=1000, multicore_uops=3000, grid=8, solves=3,
                      limiter_uops=20000, kernel_uops=2000,
-                     crossover_uops=400, crossover_repeats=1,
                      explore_samples=24, explore_uops=400, explore_apps=2,
                      pipeline_chunk=6,
                      serve_uops=300, serve_clients=8, serve_requests=2,
@@ -787,7 +712,6 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
     else:
         sizes = dict(uops=8000, multicore_uops=24000, grid=12, solves=21,
                      limiter_uops=60000, kernel_uops=8000,
-                     crossover_uops=2000, crossover_repeats=3,
                      explore_samples=200, explore_uops=2000, explore_apps=3,
                      pipeline_chunk=16,
                      serve_uops=1000, serve_clients=8, serve_requests=4,
@@ -811,16 +735,6 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
             "cpu_count": os.cpu_count(),
         },
     }
-    print(f"calibrating kernel dispatch threshold "
-          f"(uops={sizes['crossover_uops']}) ...")
-    record["kernel_crossover"] = bench_kernel_crossover(
-        sizes["crossover_uops"], sizes["crossover_repeats"]
-    )
-    print(f"  crossover at width {record['kernel_crossover']['crossover']}, "
-          f"tuned vector_min "
-          f"{record['kernel_crossover']['tuned_vector_min']} "
-          f"-> {record['kernel_crossover']['tuning_file']}")
-
     print(f"benchmarking runner (uops={sizes['uops']}, "
           f"multicore_uops={sizes['multicore_uops']}) ...")
     record["runner"] = bench_runner(
@@ -841,9 +755,7 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
     record["kernel"] = bench_kernel(sizes["kernel_uops"])
     print(f"  scalar {record['kernel']['scalar_seconds']}s vs "
           f"batched {record['kernel']['batched_seconds']}s "
-          f"({record['kernel']['batched_speedup']}x) / "
-          f"vectorized {record['kernel']['vectorized_seconds']}s "
-          f"({record['kernel']['vectorized_speedup']}x) at width "
+          f"({record['kernel']['batched_speedup']}x) at width "
           f"{record['kernel']['batch_width']}, "
           f"max CPI divergence {record['kernel']['max_cpi_divergence']:.2e}")
 

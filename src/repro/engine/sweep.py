@@ -102,8 +102,7 @@ def _timed_execute_spec(spec: SimSpec):
     return result, time.perf_counter() - start
 
 
-def execute_spec_group(specs: Sequence[SimSpec],
-                       stats_out: Optional[dict] = None):
+def execute_spec_group(specs: Sequence[SimSpec]):
     """Run a group of specs sharing one (mode, profile, uops, seed).
 
     Groups of two or more go through the batched SoA kernel — one trace
@@ -111,34 +110,16 @@ def execute_spec_group(specs: Sequence[SimSpec],
     only — unless ``$REPRO_KERNEL=0`` disables it.  Returns
     ``(results, used_kernel)``; results are in spec order and identical
     either way (the kernel is cycle-exact against the oracle).
-    ``stats_out`` collects the kernel's internal path counters
-    (``vectorized_groups`` / ``scalar_groups``) for single-core groups.
     """
     first = specs[0]
     if len(specs) > 1 and kernel_enabled():
         configs = [spec.config for spec in specs]
         if first.mode == "single":
             trace = _trace_for(first.profile, first.uops, first.seed)
-            return run_trace_batch(configs, trace,
-                                   stats_out=stats_out), True
+            return run_trace_batch(configs, trace), True
         return run_parallel_batch(configs, first.profile, first.uops,
                                   seed=first.seed), True
     return [execute_spec(spec) for spec in specs], False
-
-
-def _kernel_path(stats: Optional[dict]) -> Optional[str]:
-    """Summarize ``run_trace_batch`` path counters for telemetry."""
-    if not stats:
-        return None
-    vectorized = stats.get("vectorized_groups", 0)
-    scalar = stats.get("scalar_groups", 0)
-    if vectorized and scalar:
-        return "mixed"
-    if vectorized:
-        return "vectorized"
-    if scalar:
-        return "scalar"
-    return None
 
 
 def _timed_execute_unit(unit):
@@ -150,10 +131,9 @@ def _timed_execute_unit(unit):
     failed attach (the block vanished, no ``/dev/shm``, a forked
     platform quirk) silently degrades to the copy path; results are
     identical either way.  Returns
-    ``(results, seconds, used_kernel, path, shm_used)``.
+    ``(results, seconds, used_kernel, shm_used)``.
     """
     start = time.perf_counter()
-    stats: dict = {}
     shm_used = False
     if unit[0] == "shm":
         from repro.uarch import shm as kernel_shm
@@ -161,18 +141,16 @@ def _timed_execute_unit(unit):
         handle, specs = unit[1], unit[2]
         try:
             results = kernel_shm.run_handle_batch(
-                handle, [spec.config for spec in specs], stats_out=stats
+                handle, [spec.config for spec in specs]
             )
             used_kernel = True
             shm_used = True
         except Exception:
-            stats = {}
-            results, used_kernel = execute_spec_group(specs, stats_out=stats)
+            results, used_kernel = execute_spec_group(specs)
     else:
         specs = unit[1]
-        results, used_kernel = execute_spec_group(specs, stats_out=stats)
-    return (results, time.perf_counter() - start, used_kernel,
-            _kernel_path(stats), shm_used)
+        results, used_kernel = execute_spec_group(specs)
+    return results, time.perf_counter() - start, used_kernel, shm_used
 
 
 def _copy_unit(unit) -> tuple:
@@ -447,7 +425,7 @@ class ExperimentEngine:
         record = current_record()
         durations: Dict[int, float] = {}
         for indices, outcome in zip(unit_indices, timed):
-            fresh, seconds, used_kernel, path, shm_used = outcome
+            fresh, seconds, used_kernel, shm_used = outcome
             first = specs[indices[0]]
             share = seconds / len(indices)
             for index, value in zip(indices, fresh):
@@ -463,7 +441,6 @@ class ExperimentEngine:
                     width=len(indices),
                     seconds=seconds,
                     used_kernel=used_kernel,
-                    path=path,
                     shm=shm_used,
                 )
         if record is None:

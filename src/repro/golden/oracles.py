@@ -3,16 +3,15 @@
 Golden snapshots catch drift against the past; the oracles catch drift
 between *redundant implementations in the present*.  The repository
 deliberately keeps several ways of computing the same quantity — the
-untouched scalar OOO core vs the batched SoA kernel (both of its
-internal paths), the cycle-accurate model vs the analytic interval
-model, serial vs process-pool sweep execution — and ``repro validate
---deep`` runs them against each other:
+untouched scalar OOO core vs the batched SoA kernel, the cycle-accurate
+model vs the analytic interval model, serial vs process-pool sweep
+execution — and ``repro validate --deep`` runs them against each other:
 
 ``kernel_cpi``
-    Per-config ``run_trace`` (the oracle) vs ``run_trace_batch`` on its
-    default path vs the forced NumPy vector path.  Full ``SimResult``
-    equality is required; the payload records the max CPI divergence
-    (must be exactly 0.0) so the drift report names the magnitude.
+    Per-config ``run_trace`` (the oracle) vs one ``run_trace_batch``
+    pass.  Full ``SimResult`` equality is required; the payload records
+    the max CPI divergence (must be exactly 0.0) so the drift report
+    names the magnitude.
 
 ``sweep_identity``
     The same spec batch through a serial engine and a two-worker
@@ -46,7 +45,7 @@ INTERVAL_ORACLE_UOPS = 2000
 
 
 def kernel_cpi_oracle() -> Tuple[dict, List[str]]:
-    """Scalar OOO oracle vs both batched-kernel paths; returns
+    """Scalar OOO oracle vs one batched-kernel pass; returns
     ``(payload, hard_failures)``."""
     from repro.core.configs import single_core_configs
     from repro.uarch.kernel import run_trace_batch
@@ -63,24 +62,19 @@ def kernel_cpi_oracle() -> Tuple[dict, List[str]]:
     trace = fresh_trace()
     oracle = [run_trace(config, trace) for config in configs]
     batched = run_trace_batch(configs, fresh_trace())
-    vectorized = run_trace_batch(configs, fresh_trace(), min_vector_width=1)
 
     def cpi(result) -> float:
         return result.cycles / max(1, result.stats.uops)
 
     max_divergence = max(
-        abs(cpi(r) - cpi(o))
-        for results in (batched, vectorized)
-        for r, o in zip(results, oracle)
+        abs(cpi(r) - cpi(o)) for r, o in zip(batched, oracle)
     )
-    failures: List[str] = []
-    for label, results in (("batched", batched), ("vectorized", vectorized)):
-        for result, expected in zip(results, oracle):
-            if result != expected:
-                failures.append(
-                    f"kernel_cpi: {label} path diverges from the scalar "
-                    f"oracle on config {expected.config_name!r}"
-                )
+    failures = [
+        f"kernel_cpi: batched kernel diverges from the scalar oracle on "
+        f"config {expected.config_name!r}"
+        for result, expected in zip(batched, oracle)
+        if result != expected
+    ]
     payload = {
         "uops": KERNEL_ORACLE_UOPS,
         "profile": profile.name,

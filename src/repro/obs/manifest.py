@@ -57,7 +57,9 @@ from repro.obs.record import RunRecord
 #: request/rejection counts, queue depth, wait/service seconds, cache
 #: hit ratio) — present both on per-request response manifests and on
 #: the server process's own shutdown manifest.
-MANIFEST_SCHEMA_VERSION = "repro-manifest-v8"
+#: v9 dropped the kernel-path telemetry (per-batch ``path`` and the
+#: vectorized/scalar/mixed group counts): the kernel has one timing path.
+MANIFEST_SCHEMA_VERSION = "repro-manifest-v9"
 
 
 class ManifestError(ValueError):
@@ -182,9 +184,6 @@ _KERNEL_SUMMARY_FIELDS = {
     "singleton_specs": int,
     "max_width": int,
     "seconds": (int, float),
-    "vectorized_groups": int,
-    "scalar_groups": int,
-    "mixed_groups": int,
     "shm_groups": int,
 }
 _KERNEL_BATCH_FIELDS = {
@@ -192,7 +191,6 @@ _KERNEL_BATCH_FIELDS = {
     "width": int,
     "seconds": (int, float),
     "used_kernel": bool,
-    "path": (str, type(None)),
     "shm": bool,
 }
 _VALIDATION_FIELDS = {

@@ -46,9 +46,7 @@ CACHE_FIELDS = ("memory_hits", "disk_hits", "misses", "stores",
 #: Kernel-summary totals kept incrementally, so a parent that only ever
 #: receives folds still reports them without the per-group list.
 _KERNEL_TOTALS = ("groups", "batched_specs", "fallback_specs",
-                  "singleton_specs", "max_width", "seconds",
-                  "vectorized_groups", "scalar_groups", "mixed_groups",
-                  "shm_groups")
+                  "singleton_specs", "max_width", "seconds", "shm_groups")
 
 
 class RunRecord:
@@ -76,10 +74,9 @@ class RunRecord:
         self.batches.append(BatchRecord(specs, hits, misses, seconds, workers))
 
     def add_kernel_batch(self, mode: str, width: int, seconds: float,
-                         used_kernel: bool, path: Optional[str] = None,
-                         shm: bool = False) -> None:
+                         used_kernel: bool, shm: bool = False) -> None:
         self.kernel_batches.append(
-            KernelBatchRecord(mode, width, seconds, used_kernel, path, shm)
+            KernelBatchRecord(mode, width, seconds, used_kernel, shm)
         )
         totals = self.kernel_totals
         totals["groups"] += 1
@@ -91,8 +88,6 @@ class RunRecord:
             totals["fallback_specs"] += width
         else:
             totals["singleton_specs"] += 1
-        if path in ("vectorized", "scalar", "mixed"):
-            totals[f"{path}_groups"] += 1
         if shm:
             totals["shm_groups"] += 1
 

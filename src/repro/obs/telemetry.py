@@ -88,19 +88,14 @@ class KernelBatchRecord:
 
     ``used_kernel`` is False when the group fell back to the scalar
     oracle — singleton groups (nothing to batch) or ``$REPRO_KERNEL=0``.
-    ``path`` records which internal kernel path timed the group
-    ("vectorized", "scalar", or "mixed" when a multi-geometry group
-    split across both); ``None`` when the kernel did not run or the
-    executor predates path reporting.  ``shm`` is True when the group's
-    replay state came from an attached shared-memory block rather than
-    being derived in the worker.
+    ``shm`` is True when the group's replay state came from an attached
+    shared-memory block rather than being derived in the worker.
     """
 
     mode: str
     width: int
     seconds: float
     used_kernel: bool
-    path: Optional[str] = None
     shm: bool = False
 
     def as_record(self) -> Dict[str, object]:
@@ -109,7 +104,6 @@ class KernelBatchRecord:
             "width": self.width,
             "seconds": round(self.seconds, 6),
             "used_kernel": self.used_kernel,
-            "path": self.path,
             "shm": self.shm,
         }
 

@@ -18,38 +18,28 @@ This kernel factors the three apart.  A trace is decoded **once** into
 flat arrays (op class codes, producer distances, FU latencies); the
 predictor and cache hierarchy are replayed **once per cache geometry**
 into per-access level/outcome arrays; and the timing recurrences are
-then evaluated per configuration against those arrays — either with a
-tight decoded scalar loop (no cache/predictor/decode work left in it) or,
-for wide batches, with the issue/execute/commit recurrences broadcast
-over a ``(N,)`` configuration axis in NumPy.  The in-order width
-limiters vectorize exactly via the closed form
+then evaluated against those arrays by one generated loop
+(:func:`_time_merged`) that walks the trace once and advances up to
+:data:`MERGED_CHUNK` configurations' recurrences side by side, with no
+cache/predictor/decode work left in it.
 
-    ``c[i] = max(e[i], c[i-1], c[i-width] + 1)``
-
-(the cycle of the i-th allocation of a ``_WidthLimiter`` fed earliest
-cycles ``e``); the out-of-order issue/FU occupancy maps keep their exact
-first-fit semantics per configuration.
-
-:func:`run_trace_batch` is the public entry point; it is **cycle-exact**
-against the scalar oracle — same ``SimResult``, same stats, same stall
-attribution — which the property tests assert op-for-op.  The scalar
-:meth:`OutOfOrderCore.run` remains the reference implementation (the
-same oracle pattern as the thermal solver's reference path).
+:func:`run_trace_batch` and :func:`simulate_core` are the public entry
+points; they are **cycle-exact** against the scalar oracle — same
+``SimResult``, same stats, same stall attribution — which the property
+tests assert op-for-op.  The scalar :meth:`OutOfOrderCore.run` remains
+the reference implementation (the same oracle pattern as the thermal
+solver's reference path).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-import warnings
-from collections import deque
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.configs import CoreConfig
+from repro.lru import LruMemo
 from repro.uarch import ooo as _ooo
 from repro.uarch.bpred import TournamentPredictor
 from repro.uarch.cache import (
@@ -69,17 +59,7 @@ from repro.uarch.ooo import (
     FRONT_END_DEPTH,
     SimResult,
     SimStats,
-    _FuPool,
-    _PerCycleBandwidth,
 )
-
-#: Fallback batch width at which :func:`run_trace_batch` switches from
-#: per-config scalar loops to the batched vector path.  The merged
-#: config-unrolled mode (see :func:`_time_merged`) amortizes the trace
-#: walk across configs from width 2 up, so the shipped default is 2;
-#: :func:`calibrate` measures the real crossover on the host and
-#: persists it, and ``$REPRO_KERNEL_VECTOR_MIN`` overrides both.
-DEFAULT_VECTOR_MIN = 2
 
 #: Stable integer encoding of :class:`OpClass` (SoA op-code arrays).
 _OP_ORDER = tuple(OpClass)
@@ -107,153 +87,6 @@ def kernel_enabled() -> bool:
     return value not in ("0", "false", "off", "no")
 
 
-#: Env-value spellings already warned about this process (one
-#: ``warnings.warn`` per distinct invalid ``$REPRO_KERNEL_VECTOR_MIN``).
-_WARNED_VECTOR_MIN: set = set()
-
-
-def _env_vector_min() -> Optional[int]:
-    """Validated ``$REPRO_KERNEL_VECTOR_MIN``, or ``None`` when unset or
-    malformed.  Garbage falls back to the tuned/default threshold with a
-    single warning per spelling; numeric values are clamped to >= 2 (a
-    width-1 "batch" is by definition the scalar path)."""
-    raw = os.environ.get("REPRO_KERNEL_VECTOR_MIN", "")
-    stripped = raw.strip()
-    if not stripped:
-        return None
-    try:
-        value = int(stripped)
-    except ValueError:
-        if raw not in _WARNED_VECTOR_MIN:
-            _WARNED_VECTOR_MIN.add(raw)
-            warnings.warn(
-                f"ignoring invalid $REPRO_KERNEL_VECTOR_MIN={raw!r}"
-                " (not an integer)",
-                RuntimeWarning, stacklevel=3,
-            )
-        return None
-    if value < 2:
-        if raw not in _WARNED_VECTOR_MIN:
-            _WARNED_VECTOR_MIN.add(raw)
-            warnings.warn(
-                f"clamping $REPRO_KERNEL_VECTOR_MIN={raw!r} to 2"
-                " (the vectorized path needs a batch)",
-                RuntimeWarning, stacklevel=3,
-            )
-        return 2
-    return value
-
-
-def tuning_path() -> "Path":
-    """Where the persisted kernel tuning lives: ``$REPRO_TUNING_FILE``
-    or ``.repro/kernel_tuning.json`` at the repository root."""
-    env = os.environ.get("REPRO_TUNING_FILE", "").strip()
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".repro" / "kernel_tuning.json"
-
-
-def tuned_vector_min() -> Optional[int]:
-    """The persisted measured threshold, or ``None`` when absent or
-    malformed (a corrupt tuning file must never break dispatch)."""
-    path = tuning_path()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    value = payload.get("vector_min") if isinstance(payload, dict) else None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
-        return None
-    return value
-
-
-def save_tuning(record: dict, path: Optional["Path"] = None) -> "Path":
-    """Persist a :func:`calibrate` record (atomic write)."""
-    target = Path(path) if path is not None else tuning_path()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    scratch = target.with_suffix(".tmp")
-    with open(scratch, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    scratch.replace(target)
-    return target
-
-
-def vector_min_width() -> int:
-    """Minimum batch width for the vectorized batch path.
-
-    Precedence: a valid ``$REPRO_KERNEL_VECTOR_MIN`` (clamped to >= 2),
-    else the measured threshold persisted by :func:`calibrate` +
-    :func:`save_tuning`, else :data:`DEFAULT_VECTOR_MIN`.
-    """
-    value = _env_vector_min()
-    if value is not None:
-        return value
-    tuned = tuned_vector_min()
-    if tuned is not None:
-        return tuned
-    return DEFAULT_VECTOR_MIN
-
-
-def calibrate(widths: Sequence[int] = (2, 4, 8, 16, 32, 64),
-              uops: int = 2000, repeats: int = 3,
-              seed: int = 1234) -> dict:
-    """Measure the batched-scalar/vectorized crossover on this machine.
-
-    For each width the same decoded trace and replay image time both
-    paths (min over ``repeats`` to shed scheduler noise): N independent
-    ``_time_one`` loops versus one ``_time_many`` call.  The returned
-    record carries per-width seconds, the smallest width where the
-    vectorized path wins (``crossover``), and the resulting dispatch
-    threshold (``vector_min``) ready for :func:`save_tuning`.
-    """
-    from repro.core.configs import single_core_configs
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.spec import spec_profiles
-
-    base = single_core_configs()
-    trace = generate_trace(spec_profiles()[0], uops, seed=seed)
-    arrays = decode(trace)
-    corrects = branch_outcomes(trace)
-    image = replay_memory(trace, base[0])
-
-    def _min_time(fn) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            began = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - began)
-        return best
-
-    batched: Dict[int, float] = {}
-    vectorized: Dict[int, float] = {}
-    crossover: Optional[int] = None
-    for width in widths:
-        configs = [base[k % len(base)] for k in range(width)]
-        _time_many(trace, arrays, corrects, image, configs)  # warm/compile
-        batched[width] = _min_time(lambda: [
-            _time_one(trace, arrays, corrects, image, config)
-            for config in configs
-        ])
-        vectorized[width] = _min_time(
-            lambda: _time_many(trace, arrays, corrects, image, configs)
-        )
-        if crossover is None and vectorized[width] <= batched[width]:
-            crossover = width
-    vector_min = max(2, crossover) if crossover is not None else \
-        DEFAULT_VECTOR_MIN
-    return {
-        "widths": list(widths),
-        "uops": uops,
-        "repeats": repeats,
-        "batched_seconds": {str(w): batched[w] for w in widths},
-        "vectorized_seconds": {str(w): vectorized[w] for w in widths},
-        "crossover": crossover,
-        "vector_min": vector_min,
-    }
-
-
 # -- SoA decode ---------------------------------------------------------------
 
 
@@ -262,7 +95,7 @@ class TraceArrays:
 
     __slots__ = (
         "n", "codes", "src1", "src2", "lat", "busy",
-        "load_pos", "store_pos", "sync_pos", "load_pos_np", "store_pos_np",
+        "load_pos", "store_pos", "sync_pos",
         "loads", "stores", "branches", "fp_ops", "complex_decodes",
         "ifetch_blocks",
     )
@@ -317,8 +150,6 @@ class TraceArrays:
         self.load_pos = load_pos
         self.store_pos = store_pos
         self.sync_pos = sync_pos
-        self.load_pos_np = np.asarray(load_pos, dtype=np.int64)
-        self.store_pos_np = np.asarray(store_pos, dtype=np.int64)
         self.loads = len(load_pos)
         self.stores = len(store_pos)
         self.branches = branches
@@ -570,223 +401,6 @@ def _fetch_penalties(config: CoreConfig, image: MemoryImage) -> np.ndarray:
     return table[image.fetch_levels]
 
 
-# -- scalar timing path -------------------------------------------------------
-
-
-def _time_one(trace: Trace, arrays: TraceArrays, corrects: Sequence[bool],
-              image: MemoryImage, config: CoreConfig,
-              noc_penalty: int = 0) -> SimResult:
-    """Tight decoded timing loop for one configuration.
-
-    A transliteration of :meth:`OutOfOrderCore.run` with all decode,
-    cache and predictor work replaced by the precomputed arrays; the
-    width limiters are inlined, the issue/FU occupancy maps are the real
-    ones (same first-fit walks, same pruning schedule) so the schedule —
-    and the tracked-cycle telemetry — is identical to the oracle's.
-    """
-    cfg = config
-    n = arrays.n
-    codes = arrays.codes
-    src1 = arrays.src1
-    src2 = arrays.src2
-    lat_l = arrays.lat
-    busy_l = arrays.busy
-    load_done = _load_done_terms(cfg, image, noc_penalty).tolist()
-    fetch_pen = _fetch_penalties(cfg, image).tolist()
-
-    completion = [0] * n
-    issue_at = [0] * n
-    commit_at = [0] * n
-
-    # In-order width limiters, inlined (_WidthLimiter state pairs).
-    f_width = cfg.dispatch_width * 2
-    f_cycle = f_used = 0
-    r_width = cfg.dispatch_width
-    r_cycle = r_used = 0
-    c_width = cfg.commit_width
-    c_cycle = c_used = 0
-    issue_slots = _PerCycleBandwidth(cfg.issue_width)
-    issue_alloc = issue_slots.allocate
-    pools = [_FuPool(count) for count in _POOL_SIZES]
-    reserves = [pool.reserve for pool in pools]
-
-    rob_entries = cfg.rob_entries
-    iq_entries = cfg.iq_entries
-    lq_entries = cfg.lq_entries
-    sq_entries = cfg.sq_entries
-    hetero = cfg.hetero
-    refill = max(1, cfg.branch_mispredict_cycles - FRONT_END_DEPTH)
-    lq_inflight: deque = deque(maxlen=lq_entries)
-    sq_inflight: deque = deque(maxlen=sq_entries)
-
-    redirect_free = 0
-    fetch_block_ready = 0
-    last_fp_div_issue = -FP_DIV_ISSUE_INTERVAL
-    prune_interval = _ooo.PRUNE_INTERVAL
-    prune_at = prune_interval
-    rename = 0
-    k_load = k_branch = k_block = 0
-    stall_fetch_icache = stall_fetch_redirect = 0
-    stall_rename_bw = stall_rob = stall_iq = stall_lq = stall_sq = 0
-    stall_decode = stall_operand = stall_fu = stall_issue_bw = 0
-
-    LOAD = _LOAD
-    STORE = _STORE
-    BRANCH = _BRANCH
-    COMPLEX = _COMPLEX
-    FP_DIV = _FP_DIV
-
-    for i in range(n):
-        code = codes[i]
-        # ---- fetch ---------------------------------------------------------
-        if i % FETCH_BLOCK_UOPS == 0:
-            penalty = fetch_pen[k_block]
-            k_block += 1
-            base = fetch_block_ready
-            if redirect_free > base:
-                stall_fetch_redirect += redirect_free - base
-                base = redirect_free
-            if penalty > 0:
-                stall_fetch_icache += penalty
-                fetch_block_ready = base + penalty
-            else:
-                fetch_block_ready = base
-        earliest = (fetch_block_ready
-                    if fetch_block_ready >= redirect_free else redirect_free)
-        if earliest > f_cycle:
-            f_cycle = earliest
-            f_used = 0
-        if f_used >= f_width:
-            f_cycle += 1
-            f_used = 0
-        f_used += 1
-
-        # ---- rename/dispatch: ROB/IQ/LQ/SQ occupancy -----------------------
-        earliest = f_cycle + FRONT_END_DEPTH
-        if i >= rob_entries:
-            gate = commit_at[i - rob_entries]
-            if gate > earliest:
-                stall_rob += gate - earliest
-                earliest = gate
-        if i >= iq_entries:
-            gate = issue_at[i - iq_entries]
-            if gate > earliest:
-                stall_iq += gate - earliest
-                earliest = gate
-        if code == LOAD:
-            if len(lq_inflight) == lq_entries:
-                gate = commit_at[lq_inflight[0]]
-                if gate > earliest:
-                    stall_lq += gate - earliest
-                    earliest = gate
-            lq_inflight.append(i)
-        elif code == STORE:
-            if len(sq_inflight) == sq_entries:
-                gate = commit_at[sq_inflight[0]]
-                if gate > earliest:
-                    stall_sq += gate - earliest
-                    earliest = gate
-            sq_inflight.append(i)
-        elif code == COMPLEX:
-            if hetero:
-                earliest += 1
-                stall_decode += 1
-        if earliest > r_cycle:
-            r_cycle = earliest
-            r_used = 0
-        if r_used >= r_width:
-            r_cycle += 1
-            r_used = 0
-        r_used += 1
-        rename = r_cycle
-        if rename > earliest:
-            stall_rename_bw += rename - earliest
-
-        # ---- register readiness --------------------------------------------
-        ready = rename + 1
-        dist = src1[i]
-        if dist:
-            produced = completion[i - dist]
-            if produced > ready:
-                ready = produced
-        dist = src2[i]
-        if dist:
-            produced = completion[i - dist]
-            if produced > ready:
-                ready = produced
-        if ready > rename + 1:
-            stall_operand += ready - (rename + 1)
-
-        # ---- issue ---------------------------------------------------------
-        if code == FP_DIV:
-            refractory = last_fp_div_issue + FP_DIV_ISSUE_INTERVAL
-            if refractory > ready:
-                stall_fu += refractory - ready
-                ready = refractory
-        start = reserves[code](ready, busy_l[i])
-        if start > ready:
-            stall_fu += start - ready
-        issue = issue_alloc(start)
-        if issue > start:
-            stall_issue_bw += issue - start
-        issue_at[i] = issue
-        if code == FP_DIV:
-            last_fp_div_issue = issue
-
-        # ---- execute -------------------------------------------------------
-        done = issue + lat_l[i]
-        if code == LOAD:
-            done = issue + load_done[k_load]
-            k_load += 1
-        elif code == BRANCH:
-            if not corrects[k_branch]:
-                if done + refill > redirect_free:
-                    redirect_free = done + refill
-            k_branch += 1
-        completion[i] = done
-
-        # ---- commit --------------------------------------------------------
-        prev_commit = commit_at[i - 1] if i else 0
-        target = done + 1 if done + 1 > prev_commit else prev_commit
-        if target > c_cycle:
-            c_cycle = target
-            c_used = 0
-        if c_used >= c_width:
-            c_cycle += 1
-            c_used = 0
-        c_used += 1
-        commit_at[i] = c_cycle
-
-        # ---- bookkeeping ---------------------------------------------------
-        if i >= prune_at:
-            prune_at = i + prune_interval
-            issue_slots.prune(rename)
-            for pool in pools:
-                pool.prune(rename)
-
-    tracked = issue_slots.tracked_cycles + sum(
-        pool.tracked_cycles for pool in pools
-    )
-    return _build_result(
-        trace, arrays, corrects, image, cfg, commit_at,
-        stall_cycles={
-            "fetch_icache": stall_fetch_icache,
-            "fetch_redirect": stall_fetch_redirect,
-            "rename_bw": stall_rename_bw,
-            "rob": stall_rob,
-            "iq": stall_iq,
-            "lq": stall_lq,
-            "sq": stall_sq,
-            "decode": stall_decode,
-            "operand": stall_operand,
-            "fu": stall_fu,
-            "issue_bw": stall_issue_bw,
-        },
-        sync_commit_cycles=[int(commit_at[p]) for p in arrays.sync_pos],
-        tracked_limiter_cycles=tracked,
-    )
-
-
 def _build_result(trace, arrays, corrects, image, config, commit_at,
                   stall_cycles, sync_commit_cycles,
                   tracked_limiter_cycles) -> SimResult:
@@ -813,25 +427,18 @@ def _build_result(trace, arrays, corrects, image, config, commit_at,
     )
 
 
-# -- merged scalar path (config-unrolled code generation) ---------------------
+# -- the timing loop (config-unrolled code generation) ------------------------
 
-#: Batch width at which the NumPy ``(N,)``-axis loop takes over from the
-#: merged config-unrolled scalar loop inside :func:`_time_many`.  Below
-#: it, per-uop NumPy dispatch overhead (~0.4us per vector op on short
-#: arrays) exceeds the cost of N inlined scalar recurrences sharing one
-#: trace walk; above it, the flat-gather vector loop's flatter per-uop
-#: cost (and its independence from batch geometry — no per-geometry
-#: code generation) wins out.  Internal to the kernel — the public
-#: dispatch threshold between ``_time_one`` and ``_time_many`` remains
-#: :func:`vector_min_width`.
-CONFIG_AXIS_MIN = 48
+#: Most configs one generated loop advances side by side.  Each extra
+#: config adds its inlined recurrence to every uop step; past ~16 the
+#: longer loop body and its per-config locals cost more than the shared
+#: trace walk saves, so wider batches run as consecutive chunks.
+MERGED_CHUNK = 16
 
-#: Compiled merged-loop cache, keyed by the batch's timing geometry
-#: (the per-config constants baked into the generated source).  Paper
-#: sweeps reuse one geometry across every profile, so compilation
-#: amortizes to a single ~5ms exec per sweep shape.
-_MERGED_CACHE: Dict[tuple, object] = {}
-_MERGED_CACHE_CAP = 16
+#: Compiled loops, keyed by the chunk's timing geometry (the per-config
+#: constants baked into the generated source).  Paper sweeps reuse one
+#: geometry across every profile, so a sweep shape compiles once.
+_MERGED_MEMO = LruMemo(cap=16)
 
 
 def _merged_key(configs: Sequence[CoreConfig]) -> tuple:
@@ -855,11 +462,14 @@ def _merged_key(configs: Sequence[CoreConfig]) -> tuple:
 def _merged_source(key: tuple) -> str:
     """Generate one fused scalar loop evaluating every config at once.
 
-    The emitted function is a config-axis unrolling of :func:`_time_one`:
-    one walk over the trace arrays (op code, producer distances, latency
-    read once per uop instead of once per uop *per config*) drives N
-    inlined copies of the timing recurrence whose widths, queue depths
-    and refill constants are baked in as literals.  The issue-bandwidth
+    The emitted function is a config-axis unrolling of
+    :meth:`OutOfOrderCore.run` with all decode, cache and predictor work
+    replaced by the precomputed arrays: one walk over the trace arrays
+    (op code, producer distances, latency read once per uop instead of
+    once per uop *per config*) drives N inlined copies of the timing
+    recurrence whose widths, queue depths and refill constants are baked
+    in as literals; the in-order width limiters are inlined as
+    (cycle, used) pairs.  The issue-bandwidth
     and FU-pool occupancy maps are inlined as raw per-cycle dicts with
     the same first-fit walks, increments and prune schedule as
     :class:`~repro.uarch.ooo._FuPool` / ``_PerCycleBandwidth``, so the
@@ -1071,26 +681,22 @@ def _merged_source(key: tuple) -> str:
     return "\n".join(lines)
 
 
-def _merged_fn(key: tuple):
-    """Fetch (or compile and cache) the merged loop for one geometry."""
-    fn = _MERGED_CACHE.get(key)
-    if fn is None:
-        namespace: Dict[str, object] = {}
-        exec(compile(_merged_source(key), "<repro-kernel-merged>", "exec"),
-             namespace)
-        fn = namespace["_merged"]
-        _MERGED_CACHE[key] = fn
-        if len(_MERGED_CACHE) > _MERGED_CACHE_CAP:
-            _MERGED_CACHE.pop(next(iter(_MERGED_CACHE)))
-    return fn
+def _compile_merged(key: tuple):
+    """Compile the generated loop for one timing geometry."""
+    namespace: Dict[str, object] = {}
+    exec(compile(_merged_source(key), "<repro-kernel-merged>", "exec"),
+         namespace)
+    return namespace["_merged"]
 
 
 def _time_merged(trace: Trace, arrays: TraceArrays,
                  corrects: Sequence[bool], image: MemoryImage,
                  configs: Sequence[CoreConfig],
                  noc_penalty: int = 0) -> List[SimResult]:
-    """Evaluate a narrow batch through the merged config-unrolled loop."""
-    fn = _merged_fn(_merged_key(configs))
+    """Time up to :data:`MERGED_CHUNK` configs sharing one memory image
+    in a single walk of the trace."""
+    key = _merged_key(configs)
+    fn = _MERGED_MEMO.get(key, lambda: _compile_merged(key))
     tables = [
         (
             _load_done_terms(config, image, noc_penalty).tolist(),
@@ -1112,541 +718,6 @@ def _time_merged(trace: Trace, arrays: TraceArrays,
     return results
 
 
-# -- batched (N,) timing path -------------------------------------------------
-
-#: Config-axis chunk bound for the vectorized path.  Splitting a very
-#: wide batch keeps the ``(n, 5, chunk)`` history block cache-resident
-#: and bounds peak memory for thousand-config Monte-Carlo sweeps without
-#: changing results (configs are independent along the axis).
-VECTOR_CHUNK = 64
-
-
-def _time_many(trace: Trace, arrays: TraceArrays, corrects: Sequence[bool],
-               image: MemoryImage, configs: Sequence[CoreConfig],
-               noc_penalty: int = 0) -> List[SimResult]:
-    """Evaluate the timing recurrences for all configs simultaneously.
-
-    Per-config widths/latencies become a ``(N,)`` axis; the per-uop
-    fetch/rename/issue/commit/completion history lives in one contiguous
-    ``(n, 5, N)`` int64 block; the in-order limiters use the closed-form
-    recurrence ``c[i] = max(e[i], c[i-1], c[i-w] + 1)``.  Only the
-    out-of-order issue-bandwidth and FU occupancy maps (first-fit over
-    sparse per-cycle dicts, no closed form) stay per-config scalar.
-
-    The loop runs in two phases.  A *guarded* prefix (until every
-    config's fetch/dispatch/commit/ROB/IQ window reaches back to row 0)
-    uses masked gathers that tolerate out-of-range lookbacks.  The
-    *lean* steady state then replaces the five per-uop window gathers
-    with a single flat ``take`` through a precomputed offset vector
-    advanced by ``5*N`` per row, works entirely in preallocated scratch
-    buffers via in-place ufuncs (no per-uop temporaries), and writes the
-    five state rows back with one contiguous copy.  That drops the
-    per-uop vector-op count enough for this path to beat N decoded
-    scalar loops at the batch widths the paper sweep produces.
-    """
-    N = len(configs)
-    if N > VECTOR_CHUNK:
-        results: List[SimResult] = []
-        for lo in range(0, N, VECTOR_CHUNK):
-            results.extend(_time_many(trace, arrays, corrects, image,
-                                      configs[lo:lo + VECTOR_CHUNK],
-                                      noc_penalty))
-        return results
-    if 0 < N < CONFIG_AXIS_MIN:
-        # Narrow batches: per-uop NumPy dispatch overhead on short
-        # ``(N,)`` arrays loses to N inlined scalar recurrences sharing
-        # one trace walk — route through the merged unrolled loop.
-        return _time_merged(trace, arrays, corrects, image, configs,
-                            noc_penalty)
-    n = arrays.n
-    int_ = np.int64
-    cols = np.arange(N)
-    codes = arrays.codes
-    src1 = arrays.src1
-    src2 = arrays.src2
-    lat_l = arrays.lat
-    busy_l = arrays.busy
-
-    disp = np.fromiter((c.dispatch_width for c in configs), int_, N)
-    fetch_w = disp * 2
-    commit_w = np.fromiter((c.commit_width for c in configs), int_, N)
-    rob = np.fromiter((c.rob_entries for c in configs), int_, N)
-    iq = np.fromiter((c.iq_entries for c in configs), int_, N)
-    lq = np.fromiter((c.lq_entries for c in configs), int_, N)
-    sq = np.fromiter((c.sq_entries for c in configs), int_, N)
-    hetero = np.fromiter((1 if c.hetero else 0 for c in configs), int_, N)
-    refill = np.maximum(
-        1,
-        np.fromiter((c.branch_mispredict_cycles for c in configs), int_, N)
-        - FRONT_END_DEPTH,
-    )
-    # (n_loads, N) / (n_blocks, N) latency terms from the shared image.
-    # Fetch penalties are pre-clipped to >= 0 once (the scalar loop's
-    # ``if penalty > 0`` test), so the hot loop adds them unconditionally.
-    load_term = np.stack(
-        [_load_done_terms(c, image, noc_penalty) for c in configs], axis=1
-    ) if arrays.loads else np.zeros((0, N), int_)
-    fetch_pen = np.maximum(np.stack(
-        [_fetch_penalties(c, image) for c in configs], axis=1
-    ), 0) if arrays.ifetch_blocks else np.zeros((0, N), int_)
-
-    # One contiguous history block; slot order fetch/rename/issue/
-    # commit/completion.  The named (n, N) views keep the guarded phase
-    # and the result assembly readable; the lean phase gathers through
-    # the flat view ``F`` instead.
-    H = np.zeros((n, 5, N), int_)
-    fetch_c = H[:, 0, :]
-    rename_c = H[:, 1, :]
-    issue_np = H[:, 2, :]
-    commit_np = H[:, 3, :]
-    completion = H[:, 4, :]
-    F = H.reshape(-1)
-
-    issue_objs = [_PerCycleBandwidth(c.issue_width) for c in configs]
-    pool_rows = [[_FuPool(count) for count in _POOL_SIZES] for _ in configs]
-
-    zeros = np.zeros(N, int_)
-    redirect_free = zeros.copy()
-    fetch_block_ready = zeros.copy()
-    last_fp_div = np.full(N, -FP_DIV_ISSUE_INTERVAL, int_)
-    rename = zeros.copy()
-    stall_fetch_icache = zeros.copy()
-    stall_fetch_redirect = zeros.copy()
-    stall_rename_bw = zeros.copy()
-    stall_rob = zeros.copy()
-    stall_iq = zeros.copy()
-    stall_lq = zeros.copy()
-    stall_sq = zeros.copy()
-    stall_decode = zeros.copy()
-    stall_operand = zeros.copy()
-    stall_fu = zeros.copy()
-    stall_issue_bw = zeros.copy()
-
-    min_fetch_w = int(fetch_w.min()) if N else 0
-    min_disp = int(disp.min()) if N else 0
-    min_commit = int(commit_w.min()) if N else 0
-    min_rob = int(rob.min()) if N else 0
-    min_iq = int(iq.min()) if N else 0
-    min_lq = int(lq.min()) if N else 0
-    min_sq = int(sq.min()) if N else 0
-    max_lq = int(lq.max()) if N else 0
-    max_sq = int(sq.max()) if N else 0
-
-    # First row where every per-uop window gather reaches back to a
-    # written row under every config — the guarded/lean phase boundary.
-    i_lean = min(n, int(max(fetch_w.max(), disp.max(), commit_w.max(),
-                            rob.max(), iq.max()))) if N else n
-
-    prune_interval = _ooo.PRUNE_INTERVAL
-    prune_at = prune_interval
-    k_load = k_store = k_branch = k_block = 0
-
-    LOAD = _LOAD
-    STORE = _STORE
-    BRANCH = _BRANCH
-    COMPLEX = _COMPLEX
-    FP_DIV = _FP_DIV
-    load_pos_np = arrays.load_pos_np
-    store_pos_np = arrays.store_pos_np
-
-    for i in range(i_lean):
-        code = codes[i]
-        # ---- fetch ---------------------------------------------------------
-        if i % FETCH_BLOCK_UOPS == 0:
-            pos_pen = fetch_pen[k_block]  # pre-clipped >= 0
-            k_block += 1
-            base = fetch_block_ready
-            advance = np.where(redirect_free > base, redirect_free - base, 0)
-            stall_fetch_redirect += advance
-            stall_fetch_icache += pos_pen
-            fetch_block_ready = base + advance + pos_pen
-        earliest = np.maximum(fetch_block_ready, redirect_free)
-        if i:
-            fetched = np.maximum(earliest, fetch_c[i - 1])
-        else:
-            fetched = earliest
-        if i >= min_fetch_w:
-            back = i - fetch_w
-            gathered = fetch_c[np.maximum(back, 0), cols] + 1
-            fetched = np.maximum(fetched, np.where(back >= 0, gathered, 0))
-        fetch_c[i] = fetched
-
-        # ---- rename/dispatch gates -----------------------------------------
-        earliest = fetched + FRONT_END_DEPTH
-        if i >= min_rob:
-            back = i - rob
-            gate = commit_np[np.maximum(back, 0), cols]
-            add = np.where((back >= 0) & (gate > earliest), gate - earliest, 0)
-            stall_rob += add
-            earliest = earliest + add
-        if i >= min_iq:
-            back = i - iq
-            gate = issue_np[np.maximum(back, 0), cols]
-            add = np.where((back >= 0) & (gate > earliest), gate - earliest, 0)
-            stall_iq += add
-            earliest = earliest + add
-        if code == LOAD:
-            if k_load >= min_lq:
-                back = k_load - lq
-                rows = load_pos_np[np.maximum(back, 0)]
-                gate = commit_np[rows, cols]
-                add = np.where((back >= 0) & (gate > earliest),
-                               gate - earliest, 0)
-                stall_lq += add
-                earliest = earliest + add
-        elif code == STORE:
-            if k_store >= min_sq:
-                back = k_store - sq
-                rows = store_pos_np[np.maximum(back, 0)]
-                gate = commit_np[rows, cols]
-                add = np.where((back >= 0) & (gate > earliest),
-                               gate - earliest, 0)
-                stall_sq += add
-                earliest = earliest + add
-        elif code == COMPLEX:
-            stall_decode += hetero
-            earliest = earliest + hetero
-        if i:
-            renamed = np.maximum(earliest, rename_c[i - 1])
-        else:
-            renamed = earliest
-        if i >= min_disp:
-            back = i - disp
-            gathered = rename_c[np.maximum(back, 0), cols] + 1
-            renamed = np.maximum(renamed, np.where(back >= 0, gathered, 0))
-        rename_c[i] = renamed
-        stall_rename_bw += renamed - earliest
-        rename = renamed
-
-        # ---- register readiness --------------------------------------------
-        base_ready = renamed + 1
-        ready = base_ready
-        dist = src1[i]
-        if dist:
-            ready = np.maximum(ready, completion[i - dist])
-        dist = src2[i]
-        if dist:
-            ready = np.maximum(ready, completion[i - dist])
-        stall_operand += ready - base_ready
-
-        # ---- issue ---------------------------------------------------------
-        if code == FP_DIV:
-            refractory = last_fp_div + FP_DIV_ISSUE_INTERVAL
-            add = np.where(refractory > ready, refractory - ready, 0)
-            stall_fu += add
-            ready = ready + add
-        busy = busy_l[i]
-        ready_list = ready.tolist()
-        issue_list = [0] * N
-        for j in range(N):
-            ready_j = ready_list[j]
-            start = pool_rows[j][code].reserve(ready_j, busy)
-            if start > ready_j:
-                stall_fu[j] += start - ready_j
-            issued = issue_objs[j].allocate(start)
-            if issued > start:
-                stall_issue_bw[j] += issued - start
-            issue_list[j] = issued
-        issue_row = np.array(issue_list, int_)
-        issue_np[i] = issue_row
-        if code == FP_DIV:
-            last_fp_div = issue_row
-
-        # ---- execute -------------------------------------------------------
-        done = issue_row + lat_l[i]
-        if code == LOAD:
-            done = issue_row + load_term[k_load]
-            k_load += 1
-        elif code == STORE:
-            k_store += 1
-        elif code == BRANCH:
-            if not corrects[k_branch]:
-                redirect_free = np.maximum(redirect_free, done + refill)
-            k_branch += 1
-        completion[i] = done
-
-        # ---- commit --------------------------------------------------------
-        if i:
-            target = np.maximum(done + 1, commit_np[i - 1])
-        else:
-            target = done + 1
-        if i >= min_commit:
-            back = i - commit_w
-            gathered = commit_np[np.maximum(back, 0), cols] + 1
-            target = np.maximum(target, np.where(back >= 0, gathered, 0))
-        commit_np[i] = target
-
-        # ---- bookkeeping ---------------------------------------------------
-        if i >= prune_at:
-            prune_at = i + prune_interval
-            rename_list = rename.tolist()
-            for j in range(N):
-                watermark = rename_list[j]
-                issue_objs[j].prune(watermark)
-                for pool in pool_rows[j]:
-                    pool.prune(watermark)
-
-    # ---- lean steady state --------------------------------------------------
-    # Every window now reaches back to a written row, so the five gate
-    # gathers collapse into one flat ``take`` through ``idx`` (advanced
-    # by ``5*N`` per row) and every arithmetic step runs in-place on
-    # preallocated buffers.  ``fu_extra``/``bw_extra`` accumulate the
-    # issue-loop stalls as plain ints (cheaper than per-element ndarray
-    # writes); they merge into the stall vectors at result build.
-    fu_extra = [0] * N
-    bw_extra = [0] * N
-    if i_lean < n:
-        FIVE_N = 5 * N
-        codes_np = np.asarray(codes, dtype=int_)
-        # Gather offsets (gather g, config j) -> flat(i - r_g[j], slot, j)
-        # for row i = 0; ADD applies the limiter ``+ 1`` terms in one op.
-        OFF = np.empty(FIVE_N, int_)
-        OFF[0 * N:1 * N] = -fetch_w * FIVE_N + (0 * N + cols)   # fetch[i-fw]
-        OFF[1 * N:2 * N] = -rob * FIVE_N + (3 * N + cols)       # commit[i-rob]
-        OFF[2 * N:3 * N] = -iq * FIVE_N + (2 * N + cols)        # issue[i-iq]
-        OFF[3 * N:4 * N] = -disp * FIVE_N + (1 * N + cols)      # rename[i-dw]
-        OFF[4 * N:5 * N] = -commit_w * FIVE_N + (3 * N + cols)  # commit[i-cw]
-        ADD = np.array([[1], [0], [0], [1], [1]], int_)
-        idx = OFF + (i_lean - 1) * FIVE_N
-        G = np.empty(FIVE_N, int_)
-        G2 = G.reshape(5, N)
-        gf, gr, gi, gd, gc = G2
-
-        # Per-queue gate tables: flat commit-slot indices of the load/
-        # store that must leave the LQ/SQ, valid once k >= max_lq/sq.
-        lq_idx = sq_idx = None
-        if arrays.loads > max_lq:
-            lq_back = np.arange(arrays.loads, dtype=int_)[:, None] - lq
-            lq_idx = (load_pos_np[np.maximum(lq_back, 0)] * FIVE_N
-                      + (3 * N + cols))
-        if arrays.stores > max_sq:
-            sq_back = np.arange(arrays.stores, dtype=int_)[:, None] - sq
-            sq_idx = (store_pos_np[np.maximum(sq_back, 0)] * FIVE_N
-                      + (3 * N + cols))
-
-        # State rows for the current uop (previous uop's on entry) and
-        # scratch buffers; ``fb`` caches max(fetch_block_ready,
-        # redirect_free), refreshed at block boundaries and mispredicts.
-        S = H[i_lean - 1].copy() if i_lean else np.zeros((5, N), int_)
-        S0, S1, S2, S3, S4 = S
-        fb = np.maximum(fetch_block_ready, redirect_free)
-        E = np.empty(N, int_)
-        R = np.empty(N, int_)
-        T = np.empty(N, int_)
-        GL = np.empty(N, int_)
-
-        reserve_rows = [[pool.reserve for pool in row] for row in pool_rows]
-        allocs = [obj.allocate for obj in issue_objs]
-        issue_list = [0] * N
-        np_add = np.add
-        np_max = np.maximum
-        np_sub = np.subtract
-        np_copyto = np.copyto
-        take = F.take
-        hetero_any = bool(hetero.any())
-        FED = FRONT_END_DEPTH
-
-        for i in range(i_lean, n):
-            code = codes[i]
-            np_add(idx, FIVE_N, out=idx)
-            take(idx, out=G)
-            np_add(G2, ADD, out=G2)
-            # ---- fetch -----------------------------------------------------
-            if i % FETCH_BLOCK_UOPS == 0:
-                np_sub(redirect_free, fetch_block_ready, out=T)
-                np_max(T, 0, out=T)
-                np_add(stall_fetch_redirect, T, out=stall_fetch_redirect)
-                np_max(fetch_block_ready, redirect_free,
-                       out=fetch_block_ready)
-                pen = fetch_pen[k_block]
-                k_block += 1
-                np_add(stall_fetch_icache, pen, out=stall_fetch_icache)
-                np_add(fetch_block_ready, pen, out=fetch_block_ready)
-                np_copyto(fb, fetch_block_ready)
-            np_max(gf, S0, out=S0)
-            np_max(S0, fb, out=S0)
-            # ---- rename/dispatch gates (stalls post-passed) ----------------
-            np_add(S0, FED, out=E)
-            np_max(E, gr, out=E)
-            np_max(E, gi, out=E)
-            if code == LOAD:
-                if k_load >= max_lq:
-                    take(lq_idx[k_load], out=GL)
-                    np_max(E, GL, out=E)
-                elif k_load >= min_lq:
-                    back = k_load - lq
-                    gate = commit_np[load_pos_np[np.maximum(back, 0)], cols]
-                    np_max(E, np.where(back >= 0, gate, 0), out=E)
-            elif code == STORE:
-                if k_store >= max_sq:
-                    take(sq_idx[k_store], out=GL)
-                    np_max(E, GL, out=E)
-                elif k_store >= min_sq:
-                    back = k_store - sq
-                    gate = commit_np[store_pos_np[np.maximum(back, 0)], cols]
-                    np_max(E, np.where(back >= 0, gate, 0), out=E)
-            elif code == COMPLEX:
-                if hetero_any:
-                    np_add(E, hetero, out=E)
-            # ---- rename limiter --------------------------------------------
-            np_max(gd, S1, out=S1)
-            np_max(S1, E, out=S1)
-            # ---- register readiness ----------------------------------------
-            np_add(S1, 1, out=R)
-            d1 = src1[i]
-            d2 = src2[i]
-            if d1:
-                np_max(R, completion[i - d1], out=R)
-            if d2:
-                np_max(R, completion[i - d2], out=R)
-            # ---- issue -----------------------------------------------------
-            if code == FP_DIV:
-                # Refractory stall stays in-loop: FP divides are rare and
-                # the lift depends on the previous divide's issue cycle.
-                np_add(last_fp_div, FP_DIV_ISSUE_INTERVAL, out=T)
-                np_sub(T, R, out=T)
-                np_max(T, 0, out=T)
-                np_add(stall_fu, T, out=stall_fu)
-                np_add(R, T, out=R)
-            busy = busy_l[i]
-            ready_list = R.tolist()
-            for j in range(N):
-                ready_j = ready_list[j]
-                start = reserve_rows[j][code](ready_j, busy)
-                if start > ready_j:
-                    fu_extra[j] += start - ready_j
-                issued = allocs[j](start)
-                if issued > start:
-                    bw_extra[j] += issued - start
-                issue_list[j] = issued
-            S2[:] = issue_list
-            # ---- execute ---------------------------------------------------
-            if code == LOAD:
-                np_add(S2, load_term[k_load], out=S4)
-                k_load += 1
-            else:
-                np_add(S2, lat_l[i], out=S4)
-                if code == BRANCH:
-                    if not corrects[k_branch]:
-                        np_add(S4, refill, out=T)
-                        np_max(redirect_free, T, out=redirect_free)
-                        np_max(fb, redirect_free, out=fb)
-                    k_branch += 1
-                elif code == STORE:
-                    k_store += 1
-                elif code == FP_DIV:
-                    np_copyto(last_fp_div, S2)
-            # ---- commit ----------------------------------------------------
-            np_add(S4, 1, out=T)
-            np_max(T, gc, out=T)
-            np_max(T, S3, out=S3)
-            # ---- writeback / bookkeeping -----------------------------------
-            H[i] = S
-            if i >= prune_at:
-                prune_at = i + prune_interval
-                watermarks = S1.tolist()
-                for j in range(N):
-                    watermark = watermarks[j]
-                    issue_objs[j].prune(watermark)
-                    for pool in pool_rows[j]:
-                        pool.prune(watermark)
-
-        # ---- stall reconstruction over the lean range ----------------------
-        # Every gate input the sequential loop saw is preserved in H, so
-        # the rename-stage stall attribution is a pure function of the
-        # history — recomputed here with whole-range (M, N) operations
-        # instead of per-uop arithmetic in the hot loop.  The per-uop
-        # order of gates (ROB -> IQ -> LQ/SQ/decode -> rename bandwidth
-        # -> operands) is replayed exactly.
-        lean = np.arange(i_lean, n, dtype=int_)
-        E2 = fetch_c[i_lean:] + FED
-        delta = commit_np[lean[:, None] - rob, cols]
-        np.subtract(delta, E2, out=delta)
-        np.maximum(delta, 0, out=delta)
-        stall_rob += delta.sum(axis=0)
-        np.add(E2, delta, out=E2)
-        delta = issue_np[lean[:, None] - iq, cols]
-        np.subtract(delta, E2, out=delta)
-        np.maximum(delta, 0, out=delta)
-        stall_iq += delta.sum(axis=0)
-        np.add(E2, delta, out=E2)
-        if arrays.loads:
-            k0 = int(np.searchsorted(load_pos_np, i_lean))
-            ks = np.arange(k0, arrays.loads, dtype=int_)
-            if ks.size:
-                back = ks[:, None] - lq
-                gate = commit_np[load_pos_np[np.maximum(back, 0)], cols]
-                rows = load_pos_np[k0:] - i_lean
-                held = E2[rows]
-                grow = np.where((back >= 0) & (gate > held), gate - held, 0)
-                stall_lq += grow.sum(axis=0)
-                E2[rows] = held + grow
-        if arrays.stores:
-            k0 = int(np.searchsorted(store_pos_np, i_lean))
-            ks = np.arange(k0, arrays.stores, dtype=int_)
-            if ks.size:
-                back = ks[:, None] - sq
-                gate = commit_np[store_pos_np[np.maximum(back, 0)], cols]
-                rows = store_pos_np[k0:] - i_lean
-                held = E2[rows]
-                grow = np.where((back >= 0) & (gate > held), gate - held, 0)
-                stall_sq += grow.sum(axis=0)
-                E2[rows] = held + grow
-        if hetero_any:
-            rows = np.nonzero(codes_np[i_lean:] == COMPLEX)[0]
-            if rows.size:
-                stall_decode += hetero * int(rows.size)
-                E2[rows] += hetero
-        ren = rename_c[i_lean:]
-        stall_rename_bw += (ren - E2).sum(axis=0)
-        s1 = np.asarray(src1[i_lean:], dtype=int_)
-        s2 = np.asarray(src2[i_lean:], dtype=int_)
-        rows = np.nonzero((s1 > 0) | (s2 > 0))[0]
-        if rows.size:
-            pos = rows + i_lean
-            a1 = s1[rows]
-            a2 = s2[rows]
-            produced = np.where((a1 > 0)[:, None], completion[pos - a1], 0)
-            np.maximum(
-                produced,
-                np.where((a2 > 0)[:, None], completion[pos - a2], 0),
-                out=produced,
-            )
-            np.subtract(produced, ren[rows] + 1, out=produced)
-            np.maximum(produced, 0, out=produced)
-            stall_operand += produced.sum(axis=0)
-
-    results: List[SimResult] = []
-    sync_matrix = commit_np[arrays.sync_pos] if arrays.sync_pos else None
-    for j, config in enumerate(configs):
-        tracked = issue_objs[j].tracked_cycles + sum(
-            pool.tracked_cycles for pool in pool_rows[j]
-        )
-        sync_cycles = (
-            [int(v) for v in sync_matrix[:, j]] if sync_matrix is not None
-            else []
-        )
-        results.append(_build_result(
-            trace, arrays, corrects, image, config, commit_np[:, j],
-            stall_cycles={
-                "fetch_icache": int(stall_fetch_icache[j]),
-                "fetch_redirect": int(stall_fetch_redirect[j]),
-                "rename_bw": int(stall_rename_bw[j]),
-                "rob": int(stall_rob[j]),
-                "iq": int(stall_iq[j]),
-                "lq": int(stall_lq[j]),
-                "sq": int(stall_sq[j]),
-                "decode": int(stall_decode[j]),
-                "operand": int(stall_operand[j]),
-                "fu": int(stall_fu[j]) + fu_extra[j],
-                "issue_bw": int(stall_issue_bw[j]) + bw_extra[j],
-            },
-            sync_commit_cycles=sync_cycles,
-            tracked_limiter_cycles=tracked,
-        ))
-    return results
-
-
 # -- public entry points ------------------------------------------------------
 
 
@@ -1654,72 +725,48 @@ def simulate_core(trace: Trace, config: CoreConfig, image: MemoryImage,
                   noc_penalty: int = 0) -> SimResult:
     """Time one (trace, config) pair against a prebuilt memory image
     (the multicore batch driver's per-core primitive)."""
-    return _time_one(trace, decode(trace), branch_outcomes(trace), image,
-                     config, noc_penalty)
+    return _time_merged(trace, decode(trace), branch_outcomes(trace), image,
+                        [config], noc_penalty)[0]
 
 
-def run_trace_batch(configs: Sequence[CoreConfig], trace: Trace,
-                    min_vector_width: Optional[int] = None,
-                    stats_out: Optional[dict] = None) -> List[SimResult]:
+def run_trace_batch(configs: Sequence[CoreConfig],
+                    trace: Trace) -> List[SimResult]:
     """Simulate ``trace`` under every config in one batched evaluation.
 
     Cycle-exact against ``run_trace(config, trace)`` for each config:
     the trace is decoded once, the predictor replayed once, the caches
     replayed once per L2 geometry, and only the timing recurrences run
-    per configuration — via the NumPy ``(N,)`` path for groups of at
-    least ``min_vector_width`` configs (default
-    ``$REPRO_KERNEL_VECTOR_MIN`` or :data:`DEFAULT_VECTOR_MIN`), else
-    via the tight scalar loop.  Results come back in config order.
+    per configuration — :data:`MERGED_CHUNK` configs per walk of the
+    trace.  Results come back in config order.
     """
     configs = list(configs)
     if not configs:
         return []
-    threshold = (min_vector_width if min_vector_width is not None
-                 else vector_min_width())
     arrays = decode(trace)
     corrects = branch_outcomes(trace)
     results: List[Optional[SimResult]] = [None] * len(configs)
     groups: Dict[bool, List[int]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(config.shared_l2, []).append(index)
-    vectorized_groups = scalar_groups = 0
     for indices in groups.values():
         image = replay_memory(trace, configs[indices[0]])
-        if len(indices) >= threshold:
-            vectorized_groups += 1
-            batch = _time_many(trace, arrays, corrects, image,
-                               [configs[k] for k in indices])
-            for index, result in zip(indices, batch):
+        for lo in range(0, len(indices), MERGED_CHUNK):
+            chunk = indices[lo:lo + MERGED_CHUNK]
+            batch = _time_merged(trace, arrays, corrects, image,
+                                 [configs[k] for k in chunk])
+            for index, result in zip(chunk, batch):
                 results[index] = result
-        else:
-            scalar_groups += 1
-            for index in indices:
-                results[index] = _time_one(trace, arrays, corrects, image,
-                                           configs[index])
-    if stats_out is not None:
-        stats_out["vectorized_groups"] = (
-            stats_out.get("vectorized_groups", 0) + vectorized_groups
-        )
-        stats_out["scalar_groups"] = (
-            stats_out.get("scalar_groups", 0) + scalar_groups
-        )
     return results
 
 
 __all__ = [
-    "CONFIG_AXIS_MIN",
-    "DEFAULT_VECTOR_MIN",
+    "MERGED_CHUNK",
     "MemoryImage",
     "TraceArrays",
     "branch_outcomes",
-    "calibrate",
     "decode",
     "kernel_enabled",
     "replay_memory",
     "run_trace_batch",
-    "save_tuning",
     "simulate_core",
-    "tuned_vector_min",
-    "tuning_path",
-    "vector_min_width",
 ]

@@ -501,7 +501,7 @@ def run_parallel_batch(
     coherence-sequenced cache replay
     (:func:`prepare_geometry_replay`); only the per-core timing
     recurrences (:func:`evaluate_parallel_config`) run per config,
-    through the :mod:`repro.uarch.kernel` scalar path.
+    through :func:`repro.uarch.kernel.simulate_core`.
     """
     if not profile.is_parallel:
         raise ValueError(f"{profile.name} is not a parallel profile")

@@ -46,34 +46,6 @@ FETCH_BLOCK_UOPS = 8
 #: issue/FU bookkeeping bounded on arbitrarily long traces.
 PRUNE_INTERVAL = 4096
 
-#: Total occupancy-map entries (issue + FU pools) at the end of the most
-#: recent :meth:`OutOfOrderCore.run` in *this process*.  Deprecated: the
-#: per-result :attr:`SimStats.tracked_limiter_cycles` replaces it — a
-#: module global garbles silently across ``ProcessPoolExecutor`` workers
-#: (each worker has its own copy; the parent's never updates).
-_LAST_TRACKED_CYCLES = 0
-
-
-def last_tracked_cycles() -> int:
-    """Occupancy-map entries left after the most recent run.
-
-    .. deprecated::
-        Read ``result.stats.tracked_limiter_cycles`` instead; this
-        process-global view is meaningless when runs execute in worker
-        processes.
-    """
-    import warnings
-
-    warnings.warn(
-        "last_tracked_cycles() is deprecated; read "
-        "result.stats.tracked_limiter_cycles instead (the module global "
-        "is not updated by ProcessPoolExecutor workers)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _LAST_TRACKED_CYCLES
-
-
 #: Stall-attribution categories reported in ``SimStats.stall_cycles``
 #: (every run reports all of them, zero-valued when a cause never bit).
 STALL_CAUSES = (
@@ -117,8 +89,7 @@ class SimStats:
     stall_cycles: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Occupancy-map entries (issue + FU pools) left at the end of the
     #: run — shows the watermark pruning keeps bookkeeping bounded.
-    #: Carried per result so it survives process-pool workers (the old
-    #: module-global :func:`last_tracked_cycles` did not).
+    #: Carried per result so it survives process-pool workers.
     tracked_limiter_cycles: int = 0
 
     @property
@@ -519,11 +490,9 @@ class OutOfOrderCore:
                 for pool in pools.values():
                     pool.prune(rename)
 
-        global _LAST_TRACKED_CYCLES
-        _LAST_TRACKED_CYCLES = issue_slots.tracked_cycles + sum(
+        stats.tracked_limiter_cycles = issue_slots.tracked_cycles + sum(
             pool.tracked_cycles for pool in pools.values()
         )
-        stats.tracked_limiter_cycles = _LAST_TRACKED_CYCLES
         stats.loads = loads
         stats.stores = stores
         stats.branches = branches

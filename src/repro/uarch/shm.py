@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -210,8 +210,8 @@ def publish_group(trace, configs: Sequence[CoreConfig]) -> PublishedGroup:
         "src2": np.asarray(arrays.src2, dtype=np.int64),
         "lat": np.asarray(arrays.lat, dtype=np.int64),
         "busy": np.asarray(arrays.busy, dtype=np.int64),
-        "load_pos": arrays.load_pos_np,
-        "store_pos": arrays.store_pos_np,
+        "load_pos": np.asarray(arrays.load_pos, dtype=np.int64),
+        "store_pos": np.asarray(arrays.store_pos, dtype=np.int64),
         "sync_pos": np.asarray(arrays.sync_pos, dtype=np.int64),
         "corrects": np.asarray(corrects, dtype=np.uint8),
     }
@@ -296,7 +296,7 @@ def attach_group(handle: GroupHandle) -> AttachedGroup:
     try:
         arrays = object.__new__(kernel.TraceArrays)
         arrays.n = handle.n
-        # The scalar timing loops index per uop; plain lists beat NumPy
+        # The timing loop indexes per uop; plain lists beat NumPy
         # scalar indexing there, and .tolist() is one C pass.
         arrays.codes = views["codes"].tolist()
         arrays.src1 = views["src1"].tolist()
@@ -306,8 +306,6 @@ def attach_group(handle: GroupHandle) -> AttachedGroup:
         arrays.load_pos = views["load_pos"].tolist()
         arrays.store_pos = views["store_pos"].tolist()
         arrays.sync_pos = views["sync_pos"].tolist()
-        arrays.load_pos_np = views["load_pos"]
-        arrays.store_pos_np = views["store_pos"]
         arrays.loads = handle.loads
         arrays.stores = handle.stores
         arrays.branches = handle.branches
@@ -337,18 +335,14 @@ def attach_group(handle: GroupHandle) -> AttachedGroup:
         raise
 
 
-def run_handle_batch(handle: GroupHandle, configs: Sequence[CoreConfig],
-                     min_vector_width: Optional[int] = None,
-                     stats_out: Optional[dict] = None):
+def run_handle_batch(handle: GroupHandle, configs: Sequence[CoreConfig]):
     """Attach, evaluate ``configs`` through the batched kernel, detach.
 
     Convenience wrapper for pool workers: one call per work unit, the
     mapping never outlives the result list.
     """
     with attach_group(handle) as group:
-        return kernel.run_trace_batch(configs, group.trace,
-                                      min_vector_width=min_vector_width,
-                                      stats_out=stats_out)
+        return kernel.run_trace_batch(configs, group.trace)
 
 
 __all__ = [

@@ -3,8 +3,8 @@
 The kernel's contract is *cycle-exactness*: ``run_trace_batch`` must
 return results indistinguishable (full dataclass equality — stats,
 stall attribution, memory-level histograms, everything) from per-config
-``OutOfOrderCore.run`` calls, through both of its internal paths (the
-decoded scalar loop and the NumPy vector path).  These tests pin that
+``OutOfOrderCore.run`` calls, at every batch width and chunk boundary
+of its one generated timing loop.  These tests pin that
 contract, the multicore batch equivalent, the engine's byte-identical
 figure output with the kernel on vs off, and the generator digests the
 replay-sharing optimisations silently depend on.
@@ -12,7 +12,6 @@ replay-sharing optimisations silently depend on.
 
 import dataclasses
 import os
-import warnings
 
 import pytest
 
@@ -27,7 +26,6 @@ from repro.uarch.kernel import (
     kernel_enabled,
     run_trace_batch,
     simulate_core,
-    vector_min_width,
 )
 from repro.uarch.multicore import run_parallel, run_parallel_batch
 from repro.uarch.ooo import run_trace
@@ -46,7 +44,7 @@ def _fresh_trace(profile, uops, seed=1234, thread=None):
 
 
 # ---------------------------------------------------------------------------
-# Single-core exactness: batch == oracle, both internal paths
+# Single-core exactness: batch == oracle
 # ---------------------------------------------------------------------------
 
 
@@ -58,18 +56,6 @@ def test_batch_matches_oracle_paper_configs(profile_index):
     oracle = [run_trace(config, trace) for config in configs]
     batched = run_trace_batch(configs, _fresh_trace(profile, 1500))
     assert batched == oracle  # full SimResult equality, stats included
-
-
-@pytest.mark.parametrize("profile_index", [0, 9])
-def test_vector_path_matches_oracle(profile_index):
-    """Forcing the NumPy path (min_vector_width=1) changes nothing."""
-    profile = spec_profiles()[profile_index]
-    configs = single_core_configs()
-    trace = _fresh_trace(profile, 1500)
-    oracle = [run_trace(config, trace) for config in configs]
-    vectorized = run_trace_batch(configs, _fresh_trace(profile, 1500),
-                                 min_vector_width=1)
-    assert vectorized == oracle
 
 
 def test_batch_matches_oracle_edge_configs():
@@ -91,8 +77,6 @@ def test_batch_matches_oracle_edge_configs():
     trace = _fresh_trace(profile, 1200)
     oracle = [run_trace(config, trace) for config in configs]
     assert run_trace_batch(configs, _fresh_trace(profile, 1200)) == oracle
-    assert run_trace_batch(configs, _fresh_trace(profile, 1200),
-                           min_vector_width=1) == oracle
 
 
 def test_batch_preserves_config_order_and_duplicates():
@@ -117,59 +101,72 @@ def test_simulate_core_matches_oracle_single():
     assert simulate_core(replay_trace, config, image) == expected
 
 
-def test_stats_out_reports_path_taken():
-    configs = single_core_configs()
-    profile = spec_profiles()[0]
-    stats = {}
-    run_trace_batch(configs, _fresh_trace(profile, 600),
-                    min_vector_width=10**9, stats_out=stats)
-    assert stats["scalar_groups"] >= 1  # threshold forced above the width
-    stats = {}
-    run_trace_batch(configs, _fresh_trace(profile, 600), min_vector_width=1,
-                    stats_out=stats)
-    assert stats["vectorized_groups"] >= 1
+@pytest.mark.parametrize("delta", [-1, 0, 1, kernel.MERGED_CHUNK + 1])
+def test_dispatch_boundary_widths(delta, monkeypatch):
+    """Exactness and config order at the chunk boundaries: widths
+    MERGED_CHUNK - 1, MERGED_CHUNK, MERGED_CHUNK + 1 and
+    2 * MERGED_CHUNK + 1, with ``shared_l2`` alternating so the batch
+    splits by L2 geometry and, at the widest, a geometry group splits
+    into a full chunk plus a remainder."""
+    chunk = kernel.MERGED_CHUNK
+    width = chunk + delta
+    timed_widths = []
+    real_time_merged = kernel._time_merged
 
+    def spy(trace, arrays, corrects, image, configs, *rest):
+        timed_widths.append(len(configs))
+        return real_time_merged(trace, arrays, corrects, image, configs,
+                                *rest)
 
-@pytest.mark.parametrize("delta", [-1, 0, 1])
-def test_dispatch_boundary_widths(delta):
-    """Exactness and path selection at threshold-1 / threshold /
-    threshold+1 configs (the widths where dispatch flips paths)."""
-    threshold = 4
-    width = threshold + delta
+    monkeypatch.setattr(kernel, "_time_merged", spy)
     base = base_config()
     configs = [
-        dataclasses.replace(base, name=f"b{k}", rob_entries=base.rob_entries + k)
+        dataclasses.replace(base, name=f"b{k}", shared_l2=bool(k % 2),
+                            rob_entries=base.rob_entries + k)
         for k in range(width)
     ]
     profile = spec_profiles()[1]
     trace = _fresh_trace(profile, 900)
     oracle = [run_trace(config, trace) for config in configs]
-    stats = {}
-    batched = run_trace_batch(configs, _fresh_trace(profile, 900),
-                              min_vector_width=threshold, stats_out=stats)
+    batched = run_trace_batch(configs, _fresh_trace(profile, 900))
     assert batched == oracle  # 0.0 divergence vs the OOO oracle
-    if width >= threshold:
-        assert stats["vectorized_groups"] >= 1
-        assert stats.get("scalar_groups", 0) == 0
-    else:
-        assert stats["scalar_groups"] >= 1
-        assert stats.get("vectorized_groups", 0) == 0
+    assert [r.config_name for r in batched] == [c.name for c in configs]
+    groups = ((width + 1) // 2, width // 2)  # private / shared L2
+    assert sorted(timed_widths) == sorted(
+        min(chunk, size - lo) for size in groups
+        for lo in range(0, size, chunk)
+    )
 
 
-def test_config_axis_loop_matches_merged_loop(monkeypatch):
-    """The two internal vectorized modes (merged config-unrolled loop
-    below CONFIG_AXIS_MIN, NumPy config-axis loop above) are
-    interchangeable: forcing either at the same width changes nothing."""
-    configs = single_core_configs()
-    profile = spec_profiles()[3]
-    trace = _fresh_trace(profile, 1000)
-    oracle = [run_trace(config, trace) for config in configs]
-    monkeypatch.setattr(kernel, "CONFIG_AXIS_MIN", 1)  # force axis loop
-    assert run_trace_batch(configs, _fresh_trace(profile, 1000),
-                           min_vector_width=1) == oracle
-    monkeypatch.setattr(kernel, "CONFIG_AXIS_MIN", 10**9)  # force merged
-    assert run_trace_batch(configs, _fresh_trace(profile, 1000),
-                           min_vector_width=1) == oracle
+def test_merged_memo_evicts_least_recently_used(monkeypatch):
+    """A geometry reused between newer ones keeps its compiled loop:
+    fill the memo, reuse the first key, add one more, then ask for the
+    first key again — it must still be cached, not recompiled."""
+    compiled = []
+    real_source = kernel._merged_source
+
+    def counting_source(key):
+        compiled.append(key)
+        return real_source(key)
+
+    monkeypatch.setattr(kernel, "_merged_source", counting_source)
+    base = base_config()
+    trace = _fresh_trace(spec_profiles()[0], 200)
+
+    def batch(k):
+        # Geometries no other test uses, so whatever the memo already
+        # holds is older than every key here.
+        return [dataclasses.replace(base, name=f"memo{k}-{j}",
+                                    rob_entries=900 + 2 * k + j)
+                for j in range(2)]
+
+    cap = kernel._MERGED_MEMO.cap
+    for k in range(cap):
+        run_trace_batch(batch(k), trace)
+    run_trace_batch(batch(0), trace)
+    run_trace_batch(batch(cap), trace)
+    run_trace_batch(batch(0), trace)
+    assert len(compiled) == cap + 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,90 +182,6 @@ def test_kernel_enabled_env(monkeypatch):
         assert not kernel_enabled()
     monkeypatch.setenv("REPRO_KERNEL", "1")
     assert kernel_enabled()
-
-
-def _isolate_tuning(monkeypatch, tmp_path):
-    """Point the tuned-threshold file somewhere empty so host tuning
-    state can't leak into threshold assertions."""
-    monkeypatch.setenv("REPRO_TUNING_FILE", str(tmp_path / "tuning.json"))
-
-
-def test_vector_min_width_env(monkeypatch, tmp_path):
-    _isolate_tuning(monkeypatch, tmp_path)
-    monkeypatch.delenv("REPRO_KERNEL_VECTOR_MIN", raising=False)
-    assert vector_min_width() == kernel.DEFAULT_VECTOR_MIN
-    monkeypatch.setenv("REPRO_KERNEL_VECTOR_MIN", "3")
-    assert vector_min_width() == 3
-
-
-@pytest.mark.parametrize("raw", ["abc", "2.5", "1e3", "0x10", "five"])
-def test_vector_min_env_garbage_warns_once(monkeypatch, tmp_path, raw):
-    _isolate_tuning(monkeypatch, tmp_path)
-    monkeypatch.setenv("REPRO_KERNEL_VECTOR_MIN", raw)
-    monkeypatch.setattr(kernel, "_WARNED_VECTOR_MIN", set())
-    with pytest.warns(RuntimeWarning, match="invalid"):
-        assert vector_min_width() == kernel.DEFAULT_VECTOR_MIN
-    # Warned exactly once per spelling: the second read is silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert vector_min_width() == kernel.DEFAULT_VECTOR_MIN
-
-
-@pytest.mark.parametrize("raw", ["-3", "0", "1", "-100"])
-def test_vector_min_env_small_values_clamp_to_two(monkeypatch, tmp_path, raw):
-    _isolate_tuning(monkeypatch, tmp_path)
-    monkeypatch.setenv("REPRO_KERNEL_VECTOR_MIN", raw)
-    monkeypatch.setattr(kernel, "_WARNED_VECTOR_MIN", set())
-    with pytest.warns(RuntimeWarning, match="clamping"):
-        assert vector_min_width() == 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert vector_min_width() == 2
-
-
-def test_vector_min_env_blank_is_default_without_warning(monkeypatch,
-                                                         tmp_path):
-    _isolate_tuning(monkeypatch, tmp_path)
-    for raw in ("", "   "):
-        monkeypatch.setenv("REPRO_KERNEL_VECTOR_MIN", raw)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert vector_min_width() == kernel.DEFAULT_VECTOR_MIN
-
-
-def test_tuned_threshold_precedence(monkeypatch, tmp_path):
-    """env > tuned file > DEFAULT_VECTOR_MIN, malformed files ignored."""
-    _isolate_tuning(monkeypatch, tmp_path)
-    monkeypatch.delenv("REPRO_KERNEL_VECTOR_MIN", raising=False)
-    assert kernel.tuned_vector_min() is None
-    assert vector_min_width() == kernel.DEFAULT_VECTOR_MIN
-
-    path = kernel.save_tuning({"vector_min": 7, "crossover": 7})
-    assert path == tmp_path / "tuning.json"
-    assert kernel.tuned_vector_min() == 7
-    assert vector_min_width() == 7
-
-    monkeypatch.setenv("REPRO_KERNEL_VECTOR_MIN", "5")
-    assert vector_min_width() == 5  # env beats the tuned file
-
-    monkeypatch.delenv("REPRO_KERNEL_VECTOR_MIN", raising=False)
-    for bad in ('{"vector_min": "lots"}', '{"vector_min": 1}',
-                '{"vector_min": true}', "not json", "[]"):
-        (tmp_path / "tuning.json").write_text(bad)
-        assert kernel.tuned_vector_min() is None
-        assert vector_min_width() == kernel.DEFAULT_VECTOR_MIN
-
-
-def test_calibrate_structure_and_persistence(monkeypatch, tmp_path):
-    _isolate_tuning(monkeypatch, tmp_path)
-    record = kernel.calibrate(widths=(2, 3), uops=250, repeats=1)
-    assert record["widths"] == [2, 3]
-    assert set(record["batched_seconds"]) == {"2", "3"}
-    assert set(record["vectorized_seconds"]) == {"2", "3"}
-    assert all(v > 0 for v in record["batched_seconds"].values())
-    assert record["vector_min"] >= 2
-    kernel.save_tuning(record)
-    assert kernel.tuned_vector_min() == record["vector_min"]
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +296,8 @@ def test_manifest_rejects_malformed_kernel_section():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shim (satellite: the module-global limiter counter)
+# Limiter bookkeeping: occupancy-map sizes ride on every result
 # ---------------------------------------------------------------------------
-
-
-def test_last_tracked_cycles_deprecated_and_on_stats():
-    from repro.uarch import ooo
-
-    result = run_trace(base_config(), _fresh_trace(spec_profiles()[0], 400))
-    assert result.stats.tracked_limiter_cycles > 0
-    with pytest.warns(DeprecationWarning):
-        legacy = ooo.last_tracked_cycles()
-    assert legacy == result.stats.tracked_limiter_cycles
 
 
 def test_kernel_results_carry_tracked_limiter_cycles():
@@ -403,5 +306,6 @@ def test_kernel_results_carry_tracked_limiter_cycles():
     trace = _fresh_trace(profile, 800)
     oracle = [run_trace(config, trace) for config in configs]
     batched = run_trace_batch(configs, _fresh_trace(profile, 800))
+    assert all(r.stats.tracked_limiter_cycles > 0 for r in oracle)
     assert [r.stats.tracked_limiter_cycles for r in batched] == \
         [r.stats.tracked_limiter_cycles for r in oracle]

@@ -208,12 +208,11 @@ def _random_config(index, fields):
     uops=st.integers(min_value=20, max_value=120),
     seed=st.integers(min_value=0, max_value=2**16),
     profile_index=st.integers(min_value=0, max_value=20),
-    force_vector=st.booleans(),
 )
 def test_run_trace_batch_matches_oracle(config_fields, uops, seed,
-                                        profile_index, force_vector):
+                                        profile_index):
     """The batched kernel is cycle-exact (full result equality) against
-    per-config scalar simulation, on both of its internal paths."""
+    per-config scalar simulation."""
     from repro.uarch.kernel import run_trace_batch
     from repro.uarch.ooo import run_trace
     from repro.workloads.generator import generate_trace
@@ -225,10 +224,7 @@ def test_run_trace_batch_matches_oracle(config_fields, uops, seed,
                for i, fields in enumerate(config_fields)]
     trace = generate_trace(profile, uops, seed=seed)
     oracle = [run_trace(config, trace) for config in configs]
-    batched = run_trace_batch(
-        configs, trace, min_vector_width=1 if force_vector else None
-    )
-    assert batched == oracle
+    assert run_trace_batch(configs, trace) == oracle
 
 
 # ---------------------------------------------------------------------------

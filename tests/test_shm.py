@@ -66,9 +66,6 @@ def test_attached_batch_matches_oracle(profile_index):
     try:
         results = shm.run_handle_batch(publication.handle, configs)
         assert results == oracle  # full SimResult equality, CPI included
-        # The scalar-forced path through the attached proxy agrees too.
-        assert shm.run_handle_batch(publication.handle, configs,
-                                    min_vector_width=10**9) == oracle
     finally:
         publication.unlink()
     assert not _block_exists(publication.handle)
@@ -115,7 +112,7 @@ def test_stale_handle_falls_back_to_copy_path():
         [spec.config for spec in specs],
     )
     publication.unlink()  # handle now points at a vanished block
-    results, _, used_kernel, _, shm_used = _timed_execute_unit(
+    results, _, used_kernel, shm_used = _timed_execute_unit(
         ("shm", publication.handle, specs)
     )
     assert results == expected
@@ -150,7 +147,7 @@ def test_pool_sharding_matches_serial_and_records_shm():
     shards = [r for r in record.kernel_batches if r.shm]
     assert len(shards) == 2  # one wide group sharded across both workers
     assert sum(r.width for r in shards) == len(specs)
-    assert all(r.used_kernel and r.path == "vectorized" for r in shards)
+    assert all(r.used_kernel and r.shm for r in shards)
     assert record.kernel_summary()["shm_groups"] == 2
     leftovers = [f for f in os.listdir("/dev/shm") if f.startswith("psm_")]
     assert leftovers == []
