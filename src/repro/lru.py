@@ -1,8 +1,8 @@
 """A tiny capped LRU memo shared by every hand-rolled cache in the tree.
 
-Three call sites used to carry their own OrderedDict + cap + eviction
-loop (the multicore trace/image memos and the kernel-path trace memo);
-they all ride on :class:`LruMemo` now.  The class is dependency-free on
+The call sites that used to carry their own OrderedDict + cap +
+eviction loop (the multicore trace/image memos, the kernel-path trace
+memo and the warm-cache snapshots) all ride on :class:`LruMemo` now.  The class is dependency-free on
 purpose — it sits at the top of the package so ``repro.uarch``,
 ``repro.engine`` and ``repro.thermal`` can all import it without
 creating cycles.
@@ -33,12 +33,18 @@ class LruMemo:
             value = self._data[key]
         except KeyError:
             value = build()
-            self._data[key] = value
-            while len(self._data) > self.cap:
-                self._data.popitem(last=False)
+            self.put(key, value)
             return value
         self._data.move_to_end(key)
         return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` under ``key`` as the most recently used entry,
+        replacing any cached value."""
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.cap:
+            self._data.popitem(last=False)
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value without building (refreshes recency)."""

@@ -23,6 +23,7 @@ import dataclasses
 import math
 from typing import Iterable, Optional, Tuple
 
+from repro.lru import LruMemo
 from repro.sram.bitcell import Bitcell
 from repro.tech import constants
 from repro.tech.transistor import Transistor, VtClass
@@ -395,6 +396,14 @@ def _route_energy(width: float, height: float, bits: float, vdd: float,
     return bits * wire.capacitance(length) * vdd**2 * 0.5
 
 
+#: Solved organisations, keyed on every argument of :func:`solve_2d`
+#: (all frozen).  The partition strategies and the power model's energy
+#: factors re-solve the same dozen structures for every design point;
+#: capped because a long-lived server may meet new geometries or supply
+#: voltages.
+_SOLVE_2D_MEMO = LruMemo(cap=128)
+
+
 def solve_2d(
     geometry: ArrayGeometry,
     *,
@@ -412,7 +421,30 @@ def solve_2d(
     Multi-ported core structures almost always settle at 1x1 or 1x2; large
     caches fold into many subarrays — which is why 3D partitioning helps the
     small wire-dominated structures relatively more (Section 3.2.1).
+
+    The search is a pure function of its arguments, so each distinct
+    argument set is solved once per process (:data:`_SOLVE_2D_MEMO`).
     """
+    degrees = tuple(degrees)
+    key = (geometry, cell, vdd, degrees, words, bits,
+           tuple(sorted(plane_kwargs.items())))
+    return _SOLVE_2D_MEMO.get(key, lambda: _search_2d(
+        geometry, cell=cell, vdd=vdd, degrees=degrees, words=words,
+        bits=bits, **plane_kwargs,
+    ))
+
+
+def _search_2d(
+    geometry: ArrayGeometry,
+    *,
+    cell: Optional[Bitcell] = None,
+    vdd: float = constants.VDD_NOMINAL_22NM,
+    degrees: Tuple[int, ...] = DIVISION_DEGREES,
+    words: Optional[int] = None,
+    bits: Optional[float] = None,
+    **plane_kwargs,
+) -> ArrayMetrics:
+    """The unmemoized organisation search behind :func:`solve_2d`."""
     the_cell = cell if cell is not None else geometry.cell()
     n_words = geometry.words if words is None else words
     n_bits = float(geometry.bits) if bits is None else float(bits)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.configs import CoreConfig
+from repro.lru import LruMemo
 
 
 #: Lines fetched ahead by the L2 stream prefetcher on each L2 miss.
@@ -80,14 +80,20 @@ class AccessResult:
         return f"AccessResult(latency={self.latency}, level={self.level!r})"
 
 
-#: Memo of post-preload cache states, keyed by the resident-line content
-#: and the (only varying) L2 geometry.  Re-warming the hierarchy for every
-#: configuration sweeping the same trace costs more than the simulation
-#: itself; restoring a snapshot is ~60x cheaper than replaying the lines.
-_PRELOAD_SNAPSHOTS: "OrderedDict[tuple, Tuple[List[List[int]], ...]]" = (
-    OrderedDict()
-)
-_PRELOAD_SNAPSHOT_CAP = 256
+#: Memo of post-preload LRU states, one entry per cache level, keyed by
+#: the level's geometry and the digests of the resident-line streams it
+#: sees (IL1: code; DL1: data; L2 and L3: both).  Re-warming the
+#: hierarchy for every configuration sweeping the same trace costs more
+#: than the simulation itself; restoring a snapshot is ~60x cheaper than
+#: replaying the lines.  Keying per level lets the two L2 geometries of
+#: one trace share the IL1, DL1 and L3 states.  Values are immutable
+#: tuples of per-set tag tuples, copied into the sets on restore.  One
+#: (trace, L2 geometry) pair needs at most four entries, so the cap holds
+#: at least 256 such pairs.  Entries built: the cold report 189,
+#: perfbench ``explore_cold`` 13, ``repro manycore mixed-4x4`` over the
+#: whole parallel suite 241 (its 16 threads x 5 distinct data footprints,
+#: three levels each, plus one IL1).
+_PRELOAD_SNAPSHOTS = LruMemo(cap=1024)
 
 
 def _lines_digest(lines: List[int]) -> bytes:
@@ -115,23 +121,14 @@ def _newest_first_tags(streams, line_bytes: int) -> List[int]:
 
 
 def _distribute_tags(newest_first: List[int], sets: int,
-                     ways: int) -> List[List[int]]:
-    """Fill per-set LRU lists from a newest-first tag order."""
+                     ways: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per-set LRU-first tag tuples filled from a newest-first tag order."""
     lines: List[List[int]] = [[] for _ in range(sets)]
     for tag in newest_first:
         line = lines[tag % sets]
         if len(line) < ways:
             line.append(tag)
-    return [line[::-1] for line in lines]
-
-
-def _warmed_lines(streams, line_bytes: int, sets: int,
-                  ways: int) -> List[List[int]]:
-    """LRU state after accessing ``streams`` in order, computed directly
-    (O(accesses) instead of replaying every access through the LRU)."""
-    return _distribute_tags(
-        _newest_first_tags(streams, line_bytes), sets, ways
-    )
+    return tuple(tuple(reversed(line)) for line in lines)
 
 
 class CacheHierarchy:
@@ -162,51 +159,42 @@ class CacheHierarchy:
         """
         levels = (self.il1, self.dl1, self.l2, self.l3)
         # Warming is a pure function of the resident lines and the cache
-        # geometry; snapshot the resulting LRU state and restore it for
-        # every later hierarchy warming the same trace.  Only safe when
-        # this hierarchy is still untouched.
+        # geometry; snapshot each level's resulting LRU state and restore
+        # it for every later hierarchy warming the same lines.  Only safe
+        # when this hierarchy is still untouched.
         pristine = self._never_preloaded and not any(
             cache.accesses for cache in levels
         )
         self._never_preloaded = False
-        key = None
-        if pristine:
-            key = (
-                self.l2.sets,
-                _lines_digest(data_lines),
-                _lines_digest(code_lines),
-            )
-            snapshot = _PRELOAD_SNAPSHOTS.get(key)
-            if snapshot is not None:
-                _PRELOAD_SNAPSHOTS.move_to_end(key)
-                for cache, lines in zip(levels, snapshot):
-                    cache._lines = [list(line) for line in lines]
-                    cache.accesses = 0
-                    cache.misses = 0
-                return
         if pristine:
             # Untouched hierarchy: build each level's warm LRU state
             # directly from the streams' last-access order (exact — see
             # :func:`_newest_first_tags`) instead of replaying every
-            # access.  L2 and L3 see the same streams at the same line
-            # size, so they share one recency pass.
-            shared = _newest_first_tags(
-                (data_lines, code_lines), self.l2.line_bytes
-            )
-            l3_tags = (shared if self.l3.line_bytes == self.l2.line_bytes
-                       else _newest_first_tags((data_lines, code_lines),
-                                               self.l3.line_bytes))
-            for cache, newest_first in (
-                (self.il1, _newest_first_tags((code_lines,),
-                                              self.il1.line_bytes)),
-                (self.dl1, _newest_first_tags((data_lines,),
-                                              self.dl1.line_bytes)),
-                (self.l2, shared),
-                (self.l3, l3_tags),
-            ):
-                cache._lines = _distribute_tags(
-                    newest_first, cache.sets, cache.ways
+            # access.  Levels that see the same streams at the same line
+            # size (L2 and L3) share one recency pass.
+            streams = (data_lines, code_lines)
+            digests = tuple(_lines_digest(lines) for lines in streams)
+            recency: Dict[tuple, List[int]] = {}
+
+            def build(cache: SetAssociativeCache, seen: tuple) -> tuple:
+                key = (seen, cache.line_bytes)
+                if key not in recency:
+                    recency[key] = _newest_first_tags(
+                        [streams[k] for k in seen], cache.line_bytes
+                    )
+                return _distribute_tags(recency[key], cache.sets, cache.ways)
+
+            # ``seen`` indexes (data, code): data goes in before code.
+            for cache, seen in ((self.il1, (1,)), (self.dl1, (0,)),
+                                (self.l2, (0, 1)), (self.l3, (0, 1))):
+                key = (cache.name, cache.sets, cache.ways, cache.line_bytes,
+                       tuple(digests[k] for k in seen))
+                snapshot = _PRELOAD_SNAPSHOTS.get(
+                    key, lambda: build(cache, seen)
                 )
+                # Copy into the untouched level's own (empty) set lists.
+                for line, tags in zip(cache._lines, snapshot):
+                    line.extend(tags)
         else:
             # Already-warm hierarchy: layer the residents on top of the
             # existing state through the ordinary access path.
@@ -221,12 +209,6 @@ class CacheHierarchy:
         for cache in levels:
             cache.accesses = 0
             cache.misses = 0
-        if key is not None:
-            _PRELOAD_SNAPSHOTS[key] = tuple(
-                [list(line) for line in cache._lines] for cache in levels
-            )
-            if len(_PRELOAD_SNAPSHOTS) > _PRELOAD_SNAPSHOT_CAP:
-                _PRELOAD_SNAPSHOTS.popitem(last=False)
 
     def fetch(self, address: int) -> AccessResult:
         """Instruction fetch access."""

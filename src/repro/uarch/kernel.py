@@ -5,7 +5,8 @@ configurations that differ only in latencies, widths and frequency.  The
 scalar :class:`~repro.uarch.ooo.OutOfOrderCore` interleaves three kinds
 of work per micro-op:
 
-1. **trace decoding** — attribute lookups on :class:`MicroOp` objects,
+1. **trace decoding** — slicing the trace's columns into the measured
+   region and deriving per-op latencies and queue positions,
 2. **microarchitectural state that is configuration-independent** — the
    branch predictor outcome and the cache level each access is served
    from depend only on the access *sequence* and the L2 geometry
@@ -14,12 +15,12 @@ of work per micro-op:
 3. **timing recurrences** — the only part that actually varies per
    configuration.
 
-This kernel factors the three apart.  A trace is decoded **once** into
-flat arrays (op class codes, producer distances, FU latencies); the
-predictor and cache hierarchy are replayed **once per cache geometry**
-into per-access level/outcome arrays; and the timing recurrences are
-then evaluated against those arrays by one generated loop
-(:func:`_time_merged`) that walks the trace once and advances up to
+This kernel factors the three apart.  A trace's columns are decoded
+**once** into flat arrays (op class codes, producer distances, FU
+latencies); the predictor and cache hierarchy are replayed **once per
+cache geometry** into per-access level/outcome arrays; and the timing
+recurrences are then evaluated against those arrays by one generated
+loop (:func:`_time_merged`) that walks the trace once and advances up to
 :data:`MERGED_CHUNK` configurations' recurrences side by side, with no
 cache/predictor/decode work left in it.
 
@@ -34,7 +35,7 @@ solver's reference path).
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +51,9 @@ from repro.uarch.cache import (
 from repro.uarch.isa import (
     FP_DIV_ISSUE_INTERVAL,
     FU_POOLS,
+    OP_CODE,
     OP_LATENCY,
+    OP_ORDER,
     OpClass,
     Trace,
 )
@@ -61,20 +64,23 @@ from repro.uarch.ooo import (
     SimStats,
 )
 
-#: Stable integer encoding of :class:`OpClass` (SoA op-code arrays).
-_OP_ORDER = tuple(OpClass)
-_CODE = {op: index for index, op in enumerate(_OP_ORDER)}
-_LOAD = _CODE[OpClass.LOAD]
-_STORE = _CODE[OpClass.STORE]
-_BRANCH = _CODE[OpClass.BRANCH]
-_COMPLEX = _CODE[OpClass.COMPLEX]
-_SYNC = _CODE[OpClass.SYNC]
-_DIV = _CODE[OpClass.DIV]
-_FP_DIV = _CODE[OpClass.FP_DIV]
-_FP_ADD = _CODE[OpClass.FP_ADD]
-_FP_MUL = _CODE[OpClass.FP_MUL]
-_LAT = tuple(OP_LATENCY[op] for op in _OP_ORDER)
-_POOL_SIZES = tuple(FU_POOLS[op] for op in _OP_ORDER)
+_LOAD = OP_CODE[OpClass.LOAD]
+_STORE = OP_CODE[OpClass.STORE]
+_BRANCH = OP_CODE[OpClass.BRANCH]
+_COMPLEX = OP_CODE[OpClass.COMPLEX]
+_SYNC = OP_CODE[OpClass.SYNC]
+_DIV = OP_CODE[OpClass.DIV]
+_FP_DIV = OP_CODE[OpClass.FP_DIV]
+_FP_ADD = OP_CODE[OpClass.FP_ADD]
+_FP_MUL = OP_CODE[OpClass.FP_MUL]
+_LAT = tuple(OP_LATENCY[op] for op in OP_ORDER)
+#: Table 9: only the divides block their unit for the full latency;
+#: everything else is pipelined.
+_BUSY = tuple(
+    _LAT[code] if code in (_DIV, _FP_DIV) else 1
+    for code in range(len(OP_ORDER))
+)
+_POOL_SIZES = tuple(FU_POOLS[op] for op in OP_ORDER)
 
 #: Memory levels in fixed order; replay stores per-access level codes.
 _LEVELS = ("L1", "L2", "L3", "DRAM")
@@ -91,7 +97,9 @@ def kernel_enabled() -> bool:
 
 
 class TraceArrays:
-    """Flat, configuration-independent decode of a trace's measured region."""
+    """Flat, configuration-independent decode of a trace's measured region:
+    slices of the trace's columns plus per-op latency/occupancy tables
+    and the load/store/sync positions the queue limiters walk."""
 
     __slots__ = (
         "n", "codes", "src1", "src2", "lat", "busy",
@@ -101,61 +109,39 @@ class TraceArrays:
     )
 
     def __init__(self, trace: Trace) -> None:
-        ops = trace.ops[trace.warmup_ops:]
-        n = len(ops)
+        warmup = trace.warmup_ops
+        codes = trace.codes[warmup:]
+        n = len(codes)
         self.n = n
-        codes = [0] * n
-        src1 = [0] * n
-        src2 = [0] * n
-        lat = [0] * n
-        busy = [0] * n
-        load_pos: List[int] = []
-        store_pos: List[int] = []
-        sync_pos: List[int] = []
-        branches = fp_ops = complex_decodes = 0
-        code_of = _CODE
-        for i, uop in enumerate(ops):
-            code = code_of[uop.op]
-            codes[i] = code
-            # A producer distance beyond the measured prefix never gates
-            # (the oracle's ``dist <= i`` check); encode it as "ready".
-            dist = uop.src1
-            if dist is not None and dist <= i:
-                src1[i] = dist
-            dist = uop.src2
-            if dist is not None and dist <= i:
-                src2[i] = dist
-            latency = _LAT[code]
-            lat[i] = latency
-            # Table 9: only the divides block their unit for the full
-            # latency; everything else is pipelined.
-            busy[i] = latency if (code == _DIV or code == _FP_DIV) else 1
-            if code == _LOAD:
-                load_pos.append(i)
-            elif code == _STORE:
-                store_pos.append(i)
-            elif code == _BRANCH:
-                branches += 1
-            elif code == _COMPLEX:
-                complex_decodes += 1
-            elif code == _SYNC:
-                sync_pos.append(i)
-            elif code == _FP_ADD or code == _FP_MUL or code == _FP_DIV:
-                fp_ops += 1
         self.codes = codes
-        self.src1 = src1
-        self.src2 = src2
-        self.lat = lat
-        self.busy = busy
-        self.load_pos = load_pos
-        self.store_pos = store_pos
-        self.sync_pos = sync_pos
-        self.loads = len(load_pos)
-        self.stores = len(store_pos)
-        self.branches = branches
-        self.fp_ops = fp_ops
-        self.complex_decodes = complex_decodes
+        self.src1 = _measured_distances(trace.src1[warmup:])
+        self.src2 = _measured_distances(trace.src2[warmup:])
+        self.lat = tuple([_LAT[code] for code in codes])
+        self.busy = tuple([_BUSY[code] for code in codes])
+        self.load_pos = tuple([i for i, code in enumerate(codes)
+                               if code == _LOAD])
+        self.store_pos = tuple([i for i, code in enumerate(codes)
+                                if code == _STORE])
+        self.sync_pos = tuple([i for i, code in enumerate(codes)
+                               if code == _SYNC])
+        self.loads = len(self.load_pos)
+        self.stores = len(self.store_pos)
+        self.branches = codes.count(_BRANCH)
+        self.fp_ops = (codes.count(_FP_ADD) + codes.count(_FP_MUL)
+                       + codes.count(_FP_DIV))
+        self.complex_decodes = codes.count(_COMPLEX)
         self.ifetch_blocks = (n + FETCH_BLOCK_UOPS - 1) // FETCH_BLOCK_UOPS
+
+
+def _measured_distances(distances: Tuple[int, ...]) -> Tuple[int, ...]:
+    """A measured-region distance column, with producers that fall
+    before the measured region encoded as ready (``0``: the oracle's
+    ``dist <= i`` check never gates on them).  Only the first
+    ``max(distances)`` ops can reach that far back."""
+    reach = min(max(distances, default=0), len(distances))
+    head = tuple([dist if dist <= i else 0
+                  for i, dist in enumerate(distances[:reach])])
+    return head + distances[reach:]
 
 
 class MemoryImage:
@@ -200,7 +186,7 @@ def decode(trace: Trace) -> TraceArrays:
     return arrays
 
 
-def branch_outcomes(trace: Trace) -> List[bool]:
+def branch_outcomes(trace: Trace) -> Sequence[bool]:
     """Per-branch predictor outcomes for the measured region, memoized.
 
     The tournament predictor is fully configuration-independent, so the
@@ -210,21 +196,17 @@ def branch_outcomes(trace: Trace) -> List[bool]:
     state = _kernel_state(trace)
     corrects = state.get("branches")
     if corrects is None:
-        predictor = TournamentPredictor()
-        predict_and_train = predictor.predict_and_train
-        ops = trace.ops
+        predict_and_train = TournamentPredictor().predict_and_train
+        pcs = trace.pc
+        taken = trace.taken
         warmup = trace.warmup_ops
-        BRANCH = OpClass.BRANCH
-        for i in range(warmup):
-            uop = ops[i]
-            if uop.op is BRANCH:
-                predict_and_train(uop.pc, uop.taken)
-        corrects = []
-        for i in range(warmup, len(ops)):
-            uop = ops[i]
-            if uop.op is BRANCH:
-                corrects.append(predict_and_train(uop.pc, uop.taken))
-        state["branches"] = corrects
+        measured = []
+        for i, code in enumerate(trace.codes):
+            if code == _BRANCH:
+                correct = predict_and_train(pcs[i], taken[i])
+                if i >= warmup:
+                    measured.append(correct)
+        corrects = state["branches"] = tuple(measured)
     return corrects
 
 
@@ -235,8 +217,9 @@ def _level_walker(cache):
     applied later.  Walking the per-set lists directly skips the
     ``AccessResult`` allocation and hit/miss bookkeeping of
     :meth:`SetAssociativeCache.access` — the hierarchy is replay-private,
-    so its counters are never read.  Build walkers only *after*
-    ``preload`` (which may swap the ``_lines`` object wholesale).
+    so its counters are never read.  The closure walks and reorders the
+    level's own per-set lists, so it sees the warm state ``preload``
+    put there.
     """
     lines = cache._lines
     sets = cache.sets
@@ -279,10 +262,10 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
     caches = CacheHierarchy(donor_config, core_id, None)
     if trace.resident_data or trace.resident_code:
         caches.preload(trace.resident_data, trace.resident_code)
-    ops = trace.ops
+    codes = trace.codes
+    pcs = trace.pc
+    addresses = trace.address
     warmup = trace.warmup_ops
-    LOAD = OpClass.LOAD
-    STORE = OpClass.STORE
     il1 = _level_walker(caches.il1)
     dl1 = _level_walker(caches.dl1)
     l2 = _level_walker(caches.l2)
@@ -323,38 +306,41 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
     # interact, so the split replay is exact.  The directory account runs
     # *before* the cache lookup, matching ``CacheHierarchy.data_access``.
     for i in range(warmup):
-        uop = ops[i]
         if i % FETCH_BLOCK_UOPS == 0:
-            fetch_code(uop.pc if uop.pc else i * 4)
-        op = uop.op
-        if op is LOAD or op is STORE:
+            pc = pcs[i]
+            fetch_code(pc if pc else i * 4)
+        op = codes[i]
+        if op == _LOAD or op == _STORE:
+            address = addresses[i]
             if account is not None:
-                account(core_id, uop.address, op is STORE, noc_penalty)
-            data_code(uop.address)
+                account(core_id, address, op == _STORE, noc_penalty)
+            data_code(address)
     fetch_levels: List[int] = []
     load_levels: List[int] = []
     load_remote: List[int] = []
     code_counts = [0, 0, 0, 0]
-    for i in range(warmup, len(ops)):
-        uop = ops[i]
+    for i in range(warmup, len(codes)):
         measured_index = i - warmup
         if measured_index % FETCH_BLOCK_UOPS == 0:
+            pc = pcs[i]
             fetch_levels.append(
-                fetch_code(uop.pc if uop.pc else measured_index * 4)
+                fetch_code(pc if pc else measured_index * 4)
             )
-        op = uop.op
-        if op is LOAD:
+        op = codes[i]
+        if op == _LOAD:
+            address = addresses[i]
             extra = 0
             if account is not None:
-                extra = account(core_id, uop.address, False, noc_penalty)
-            code = data_code(uop.address)
+                extra = account(core_id, address, False, noc_penalty)
+            code = data_code(address)
             code_counts[code] += 1
             load_levels.append(code)
             load_remote.append(1 if extra else 0)
-        elif op is STORE:
+        elif op == _STORE:
+            address = addresses[i]
             if account is not None:
-                account(core_id, uop.address, True, noc_penalty)
-            data_code(uop.address)
+                account(core_id, address, True, noc_penalty)
+            data_code(address)
     counts = {
         level: count
         for level, count in zip(_LEVELS, code_counts) if count

@@ -30,7 +30,6 @@ average latency.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.configs import CoreConfig
@@ -316,10 +315,18 @@ def run_parallel(
 # -- batched evaluation through the SoA kernel --------------------------------
 
 #: Per-process multicore trace memo: every configuration with the same
-#: core count shares one generated trace set per (profile, share, seed,
-#: thread) — ``run_parallel`` regenerating them per config is the single
-#: biggest cost of a cold multicore sweep.
+#: core count shares one trace set per (profile, share, seed, thread) —
+#: ``run_parallel`` regenerating them per config is the single biggest
+#: cost of a cold multicore sweep.  Each trace carries its own kernel
+#: decode/replay memos.
 _MC_TRACE_MEMO = LruMemo(cap=64)
+
+#: The longest trace generated so far per (profile, seed, thread).  The
+#: generator's draws do not depend on the requested length, so a shorter
+#: share is a prefix of it (:meth:`Trace.prefix`): an 8-core split's
+#: threads 0-3 come from the 4-core split's traces.  Entries are never
+#: handed to the kernel, so they hold columns only.
+_MC_STREAM_MEMO = LruMemo(cap=32)
 
 #: Per-process memo of coherence-sequenced memory images, keyed by the
 #: (profile, work split, per-tile geometry) that determines them.
@@ -328,15 +335,23 @@ _MC_IMAGE_MEMO = LruMemo(cap=32)
 
 
 def _mc_trace(profile: AppProfile, share: int, seed: int, thread: int):
+    """Thread ``thread``'s ``share``-uop trace, generated only when no
+    longer trace of the same stream is memoized."""
     from repro.engine.cache import make_key
     from repro.workloads.generator import generate_trace
 
+    def build():
+        stream_key = make_key("mc-stream", profile=profile, seed=seed,
+                              thread=thread)
+        stream = _MC_STREAM_MEMO.peek(stream_key)
+        if stream is None or len(stream) - stream.warmup_ops < share:
+            stream = generate_trace(profile, share, seed=seed, thread=thread)
+            _MC_STREAM_MEMO.put(stream_key, stream)
+        return stream.prefix(share)
+
     key = make_key("mc-trace", profile=profile, uops=share, seed=seed,
                    thread=thread)
-    return _MC_TRACE_MEMO.get(
-        key,
-        lambda: generate_trace(profile, share, seed=seed, thread=thread),
-    )
+    return _MC_TRACE_MEMO.get(key, build)
 
 
 def _prepare_tile_replay(
@@ -506,16 +521,18 @@ def run_parallel_batch(
     if not profile.is_parallel:
         raise ValueError(f"{profile.name} is not a parallel profile")
     results: List[Optional[MulticoreResult]] = [None] * len(configs)
-    by_cores: "OrderedDict[int, List[int]]" = OrderedDict()
+    by_cores: Dict[int, List[int]] = {}
     for index, config in enumerate(configs):
         by_cores.setdefault(config.num_cores, []).append(index)
-    for cores, indices in by_cores.items():
+    # Fewest cores first: their per-core shares are the longest, so the
+    # larger core counts' shares are prefixes of already-generated traces.
+    for cores, indices in sorted(by_cores.items()):
         shares = _work_shares(total_uops, cores)
         traces = [
             _mc_trace(profile, share, seed, core_id)
             for core_id, share in enumerate(shares)
         ]
-        by_geometry: "OrderedDict[bool, List[int]]" = OrderedDict()
+        by_geometry: Dict[bool, List[int]] = {}
         for index in indices:
             by_geometry.setdefault(configs[index].shared_l2, []).append(index)
         for shared_l2, geo_indices in by_geometry.items():

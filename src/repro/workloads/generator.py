@@ -14,13 +14,22 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional
+from typing import List
 
-from repro.uarch.isa import MicroOp, OpClass, Trace
+from repro.uarch.isa import OP_CODE, WARMUP_FRAC, OpClass, Trace
 from repro.workloads.profiles import AppProfile
 
 #: Base of the shared region used by parallel traces.
 SHARED_REGION_BASE = 1 << 40
+
+_ALU = OP_CODE[OpClass.ALU]
+_LOAD = OP_CODE[OpClass.LOAD]
+_STORE = OP_CODE[OpClass.STORE]
+_BRANCH = OP_CODE[OpClass.BRANCH]
+_SYNC = OP_CODE[OpClass.SYNC]
+_FP_ADD = OP_CODE[OpClass.FP_ADD]
+_FP_MUL = OP_CODE[OpClass.FP_MUL]
+_FP_DIV = OP_CODE[OpClass.FP_DIV]
 
 
 class TraceGenerator:
@@ -60,144 +69,156 @@ class TraceGenerator:
             self._branch_bias.append(bias)
         self._code_ptr = 4096
 
-    # -- address streams ------------------------------------------------------
-
-    def _data_address(self) -> int:
-        """Next data address: hot set, stream, shared, or random walk."""
-        profile = self.profile
-        roll = self._rng.random()
-        if profile.is_parallel and roll < profile.sharing_frac:
-            # Shared region: all threads touch the same lines.
-            return SHARED_REGION_BASE + self._rng.randrange(
-                max(64, profile.working_set_bytes // 8)
-            )
-        if roll < profile.sharing_frac + profile.hot_frac * (1 - profile.sharing_frac):
-            return self._private_base + self._rng.randrange(profile.hot_set_bytes)
-        if self._rng.random() < profile.stream_frac:
-            self._stream_ptr += profile.stride_bytes
-            span = self._private_base + profile.working_set_bytes
-            if self._stream_ptr >= span:
-                self._stream_ptr = self._private_base
-            return self._stream_ptr
-        return self._private_base + self._rng.randrange(self._pool_lines) * self._pool_stride
-
-    def _code_address(self) -> int:
-        """Next instruction-block address (mostly sequential)."""
-        if self._rng.random() < 0.1:
-            self._code_ptr = 4096 + (
-                self._rng.randrange(self.profile.code_bytes) & ~31
-            )
-        else:
-            self._code_ptr += 32
-            if self._code_ptr >= 4096 + self.profile.code_bytes:
-                self._code_ptr = 4096
-        return self._code_ptr
-
-    # -- dependencies -----------------------------------------------------------
-
-    def _dep(self, index: int) -> Optional[int]:
-        """Draw one producer distance (None = operand already ready)."""
-        profile = self.profile
-        if index == 0 or self._rng.random() > 0.55:
-            return None
-        if self._rng.random() < profile.serial_frac:
-            distance = 1 + int(self._rng.expovariate(1.0 / 2.0))
-        else:
-            distance = 1 + int(
-                self._rng.expovariate(1.0 / profile.dep_distance_mean)
-            )
-        return min(distance, index)
-
-    # -- op synthesis -----------------------------------------------------------
-
-    def _op_class(self) -> OpClass:
-        profile = self.profile
-        roll = self._rng.random()
-        thresholds = (
-            (profile.load_frac, OpClass.LOAD),
-            (profile.store_frac, OpClass.STORE),
-            (profile.branch_frac, OpClass.BRANCH),
-            (profile.fp_frac, None),  # refined below
-            (profile.mul_frac, OpClass.MUL),
-            (profile.div_frac, OpClass.DIV),
-            (profile.complex_frac, OpClass.COMPLEX),
-        )
-        acc = 0.0
-        for frac, klass in thresholds:
-            acc += frac
-            if roll < acc:
-                if klass is not None:
-                    return klass
-                fp_roll = self._rng.random()
-                if fp_roll < 0.55:
-                    return OpClass.FP_ADD
-                if fp_roll < 0.93:
-                    return OpClass.FP_MUL
-                return OpClass.FP_DIV
-        return OpClass.ALU
-
-    def generate(self, num_uops: int, warmup_frac: float = 0.5) -> Trace:
+    def generate(self, num_uops: int,
+                 warmup_frac: float = WARMUP_FRAC) -> Trace:
         """Emit a trace of ``num_uops`` *measured* micro-ops plus a
         fast-forward warmup prefix of ``warmup_frac * num_uops`` ops
-        (barrier markers included for parallel profiles)."""
+        (barrier markers included for parallel profiles).
+
+        One loop writes the trace's columns directly.  Per op it draws,
+        in order: the op class (plus an FP refinement), the next
+        instruction-block address (mostly sequential), then for a branch
+        its static site and direction, then up to two producer distances
+        and, for a load/store, a data address (hot set, stream, shared or
+        working-set pool).  Nothing drawn depends on the requested
+        length, so a shorter trace is a prefix of a longer one
+        (:meth:`Trace.prefix`).
+        """
         if num_uops < 1:
             raise ValueError("trace length must be positive")
         warmup_ops = int(num_uops * warmup_frac)
-        num_uops = num_uops + warmup_ops
+        total = num_uops + warmup_ops
         profile = self.profile
-        ops: List[MicroOp] = []
+        rng = self._rng
+        random = rng.random
+        randrange = rng.randrange
+        expovariate = rng.expovariate
+        parallel = profile.is_parallel
+        barrier_period = profile.barrier_period
         barrier_id = 0
-        next_barrier = profile.barrier_period or 0
+        next_barrier = barrier_period or 0
         # Imbalance: threads do slightly different amounts of work between
         # barriers; thread 0 is the reference.
         skew = 1.0 + profile.imbalance * (
-            self._rng.random() - 0.5
-        ) * 2.0 if profile.is_parallel and self._thread else 1.0
+            random() - 0.5
+        ) * 2.0 if parallel and self._thread else 1.0
 
-        while len(ops) < num_uops:
-            index = len(ops)
-            if profile.is_parallel and next_barrier and index >= next_barrier:
-                ops.append(MicroOp(op=OpClass.SYNC, barrier=barrier_id))
+        # Op-class thresholds, accumulated in draw order; FP (code -1) is
+        # refined into add/mul/div by a second draw.
+        cuts = []
+        acc = 0.0
+        for frac, code in (
+            (profile.load_frac, _LOAD),
+            (profile.store_frac, _STORE),
+            (profile.branch_frac, _BRANCH),
+            (profile.fp_frac, -1),
+            (profile.mul_frac, OP_CODE[OpClass.MUL]),
+            (profile.div_frac, OP_CODE[OpClass.DIV]),
+            (profile.complex_frac, OP_CODE[OpClass.COMPLEX]),
+        ):
+            acc += frac
+            cuts.append((acc, code))
+        code_bytes = profile.code_bytes
+        code_end = 4096 + code_bytes
+        code_ptr = self._code_ptr
+        serial_frac = profile.serial_frac
+        dep_lambda = 1.0 / profile.dep_distance_mean
+        sharing_frac = profile.sharing_frac
+        hot_cut = sharing_frac + profile.hot_frac * (1 - sharing_frac)
+        shared_span = max(64, profile.working_set_bytes // 8)
+        hot_set_bytes = profile.hot_set_bytes
+        stream_frac = profile.stream_frac
+        stride = profile.stride_bytes
+        private_base = self._private_base
+        stream_end = private_base + profile.working_set_bytes
+        stream_ptr = self._stream_ptr
+        pool_lines = self._pool_lines
+        pool_stride = self._pool_stride
+        branch_pcs = self._branch_pcs
+        branch_bias = self._branch_bias
+        sites = len(branch_pcs)
+
+        # Preallocated columns hold each field's default (ALU, ready
+        # operands, no address, pc 0, not taken, no barrier); the loop
+        # stores only what differs.
+        codes = [_ALU] * total
+        src1 = [0] * total
+        src2 = [0] * total
+        address = [0] * total
+        pc = [0] * total
+        taken = [False] * total
+        barrier = [-1] * total
+        index = 0
+        while index < total:
+            if parallel and next_barrier and index >= next_barrier:
+                codes[index] = _SYNC
+                barrier[index] = barrier_id
                 barrier_id += 1
-                next_barrier = index + max(100, int(profile.barrier_period * skew))
+                next_barrier = index + max(100, int(barrier_period * skew))
+                index += 1
                 continue
-            klass = self._op_class()
-            pc = self._code_address()
-            if klass in (OpClass.LOAD, OpClass.STORE):
-                ops.append(
-                    MicroOp(
-                        op=klass,
-                        src1=self._dep(index),
-                        address=self._data_address(),
-                        pc=pc,
-                    )
-                )
-            elif klass is OpClass.BRANCH:
-                site = self._rng.randrange(len(self._branch_pcs))
-                taken = self._rng.random() < self._branch_bias[site]
-                ops.append(
-                    MicroOp(
-                        op=klass,
-                        src1=self._dep(index),
-                        pc=self._branch_pcs[site],
-                        taken=taken,
-                    )
-                )
+            roll = random()
+            for cut, code in cuts:
+                if roll < cut:
+                    break
             else:
-                ops.append(
-                    MicroOp(
-                        op=klass,
-                        src1=self._dep(index),
-                        src2=self._dep(index),
-                        pc=pc,
-                    )
-                )
+                code = _ALU
+            if code < 0:
+                fp_roll = random()
+                code = (_FP_ADD if fp_roll < 0.55
+                        else _FP_MUL if fp_roll < 0.93 else _FP_DIV)
+            codes[index] = code
+            if random() < 0.1:
+                code_ptr = 4096 + (randrange(code_bytes) & ~31)
+            else:
+                code_ptr += 32
+                if code_ptr >= code_end:
+                    code_ptr = 4096
+            if code == _BRANCH:
+                site = randrange(sites)
+                taken[index] = random() < branch_bias[site]
+                pc[index] = branch_pcs[site]
+            else:
+                pc[index] = code_ptr
+            # Producer distances: none for the first op or with
+            # probability 0.45; otherwise exponential, mostly short for
+            # serial code, clamped to the trace start.
+            if index and random() <= 0.55:
+                if random() < serial_frac:
+                    dist = 1 + int(expovariate(0.5))
+                else:
+                    dist = 1 + int(expovariate(dep_lambda))
+                src1[index] = dist if dist < index else index
+            if code == _LOAD or code == _STORE:
+                roll = random()
+                if parallel and roll < sharing_frac:
+                    # Shared region: all threads touch the same lines.
+                    address[index] = SHARED_REGION_BASE + randrange(shared_span)
+                elif roll < hot_cut:
+                    address[index] = private_base + randrange(hot_set_bytes)
+                elif random() < stream_frac:
+                    stream_ptr += stride
+                    if stream_ptr >= stream_end:
+                        stream_ptr = private_base
+                    address[index] = stream_ptr
+                else:
+                    address[index] = (private_base
+                                      + randrange(pool_lines) * pool_stride)
+            elif code != _BRANCH and index and random() <= 0.55:
+                if random() < serial_frac:
+                    dist = 1 + int(expovariate(0.5))
+                else:
+                    dist = 1 + int(expovariate(dep_lambda))
+                src2[index] = dist if dist < index else index
+            index += 1
+        self._code_ptr = code_ptr
+        self._stream_ptr = stream_ptr
         return Trace(
             name=profile.name,
-            ops=ops,
             warmup_ops=warmup_ops,
             resident_data=self._resident_data(),
             resident_code=self._resident_code(),
+            columns=[codes, src1, src2, address, pc, taken, barrier],
         )
 
     def _resident_data(self) -> List[int]:
@@ -230,7 +251,8 @@ class TraceGenerator:
 
 
 def generate_trace(profile: AppProfile, num_uops: int, seed: int = 1234,
-                   thread: int = 0, warmup_frac: float = 0.5) -> Trace:
+                   thread: int = 0,
+                   warmup_frac: float = WARMUP_FRAC) -> Trace:
     """One-call convenience wrapper around :class:`TraceGenerator`."""
     return TraceGenerator(profile, seed=seed, thread=thread).generate(
         num_uops, warmup_frac=warmup_frac

@@ -204,6 +204,35 @@ def test_parallel_batch_rejects_serial_profiles():
         run_parallel_batch(multicore_configs(), spec_profiles()[0], 1000)
 
 
+def test_kernel_path_builds_no_micro_ops(monkeypatch):
+    """Traces are generated as columns and the kernel reads the columns:
+    only the scalar oracle, digests and tests build ``MicroOp`` records."""
+    from repro.uarch import multicore
+    from repro.uarch.isa import MicroOp, OpClass
+
+    for memo in (multicore._MC_TRACE_MEMO, multicore._MC_STREAM_MEMO,
+                 multicore._MC_IMAGE_MEMO):
+        memo.clear()
+    built = []
+    original = MicroOp.__post_init__
+
+    def counting(self):
+        built.append(self.op)
+        original(self)
+
+    monkeypatch.setattr(MicroOp, "__post_init__", counting)
+    MicroOp(op=OpClass.ALU)
+    assert built == [OpClass.ALU]  # the counter sees construction
+    built.clear()
+    run_trace_batch(single_core_configs(),
+                    _fresh_trace(spec_profiles()[1], 800))
+    run_parallel_batch(multicore_configs(), parallel_profiles()[1], 2400)
+    assert built == []
+    for memo in (multicore._MC_TRACE_MEMO, multicore._MC_STREAM_MEMO,
+                 multicore._MC_IMAGE_MEMO):
+        memo.clear()
+
+
 # ---------------------------------------------------------------------------
 # Engine regression: figure6 identical with the kernel on and off
 # ---------------------------------------------------------------------------

@@ -177,3 +177,46 @@ class TestBanking:
         bank = solve_2d(g)
         total = banked_metrics(g, bank)
         assert total.access_time > bank.access_time
+
+
+class TestSolve2dMemo:
+    def test_memoized_solves_equal_fresh_searches(self, monkeypatch):
+        """Every argument set met while resolving all registered points
+        gets the same organisation from the memo as from a fresh
+        unmemoized search, and each set is searched once."""
+        import importlib
+
+        from repro.design.registry import registered_points
+        from repro.lru import LruMemo
+        from repro.partition import strategies
+        from repro.sram import array
+
+        resolve_module = importlib.import_module("repro.design.resolve")
+        monkeypatch.setattr(array, "_SOLVE_2D_MEMO", LruMemo(cap=128))
+        monkeypatch.setattr(resolve_module, "_FREQUENCY_MEMO",
+                            LruMemo(cap=256))
+        searched = []
+        search = array._search_2d
+
+        def counting_search(geometry, **kwargs):
+            searched.append((geometry, kwargs["vdd"]))
+            return search(geometry, **kwargs)
+
+        solved = []
+
+        def recording_solve(geometry, **kwargs):
+            result = array.solve_2d(geometry, **kwargs)
+            solved.append((geometry, kwargs, result))
+            return result
+
+        monkeypatch.setattr(array, "_search_2d", counting_search)
+        monkeypatch.setattr(strategies, "solve_2d", recording_solve)
+        resolve_module.resolve_many(registered_points())
+        fresh = {}
+        for geometry, kwargs, result in solved:
+            key = (geometry, tuple(sorted(kwargs.items())))
+            if key not in fresh:
+                fresh[key] = search(geometry, **kwargs)
+            assert result == fresh[key]
+        assert len(solved) > len(fresh)  # the memo had work to save
+        assert len(searched) == len(set(searched)) == len(fresh)

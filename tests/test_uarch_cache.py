@@ -1,13 +1,19 @@
 """Tests for the cache hierarchy, prefetcher and coherence."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.configs import base_config, m3d_het_config
+from repro.lru import LruMemo
+from repro.uarch import cache as cache_module
 from repro.uarch.cache import (
     CacheHierarchy,
     CoherenceDirectory,
     SetAssociativeCache,
 )
+from repro.workloads.generator import generate_trace
+from repro.workloads.spec import spec_by_name
 
 
 class TestSetAssociative:
@@ -121,3 +127,75 @@ class TestCoherence:
         assert directory.invalidations == 1
         core1.data_access(4096)  # now owned locally
         assert directory.transfers == 1
+
+
+class TestPerLevelWarmSnapshots:
+    """``CacheHierarchy.preload`` memoizes each level's warm state on its
+    own key, so the two L2 geometries share IL1, DL1 and L3."""
+
+    @staticmethod
+    def replayed(cache, streams):
+        """Reference warm state: every resident line accessed in order."""
+        for lines in streams:
+            for address in lines:
+                cache.access(address)
+        return cache._lines
+
+    def test_levels_match_replay_and_are_built_once(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_PRELOAD_SNAPSHOTS",
+                            LruMemo(cap=256))
+        builds = []
+        original = cache_module._distribute_tags
+
+        def counting(newest_first, sets, ways):
+            builds.append((sets, ways))
+            return original(newest_first, sets, ways)
+
+        monkeypatch.setattr(cache_module, "_distribute_tags", counting)
+        trace = generate_trace(spec_by_name()["Hmmer"], 200)
+        data, code = trace.resident_data, trace.resident_code
+        for shared_l2 in (False, True):
+            config = dataclasses.replace(base_config(), shared_l2=shared_l2)
+            hierarchy = CacheHierarchy(config)
+            hierarchy.preload(data, code)
+            cold = CacheHierarchy(config)
+            for level, streams in ((hierarchy.il1, (code,)),
+                                   (hierarchy.dl1, (data,)),
+                                   (hierarchy.l2, (data, code)),
+                                   (hierarchy.l3, (data, code))):
+                reference = getattr(cold, level.name.lower())
+                assert level._lines == self.replayed(reference, streams), (
+                    level.name, shared_l2)
+                assert level.accesses == level.misses == 0
+        shape = CacheHierarchy(base_config())
+        for level in (shape.il1, shape.dl1, shape.l3):
+            assert builds.count((level.sets, level.ways)) == 1, level.name
+        assert len(builds) == 5  # IL1, DL1, L3 and one L2 per geometry
+
+    def test_restored_state_is_a_private_copy(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_PRELOAD_SNAPSHOTS",
+                            LruMemo(cap=256))
+        data = [(1 << 34) + 64 * i for i in range(64)]
+        code = [4096 + 32 * i for i in range(64)]
+
+        def levels(hierarchy):
+            return (hierarchy.il1, hierarchy.dl1, hierarchy.l2, hierarchy.l3)
+
+        first = CacheHierarchy(base_config())
+        first.preload(data, code)
+        warm = [[list(line) for line in level._lines]
+                for level in levels(first)]
+        for level in levels(first):
+            level.access(1 << 30)  # mutate the restored per-set lists
+        second = CacheHierarchy(base_config())
+        second.preload(data, code)
+        assert [level._lines for level in levels(second)] == warm
+
+    def test_snapshot_memo_stays_at_its_cap(self, monkeypatch):
+        memo = LruMemo(cap=3)
+        monkeypatch.setattr(cache_module, "_PRELOAD_SNAPSHOTS", memo)
+        code = [4096 + 32 * i for i in range(64)]
+        for k in range(3):
+            data = [((k + 1) << 34) + 64 * i for i in range(64)]
+            CacheHierarchy(base_config()).preload(data, code)
+            assert len(memo) == 3

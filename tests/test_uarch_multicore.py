@@ -7,16 +7,21 @@ import pytest
 
 from repro.core.configs import base_config, m3d_het_2x_config, m3d_het_config
 from repro.obs import ModelDisagreementWarning
+from repro.uarch import multicore
 from repro.uarch.multicore import (
     BARRIER_OVERHEAD_CYCLES,
     _align_barriers,
+    _mc_trace,
     _tile_result,
     _work_shares,
     evaluate_tiles,
     run_parallel,
+    run_parallel_batch,
     run_parallel_tiles,
 )
 from repro.uarch.noc import RingNoc
+from repro.workloads import generator
+from repro.workloads.generator import generate_trace
 from repro.workloads.parallel import parallel_by_name
 from repro.workloads.spec import spec_by_name
 
@@ -286,3 +291,53 @@ class TestHeteroTiles:
         uops = [core.stats.uops for core in result.per_core]
         assert uops[1] > uops[0]
         assert sum(uops) == 9000
+
+
+def _clear_multicore_memos():
+    multicore._MC_TRACE_MEMO.clear()
+    multicore._MC_STREAM_MEMO.clear()
+    multicore._MC_IMAGE_MEMO.clear()
+
+
+class TestSharedTraceStreams:
+    """Shorter core shares are prefixes of one memoized stream per
+    (profile, seed, thread)."""
+
+    @pytest.mark.parametrize("core_counts", [(8, 4), (4, 8)])
+    def test_lookup_order_does_not_change_traces(self, water, core_counts):
+        _clear_multicore_memos()
+        total = 4800
+        for cores in core_counts:
+            for thread, share in enumerate(_work_shares(total, cores)):
+                trace = _mc_trace(water, share, 1234, thread)
+                assert trace == generate_trace(water, share, seed=1234,
+                                               thread=thread)
+        _clear_multicore_memos()
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_mixed_core_batch_generates_each_stream_once(
+            self, water, monkeypatch, order):
+        _clear_multicore_memos()
+        calls = []
+        original = generator.generate_trace
+
+        def counting(profile, num_uops, **kwargs):
+            calls.append((num_uops, kwargs.get("thread")))
+            return original(profile, num_uops, **kwargs)
+
+        monkeypatch.setattr(generator, "generate_trace", counting)
+        four = base_config(num_cores=4)
+        eight = m3d_het_2x_config()
+        assert (four.num_cores, eight.num_cores) == (4, 8)
+        configs = [four, eight][::order]
+        batch = run_parallel_batch(configs, water, 4800)
+        # Threads 0-3 of the 8-core split are prefixes of the 4-core
+        # traces, whichever config comes first: 4 + 4 streams, not 12.
+        assert sorted(calls, key=lambda call: call[1]) == (
+            [(1200, thread) for thread in range(4)]
+            + [(600, thread) for thread in range(4, 8)]
+        )
+        monkeypatch.undo()
+        assert batch == [run_parallel(config, water, 4800)
+                         for config in configs]
+        _clear_multicore_memos()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.uarch.isa import OpClass, validate_trace
+from repro.golden import trace_digest
+from repro.uarch.isa import COLUMNS, OpClass, Trace, validate_trace
 from repro.workloads.generator import TraceGenerator, generate_trace
 from repro.workloads.parallel import parallel_by_name, parallel_profiles
 from repro.workloads.profiles import AppProfile, classify, memory_bound_score
@@ -135,3 +136,58 @@ class TestGenerator:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             TraceGenerator(spec_by_name()["Gcc"]).generate(0)
+
+
+class TestColumnarTrace:
+    """A trace is stored as columns; ``MicroOp`` records are a view."""
+
+    @staticmethod
+    def assert_same_trace(a, b):
+        for column in COLUMNS:
+            assert getattr(a, column) == getattr(b, column), column
+        assert a.warmup_ops == b.warmup_ops
+        assert a.resident_data == b.resident_data
+        assert a.resident_code == b.resident_code
+        assert trace_digest(a) == trace_digest(b)
+        assert a == b
+
+    @pytest.mark.parametrize("name,thread", [
+        ("Gcc", 0), ("Ocean", 0), ("Ocean", 3),
+    ])
+    def test_prefix_of_longer_trace_is_the_shorter_trace(self, name, thread):
+        """For one (profile, seed, thread) the generator's draws do not
+        depend on the requested length: the multicore trace memo serves
+        a shorter core share as a prefix of a longer stream."""
+        profile = {**spec_by_name(), **parallel_by_name()}[name]
+        n = 1500
+        longer = generate_trace(profile, 2 * n, seed=7, thread=thread)
+        prefix = longer.prefix(n)
+        fresh = generate_trace(profile, n, seed=7, thread=thread)
+        assert prefix.warmup_ops == n // 2
+        self.assert_same_trace(prefix, fresh)
+
+    def test_prefix_rejects_out_of_range_lengths(self):
+        trace = generate_trace(spec_by_name()["Gcc"], 400)
+        assert trace.prefix(400) == trace
+        with pytest.raises(ValueError):
+            trace.prefix(401)
+        with pytest.raises(ValueError):
+            trace.prefix(0)
+
+    def test_ops_round_trip_reproduces_columns(self):
+        trace = generate_trace(parallel_by_name()["Ocean"], 3000, thread=1)
+        assert any(code == 0 for code in trace.src1)  # ready operands
+        rebuilt = Trace(
+            trace.name, ops=trace.ops, warmup_ops=trace.warmup_ops,
+            resident_data=trace.resident_data,
+            resident_code=trace.resident_code,
+        )
+        self.assert_same_trace(rebuilt, trace)
+        assert rebuilt.ops == trace.ops
+
+    def test_trace_needs_exactly_one_of_ops_or_columns(self):
+        trace = generate_trace(spec_by_name()["Gcc"], 100)
+        with pytest.raises(TypeError):
+            Trace("neither")
+        with pytest.raises(TypeError):
+            Trace("both", ops=trace.ops, columns=trace.columns)
