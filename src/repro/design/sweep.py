@@ -200,7 +200,7 @@ class PendingPointEvaluation:
         return self._final
 
     def abandon(self) -> None:
-        """Drop the batch without waiting (releases pool/shm resources)."""
+        """Drop the batch without waiting (releases its pool leases)."""
         for group in self._groups:
             group.pending.abandon()
 

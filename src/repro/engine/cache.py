@@ -20,9 +20,6 @@ The disk layer runs in WAL journal mode: readers never block the (single)
 writer and a torn write can only ever lose the in-flight transaction,
 never corrupt committed rows — which is what makes one cache directory
 safe to share between a long-lived server and ad-hoc CLI processes.
-Keys are unchanged from the original pickle-per-key layout (the sha256
-hex of :func:`make_key`), and a legacy ``<k[:2]>/<key>.pkl`` directory is
-migrated into the database automatically on first open.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import warnings
 from pathlib import Path
 from typing import Any, Iterable, Optional, Tuple
 
-from repro.durability import sqlite_synchronous
 from repro.obs.record import current_record
 
 _FINGERPRINT: Optional[str] = None
@@ -128,18 +124,14 @@ class _SqliteLayer:
     cross-*process* concurrency is SQLite's own WAL contract (concurrent
     readers, one writer at a time, ``busy_timeout`` arbitration).
 
-    Values stay pickled — the schema is a single ``results(key TEXT
-    PRIMARY KEY, value BLOB)`` table, so the layer is a drop-in for the
-    old pickle-per-key directory with identical keys.
+    Values are pickled into a single ``results(key TEXT PRIMARY KEY,
+    value BLOB)`` table.
     """
 
     def __init__(self, cache_dir: Path) -> None:
-        self.cache_dir = cache_dir
         self.path = cache_dir / DB_FILENAME
-        self.migrated_entries = 0
         self._lock = threading.RLock()
         self._conn = self._connect()
-        self._migrate_legacy_layout()
 
     def _connect(self) -> sqlite3.Connection:
         try:
@@ -157,7 +149,12 @@ class _SqliteLayer:
                                check_same_thread=False)
         try:
             conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute(f"PRAGMA synchronous={sqlite_synchronous()}")
+            # NORMAL is the recommended WAL-mode level: the log is synced
+            # at checkpoint boundaries, so a power loss can drop the tail
+            # of recent commits but never corrupts the database — the
+            # same "lose at most the in-flight tail" contract the explore
+            # store makes.
+            conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS results ("
@@ -168,37 +165,6 @@ class _SqliteLayer:
             conn.close()
             raise
         return conn
-
-    def _migrate_legacy_layout(self) -> None:
-        """Fold an old pickle-per-key directory into the database.
-
-        Each ``<k[:2]>/<key>.pkl`` blob is inserted under its stem (the
-        keys are unchanged, so no re-hashing), then unlinked; emptied
-        shard directories are removed.  ``INSERT OR IGNORE`` keeps a
-        database row authoritative over a stale file, and an unreadable
-        file is simply dropped — it was a miss in the old layout too.
-        """
-        legacy = sorted(self.cache_dir.rglob("*.pkl"))
-        if not legacy:
-            return
-        with self._lock, self._conn:
-            for path in legacy:
-                try:
-                    blob = path.read_bytes()
-                except OSError:
-                    continue
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO results (key, value) VALUES (?, ?)",
-                    (path.stem, blob),
-                )
-                self.migrated_entries += 1
-                path.unlink(missing_ok=True)
-        for shard in {path.parent for path in legacy}:
-            if shard != self.cache_dir:
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
 
     def get(self, key: str) -> Tuple[bool, Any]:
         with self._lock:
@@ -253,11 +219,6 @@ class ResultCache:
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._disk = _SqliteLayer(self.cache_dir)
-
-    @property
-    def migrated_entries(self) -> int:
-        """Legacy pickle files folded into the database on open."""
-        return self._disk.migrated_entries if self._disk is not None else 0
 
     # -- lookup ---------------------------------------------------------------
 

@@ -6,7 +6,7 @@ run re-imported the model stack and re-warmed the per-process trace
 memos once *per chunk*.  Now one lazily-spawned executor is shared by
 every :class:`~repro.engine.sweep.ExperimentEngine` in the process —
 across ``run_specs`` calls, explore chunks and engines — so workers are
-spawned once and their warm state (trace memo, tuned kernel thresholds)
+spawned once and their warm state (trace memos, compiled timing loops)
 keeps paying off for the whole run.
 
 Contract:
@@ -21,13 +21,12 @@ Contract:
 * **Crash containment** — a worker death breaks a
   ``ProcessPoolExecutor`` permanently (every pending future raises
   :class:`BrokenProcessPool`).  :meth:`PoolLease.resolve` respawns the
-  shared executor once per broken generation and retries each lost unit
-  exactly once on the **copy path** (shared-memory units degrade to
-  self-contained ones, since the crash may have been the attach itself).
+  shared executor once per broken generation and resubmits each lost
+  unit exactly once (units are self-contained spec lists, so a retry
+  needs nothing from the crashed worker).
 * **Accounted shutdown** — leases are ref-counted so diagnostics can
   see in-flight borrowers; :func:`shutdown_pool` (also registered via
-  ``atexit``) joins every worker, leaving no stray processes or
-  ``/dev/shm`` segments behind.
+  ``atexit``) joins every worker, leaving no stray processes behind.
 * **Opt-out** — ``$REPRO_PERSISTENT_POOL=0`` restores the old
   one-executor-per-call behavior: each :class:`PoolLease` then owns a
   private executor torn down by :meth:`PoolLease.close`.
@@ -230,8 +229,7 @@ class PoolLease:
         A :class:`BrokenProcessPool` means a worker died and took the
         executor with it: replace the executor (respawn the shared one,
         or a fresh private one for an owned lease) and re-run
-        ``fn(*retry_args)`` — the caller passes the unit's copy-path
-        form — exactly once.  A second failure propagates.
+        ``fn(*retry_args)`` exactly once.  A second failure propagates.
         """
         try:
             return future.result()

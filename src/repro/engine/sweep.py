@@ -95,13 +95,6 @@ def execute_spec(spec: SimSpec):
     return run_parallel(spec.config, spec.profile, spec.uops, seed=spec.seed)
 
 
-def _timed_execute_spec(spec: SimSpec):
-    """Worker-side wrapper: (result, wall seconds) for one spec."""
-    start = time.perf_counter()
-    result = execute_spec(spec)
-    return result, time.perf_counter() - start
-
-
 def execute_spec_group(specs: Sequence[SimSpec]):
     """Run a group of specs sharing one (mode, profile, uops, seed).
 
@@ -122,47 +115,14 @@ def execute_spec_group(specs: Sequence[SimSpec]):
     return [execute_spec(spec) for spec in specs], False
 
 
-def _timed_execute_unit(unit):
-    """Worker-side wrapper for one work unit.
-
-    ``unit`` is ``("copy", specs)`` — derive everything in this process
-    (the original path) — or ``("shm", handle, specs)`` — attach the
-    published replay block and run only the timing recurrences.  A
-    failed attach (the block vanished, no ``/dev/shm``, a forked
-    platform quirk) silently degrades to the copy path; results are
-    identical either way.  Returns
-    ``(results, seconds, used_kernel, shm_used)``.
-    """
+def _timed_execute_unit(specs: Sequence[SimSpec]):
+    """Worker-side wrapper for one work unit, a list of specs sharing
+    one trace: ``(results, seconds, used_kernel)``.  The worker derives
+    the trace, decode and replays itself, so a unit is self-contained
+    and a crash retry simply resubmits it."""
     start = time.perf_counter()
-    shm_used = False
-    if unit[0] == "shm":
-        from repro.uarch import shm as kernel_shm
-
-        handle, specs = unit[1], unit[2]
-        try:
-            results = kernel_shm.run_handle_batch(
-                handle, [spec.config for spec in specs]
-            )
-            used_kernel = True
-            shm_used = True
-        except Exception:
-            results, used_kernel = execute_spec_group(specs)
-    else:
-        specs = unit[1]
-        results, used_kernel = execute_spec_group(specs)
-    return results, time.perf_counter() - start, used_kernel, shm_used
-
-
-def _copy_unit(unit) -> tuple:
-    """The self-contained (copy-path) form of a work unit.
-
-    Used for crash retries: a ``("shm", handle, specs)`` unit degrades
-    to ``("copy", specs)`` — the crash may have been the shared-memory
-    attach itself, and the copy path derives everything locally.
-    """
-    if unit[0] == "shm":
-        return ("copy", unit[2])
-    return unit
+    results, used_kernel = execute_spec_group(specs)
+    return results, time.perf_counter() - start, used_kernel
 
 
 def suite_specs(mode: str, uops: int, seed: int,
@@ -218,8 +178,8 @@ class PendingSpecs:
                  specs: Sequence[SimSpec], keys: List[str],
                  results: List[object], missing: List[int],
                  use_cache: bool, batch_start: float, workers: int,
-                 unit_indices: List[List[int]], units: List[tuple],
-                 futures: List[object], lease, published: List[object],
+                 unit_indices: List[List[int]],
+                 units: List[List[SimSpec]], futures: List[object], lease,
                  timed: Optional[List[tuple]] = None) -> None:
         self._engine = engine
         self._specs = specs
@@ -233,7 +193,6 @@ class PendingSpecs:
         self._units = units
         self._futures = futures
         self._lease = lease
-        self._published = published
         self._timed = timed
         self._cleaned = not futures
         self._final: Optional[List[object]] = None
@@ -247,8 +206,8 @@ class PendingSpecs:
 
         Idempotent; the first call performs the cache stores and
         telemetry recording.  A worker crash (:class:`BrokenProcessPool`)
-        respawns the pool and retries each lost unit once on the copy
-        path — see :mod:`repro.engine.pool`.
+        respawns the pool and resubmits each lost unit once — see
+        :mod:`repro.engine.pool`.
         """
         if self._final is not None:
             return self._final
@@ -256,7 +215,7 @@ class PendingSpecs:
             try:
                 self._timed = [
                     self._lease.resolve(future, _timed_execute_unit,
-                                        (_copy_unit(unit),))
+                                        (unit,))
                     for unit, future in zip(self._units, self._futures)
                 ]
             finally:
@@ -272,12 +231,9 @@ class PendingSpecs:
     def abandon(self) -> None:
         """Best-effort cleanup without waiting for results.
 
-        Cancels whatever has not started, releases the pool lease and
-        unlinks shared-memory publications.  Units already running in
-        workers finish on their own and are discarded; an unlinked
-        block stays mapped for workers that already attached, and a
-        worker whose attach fails degrades to the copy path — either
-        way nothing crashes and nothing leaks.
+        Cancels whatever has not started and releases the pool lease
+        (idempotent).  Units already running in workers finish on their
+        own and are discarded.
         """
         for future in self._futures:
             future.cancel()
@@ -289,8 +245,6 @@ class PendingSpecs:
         self._cleaned = True
         if self._lease is not None:
             self._lease.close()
-        for publication in self._published:
-            publication.unlink()
 
 
 # -- the engine ---------------------------------------------------------------
@@ -315,12 +269,12 @@ class ExperimentEngine:
         Cached specs are served without simulating; the misses are
         grouped by shared trace and each group runs through the batched
         SoA kernel — inline (``jobs == 1``) or across a process pool
-        (one group per work unit) — then lands in the cache for the
-        sweeps that follow.  Every batch leaves its telemetry in the
-        active :class:`~repro.obs.record.RunRecord`, if one is open
-        (hit/miss split, kernel batch widths and fallbacks, per-spec
-        wall time — a group's time split evenly over its specs — and
-        aggregated pipeline stall counters).
+        (one group, or one shard of a group, per work unit) — then lands
+        in the cache for the sweeps that follow.  Every batch leaves its
+        telemetry in the active :class:`~repro.obs.record.RunRecord`, if
+        one is open (hit/miss split, kernel batch widths and fallbacks,
+        per-spec wall time — a unit's time split evenly over its specs —
+        and aggregated pipeline stall counters).
 
         ``use_cache=False`` bypasses the result cache in both directions
         (no lookups, no stores): every spec is simulated fresh.  The
@@ -369,41 +323,29 @@ class ExperimentEngine:
             # Specs sharing a trace form one kernel batch: a group of N
             # configs costs one decode + one replay per geometry + N
             # timing passes instead of N full scalar simulations.  With
-            # spare workers, wide single-core groups additionally shard
-            # across the pool behind one shared-memory replay block —
-            # the parent decodes/replays once, each shard attaches.
-            groups = _group_missing(specs, missing)
-            group_specs = [[specs[i] for i in group] for group in groups]
-            published: List[object] = []
-            lease = None
-            try:
-                units, unit_indices = self._plan_units(
-                    groups, group_specs, published
-                )
-                if self.jobs > 1 and len(units) > 1:
-                    workers = min(self.jobs, len(units))
-                    lease = worker_pool.PoolLease(workers)
+            # spare workers, wide single-core groups are also sharded
+            # across the pool.
+            unit_indices = self._plan_units(
+                specs, _group_missing(specs, missing)
+            )
+            units = [[specs[i] for i in indices] for indices in unit_indices]
+            if self.jobs > 1 and len(units) > 1:
+                workers = min(self.jobs, len(units))
+                lease = worker_pool.PoolLease(workers)
+                try:
                     futures = [
                         lease.submit(_timed_execute_unit, unit)
                         for unit in units
                     ]
-                    return PendingSpecs(
-                        self, specs, keys, results, missing, use_cache,
-                        batch_start, workers, unit_indices, units,
-                        futures, lease, published,
-                    )
-                timed = [_timed_execute_unit(unit) for unit in units]
-            except BaseException:
-                if lease is not None:
+                except BaseException:
                     lease.close()
-                for publication in published:
-                    publication.unlink()
-                raise
-            else:
-                # Publisher owns every block: the eager path is done
-                # with them; the pool path unlinks at resolve time.
-                for publication in published:
-                    publication.unlink()
+                    raise
+                return PendingSpecs(
+                    self, specs, keys, results, missing, use_cache,
+                    batch_start, workers, unit_indices, units, futures,
+                    lease,
+                )
+            timed = [_timed_execute_unit(unit) for unit in units]
         final = self._finish_batch(
             specs=specs, keys=keys, results=results, missing=missing,
             use_cache=use_cache, batch_start=batch_start, workers=workers,
@@ -411,7 +353,7 @@ class ExperimentEngine:
         )
         pending = PendingSpecs(
             self, specs, keys, results, missing, use_cache, batch_start,
-            workers, unit_indices, [], [], None, [], timed=timed,
+            workers, unit_indices, [], [], None, timed=timed,
         )
         pending._final = final
         return pending
@@ -425,7 +367,7 @@ class ExperimentEngine:
         record = current_record()
         durations: Dict[int, float] = {}
         for indices, outcome in zip(unit_indices, timed):
-            fresh, seconds, used_kernel, shm_used = outcome
+            fresh, seconds, used_kernel = outcome
             first = specs[indices[0]]
             share = seconds / len(indices)
             for index, value in zip(indices, fresh):
@@ -441,7 +383,6 @@ class ExperimentEngine:
                     width=len(indices),
                     seconds=seconds,
                     used_kernel=used_kernel,
-                    shm=shm_used,
                 )
         if record is None:
             return results
@@ -467,61 +408,34 @@ class ExperimentEngine:
             record.observe_result(results[index])
         return results
 
-    def _plan_units(self, groups: List[List[int]],
-                    group_specs: List[List[SimSpec]],
-                    published: List[object]):
-        """Turn trace groups into pool work units.
+    def _plan_units(self, specs: Sequence[SimSpec],
+                    groups: List[List[int]]) -> List[List[int]]:
+        """Split trace groups into pool work units (lists of spec
+        indices, each unit sharing one trace).
 
-        Default: one ``("copy", specs)`` unit per group — the worker
-        derives trace/decode/replay itself, exactly the pre-shm path.
-        When the pool would otherwise idle (fewer groups than workers),
-        wide single-core groups are sharded: the parent publishes the
-        group's replay state to shared memory once and emits
-        ``("shm", handle, shard_specs)`` units whose workers attach
-        instead of re-deriving.  Publications are appended to
-        ``published``; the caller unlinks them in its ``finally``.
-        Any publish failure quietly keeps that group on the copy path.
+        Default: one unit per group.  When the pool would otherwise idle
+        (fewer groups than workers), wide single-core groups are split
+        into shards; each shard's worker derives its own trace, decode
+        and replay, so the shards run fully in parallel.
         """
-        units: List[tuple] = []
         unit_indices: List[List[int]] = []
         sharding = self.jobs > 1 and len(groups) < self.jobs \
             and kernel_enabled()
-        if sharding:
-            from repro.uarch import shm as kernel_shm
-            sharding = kernel_shm.shm_enabled()
-        for indices, batch in zip(groups, group_specs):
-            first = batch[0]
+        for indices in groups:
             shards = 1
-            if sharding and first.mode == "single":
+            if sharding and specs[indices[0]].mode == "single":
                 # Fair share of the pool, but never shards thinner than
                 # two configs (one config per unit would just re-pay
                 # per-unit overhead without batching anything).
-                shards = min(len(batch) // 2,
-                             max(1, self.jobs // len(groups)))
-            if shards > 1:
-                try:
-                    from repro.uarch import shm as kernel_shm
-                    trace = _trace_for(first.profile, first.uops, first.seed)
-                    publication = kernel_shm.publish_group(
-                        trace, [spec.config for spec in batch]
-                    )
-                except Exception:
-                    shards = 1
-                else:
-                    published.append(publication)
-                    base, extra = divmod(len(batch), shards)
-                    cursor = 0
-                    for shard in range(shards):
-                        size = base + (1 if shard < extra else 0)
-                        chunk = slice(cursor, cursor + size)
-                        units.append(("shm", publication.handle,
-                                      batch[chunk]))
-                        unit_indices.append(indices[chunk])
-                        cursor += size
-            if shards == 1:
-                units.append(("copy", batch))
-                unit_indices.append(indices)
-        return units, unit_indices
+                shards = max(1, min(len(indices) // 2,
+                                    self.jobs // len(groups)))
+            base, extra = divmod(len(indices), shards)
+            cursor = 0
+            for shard in range(shards):
+                size = base + (1 if shard < extra else 0)
+                unit_indices.append(indices[cursor:cursor + size])
+                cursor += size
+        return unit_indices
 
     # -- single results -------------------------------------------------------
 

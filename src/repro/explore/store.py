@@ -23,7 +23,6 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, Optional, Union
 
-from repro.durability import fsync_handle
 from repro.engine.cache import code_fingerprint, make_key
 
 #: Store record schema; bump when the line shape changes.
@@ -158,14 +157,9 @@ class ResultStore:
         return self._handle
 
     def _commit(self, handle) -> None:
-        """Make everything written so far durable (one flush + fsync).
-
-        The fsync obeys the process-wide :mod:`repro.durability` policy
-        (``$REPRO_FSYNC=0`` skips the physical sync), the same switch
-        the ResultCache SQLite backend maps to ``PRAGMA synchronous``.
-        """
+        """Make everything written so far durable (one flush + fsync)."""
         handle.flush()
-        fsync_handle(handle)
+        os.fsync(handle.fileno())
 
     def append(self, record: Dict[str, Any]) -> None:
         """Register (and, when disk-backed, durably append) one record.

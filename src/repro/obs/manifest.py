@@ -59,7 +59,10 @@ from repro.obs.record import RunRecord
 #: the server process's own shutdown manifest.
 #: v9 dropped the kernel-path telemetry (per-batch ``path`` and the
 #: vectorized/scalar/mixed group counts): the kernel has one timing path.
-MANIFEST_SCHEMA_VERSION = "repro-manifest-v9"
+#: v10 dropped the shared-memory telemetry (the per-batch ``shm`` flag
+#: and the summary's count of such groups): work units are plain spec
+#: lists.
+MANIFEST_SCHEMA_VERSION = "repro-manifest-v10"
 
 
 class ManifestError(ValueError):
@@ -184,14 +187,12 @@ _KERNEL_SUMMARY_FIELDS = {
     "singleton_specs": int,
     "max_width": int,
     "seconds": (int, float),
-    "shm_groups": int,
 }
 _KERNEL_BATCH_FIELDS = {
     "mode": str,
     "width": int,
     "seconds": (int, float),
     "used_kernel": bool,
-    "shm": bool,
 }
 _VALIDATION_FIELDS = {
     "schema": str,

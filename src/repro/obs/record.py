@@ -46,7 +46,7 @@ CACHE_FIELDS = ("memory_hits", "disk_hits", "misses", "stores",
 #: Kernel-summary totals kept incrementally, so a parent that only ever
 #: receives folds still reports them without the per-group list.
 _KERNEL_TOTALS = ("groups", "batched_specs", "fallback_specs",
-                  "singleton_specs", "max_width", "seconds", "shm_groups")
+                  "singleton_specs", "max_width", "seconds")
 
 
 class RunRecord:
@@ -74,9 +74,9 @@ class RunRecord:
         self.batches.append(BatchRecord(specs, hits, misses, seconds, workers))
 
     def add_kernel_batch(self, mode: str, width: int, seconds: float,
-                         used_kernel: bool, shm: bool = False) -> None:
+                         used_kernel: bool) -> None:
         self.kernel_batches.append(
-            KernelBatchRecord(mode, width, seconds, used_kernel, shm)
+            KernelBatchRecord(mode, width, seconds, used_kernel)
         )
         totals = self.kernel_totals
         totals["groups"] += 1
@@ -88,8 +88,6 @@ class RunRecord:
             totals["fallback_specs"] += width
         else:
             totals["singleton_specs"] += 1
-        if shm:
-            totals["shm_groups"] += 1
 
     def kernel_summary(self) -> Dict[str, object]:
         """Aggregate kernel usage: how many specs were batched through

@@ -84,19 +84,17 @@ class BatchRecord:
 
 @dataclasses.dataclass
 class KernelBatchRecord:
-    """One same-trace spec group: how it was executed and how wide.
+    """One work unit (a same-trace spec group, or a shard of one): how
+    it was executed and how wide.
 
-    ``used_kernel`` is False when the group fell back to the scalar
-    oracle — singleton groups (nothing to batch) or ``$REPRO_KERNEL=0``.
-    ``shm`` is True when the group's replay state came from an attached
-    shared-memory block rather than being derived in the worker.
+    ``used_kernel`` is False when the unit fell back to the scalar
+    oracle — singleton units (nothing to batch) or ``$REPRO_KERNEL=0``.
     """
 
     mode: str
     width: int
     seconds: float
     used_kernel: bool
-    shm: bool = False
 
     def as_record(self) -> Dict[str, object]:
         return {
@@ -104,7 +102,6 @@ class KernelBatchRecord:
             "width": self.width,
             "seconds": round(self.seconds, 6),
             "used_kernel": self.used_kernel,
-            "shm": self.shm,
         }
 
 

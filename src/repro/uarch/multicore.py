@@ -395,34 +395,6 @@ def _prepare_tile_replay(
     return _MC_IMAGE_MEMO.get(image_key, build_images)
 
 
-def prepare_geometry_replay(
-    profile: AppProfile,
-    total_uops: int,
-    seed: int,
-    traces: List,
-    cores: int,
-    shared_l2: bool,
-    donor: CoreConfig,
-) -> tuple:
-    """Memoized replay state for one (core count, L2 geometry) slice:
-    ``(images, coherence_transfers, noc_penalty)``.
-
-    This is the configuration-independent half of a multicore batch —
-    everything that depends only on the trace set and the geometry.
-    Split out of :func:`run_parallel_batch` so alternative executors
-    (shared-memory workers, future remote pools) can reuse the replay
-    without re-deriving it per configuration.
-    """
-    noc = RingNoc(cores, shared_stops=shared_l2)
-    penalty = noc.average_latency
-    shares = _work_shares(total_uops, cores)
-    images, transfers = _prepare_tile_replay(
-        profile, seed, traces, shares, (shared_l2,) * cores,
-        [donor] * cores, penalty,
-    )
-    return images, transfers, penalty
-
-
 def evaluate_tile_configs(
     tiles: Sequence[CoreConfig],
     profile: AppProfile,
@@ -445,22 +417,6 @@ def evaluate_tile_configs(
     ]
     return _tile_result(
         tiles, profile, total_uops, per_core, transfers, penalty, name,
-    )
-
-
-def evaluate_parallel_config(
-    config: CoreConfig,
-    profile: AppProfile,
-    total_uops: int,
-    traces: List,
-    images: List,
-    transfers: int,
-    penalty: int,
-) -> MulticoreResult:
-    """Legacy single-config spelling of :func:`evaluate_tile_configs`."""
-    return evaluate_tile_configs(
-        [config] * len(traces), profile, total_uops, traces, images,
-        transfers, penalty, name=config.name,
     )
 
 
@@ -513,10 +469,9 @@ def run_parallel_batch(
     Bit-exact against per-config :func:`run_parallel` calls, but configs
     with the same core count share generated traces, and configs with
     the same (core count, L2 geometry) additionally share the
-    coherence-sequenced cache replay
-    (:func:`prepare_geometry_replay`); only the per-core timing
-    recurrences (:func:`evaluate_parallel_config`) run per config,
-    through :func:`repro.uarch.kernel.simulate_core`.
+    coherence-sequenced cache replay; only the per-core timing
+    recurrences (:func:`evaluate_tile_configs`) run per config, through
+    :func:`repro.uarch.kernel.simulate_core`.
     """
     if not profile.is_parallel:
         raise ValueError(f"{profile.name} is not a parallel profile")
@@ -536,13 +491,15 @@ def run_parallel_batch(
         for index in indices:
             by_geometry.setdefault(configs[index].shared_l2, []).append(index)
         for shared_l2, geo_indices in by_geometry.items():
-            images, transfers, penalty = prepare_geometry_replay(
-                profile, total_uops, seed, traces, cores, shared_l2,
-                donor=configs[geo_indices[0]],
+            penalty = RingNoc(cores, shared_stops=shared_l2).average_latency
+            images, transfers = _prepare_tile_replay(
+                profile, seed, traces, shares, (shared_l2,) * cores,
+                [configs[geo_indices[0]]] * cores, penalty,
             )
             for index in geo_indices:
-                results[index] = evaluate_parallel_config(
-                    configs[index], profile, total_uops, traces, images,
-                    transfers, penalty,
+                config = configs[index]
+                results[index] = evaluate_tile_configs(
+                    [config] * cores, profile, total_uops, traces, images,
+                    transfers, penalty, name=config.name,
                 )
     return results

@@ -4,9 +4,8 @@ Contract under test: many processes sharing one cache directory —
 the `repro serve` deployment shape, where a long-lived server and
 ad-hoc CLI runs point at the same cache — never see torn values
 (WAL readers see committed rows only), writes from any process become
-visible to fresh readers, the in-memory LRU semantics are unchanged by
-the backend swap, and the old pickle-per-key directory layout migrates
-into the database automatically (and losslessly) on first open.
+visible to fresh readers, and the in-memory LRU semantics are unchanged
+by the backend swap.
 
 Worker functions are module-level so the fork start method pickles them
 by reference; every process opens its *own* cache (its own SQLite
@@ -14,7 +13,6 @@ connection) — connections are never shared across a fork.
 """
 
 import multiprocessing
-import pickle
 import tempfile
 from pathlib import Path
 
@@ -141,50 +139,6 @@ class TestLruSemanticsWithSqliteBackend:
         hit, value = cache.get("k")
         assert hit and value == [1, 2]
         assert cache.stats.disk_hits == 1 and cache.stats.memory_hits == 0
-
-
-class TestLegacyMigration:
-    def _plant_legacy(self, cache_dir: Path, key: str, value) -> Path:
-        shard = cache_dir / key[:2]
-        shard.mkdir(parents=True, exist_ok=True)
-        path = shard / f"{key}.pkl"
-        path.write_bytes(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-        return path
-
-    def test_pickle_dir_migrates_on_first_open(self, tmp_path):
-        keys = [f"{i:02x}deadbeef" for i in range(6)]
-        for i, key in enumerate(keys):
-            self._plant_legacy(tmp_path, key, {"legacy": i})
-        cache = ResultCache(tmp_path)
-        assert cache.migrated_entries == 6
-        for i, key in enumerate(keys):
-            hit, value = cache.get(key)
-            assert hit and value == {"legacy": i}
-        # Files and emptied shard dirs are gone; keys were not rehashed.
-        assert list(tmp_path.rglob("*.pkl")) == []
-        assert [p for p in tmp_path.iterdir() if p.is_dir()] == []
-        # Second open: nothing left to migrate.
-        assert ResultCache(tmp_path).migrated_entries == 0
-
-    def test_database_row_wins_over_stale_legacy_file(self, tmp_path):
-        first = ResultCache(tmp_path)
-        first.put("cafe0001", {"fresh": True})
-        first.close()
-        self._plant_legacy(tmp_path, "cafe0001", {"stale": True})
-        second = ResultCache(tmp_path)
-        hit, value = second.get("cafe0001")
-        assert hit and value == {"fresh": True}
-        assert list(tmp_path.rglob("*.pkl")) == []  # consumed either way
-
-    def test_unreadable_legacy_file_is_skipped(self, tmp_path):
-        path = self._plant_legacy(tmp_path, "cafe0002", {"ok": True})
-        bad = path.parent / "cafe0003.pkl"
-        bad.write_bytes(pickle.dumps({"x": 1})[:-3])  # truncated blob
-        cache = ResultCache(tmp_path)
-        # Both were folded in (migration does not unpickle); the torn
-        # one is a miss on read — exactly what it was in the old layout.
-        assert cache.get("cafe0002") == (True, {"ok": True})
-        assert not cache.get("cafe0003")[0]
 
 
 _VALUES = st.one_of(

@@ -1,5 +1,6 @@
 """Tests for the shared experiment engine (cache + sweep runner)."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -13,6 +14,7 @@ from repro.engine import (
     make_key,
 )
 from repro.engine.sweep import configure, get_engine
+from repro.obs import run_record
 from repro.workloads.spec import spec_profiles
 
 UOPS = 600
@@ -255,6 +257,29 @@ class TestEngineExecution:
     def test_cache_dir_and_cache_are_exclusive(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentEngine(cache=ResultCache(), cache_dir=tmp_path)
+
+
+class TestSharding:
+    """A lone trace group at ``jobs=2`` leaves a worker idle, so a wide
+    single-core group is split into shards of at least two configs."""
+
+    @pytest.mark.parametrize("width, units", [(1, 1), (2, 1), (7, 2)])
+    def test_one_group_matches_serial(self, width, units, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        configs = [
+            dataclasses.replace(config, name=f"{config.name}-v{k}",
+                                rob_entries=config.rob_entries + k)
+            for k in range(2) for config in single_core_configs()
+        ][:width]
+        specs = [SimSpec("single", config, _profiles(1)[0], UOPS)
+                 for config in configs]
+        serial = ExperimentEngine(jobs=1).run_specs(specs, use_cache=False)
+        with run_record() as record:
+            sharded = ExperimentEngine(jobs=2).run_specs(specs,
+                                                         use_cache=False)
+        assert sharded == serial  # every spec's result lands, in order
+        assert len(record.kernel_batches) == units
+        assert sum(batch.width for batch in record.kernel_batches) == width
 
 
 class TestDefaultEngine:

@@ -2,15 +2,18 @@
 
 Contract under test: one shared executor serves every engine in the
 process (lazy spawn, grow-only sizing, lease accounting); a worker
-crash respawns the pool and retries the lost unit once on the copy
-path with results identical to a serial run; changing any ``REPRO_*``
-environment variable respawns so workers never run with stale knobs;
+crash respawns the pool and resubmits the lost unit once, with results
+identical to a serial run; a failed submission or an abandoned batch
+releases its lease; changing any ``REPRO_*`` environment variable
+respawns so workers never run with stale knobs;
 ``$REPRO_PERSISTENT_POOL=0`` restores the private per-call executor;
 and shutdown leaves no live worker processes behind.
 """
 
 import os
 import signal
+
+import pytest
 
 from repro.core.configs import single_core_configs
 from repro.engine import pool
@@ -156,6 +159,33 @@ class TestCrashRecovery:
         after = pool.pool_stats()
         assert after["respawns"] == before["respawns"] + 1
         assert after["retried_units"] >= before["retried_units"] + 1
+
+
+class TestLeaseAccounting:
+    def test_failed_submit_releases_the_lease(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+
+        def exploding_submit(self, fn, *args):
+            raise RuntimeError("worker pool died")
+
+        monkeypatch.setattr(pool.PoolLease, "submit", exploding_submit)
+        before = pool.pool_stats()["active_leases"]
+        engine = ExperimentEngine(jobs=2, cache_dir=None)
+        with pytest.raises(RuntimeError, match="worker pool died"):
+            engine.run_specs(_specs(), use_cache=False)
+        assert pool.pool_stats()["active_leases"] == before
+
+    def test_abandon_releases_the_lease_once(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+        before = pool.pool_stats()["active_leases"]
+        engine = ExperimentEngine(jobs=2, cache_dir=None)
+        pending = engine.submit_specs(_specs(), use_cache=False)
+        assert not pending.done
+        assert pool.pool_stats()["active_leases"] == before + 1
+        pending.abandon()
+        assert pool.pool_stats()["active_leases"] == before
+        pending.abandon()  # a second abandon is a no-op
+        assert pool.pool_stats()["active_leases"] == before
 
 
 class TestOptOut:
