@@ -293,13 +293,10 @@ def cmd_serve(args: argparse.Namespace) -> None:
         host=args.host,
         port=args.port,
         queue_size=args.queue_size,
-        service_threads=args.service_threads,
     )
     server.start()
     print(f"serving on http://{server.host}:{server.port} "
-          f"(queue {server.queue_size}, "
-          f"{server.service_threads} service thread"
-          f"{'s' if server.service_threads > 1 else ''}; "
+          f"(queue {server.queue_size}; "
           f"POST /shutdown or Ctrl-C to stop)", flush=True)
     try:
         server.wait()
@@ -468,10 +465,6 @@ def main(argv=None) -> None:
     serve_parser.add_argument(
         "--queue-size", type=int, default=32, metavar="N",
         help="bounded request queue; a full queue answers 429 (default 32)")
-    serve_parser.add_argument(
-        "--service-threads", type=int, default=1, metavar="N",
-        help="request service threads (default 1: the queue serialises "
-             "bookkeeping, --jobs parallelises the simulations)")
     manycore_parser = add_command(
         "manycore", cmd_manycore,
         "evaluate a heterogeneous tile-grid scenario",

@@ -35,6 +35,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Iterable, Optional, Tuple
 
+from repro.lru import LruMemo
 from repro.obs.record import current_record
 
 _FINGERPRINT: Optional[str] = None
@@ -73,13 +74,38 @@ def _canonical(value: Any) -> Any:
     raise TypeError(f"cannot build a cache key from {type(value).__name__}")
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building a new encoder on every call.
+_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Canonical JSON of each dataclass key part, keyed on ``(type, repr)``.
+#: Not on ``==``: dataclass equality treats ``1 == 1.0 == True`` and
+#: ``0.0 == -0.0`` as equal, yet their keys differ, while ``repr`` tells
+#: them apart (and gives NaN one stable key).  This relies on ``repr``
+#: showing every field, as the generated dataclass ``__repr__`` does.
+#: Bounded because ``repro serve`` is long-lived.
+_PART_JSON = LruMemo(cap=1024)
+
+
+def _part_json(value: Any) -> str:
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _PART_JSON.get((type(value), repr(value)),
+                              lambda: _to_json(_canonical(value)))
+    return _to_json(_canonical(value))
+
+
 def make_key(kind: str, **parts: Any) -> str:
-    """Stable content key for one result (includes the code fingerprint)."""
-    payload = json.dumps(
-        {"kind": kind, "code": code_fingerprint(), "parts": _canonical(parts)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """Stable content key for one result (includes the code fingerprint).
+
+    The hashed payload is byte-for-byte ``json.dumps({"kind": kind,
+    "code": ..., "parts": _canonical(parts)}, sort_keys=True,
+    separators=(",", ":"))``, assembled from per-part fragments so a
+    repeated dataclass part is canonicalised only once.
+    """
+    fields = ",".join(f"{_to_json(name)}:{_part_json(parts[name])}"
+                      for name in sorted(parts))
+    payload = (f'{{"code":{_to_json(code_fingerprint())},'
+               f'"kind":{_to_json(kind)},"parts":{{{fields}}}}}')
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -112,7 +112,21 @@ class ModelDisagreementWarning(UserWarning):
 
 
 def warn_model_disagreement(message: str) -> None:
-    """Emit a :class:`ModelDisagreementWarning` (sweep cross-checks)."""
+    """Emit a :class:`ModelDisagreementWarning` (sweep cross-checks).
+
+    Attributed to the caller's caller, as ``stacklevel=3`` would be, but
+    emitted with no warnings registry: each message names its point and
+    app, and the "default" action would keep every distinct text in the
+    calling module's ``__warningregistry__`` for the life of the process,
+    which grows without bound under ``repro serve``.  The trade-off: an
+    identical disagreement raised again is shown again.
+    """
+    import sys
     import warnings
 
-    warnings.warn(message, ModelDisagreementWarning, stacklevel=3)
+    frame = sys._getframe(1)
+    frame = frame.f_back or frame
+    warnings.warn_explicit(
+        message, ModelDisagreementWarning, frame.f_code.co_filename,
+        frame.f_lineno, module=frame.f_globals.get("__name__"),
+        registry=None)

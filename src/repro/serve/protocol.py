@@ -220,7 +220,7 @@ def execute_request(endpoint: str, request: Dict[str, Any],
     """Run a parsed request and return its ``results`` payload.
 
     This is the single execution path shared by the server's service
-    threads and the serial reference (:func:`serial_reference`) — both
+    thread and the serial reference (:func:`serial_reference`) — both
     sides of the identity assertion call exactly this.
     """
     if endpoint == "/sweep":

@@ -58,7 +58,7 @@ class RequestTicket:
 class ServeStats:
     """Thread-safe request/queue accounting for one server lifetime.
 
-    Written from service threads and the event loop, read from
+    Written from the service thread and the event loop, read from
     ``/stats`` handlers and the shutdown manifest — everything goes
     through one lock, and :meth:`snapshot` returns plain dicts so
     readers never hold live references.

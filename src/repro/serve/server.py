@@ -10,13 +10,13 @@ Architecture (DESIGN.md §15):
   compute endpoints (``/sweep``, ``/points``, ``/validate``): a full
   queue answers 429 immediately, a draining server answers 503 — the
   queue bound is the server's entire memory commitment to pending work.
-* **Service threads** (default **one**) pop tickets and run
+* **One service thread** pops tickets and runs
   :func:`~repro.serve.protocol.execute_request` on the shared
   :class:`~repro.engine.sweep.ExperimentEngine` — whose worker pool is
-  where the actual parallelism lives.  One service thread is deliberate:
-  the engine's trace memo is single-threaded by design, so the queue
-  serialises *bookkeeping* while the process pool parallelises
-  *simulation*.
+  where the actual parallelism lives.  One thread is deliberate: the
+  engine's memos (traces, content keys, thermal reports) are
+  single-threaded ``LruMemo``s, so the queue serialises *bookkeeping*
+  while the process pool parallelises *simulation*.
 * **Responses are run manifests**: each request runs inside its own
   :class:`~repro.obs.record.RunRecord`, and its reply carries that
   record's manifest plus a ``serve`` section (schema v8) with queue
@@ -81,17 +81,13 @@ class ReproServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  engine=None, queue_size: int = 32,
-                 service_threads: int = 1,
                  max_body_bytes: int = 1 << 20,
                  warm_workers: bool = True) -> None:
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        if service_threads < 1:
-            raise ValueError("service_threads must be >= 1")
         self.host = host
         self.port = port
         self.queue_size = queue_size
-        self.service_threads = service_threads
         self.max_body_bytes = max_body_bytes
         self.warm_workers = warm_workers
         self.stats = ServeStats()
@@ -196,15 +192,11 @@ class ReproServer:
         self._queue = asyncio.Queue(maxsize=self.queue_size)
         self._stop_event = asyncio.Event()
         executor = ThreadPoolExecutor(
-            max_workers=self.service_threads,
-            thread_name_prefix="repro-serve-worker")
+            max_workers=1, thread_name_prefix="repro-serve-worker")
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
-        dispatchers = [
-            asyncio.ensure_future(self._dispatch(executor))
-            for _ in range(self.service_threads)
-        ]
+        dispatcher = asyncio.ensure_future(self._dispatch(executor))
         self._ready.set()
         try:
             await self._stop_event.wait()
@@ -223,9 +215,8 @@ class ReproServer:
                     # give them a bounded window to flush.
                     await asyncio.wait(set(self._connections), timeout=10)
         finally:
-            for task in dispatchers:
-                task.cancel()
-            await asyncio.gather(*dispatchers, return_exceptions=True)
+            dispatcher.cancel()
+            await asyncio.gather(dispatcher, return_exceptions=True)
             for task in list(self._connections):
                 task.cancel()
             if self._connections:
@@ -253,7 +244,7 @@ class ReproServer:
                 ticket.future.set_result((status, payload))
             self._queue.task_done()
 
-    # -- request service (runs on a service thread) ---------------------------
+    # -- request service (runs on the service thread) -------------------------
 
     def _service(self, ticket: RequestTicket) -> Tuple[int, Dict[str, Any]]:
         ticket.started_at = time.monotonic()
@@ -362,7 +353,9 @@ class ReproServer:
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            raise ProtocolError(400, "bad Content-Length") from None
+            length = -1
+        if length < 0:
+            raise ProtocolError(400, "bad Content-Length")
         if length > self.max_body_bytes:
             raise ProtocolError(
                 413, f"body of {length} bytes exceeds the "

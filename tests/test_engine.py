@@ -5,7 +5,15 @@ import pickle
 
 import pytest
 
-from repro.core.configs import base_config, m3d_het_config, single_core_configs
+from repro.core.configs import (
+    CoreConfig,
+    base_config,
+    m3d_het_config,
+    multicore_configs,
+    single_core_configs,
+)
+from repro.design.point import DesignPoint
+from repro.design.space import SpaceSpec
 from repro.engine import (
     ExperimentEngine,
     ResultCache,
@@ -13,9 +21,14 @@ from repro.engine import (
     code_fingerprint,
     make_key,
 )
-from repro.engine.sweep import configure, get_engine
+from repro.engine import cache as cache_module
+from repro.engine.sweep import configure, get_engine, suite_specs
+from repro.explore.store import point_key
+from repro.lru import LruMemo
 from repro.obs import run_record
+from repro.workloads.parallel import parallel_profiles
 from repro.workloads.spec import spec_profiles
+from tests.references import reference_key, spec_reference_key, workloads
 
 UOPS = 600
 
@@ -61,6 +74,87 @@ class TestCacheKeys:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             SimSpec("both", base_config(), _profiles(1)[0], UOPS)
+
+
+class TestKeyFragmentMemo:
+    """``make_key`` canonicalises each dataclass part once and splices the
+    memoized fragment in; every key must stay byte-identical to the
+    reference, on the first build and on every memo hit."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_PART_JSON",
+                            LruMemo(cap=cache_module._PART_JSON.cap))
+
+    def test_report_suite_keys_match_reference(self):
+        specs = suite_specs(
+            "single", workloads.REPORT_UOPS, 1234,
+            single_core_configs(), spec_profiles(),
+        ) + suite_specs(
+            "multicore", workloads.REPORT_MULTICORE_UOPS, 1234,
+            multicore_configs(), parallel_profiles(),
+        )
+        assert len(specs) == 21 * 6 + 15 * 5
+        for _ in range(2):  # built, then served from the memo
+            for spec in specs:
+                assert spec.cache_key() == spec_reference_key(spec)
+
+    def test_explore_point_keys_match_reference(self):
+        space = SpaceSpec.from_dict(workloads.EXPLORE_SPACE)
+        points = list(space.points())
+        assert len(points) == workloads.EXPLORE_POINTS
+        sizes = {"uops": workloads.EXPLORE_UOPS, "seed": 1234, "grid": 8,
+                 "apps": workloads.EXPLORE_APPS}
+        for point in points:
+            fields = point.to_dict()
+            for cosmetic in ("name", "description", "group"):
+                fields.pop(cosmetic)
+            assert point_key(point, **sizes) == reference_key(
+                "explore:point", point=fields, **sizes)
+
+    def test_type_variants_keep_distinct_keys(self):
+        # Dataclass equality says 1 == 1.0 == True and 0.0 == -0.0; the
+        # canonical JSON does not, so neither may the memo.
+        configs = [dataclasses.replace(base_config(), vdd=vdd)
+                   for vdd in (1.0, 1, True)]
+        points = [DesignPoint(name="variant", stack="M3D",
+                              top_layer_slowdown=slowdown)
+                  for slowdown in (0.0, -0.0)]
+        nan = dataclasses.replace(base_config(), vdd=float("nan"))
+        parts = ([{"config": c} for c in configs]
+                 + [{"point": p} for p in points] + [{"config": nan}]
+                 + [{"config": configs[0], "extra": [1, {"b": 2.5, "a": None}],
+                     "label": "é\n"}])
+        for _ in range(2):
+            keys = [make_key("variant", **part) for part in parts]
+            assert keys == [reference_key("variant", **part)
+                            for part in parts]
+            assert len(set(keys)) == len(keys)
+
+    def test_memo_holds_at_its_cap(self, monkeypatch):
+        cap = cache_module._PART_JSON.cap
+        assert cap == 1024
+        builds = []
+        real = cache_module._canonical
+
+        def counting(value):
+            if isinstance(value, CoreConfig):
+                builds.append(value.name)
+            return real(value)
+
+        monkeypatch.setattr(cache_module, "_canonical", counting)
+        configs = [dataclasses.replace(base_config(), name=f"cap-{i}")
+                   for i in range(cap + 1)]
+        keys = [make_key("cap", config=config) for config in configs]
+        assert len(cache_module._PART_JSON) == cap
+        assert len(builds) == cap + 1
+        # The newest fragment is still cached; the oldest was evicted and
+        # rebuilds to the same key.
+        assert make_key("cap", config=configs[-1]) == keys[-1]
+        assert len(builds) == cap + 1
+        assert make_key("cap", config=configs[0]) == keys[0]
+        assert len(builds) == cap + 2
+        assert len(cache_module._PART_JSON) == cap
 
 
 class TestResultCache:

@@ -12,27 +12,35 @@ Everything timing-dependent goes through event-based waits
 (:mod:`tests.waiting`) or explicit gate events — no sleep races.
 """
 
+import dataclasses
+import importlib
 import json
 import os
 import signal
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.engine import cache as cache_module
 from repro.engine import sweep as sweep_module
 from repro.engine.sweep import ExperimentEngine
 from repro.golden.serialize import canonical_dumps
-from repro.obs import validate_manifest
+from repro.lru import LruMemo
+from repro.obs import ModelDisagreementWarning, validate_manifest
 from repro.serve import (
     ProtocolError,
     ReproServer,
+    execute_request,
     identity_payload,
     parse_request,
     request_json,
     serial_reference,
 )
 from repro.serve import server as server_module
+from repro.thermal import hotspot
+from tests.references import spec_reference_key, workloads
 from tests.waiting import wait_until
 
 #: Small sizes so a full request is ~0.1s; two apps also means two
@@ -67,6 +75,15 @@ def _server(**kwargs):
     kwargs.setdefault("engine", _engine())
     kwargs.setdefault("warm_workers", False)
     return ReproServer(**kwargs)
+
+
+def _fresh_memos(monkeypatch, cap=None):
+    """Empty content-key and thermal memos for one test (the module memos
+    outlive tests within a worker process)."""
+    monkeypatch.setattr(cache_module, "_PART_JSON",
+                        LruMemo(cap or cache_module._PART_JSON.cap))
+    monkeypatch.setattr(hotspot, "_REPORTS",
+                        LruMemo(cap or hotspot._REPORTS.cap))
 
 
 class TestProtocol:
@@ -216,6 +233,137 @@ class TestServerBasics:
             assert status == 200
         assert canonical_dumps(identity_payload(served)) \
             == canonical_dumps(reference)
+
+
+#: The benchmark's ``serve_warm`` bodies, parsed.
+WARM_REQUESTS = [(endpoint, parse_request(endpoint, body))
+                 for endpoint, body in workloads.serve_bodies(1234)]
+
+
+@pytest.fixture(scope="module")
+def warm_engine():
+    """An engine whose result cache already holds every simulation of the
+    ``serve_warm`` bodies."""
+    engine = _engine()
+    for endpoint, request in WARM_REQUESTS:
+        execute_request(endpoint, request, engine)
+    return engine
+
+
+class TestWarmRequests:
+    """A warm request simulates nothing, and with the content-key and
+    thermal memos it rebuilds nothing either: it pays for lookups."""
+
+    def test_warm_repeat_canonicalises_and_solves_nothing(
+            self, warm_engine, monkeypatch):
+        _fresh_memos(monkeypatch)
+        canonicalised = []
+        solves = []
+        real_canonical = cache_module._canonical
+        real_solve = hotspot.solve_floorplans
+
+        def counting_canonical(value):
+            if dataclasses.is_dataclass(value):
+                canonicalised.append(type(value).__name__)
+            return real_canonical(value)
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "_canonical", counting_canonical)
+        monkeypatch.setattr(hotspot, "solve_floorplans", counting_solve)
+        with _server(engine=warm_engine) as server:
+            first = [request_json(server.port, "POST", endpoint, request)
+                     for endpoint, request in WARM_REQUESTS]
+            assert canonicalised and len(solves) == 24
+            del canonicalised[:], solves[:]
+            repeat = [request_json(server.port, "POST", endpoint, request)
+                      for endpoint, request in WARM_REQUESTS]
+        assert canonicalised == [] and solves == []
+        for (status, body), (_, again) in zip(first, repeat):
+            assert status == 200
+            assert body["manifest"]["serve"]["cache_hit_ratio"] == 1.0
+            assert identity_payload(again) == identity_payload(body)
+
+    def test_body_spec_keys_match_reference(self, warm_engine, monkeypatch):
+        _fresh_memos(monkeypatch)
+        specs = []
+        real_submit = warm_engine.submit_specs
+
+        def capturing(batch, **kwargs):
+            specs.extend(batch)
+            return real_submit(batch, **kwargs)
+
+        monkeypatch.setattr(warm_engine, "submit_specs", capturing)
+        for endpoint, request in WARM_REQUESTS:
+            execute_request(endpoint, request, warm_engine)
+        assert len(specs) == 40
+        for _ in range(2):  # built, then served from the memo
+            for spec in specs:
+                assert spec.cache_key() == spec_reference_key(spec)
+
+    def test_thermal_reports_equal_fresh_solves(self, warm_engine,
+                                                monkeypatch):
+        _fresh_memos(monkeypatch)
+        served = []
+        real_report = hotspot._design_report
+
+        def recording(*args):
+            report = real_report(*args)
+            served.append((args, report))
+            return report
+
+        monkeypatch.setattr(hotspot, "_design_report", recording)
+        for _ in range(2):  # solved, then served from the memo
+            for endpoint, request in WARM_REQUESTS:
+                execute_request(endpoint, request, warm_engine)
+        assert len({args for args, _ in served}) == 24
+        for args, report in served:
+            assert report == hotspot._solve_design(*args)
+
+
+class TestDisagreementWarnings:
+    """Each disagreement names its point, so a stream of distinct points
+    must not leave one warnings-registry entry per message behind."""
+
+    #: Point #2 of the benchmark's explore space: the cycle and interval
+    #: models disagree on Calculix for it.
+    POINT = {"stack": "M3D", "top_layer_slowdown": 0.17, "vdd": 0.9,
+             "issue_width": 4, "dispatch_width": 4, "commit_width": 4,
+             "frequency_policy": "derived"}
+    REQUESTS = 60
+
+    def _body(self, index):
+        return {"points": [dict(self.POINT, name=f"disagree-{index}")],
+                "uops": 1000, "apps": 3, "seed": 1234}
+
+    def test_distinct_points_leave_the_registry_flat(self):
+        design_sweep = importlib.import_module("repro.design.sweep")
+
+        def registry_size():
+            return len(getattr(design_sweep, "__warningregistry__", {}))
+
+        with _server() as server, \
+                warnings.catch_warnings(record=True) as caught:
+            # The interpreter's default action, which keeps a registry.
+            warnings.filterwarnings("default",
+                                    category=ModelDisagreementWarning)
+            status, _ = request_json(server.port, "POST", "/points",
+                                     self._body(0))
+            assert status == 200
+            before = registry_size()
+            for index in range(1, self.REQUESTS + 1):
+                status, _ = request_json(server.port, "POST", "/points",
+                                         self._body(index))
+                assert status == 200
+            after = registry_size()
+        assert after == before
+        messages = " ".join(
+            str(w.message) for w in caught
+            if issubclass(w.category, ModelDisagreementWarning))
+        for index in range(self.REQUESTS + 1):
+            assert f"disagree-{index}/Calculix" in messages
 
 
 class TestConcurrentClients:
@@ -373,13 +521,26 @@ class TestBoundedResources:
     #: telemetry costs on this stream (about 1 kB per request).
     RSS_GROWTH_BOUND_KB = 1024
 
+    @staticmethod
+    def _process(server):
+        status, body = request_json(server.port, "GET", "/stats")
+        assert status == 200
+        return body["process"]
+
+    def _settled(self, server, start):
+        """The end gauges, once fds, threads and shm match ``start``."""
+        def settled():
+            # Connection teardown is asynchronous: poll, don't race.
+            now = self._process(server)
+            return now if all(
+                now[key] == start[key]
+                for key in ("open_fds", "threads", "shm_segments")
+            ) else None
+
+        return wait_until(settled)
+
     def test_warm_stream_holds_bounded_resources(self):
         with _server() as server:
-            def process():
-                status, body = request_json(server.port, "GET", "/stats")
-                assert status == 200
-                return body["process"]
-
             def list_sizes():
                 record = server.record
                 return [len(record.batches), len(record.kernel_batches),
@@ -388,7 +549,7 @@ class TestBoundedResources:
 
             for _ in range(50):  # the cold request, then warm-up
                 request_json(server.port, "POST", "/sweep", self.BODY)
-            start = process()
+            start = self._process(server)
             sizes = list_sizes()
             hits = server.record.cache["memory_hits"]
             for _ in range(self.REQUESTS):
@@ -399,16 +560,38 @@ class TestBoundedResources:
             # The requests did fold into the lifetime record.
             assert server.record.cache["memory_hits"] \
                 == hits + self.REQUESTS
+            end = self._settled(server, start)
+        assert end["rss_kb"] - start["rss_kb"] < self.RSS_GROWTH_BOUND_KB, \
+            (start, end)
 
-            def settled():
-                # Connection teardown is asynchronous: poll, don't race.
-                now = process()
-                return now if all(
-                    now[key] == start[key]
-                    for key in ("open_fds", "threads", "shm_segments")
-                ) else None
+    #: Point names the distinct-body stream cycles through, and the memo
+    #: cap it runs under: more names than entries, so every request
+    #: evicts a content-key fragment and a thermal report and rebuilds
+    #: its own.
+    NAMES = 64
+    MEMO_CAP = 16
 
-            end = wait_until(settled)
+    def test_distinct_points_stream_holds_bounded_resources(
+            self, monkeypatch):
+        _fresh_memos(monkeypatch, cap=self.MEMO_CAP)
+
+        def body(index):
+            # Every body is distinct; only NAMES of them need simulating.
+            point = {"name": f"soak-{index % self.NAMES}", "stack": "M3D",
+                     "description": f"request {index}"}
+            return {"points": [point], "uops": 300, "apps": 1}
+
+        with _server() as server:
+            for index in range(2 * self.NAMES):  # cold names, then warm-up
+                request_json(server.port, "POST", "/points", body(index))
+            start = self._process(server)
+            for index in range(self.REQUESTS):
+                status, _ = request_json(server.port, "POST", "/points",
+                                         body(2 * self.NAMES + index))
+                assert status == 200
+            assert len(cache_module._PART_JSON) == self.MEMO_CAP
+            assert len(hotspot._REPORTS) == self.MEMO_CAP
+            end = self._settled(server, start)
         assert end["rss_kb"] - start["rss_kb"] < self.RSS_GROWTH_BOUND_KB, \
             (start, end)
 
@@ -429,6 +612,23 @@ class TestHttpPlumbing:
                 conn.close()
             assert response.status == 400
             assert "invalid JSON" in payload["error"]["message"]
+
+    def test_negative_content_length_is_400(self):
+        import http.client
+
+        with _server() as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+            try:
+                conn.putrequest("POST", "/sweep")
+                conn.putheader("Content-Length", "-1")
+                conn.endheaders()
+                response = conn.getresponse()
+                payload = json.loads(response.read().decode())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert payload["error"]["message"] == "bad Content-Length"
 
     def test_oversized_body_is_413(self):
         with _server() as server:
