@@ -51,13 +51,18 @@ def code_fingerprint() -> str:
     if _FINGERPRINT is None:
         import repro
 
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-        _FINGERPRINT = digest.hexdigest()
+        _FINGERPRINT = source_digest(Path(repro.__file__).resolve().parent)
     return _FINGERPRINT
+
+
+def source_digest(root: Path) -> str:
+    """sha256 over the Python modules and C sources (the compiled timing
+    loop) under ``root``, each with its relative path."""
+    digest = hashlib.sha256()
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def _canonical(value: Any) -> Any:

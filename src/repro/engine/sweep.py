@@ -98,14 +98,14 @@ def execute_spec(spec: SimSpec):
 def execute_spec_group(specs: Sequence[SimSpec]):
     """Run a group of specs sharing one (mode, profile, uops, seed).
 
-    Groups of two or more go through the batched SoA kernel — one trace
-    decode, one cache/predictor replay per geometry, per-config timing
-    only — unless ``$REPRO_KERNEL=0`` disables it.  Returns
-    ``(results, used_kernel)``; results are in spec order and identical
-    either way (the kernel is cycle-exact against the oracle).
+    Every group, one spec or many, goes through the batched SoA kernel —
+    one trace decode, one cache/predictor replay per geometry, per-config
+    timing only — unless ``$REPRO_KERNEL=0`` selects the scalar oracle.
+    Returns ``(results, used_kernel)``; results are in spec order and
+    identical either way (the kernel is cycle-exact against the oracle).
     """
     first = specs[0]
-    if len(specs) > 1 and kernel_enabled():
+    if kernel_enabled():
         configs = [spec.config for spec in specs]
         if first.mode == "single":
             trace = _trace_for(first.profile, first.uops, first.seed)

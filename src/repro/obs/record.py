@@ -93,9 +93,9 @@ class RunRecord:
         """Aggregate kernel usage: how many specs were batched through
         the SoA kernel vs fell back to the scalar oracle.
 
-        ``fallback_specs`` counts only specs in groups wide enough to
-        batch (width >= 2) that ran scalar anyway — singletons have
-        nothing to batch and are reported separately."""
+        Only ``$REPRO_KERNEL=0`` sends groups to the oracle:
+        ``fallback_specs`` counts the specs of such groups of width >= 2
+        and ``singleton_specs`` those of one spec."""
         summary = dict(self.kernel_totals)
         summary["seconds"] = round(summary["seconds"], 6)
         return summary

@@ -87,8 +87,8 @@ class KernelBatchRecord:
     """One work unit (a same-trace spec group, or a shard of one): how
     it was executed and how wide.
 
-    ``used_kernel`` is False when the unit fell back to the scalar
-    oracle — singleton units (nothing to batch) or ``$REPRO_KERNEL=0``.
+    ``used_kernel`` is False when the unit ran through the scalar
+    oracle, which only ``$REPRO_KERNEL=0`` selects.
     """
 
     mode: str

@@ -46,6 +46,22 @@ class TestCacheKeys:
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64
 
+    def test_fingerprint_covers_the_timing_loop_source(self, tmp_path):
+        """Editing ``timing.c`` must change the digest, or an on-disk
+        cache would serve results an older compiled loop computed."""
+        import shutil
+        from pathlib import Path
+
+        import repro
+
+        copy = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert cache_module.source_digest(copy) == code_fingerprint()
+        with open(copy / "uarch" / "timing.c", "a") as source:
+            source.write("/* edited */\n")
+        assert cache_module.source_digest(copy) != code_fingerprint()
+
     def test_key_includes_all_inputs(self):
         profile = _profiles(1)[0]
         spec = SimSpec("single", base_config(), profile, UOPS, seed=1)
@@ -351,6 +367,22 @@ class TestEngineExecution:
     def test_cache_dir_and_cache_are_exclusive(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentEngine(cache=ResultCache(), cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("mode, profile, uops", [
+        ("single", spec_profiles()[0], UOPS),
+        ("multicore", parallel_profiles()[0], 2400),
+    ])
+    def test_singleton_group_runs_through_the_kernel(self, mode, profile,
+                                                     uops, monkeypatch):
+        from repro.engine.sweep import execute_spec, execute_spec_group
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        config = (multicore_configs()[-1] if mode == "multicore"
+                  else base_config())
+        spec = SimSpec(mode, config, profile, uops)
+        results, used_kernel = execute_spec_group([spec])
+        assert used_kernel
+        assert results == [execute_spec(spec)]
 
 
 class TestSharding:

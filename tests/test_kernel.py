@@ -3,11 +3,12 @@
 The kernel's contract is *cycle-exactness*: ``run_trace_batch`` must
 return results indistinguishable (full dataclass equality — stats,
 stall attribution, memory-level histograms, everything) from per-config
-``OutOfOrderCore.run`` calls, at every batch width and chunk boundary
-of its one generated timing loop.  These tests pin that
-contract, the multicore batch equivalent, the engine's byte-identical
-figure output with the kernel on vs off, and the generator digests the
-replay-sharing optimisations silently depend on.
+``OutOfOrderCore.run`` calls, at every batch width and across the
+prunes of its one compiled timing loop.  These tests pin that
+contract, how the loop is built, the multicore batch equivalent, the
+engine's byte-identical figure output with the kernel on vs off, and
+the generator digests the replay-sharing optimisations silently depend
+on.
 """
 
 import dataclasses
@@ -79,6 +80,15 @@ def test_batch_matches_oracle_edge_configs():
     assert run_trace_batch(configs, _fresh_trace(profile, 1200)) == oracle
 
 
+@pytest.mark.parametrize("field", ["dispatch_width", "lq_entries"])
+def test_batch_rejects_empty_widths_and_queues(field):
+    """The compiled loop indexes its histories by queue depth and width;
+    a zero would read entries no op has written, so it is refused."""
+    config = dataclasses.replace(base_config(), **{field: 0})
+    with pytest.raises(ValueError, match=field):
+        run_trace_batch([config], _fresh_trace(spec_profiles()[0], 200))
+
+
 def test_batch_preserves_config_order_and_duplicates():
     configs = single_core_configs()
     shuffled = [configs[3], configs[0], configs[3], configs[5]]
@@ -101,24 +111,20 @@ def test_simulate_core_matches_oracle_single():
     assert simulate_core(replay_trace, config, image) == expected
 
 
-@pytest.mark.parametrize("delta", [-1, 0, 1, kernel.MERGED_CHUNK + 1])
-def test_dispatch_boundary_widths(delta, monkeypatch):
-    """Exactness and config order at the chunk boundaries: widths
-    MERGED_CHUNK - 1, MERGED_CHUNK, MERGED_CHUNK + 1 and
-    2 * MERGED_CHUNK + 1, with ``shared_l2`` alternating so the batch
-    splits by L2 geometry and, at the widest, a geometry group splits
-    into a full chunk plus a remainder."""
-    chunk = kernel.MERGED_CHUNK
-    width = chunk + delta
+@pytest.mark.parametrize("width", [1, 2, 17, 33])
+def test_dispatch_boundary_widths(width, monkeypatch):
+    """Exactness and config order at batch widths 1, 2, 17 and 33, with
+    ``shared_l2`` alternating so the batch splits by L2 geometry: one
+    compiled call per geometry group, whatever its width."""
     timed_widths = []
-    real_time_merged = kernel._time_merged
+    real_time_configs = kernel._time_configs
 
-    def spy(trace, arrays, corrects, image, configs, *rest):
+    def spy(trace, arrays, outcomes, image, configs, *rest):
         timed_widths.append(len(configs))
-        return real_time_merged(trace, arrays, corrects, image, configs,
-                                *rest)
+        return real_time_configs(trace, arrays, outcomes, image, configs,
+                                 *rest)
 
-    monkeypatch.setattr(kernel, "_time_merged", spy)
+    monkeypatch.setattr(kernel, "_time_configs", spy)
     base = base_config()
     configs = [
         dataclasses.replace(base, name=f"b{k}", shared_l2=bool(k % 2),
@@ -132,41 +138,97 @@ def test_dispatch_boundary_widths(delta, monkeypatch):
     assert batched == oracle  # 0.0 divergence vs the OOO oracle
     assert [r.config_name for r in batched] == [c.name for c in configs]
     groups = ((width + 1) // 2, width // 2)  # private / shared L2
-    assert sorted(timed_widths) == sorted(
-        min(chunk, size - lo) for size in groups
-        for lo in range(0, size, chunk)
-    )
+    assert sorted(timed_widths) == sorted(size for size in groups if size)
 
 
-def test_merged_memo_evicts_least_recently_used(monkeypatch):
-    """A geometry reused between newer ones keeps its compiled loop:
-    fill the memo, reuse the first key, add one more, then ask for the
-    first key again — it must still be cached, not recompiled."""
-    compiled = []
-    real_source = kernel._merged_source
+def test_windows_across_prunes_match_oracle():
+    """Long enough to prune the occupancy windows twice: 12,000 uops of
+    the most DRAM-bound SPEC profile at width 1, where the rename cycle
+    runs far ahead between prunes and the occupancy windows grow several
+    times past their initial size.  Full equality includes the tracked
+    cycles."""
+    from repro.uarch.ooo import PRUNE_INTERVAL
+    from repro.workloads.spec import spec_by_name
 
-    def counting_source(key):
-        compiled.append(key)
-        return real_source(key)
-
-    monkeypatch.setattr(kernel, "_merged_source", counting_source)
+    profile = spec_by_name()["Xalancbmk"]
     base = base_config()
-    trace = _fresh_trace(spec_profiles()[0], 200)
+    narrow = dataclasses.replace(base, name="narrow", dispatch_width=1,
+                                 issue_width=1, commit_width=1)
+    configs = [
+        narrow,
+        dataclasses.replace(narrow, name="narrow-het", hetero=True,
+                            shared_l2=True, rob_entries=16, iq_entries=8,
+                            lq_entries=4, sq_entries=4),
+    ]
+    uops = 12_000
+    assert uops > 2 * PRUNE_INTERVAL
+    trace = _fresh_trace(profile, uops)
+    oracle = [run_trace(config, trace) for config in configs]
+    # At least 2 cycles per uop: a prune interval spans 8192+ cycles.
+    assert all(r.cycles >= 2 * uops for r in oracle)
+    batched = run_trace_batch(configs, _fresh_trace(profile, uops))
+    assert batched == oracle
+    assert [r.stats.tracked_limiter_cycles for r in batched] == \
+        [r.stats.tracked_limiter_cycles for r in oracle]
 
-    def batch(k):
-        # Geometries no other test uses, so whatever the memo already
-        # holds is older than every key here.
-        return [dataclasses.replace(base, name=f"memo{k}-{j}",
-                                    rob_entries=900 + 2 * k + j)
-                for j in range(2)]
 
-    cap = kernel._MERGED_MEMO.cap
-    for k in range(cap):
-        run_trace_batch(batch(k), trace)
-    run_trace_batch(batch(0), trace)
-    run_trace_batch(batch(cap), trace)
-    run_trace_batch(batch(0), trace)
-    assert len(compiled) == cap + 1
+# ---------------------------------------------------------------------------
+# Building the compiled loop
+# ---------------------------------------------------------------------------
+
+
+def test_missing_compiler_names_the_oracle_switch(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
+    with pytest.raises(RuntimeError, match=r"\$REPRO_KERNEL=0"):
+        kernel._timing_loop(tmp_path / "build")
+    assert not (tmp_path / "build").exists()
+
+
+def test_unwritable_build_directory_names_the_oracle_switch(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    with pytest.raises(RuntimeError, match=r"\$REPRO_KERNEL=0"):
+        kernel._timing_loop(blocker / "build")
+
+
+_BUILD_AND_TIME = """
+import sys
+from pathlib import Path
+from repro.core.configs import single_core_configs
+from repro.uarch import kernel
+from repro.workloads.generator import generate_trace
+from repro.workloads.spec import spec_profiles
+
+kernel._BUILD_DIR = Path(sys.argv[1])
+trace = generate_trace(spec_profiles()[3], 600, seed=7)
+print(repr(kernel.run_trace_batch(single_core_configs(), trace)))
+"""
+
+
+def test_concurrent_builds_install_one_library(tmp_path):
+    """Four processes racing to build into one fresh directory: each
+    renames a complete library into place, so exactly one artefact is
+    left, no temporary file survives, and all four time identically."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    build = tmp_path / "build"
+    src = str(Path(kernel.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _BUILD_AND_TIME, str(build)],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, env=env)
+        for _ in range(4)
+    ]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outputs.append(out)
+    assert len(set(outputs)) == 1 and "SimResult" in outputs[0]
+    assert [p.suffix for p in build.iterdir()] == [".so"]
 
 
 # ---------------------------------------------------------------------------
