@@ -1,9 +1,9 @@
 """Performance benchmark for the experiment engine.
 
-Times the full experiment runner plus the two hot kernels the engine
-optimises (the thermal solver and the OOO per-cycle limiters), and writes
-a ``BENCH_<timestamp>.json`` record so the performance trajectory is
-tracked from commit to commit.
+Times the full experiment runner plus the engine's batched timing
+kernel, design-space exploration, the sweep server and the manycore
+pipeline, and writes a ``BENCH_<timestamp>.json`` record so the
+performance trajectory is tracked from commit to commit.
 
 Usage::
 
@@ -22,10 +22,6 @@ Sections
     Per-config scalar oracle vs one :func:`repro.uarch.kernel.run_trace_batch`
     pass on the same trace, plus the max CPI divergence vs the oracle
     (must be 0: the kernel is cycle-exact).
-``thermal``
-    Scalar ``lil_matrix``+``spsolve`` reference vs the vectorized,
-    ``splu``-factorized fast path, amortised over a Figure-8-sized batch
-    of right-hand sides.
 ``goldens``
     ``repro validate`` over the static artifacts (tables, design points,
     trace digests) against the committed ``goldens/`` — a model drift
@@ -37,11 +33,13 @@ Sections
     from the store, not the cache) and reproduce the identical Pareto
     frontier.
 ``explore_pipeline``
-    Serial-chunk (``in_flight=1``) vs pipelined (``in_flight=2``)
-    explore throughput at ``--jobs 2`` through the persistent worker
-    pool — points/sec for both modes, byte-identity of the two stores,
-    and a zero-re-evaluation resume check.  CI asserts the pipelined
-    mode is at least as fast as the serial one.
+    Serial-chunk (``in_flight=1``, one pool spawn per chunk) vs
+    pipelined (``in_flight=2`` on the warm persistent worker pool)
+    explore throughput at ``--jobs 2`` — points/sec and pool spawns for
+    both modes, byte-identity of the two stores, and a
+    zero-re-evaluation resume check.  CI asserts the pipelined mode is
+    at least as fast as the serial one, and that only the serial mode
+    spawns (once per chunk).
 ``serve``
     ``repro serve`` under load: one cold CLI sweep (interpreter start +
     imports + evaluation — the per-request price before the server
@@ -56,9 +54,6 @@ Sections
     the batched kernel and again through the full OOO oracle — the two
     must agree cycle-for-cycle on every application — with the chip
     thermal solve included in both passes.
-``limiter``
-    Memory footprint of the per-cycle issue/FU occupancy maps on a long
-    trace, with pruning disabled vs enabled.
 """
 
 from __future__ import annotations
@@ -194,57 +189,6 @@ def bench_runner(uops: int, multicore_uops: int, quick: bool,
     return record
 
 
-def bench_thermal(grid: int, solves: int) -> dict:
-    import numpy as np
-
-    from repro.thermal.grid import solve_stack, solve_stack_reference
-    from repro.thermal.stack import (
-        stack_2d_thermal,
-        stack_m3d_thermal,
-        stack_tsv3d_thermal,
-    )
-
-    stacks = [stack_2d_thermal(), stack_m3d_thermal(), stack_tsv3d_thermal()]
-    chip_area = 5e-6
-    cases = []
-    for stack in stacks:
-        maps = [None] * len(stack.layers)
-        for rank, index in enumerate(stack.active_indices):
-            density = (10.0 + 2.0 * rank) / chip_area
-            maps[index] = [[density] * grid for _ in range(grid)]
-        cases.append((stack, maps))
-
-    with timer("thermal.reference") as reference_span:
-        reference = [
-            solve_stack_reference(stack, maps, chip_area, grid=grid)
-            for stack, maps in cases
-            for _ in range(solves)
-        ]
-    reference_seconds = reference_span.seconds
-
-    with timer("thermal.fast") as fast_span:
-        fast = [
-            solve_stack(stack, maps, chip_area, grid=grid)
-            for stack, maps in cases
-            for _ in range(solves)
-        ]
-    fast_seconds = fast_span.seconds
-
-    max_diff = max(
-        float(np.abs(a.temperatures - b.temperatures).max())
-        for a, b in zip(reference, fast)
-    )
-    return {
-        "grid": grid,
-        "stacks": len(stacks),
-        "solves_per_stack": solves,
-        "reference_seconds": round(reference_seconds, 4),
-        "fast_seconds": round(fast_seconds, 4),
-        "speedup": round(reference_seconds / max(fast_seconds, 1e-9), 1),
-        "max_abs_diff_c": max_diff,
-    }
-
-
 def bench_kernel(uops: int) -> dict:
     """Scalar oracle vs the batched SoA kernel on one shared trace.
 
@@ -376,23 +320,26 @@ def bench_explore_pipeline(samples: int, uops: int, apps: int,
 
     The same seeded random space runs twice per repeat through a
     2-worker engine.  The **serial-chunk** pass reproduces the pre-pool
-    regime: ``in_flight=1`` (strict expand→evaluate→commit) with
-    ``$REPRO_PERSISTENT_POOL=0``, so every chunk spawns, warms and
-    tears down its own executor — per-chunk pool spawn and cold
-    worker-side trace memos, exactly what a chunked explore paid before
-    the persistent pool.  The **pipelined** pass is the shipped default:
-    ``in_flight=2`` over the shared persistent pool (chunk N+1
-    simulating while chunk N's power/thermal post-processing and group
-    commit run on the parent — on multi-core hosts the two genuinely
-    overlap; everywhere the spawn/re-warm tax is gone).  A warmup pass
-    first spawns the persistent pool and warms its workers; each mode's
-    best of ``repeats`` is reported.  The two stores must be
-    byte-identical (pipelining must not reorder or alter records), and
-    a resume over the pipelined store with a fresh engine must
-    re-evaluate nothing.
+    regime: ``in_flight=1`` (strict expand→evaluate→commit), with the
+    shared pool shut down before the pass and again after every
+    committed chunk, so each chunk spawns, warms and tears down its own
+    workers — per-chunk pool spawn and cold worker-side trace memos,
+    exactly what a chunked explore paid before the persistent pool.  The
+    **pipelined** pass is the shipped default: ``in_flight=2`` over the
+    shared pool (chunk N+1 simulating while chunk N's power/thermal
+    post-processing and group commit run on the parent — on multi-core
+    hosts the two genuinely overlap; everywhere the spawn/re-warm tax is
+    gone).  An untimed warmup pass runs first, warming the parent's
+    per-point memos for both modes, and again before each pipelined
+    pass, so that pass starts on a spawned, warm pool; each mode's best
+    of ``repeats`` is reported, with the pool spawns of its last pass
+    (one per chunk for serial, none for pipelined).  The two
+    stores must be byte-identical (pipelining must not reorder or alter
+    records), and a resume over the pipelined store with a fresh engine
+    must re-evaluate nothing.
     """
     from repro.design.space import SpaceSpec
-    from repro.engine.pool import pool_stats
+    from repro.engine.pool import pool_stats, shutdown_pool
     from repro.engine.sweep import ExperimentEngine
     from repro.explore import explore
     from repro.golden.serialize import canonical_dumps
@@ -411,41 +358,33 @@ def bench_explore_pipeline(samples: int, uops: int, apps: int,
         },
     )
 
-    def run_pass(tmp: Path, tag: str, in_flight: int,
-                 persistent: bool = True):
+    def run_pass(tmp: Path, tag: str, in_flight: int, progress=None):
         store_path = tmp / f"{tag}.jsonl"
         store_path.unlink(missing_ok=True)
-        saved = os.environ.get("REPRO_PERSISTENT_POOL")
-        if not persistent:
-            os.environ["REPRO_PERSISTENT_POOL"] = "0"
-        try:
-            with timer(f"explore.pipeline_{tag}") as span:
-                report = explore(
-                    space, store_path=store_path, uops=uops, apps=apps,
-                    chunk_size=chunk_size, in_flight=in_flight,
-                    engine=ExperimentEngine(jobs=2),
-                )
-        finally:
-            if not persistent:
-                if saved is None:
-                    os.environ.pop("REPRO_PERSISTENT_POOL", None)
-                else:
-                    os.environ["REPRO_PERSISTENT_POOL"] = saved
-        return span.seconds, report, store_path.read_bytes()
+        spawns = pool_stats()["spawns"]
+        with timer(f"explore.pipeline_{tag}") as span:
+            report = explore(
+                space, store_path=store_path, uops=uops, apps=apps,
+                chunk_size=chunk_size, in_flight=in_flight,
+                engine=ExperimentEngine(jobs=2), progress=progress,
+            )
+        spawns = pool_stats()["spawns"] - spawns
+        return span.seconds, report, store_path.read_bytes(), spawns
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-pipeline-") as tmp:
         tmp = Path(tmp)
         run_pass(tmp, "warmup", 2)
         serial_seconds = pipelined_seconds = None
         for _ in range(repeats):
-            seconds, serial_report, serial_bytes = run_pass(
-                tmp, "serial", 1, persistent=False
+            shutdown_pool()
+            seconds, serial_report, serial_bytes, serial_spawns = run_pass(
+                tmp, "serial", 1, progress=lambda _: shutdown_pool()
             )
             serial_seconds = (seconds if serial_seconds is None
                               else min(serial_seconds, seconds))
-            seconds, pipelined_report, pipelined_bytes = run_pass(
-                tmp, "pipelined", 2
-            )
+            run_pass(tmp, "warmup", 2)
+            (seconds, pipelined_report, pipelined_bytes,
+             pipelined_spawns) = run_pass(tmp, "pipelined", 2)
             pipelined_seconds = (seconds if pipelined_seconds is None
                                  else min(pipelined_seconds, seconds))
         store_identical = serial_bytes == pipelined_bytes
@@ -481,6 +420,8 @@ def bench_explore_pipeline(samples: int, uops: int, apps: int,
         "pipelined_speedup": round(
             serial_seconds / max(pipelined_seconds, 1e-9), 2
         ),
+        "serial_spawns": serial_spawns,
+        "pipelined_spawns": pipelined_spawns,
         "store_identical": store_identical,
         "resume_seconds": round(resume_span.seconds, 4),
         "resume_evaluated": resumed.evaluated,
@@ -653,46 +594,6 @@ def bench_manycore(scenario: str, uops: int, apps: int,
     }
 
 
-def bench_limiter(uops: int) -> dict:
-    from repro.core.configs import base_config
-    from repro.uarch import ooo
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.spec import spec_profiles
-
-    profile = spec_profiles()[0]
-    trace = generate_trace(profile, uops, seed=1234)
-    config = base_config()
-
-    original_interval = ooo.PRUNE_INTERVAL
-
-    def run_once(name):
-        with timer(name) as span:
-            result = ooo.run_trace(config, trace)
-        return span.seconds, result
-
-    try:
-        ooo.PRUNE_INTERVAL = 1 << 62  # pruning never triggers
-        unbounded_seconds, unbounded = run_once("limiter.unbounded")
-        unbounded_cycles = unbounded.stats.tracked_limiter_cycles
-        ooo.PRUNE_INTERVAL = original_interval
-        bounded_seconds, bounded = run_once("limiter.bounded")
-        bounded_cycles = bounded.stats.tracked_limiter_cycles
-    finally:
-        ooo.PRUNE_INTERVAL = original_interval
-
-    assert unbounded.cycles == bounded.cycles, "pruning changed the result"
-    return {
-        "uops": uops,
-        "unbounded_seconds": round(unbounded_seconds, 3),
-        "bounded_seconds": round(bounded_seconds, 3),
-        "unbounded_tracked_cycles": unbounded_cycles,
-        "bounded_tracked_cycles": bounded_cycles,
-        "tracked_cycle_reduction": round(
-            unbounded_cycles / max(1, bounded_cycles), 1
-        ),
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -711,16 +612,14 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
     """Every benchmark section; ``run`` collects the invocation's
     telemetry and timer spans for the manifest."""
     if args.quick:
-        sizes = dict(uops=1000, multicore_uops=3000, grid=8, solves=3,
-                     limiter_uops=20000, kernel_uops=2000,
+        sizes = dict(uops=1000, multicore_uops=3000, kernel_uops=2000,
                      explore_samples=24, explore_uops=400, explore_apps=2,
                      pipeline_chunk=6,
                      serve_uops=300, serve_clients=8, serve_requests=2,
                      manycore_scenario="mixed-2x2", manycore_uops=3000,
                      manycore_apps=2, manycore_grid=8)
     else:
-        sizes = dict(uops=8000, multicore_uops=24000, grid=12, solves=21,
-                     limiter_uops=60000, kernel_uops=8000,
+        sizes = dict(uops=8000, multicore_uops=24000, kernel_uops=8000,
                      explore_samples=200, explore_uops=2000, explore_apps=3,
                      pipeline_chunk=16,
                      serve_uops=1000, serve_clients=8, serve_requests=4,
@@ -768,13 +667,6 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
           f"{record['kernel']['batch_width']}, "
           f"max CPI divergence {record['kernel']['max_cpi_divergence']:.2e}")
 
-    print(f"benchmarking thermal solver (grid={sizes['grid']}) ...")
-    record["thermal"] = bench_thermal(sizes["grid"], sizes["solves"])
-    print(f"  reference {record['thermal']['reference_seconds']}s vs "
-          f"fast {record['thermal']['fast_seconds']}s "
-          f"({record['thermal']['speedup']}x, "
-          f"max diff {record['thermal']['max_abs_diff_c']:.2e} C)")
-
     print("validating static goldens ...")
     record["goldens"] = bench_goldens()
     print(f"  {record['goldens']['status']}: "
@@ -808,7 +700,10 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
           f"pipelined {record['explore_pipeline']['pipelined_seconds']}s "
           f"({record['explore_pipeline']['pipelined_points_per_second']}/s, "
           f"{record['explore_pipeline']['pipelined_speedup']}x) over "
-          f"{record['explore_pipeline']['chunks']} chunks; store identical: "
+          f"{record['explore_pipeline']['chunks']} chunks "
+          f"({record['explore_pipeline']['serial_spawns']} vs "
+          f"{record['explore_pipeline']['pipelined_spawns']} pool spawns); "
+          f"store identical: "
           f"{record['explore_pipeline']['store_identical']}, resume "
           f"re-evaluated {record['explore_pipeline']['resume_evaluated']}, "
           f"frontier identical: "
@@ -841,12 +736,6 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
           f"{record['manycore']['apps']} apps, matches oracle: "
           f"{record['manycore']['kernel_matches_oracle']}, peak "
           f"{record['manycore']['max_peak_c']}C")
-
-    print(f"benchmarking limiter pruning (uops={sizes['limiter_uops']}) ...")
-    record["limiter"] = bench_limiter(sizes["limiter_uops"])
-    print(f"  tracked cycles {record['limiter']['unbounded_tracked_cycles']} "
-          f"-> {record['limiter']['bounded_tracked_cycles']} "
-          f"({record['limiter']['tracked_cycle_reduction']}x smaller)")
 
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")

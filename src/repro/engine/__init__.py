@@ -23,11 +23,7 @@ from repro.engine.cache import (
     make_key,
     memoized,
 )
-from repro.engine.pool import (
-    persistent_pool_enabled,
-    pool_stats,
-    shutdown_pool,
-)
+from repro.engine.pool import pool_stats, shutdown_pool
 from repro.engine.sweep import (
     ExperimentEngine,
     PendingSpecs,
@@ -49,7 +45,6 @@ __all__ = [
     "get_engine",
     "make_key",
     "memoized",
-    "persistent_pool_enabled",
     "pool_stats",
     "shutdown_pool",
 ]

@@ -27,9 +27,6 @@ Contract:
 * **Accounted shutdown** — leases are ref-counted so diagnostics can
   see in-flight borrowers; :func:`shutdown_pool` (also registered via
   ``atexit``) joins every worker, leaving no stray processes behind.
-* **Opt-out** — ``$REPRO_PERSISTENT_POOL=0`` restores the old
-  one-executor-per-call behavior: each :class:`PoolLease` then owns a
-  private executor torn down by :meth:`PoolLease.close`.
 """
 
 from __future__ import annotations
@@ -41,11 +38,6 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
-
-
-def persistent_pool_enabled() -> bool:
-    """``$REPRO_PERSISTENT_POOL=0`` disables executor reuse."""
-    return os.environ.get("REPRO_PERSISTENT_POOL", "1") != "0"
 
 
 @dataclasses.dataclass
@@ -119,7 +111,7 @@ def get_executor(workers: int) -> Tuple[ProcessPoolExecutor, int]:
         return _executor, _generation
 
 
-def _respawn_after_break(broken_generation: Optional[int],
+def _respawn_after_break(broken_generation: int,
                          workers: int) -> Tuple[ProcessPoolExecutor, int]:
     """Replace a broken shared executor (once per generation).
 
@@ -130,11 +122,14 @@ def _respawn_after_break(broken_generation: Optional[int],
     with _lock:
         if _generation == broken_generation or _executor is None:
             _stats.respawns += 1
+            # Read the width before the teardown zeroes it: the
+            # replacement is never narrower than the pool it replaces.
+            width = max(workers, _workers)
             try:
                 _shutdown_locked(wait=False)
             except Exception:  # pragma: no cover - broken-pool teardown
                 pass
-            _spawn_locked(max(workers, _workers or workers))
+            _spawn_locked(width)
         else:
             _stats.reuses += 1
         return _executor, _generation
@@ -160,7 +155,6 @@ def pool_stats() -> Dict[str, object]:
         record["workers"] = _workers
         record["running"] = _executor is not None
         record["active_leases"] = _active_leases
-        record["persistent"] = persistent_pool_enabled()
         return record
 
 
@@ -194,28 +188,21 @@ def warm_up(workers: int) -> List[int]:
 
 
 class PoolLease:
-    """A borrowed executor for one batch of work-unit submissions.
+    """A borrowed share of the pool for one batch of work-unit submissions.
 
-    Persistent mode wraps the shared executor (``close`` only releases
-    the ref count); with ``$REPRO_PERSISTENT_POOL=0`` the lease owns a
-    private executor torn down by ``close`` — exactly the old
-    one-pool-per-``run_specs`` lifecycle.
+    ``close`` only releases the ref count; the shared executor outlives
+    the lease.
     """
 
     def __init__(self, workers: int) -> None:
         global _active_leases
         self.workers = workers
-        self._owned = not persistent_pool_enabled()
-        if self._owned:
-            self._executor = ProcessPoolExecutor(max_workers=workers)
-            self._generation = 0
-        else:
-            self._executor, self._generation = get_executor(workers)
-        #: Generation the lease's futures were submitted under.  One
-        #: worker crash breaks *every* future of that executor, so only
-        #: the first resolver respawns; the rest see the generation
-        #: already bumped and retry on the healthy replacement.
-        self._submit_generation = self._generation
+        #: ``_submit_generation`` is the generation the lease's futures
+        #: were submitted under.  One worker crash breaks *every* future
+        #: of that executor, so only the first resolver respawns; the
+        #: rest see the generation already bumped and retry on the
+        #: healthy replacement.
+        self._executor, self._submit_generation = get_executor(workers)
         with _lock:
             _active_leases += 1
         self._closed = False
@@ -227,44 +214,32 @@ class PoolLease:
         """``future.result()`` with one crash retry.
 
         A :class:`BrokenProcessPool` means a worker died and took the
-        executor with it: replace the executor (respawn the shared one,
-        or a fresh private one for an owned lease) and re-run
+        executor with it: respawn the shared executor and re-run
         ``fn(*retry_args)`` exactly once.  A second failure propagates.
         """
         try:
             return future.result()
         except BrokenProcessPool:
             _stats.retried_units += 1
-            if self._owned:
-                if self._generation == self._submit_generation:
-                    self._executor.shutdown(wait=False)
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.workers
-                    )
-                    self._generation += 1
-            else:
-                self._executor, self._generation = _respawn_after_break(
-                    self._submit_generation, self.workers
-                )
+            self._executor, _ = _respawn_after_break(
+                self._submit_generation, self.workers
+            )
             return self._executor.submit(fn, *retry_args).result()
 
     def close(self) -> None:
-        """Release the lease (join the private executor when owned)."""
+        """Release the lease (idempotent)."""
         global _active_leases
         if self._closed:
             return
         self._closed = True
         with _lock:
             _active_leases -= 1
-        if self._owned:
-            self._executor.shutdown(wait=True)
 
 
 __all__ = [
     "PoolLease",
     "PoolStats",
     "get_executor",
-    "persistent_pool_enabled",
     "pool_stats",
     "shutdown_pool",
     "warm_up",

@@ -129,10 +129,9 @@ class ReproServer:
         self.record = current_record() or RunRecord()
         engine = self.engine  # resolve before the loop thread races us
         if self.warm_workers and engine.jobs > 1:
-            from repro.engine.pool import persistent_pool_enabled, warm_up
+            from repro.engine.pool import warm_up
 
-            if persistent_pool_enabled():
-                warm_up(engine.jobs)
+            warm_up(engine.jobs)
         self._thread = threading.Thread(
             target=self._run_loop, name="repro-serve", daemon=True)
         self._thread.start()

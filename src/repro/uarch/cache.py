@@ -155,7 +155,9 @@ class CacheHierarchy:
         than a level, only the most recently inserted capacity-worth stays,
         exactly as steady-state LRU would leave it.  Data goes in first and
         code last — the instruction stream is re-touched constantly, so at
-        steady state it is the most recently used resident.
+        steady state it is the most recently used resident.  Only an
+        untouched hierarchy can be preloaded: a second call, or a call
+        after any access, raises :class:`ValueError`.
         """
         levels = (self.il1, self.dl1, self.l2, self.l3)
         # Warming is a pure function of the resident lines and the cache
@@ -165,50 +167,40 @@ class CacheHierarchy:
         pristine = self._never_preloaded and not any(
             cache.accesses for cache in levels
         )
+        if not pristine:
+            raise ValueError(
+                "CacheHierarchy.preload needs an untouched hierarchy: "
+                "call it once, before any access"
+            )
         self._never_preloaded = False
-        if pristine:
-            # Untouched hierarchy: build each level's warm LRU state
-            # directly from the streams' last-access order (exact — see
-            # :func:`_newest_first_tags`) instead of replaying every
-            # access.  Levels that see the same streams at the same line
-            # size (L2 and L3) share one recency pass.
-            streams = (data_lines, code_lines)
-            digests = tuple(_lines_digest(lines) for lines in streams)
-            recency: Dict[tuple, List[int]] = {}
+        # Build each level's warm LRU state directly from the streams'
+        # last-access order (exact — see :func:`_newest_first_tags`)
+        # instead of replaying every access.  Levels that see the same
+        # streams at the same line size (L2 and L3) share one recency
+        # pass.
+        streams = (data_lines, code_lines)
+        digests = tuple(_lines_digest(lines) for lines in streams)
+        recency: Dict[tuple, List[int]] = {}
 
-            def build(cache: SetAssociativeCache, seen: tuple) -> tuple:
-                key = (seen, cache.line_bytes)
-                if key not in recency:
-                    recency[key] = _newest_first_tags(
-                        [streams[k] for k in seen], cache.line_bytes
-                    )
-                return _distribute_tags(recency[key], cache.sets, cache.ways)
-
-            # ``seen`` indexes (data, code): data goes in before code.
-            for cache, seen in ((self.il1, (1,)), (self.dl1, (0,)),
-                                (self.l2, (0, 1)), (self.l3, (0, 1))):
-                key = (cache.name, cache.sets, cache.ways, cache.line_bytes,
-                       tuple(digests[k] for k in seen))
-                snapshot = _PRELOAD_SNAPSHOTS.get(
-                    key, lambda: build(cache, seen)
+        def build(cache: SetAssociativeCache, seen: tuple) -> tuple:
+            key = (seen, cache.line_bytes)
+            if key not in recency:
+                recency[key] = _newest_first_tags(
+                    [streams[k] for k in seen], cache.line_bytes
                 )
-                # Copy into the untouched level's own (empty) set lists.
-                for line, tags in zip(cache._lines, snapshot):
-                    line.extend(tags)
-        else:
-            # Already-warm hierarchy: layer the residents on top of the
-            # existing state through the ordinary access path.
-            for address in data_lines:
-                self.dl1.access(address)
-                self.l2.access(address)
-                self.l3.access(address)
-            for address in code_lines:
-                self.il1.access(address)
-                self.l2.access(address)
-                self.l3.access(address)
-        for cache in levels:
-            cache.accesses = 0
-            cache.misses = 0
+            return _distribute_tags(recency[key], cache.sets, cache.ways)
+
+        # ``seen`` indexes (data, code): data goes in before code.
+        for cache, seen in ((self.il1, (1,)), (self.dl1, (0,)),
+                            (self.l2, (0, 1)), (self.l3, (0, 1))):
+            key = (cache.name, cache.sets, cache.ways, cache.line_bytes,
+                   tuple(digests[k] for k in seen))
+            snapshot = _PRELOAD_SNAPSHOTS.get(
+                key, lambda: build(cache, seen)
+            )
+            # Copy into the untouched level's own (empty) set lists.
+            for line, tags in zip(cache._lines, snapshot):
+                line.extend(tags)
 
     def fetch(self, address: int) -> AccessResult:
         """Instruction fetch access."""

@@ -2,12 +2,11 @@
 
 Contract under test: one shared executor serves every engine in the
 process (lazy spawn, grow-only sizing, lease accounting); a worker
-crash respawns the pool and resubmits the lost unit once, with results
-identical to a serial run; a failed submission or an abandoned batch
-releases its lease; changing any ``REPRO_*`` environment variable
-respawns so workers never run with stale knobs;
-``$REPRO_PERSISTENT_POOL=0`` restores the private per-call executor;
-and shutdown leaves no live worker processes behind.
+crash respawns the pool at no less than its width and resubmits the
+lost unit once, with results identical to a serial run; a failed
+submission or an abandoned batch releases its lease; changing any
+``REPRO_*`` environment variable respawns so workers never run with
+stale knobs; and shutdown leaves no live worker processes behind.
 """
 
 import os
@@ -67,8 +66,7 @@ def _crash_once_unit(unit):
 
 
 class TestSharedExecutor:
-    def test_lazy_spawn_reuse_and_growth(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+    def test_lazy_spawn_reuse_and_growth(self):
         pool.shutdown_pool()
         before = pool.pool_stats()
         assert not before["running"]
@@ -86,8 +84,7 @@ class TestSharedExecutor:
         assert narrow_gen == wide_gen  # grow-only: no shrink respawn
         assert pool.pool_stats()["reuses"] == before["reuses"] + 1
 
-    def test_warm_up_materialises_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+    def test_warm_up_materialises_workers(self):
         pool.shutdown_pool()
         pids = pool.warm_up(2)
         assert 1 <= len(pids) <= 2  # dedup'd: both tasks may land on one
@@ -96,7 +93,6 @@ class TestSharedExecutor:
             os.kill(pid, 0)  # alive right now, by construction
 
     def test_env_change_respawns(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
         _, gen = pool.get_executor(1)
         monkeypatch.setenv("REPRO_POOL_TEST_KNOB", "1")
         _, changed_gen = pool.get_executor(1)
@@ -105,8 +101,7 @@ class TestSharedExecutor:
         _, restored_gen = pool.get_executor(1)
         assert restored_gen == changed_gen + 1
 
-    def test_shutdown_joins_every_worker(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+    def test_shutdown_joins_every_worker(self):
         executor, _ = pool.get_executor(2)
         executor.submit(os.getpid).result()  # materialize a worker
         pids = pool.worker_pids()
@@ -122,8 +117,7 @@ class TestSharedExecutor:
 
 
 class TestCrashRecovery:
-    def test_lease_respawns_and_retries_once(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+    def test_lease_respawns_and_retries_once(self, tmp_path):
         before = pool.pool_stats()
         sentinel = str(tmp_path / "crashed")
         lease = pool.PoolLease(2)
@@ -139,6 +133,26 @@ class TestCrashRecovery:
         assert after["retried_units"] == before["retried_units"] + 1
         assert after["active_leases"] == before["active_leases"]
 
+    def test_crash_retry_keeps_the_pool_width(self, tmp_path):
+        pool.shutdown_pool()
+        pool.get_executor(3)
+        before = pool.pool_stats()
+        sentinel = str(tmp_path / "crashed")
+        lease = pool.PoolLease(1)  # narrower than the running pool
+        try:
+            future = lease.submit(_crash_once, sentinel)
+            assert lease.resolve(future, _crash_once, (sentinel,)) \
+                == "survived"
+        finally:
+            lease.close()
+        # Grow-only: the replacement is as wide as the pool it replaced,
+        # so the next 3-wide request reuses it instead of spawning.
+        assert pool.pool_stats()["workers"] == 3
+        pool.get_executor(3)
+        after = pool.pool_stats()
+        assert after["spawns"] == before["spawns"] + 1  # the respawn only
+        assert after["workers"] == 3
+
     def test_engine_batch_survives_worker_crash(self, tmp_path, monkeypatch):
         specs = _specs()
         serial = ExperimentEngine(jobs=1, cache_dir=None).run_specs(
@@ -147,7 +161,6 @@ class TestCrashRecovery:
         # Workers fork at pool (re)spawn, so the patch below is only
         # visible to workers created afterwards; the REPRO_-prefixed
         # sentinel variable forces exactly that respawn.
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
         monkeypatch.setenv(_SENTINEL_ENV, str(tmp_path / "crashed"))
         monkeypatch.setattr(sweep_module, "_timed_execute_unit",
                             _crash_once_unit)
@@ -163,8 +176,6 @@ class TestCrashRecovery:
 
 class TestLeaseAccounting:
     def test_failed_submit_releases_the_lease(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
-
         def exploding_submit(self, fn, *args):
             raise RuntimeError("worker pool died")
 
@@ -175,8 +186,7 @@ class TestLeaseAccounting:
             engine.run_specs(_specs(), use_cache=False)
         assert pool.pool_stats()["active_leases"] == before
 
-    def test_abandon_releases_the_lease_once(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+    def test_abandon_releases_the_lease_once(self):
         before = pool.pool_stats()["active_leases"]
         engine = ExperimentEngine(jobs=2, cache_dir=None)
         pending = engine.submit_specs(_specs(), use_cache=False)
@@ -189,27 +199,7 @@ class TestLeaseAccounting:
 
 
 class TestOptOut:
-    def test_private_executor_when_disabled(self, monkeypatch):
-        specs = _specs(width=4)
-        serial = ExperimentEngine(jobs=1, cache_dir=None).run_specs(
-            specs, use_cache=False
-        )
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        assert not pool.persistent_pool_enabled()
-        before = pool.pool_stats()
-        parallel = ExperimentEngine(jobs=2, cache_dir=None).run_specs(
-            specs, use_cache=False
-        )
-        assert parallel == serial
-        after = pool.pool_stats()
-        # The shared executor was neither spawned nor reused: the lease
-        # owned (and tore down) a private pool, the old lifecycle.
-        assert after["spawns"] == before["spawns"]
-        assert after["reuses"] == before["reuses"]
-        assert after["active_leases"] == before["active_leases"]
-
-    def test_engines_share_one_executor_when_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
+    def test_engines_share_one_executor_when_enabled(self):
         pool.shutdown_pool()
         specs = _specs(width=4)
         before = pool.pool_stats()

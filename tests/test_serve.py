@@ -438,7 +438,6 @@ class TestWorkerCrash:
         # Workers fork at pool (re)spawn; the REPRO_-prefixed sentinel
         # forces that respawn, so the forked workers carry the patched
         # _timed_execute_unit below (same discipline as test_pool).
-        monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
         sentinel = str(tmp_path / "crashed")
         monkeypatch.setenv(_SENTINEL_ENV, sentinel)
         monkeypatch.setattr(sweep_module, "_timed_execute_unit",

@@ -91,6 +91,17 @@ class TestHierarchy:
         caches.preload(data, code)
         assert caches.fetch(4096).level == "L1"
 
+    def test_preload_needs_an_untouched_hierarchy(self):
+        lines = [4096 + 64 * i for i in range(32)]
+        twice = CacheHierarchy(base_config())
+        twice.preload(lines, [])
+        with pytest.raises(ValueError, match="untouched"):
+            twice.preload(lines, [])
+        touched = CacheHierarchy(base_config())
+        touched.data_access(1 << 30)
+        with pytest.raises(ValueError, match="untouched"):
+            touched.preload(lines, [])
+
     def test_fetch_path_levels(self):
         caches = CacheHierarchy(base_config())
         first = caches.fetch(1 << 25)

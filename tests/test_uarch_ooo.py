@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.configs import base_config, m3d_het_config, m3d_iso_config
+from repro.uarch import ooo
 from repro.uarch.isa import MicroOp, OpClass, Trace
 from repro.uarch.ooo import (
     _FuPool,
@@ -12,6 +13,8 @@ from repro.uarch.ooo import (
     _WidthLimiter,
     run_trace,
 )
+from repro.workloads.generator import generate_trace
+from repro.workloads.spec import spec_by_name
 
 
 def make_trace(ops, warmup=0):
@@ -172,3 +175,25 @@ class TestPipeline:
     def test_empty_trace(self):
         result = run_trace(base_config(), make_trace([alu()]))
         assert result.cycles > 0
+
+
+class TestPruning:
+    @pytest.mark.parametrize("app", ["Astar", "Xalancbmk"])
+    def test_pruning_changes_nothing_but_the_tracked_cycles(
+            self, monkeypatch, app):
+        """The occupancy maps are pruned every ``PRUNE_INTERVAL`` uops;
+        with pruning disabled the result must be identical, only the
+        bookkeeping larger."""
+        trace = generate_trace(spec_by_name()[app], 10_000, seed=1234)
+        pruned = run_trace(base_config(), trace)
+        assert pruned.stats.uops > 2 * ooo.PRUNE_INTERVAL
+        monkeypatch.setattr(ooo, "PRUNE_INTERVAL", 1 << 62)
+        unbounded = run_trace(base_config(), trace)
+        assert pruned.stats.tracked_limiter_cycles \
+            < unbounded.stats.tracked_limiter_cycles
+
+        def untracked(result):
+            return dataclasses.replace(result, stats=dataclasses.replace(
+                result.stats, tracked_limiter_cycles=0))
+
+        assert untracked(pruned) == untracked(unbounded)
