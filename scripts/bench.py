@@ -475,7 +475,6 @@ def bench_serve(uops: int, clients: int, requests_per_client: int) -> dict:
         port=0,
         engine=ExperimentEngine(jobs=1, cache_dir=None),
         queue_size=total + 8,
-        warm_workers=False,
     )
     with server:
         request_json(server.port, "POST", "/sweep", dict(body))  # warm pass

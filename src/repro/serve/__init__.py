@@ -5,7 +5,9 @@ A long-lived asyncio server (stdlib only) that keeps one warm
 in-memory + SQLite-WAL result cache — behind ``POST /sweep``,
 ``POST /points``, ``POST /validate``, ``GET /healthz`` and
 ``GET /stats``, answering with per-request run manifests (schema v8).
-See DESIGN.md §15 for the architecture and
+Compute requests wait in one bounded queue, the FIFO of the one service
+thread's executor, and every request must arrive within one read
+deadline.  See DESIGN.md §15 for the architecture and
 :mod:`repro.serve.protocol` for the wire format.
 """
 
@@ -18,13 +20,12 @@ from repro.serve.protocol import (
     parse_request,
     serial_reference,
 )
-from repro.serve.queue import QueueFullError, RequestTicket, ServeStats
+from repro.serve.queue import RequestTicket, ServeStats
 from repro.serve.server import ReproServer, request_json
 
 __all__ = [
     "SERVE_SCHEMA_VERSION",
     "ProtocolError",
-    "QueueFullError",
     "ReproServer",
     "RequestTicket",
     "ServeStats",

@@ -1,16 +1,17 @@
 """The bounded request queue's bookkeeping: tickets and telemetry.
 
-The queue itself is a plain ``asyncio.Queue(maxsize=...)`` owned by
-:class:`~repro.serve.server.ReproServer`; what lives here is everything
-*around* it — the per-request ticket that rides through the queue and
-the thread-safe counters the ``/stats`` endpoint, the manifest ``serve``
-section and the load bench all read.
+The queue itself is the FIFO of the one-thread service executor owned
+by :class:`~repro.serve.server.ReproServer`; what lives here is
+everything *around* it — the per-request ticket that rides through the
+queue and the thread-safe counters the ``/stats`` endpoint, the manifest
+``serve`` section and the load bench all read, including the waiting
+count that bounds the queue.
 
-Backpressure model: admission is ``put_nowait`` — a full queue rejects
-immediately with HTTP 429 rather than parking the client, so a saturated
-server degrades to fast failures instead of unbounded latency.  The
-queue bound is therefore the server's *entire* memory commitment to
-pending work.
+Backpressure model: :meth:`ServeStats.admit` refuses a request while
+``queue_size`` admitted ones still wait for the service thread — HTTP
+429 at once rather than parking the client, so a saturated server
+degrades to fast failures instead of unbounded latency.  The queue bound
+is therefore the server's *entire* memory commitment to pending work.
 """
 
 from __future__ import annotations
@@ -21,17 +22,12 @@ import time
 from typing import Any, Dict, Optional
 
 
-class QueueFullError(Exception):
-    """The bounded request queue rejected an admission (HTTP 429)."""
-
-
 @dataclasses.dataclass
 class RequestTicket:
     """One queued request: what to run, plus its timing lifecycle."""
 
     endpoint: str  # "/sweep" | "/points" | "/validate"
     request: Dict[str, Any]  # the normalised (echoed) request
-    future: Any  # asyncio future resolved with (status, payload)
     enqueued_at: float = dataclasses.field(default_factory=time.monotonic)
     #: Queue depth observed at admission (how many were ahead of us).
     queue_depth_at_enqueue: int = 0
@@ -68,8 +64,9 @@ class ServeStats:
         self._lock = threading.Lock()
         self.requests = 0  # completed successfully
         self.errors = 0  # completed with a 4xx/5xx from the handler
-        self.rejected = 0  # refused at admission (queue full / draining)
+        self.rejected = 0  # refused at admission because the queue was full
         self.in_flight = 0  # admitted, not yet completed
+        self.queue_depth = 0  # admitted, not yet started by the service thread
         self.max_queue_depth = 0
         self.wait_seconds = 0.0
         self.service_seconds = 0.0
@@ -77,16 +74,22 @@ class ServeStats:
         self.max_service_seconds = 0.0
         self.by_endpoint: Dict[str, int] = {}
 
-    def note_admitted(self, ticket: RequestTicket) -> None:
+    def admit(self, ticket: RequestTicket, queue_size: int) -> bool:
+        """Count ``ticket`` in; refuse it (False) while ``queue_size``
+        admitted requests are still waiting."""
         with self._lock:
+            if self.queue_depth >= queue_size:
+                self.rejected += 1
+                return False
+            ticket.queue_depth_at_enqueue = self.queue_depth
+            self.queue_depth += 1
             self.in_flight += 1
-            depth = ticket.queue_depth_at_enqueue + 1
-            if depth > self.max_queue_depth:
-                self.max_queue_depth = depth
+            self.max_queue_depth = max(self.max_queue_depth, self.queue_depth)
+            return True
 
-    def note_rejected(self) -> None:
+    def note_started(self) -> None:
         with self._lock:
-            self.rejected += 1
+            self.queue_depth -= 1
 
     def note_completed(self, ticket: RequestTicket, ok: bool) -> None:
         wait = ticket.wait_seconds
@@ -120,18 +123,17 @@ class ServeStats:
                 "by_endpoint": dict(self.by_endpoint),
             }
 
-    def serve_section(self, queue_depth: int,
-                      cache_hit_ratio: float) -> Dict[str, Any]:
+    def serve_section(self, cache_hit_ratio: float) -> Dict[str, Any]:
         """The aggregate manifest ``serve`` section (schema v8 shape)."""
         with self._lock:
             return {
                 "requests": self.requests,
                 "rejected": self.rejected,
-                "queue_depth": queue_depth,
+                "queue_depth": self.queue_depth,
                 "wait_seconds": self.wait_seconds,
                 "service_seconds": self.service_seconds,
                 "cache_hit_ratio": cache_hit_ratio,
             }
 
 
-__all__ = ["QueueFullError", "RequestTicket", "ServeStats"]
+__all__ = ["RequestTicket", "ServeStats"]

@@ -3,14 +3,19 @@
 Architecture (DESIGN.md §15):
 
 * **One event loop in one daemon thread** accepts connections
-  (``asyncio.start_server``), parses a minimal HTTP/1.1 request
-  (request line, headers, ``Content-Length`` body; every response is
-  ``Connection: close``) and routes it.
-* **A bounded ``asyncio.Queue``** is the only admission path for the
-  compute endpoints (``/sweep``, ``/points``, ``/validate``): a full
-  queue answers 429 immediately, a draining server answers 503 — the
-  queue bound is the server's entire memory commitment to pending work.
-* **One service thread** pops tickets and runs
+  (``asyncio.start_server``), reads a minimal HTTP/1.1 request
+  (request line, headers, ``Content-Length`` body) under one
+  ``_READ_TIMEOUT`` deadline (408 past it) and routes it; every
+  response is ``Connection: close``.
+* **One queue: the service executor's FIFO.**  The compute endpoints
+  (``/sweep``, ``/points``, ``/validate``) are admitted against
+  :class:`~repro.serve.queue.ServeStats`' waiting count: ``queue_size``
+  requests still waiting answer 429 immediately, a draining server
+  answers 503 — the queue bound is the server's entire memory
+  commitment to pending work.  An admitted request's connection task
+  hands it to the executor with ``run_in_executor`` and awaits the
+  reply itself.
+* **One service thread** runs
   :func:`~repro.serve.protocol.execute_request` on the shared
   :class:`~repro.engine.sweep.ExperimentEngine` — whose worker pool is
   where the actual parallelism lives.  One thread is deliberate: the
@@ -25,8 +30,9 @@ Architecture (DESIGN.md §15):
   lifetime record, so building a response costs O(request), not
   O(history).
 * **Graceful drain**: ``stop(drain=True)`` (or ``POST /shutdown``)
-  stops admissions, lets queued tickets finish, waits for open
-  connections to flush their responses, then closes.
+  stops admissions, waits until no admitted request is in flight,
+  gives open connections a bounded window to flush their responses,
+  then closes.
 
 The server is in-process embeddable (the concurrency tests and the load
 bench start it on an ephemeral port via ``ReproServer(port=0)``) and is
@@ -68,6 +74,9 @@ _REASONS = {
 #: Endpoints that go through the bounded queue.
 _QUEUED_ENDPOINTS = frozenset({"/sweep", "/points", "/validate"})
 
+#: Seconds a client has to send its whole request: line, headers, body.
+_READ_TIMEOUT = 30
+
 
 class ReproServer:
     """A long-lived sweep service over one experiment engine.
@@ -81,15 +90,13 @@ class ReproServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  engine=None, queue_size: int = 32,
-                 max_body_bytes: int = 1 << 20,
-                 warm_workers: bool = True) -> None:
+                 max_body_bytes: int = 1 << 20) -> None:
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         self.host = host
         self.port = port
         self.queue_size = queue_size
         self.max_body_bytes = max_body_bytes
-        self.warm_workers = warm_workers
         self.stats = ServeStats()
         #: The lifetime record request records fold into: the record
         #: active where :meth:`start` ran, else one of the server's own.
@@ -97,10 +104,9 @@ class ReproServer:
         self._engine = engine
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional[asyncio.Queue] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._connections: Set[asyncio.Task] = set()
         self._ready = threading.Event()
-        self._finished = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._draining = False
@@ -118,7 +124,7 @@ class ReproServer:
         return self._engine
 
     def start(self) -> "ReproServer":
-        """Bind, spawn the loop thread, and (optionally) warm the pool.
+        """Bind, spawn the loop thread, and warm a multi-worker pool.
 
         Returns once the socket is listening and ``self.port`` is the
         real bound port.
@@ -128,7 +134,7 @@ class ReproServer:
         self._started = True
         self.record = current_record() or RunRecord()
         engine = self.engine  # resolve before the loop thread races us
-        if self.warm_workers and engine.jobs > 1:
+        if engine.jobs > 1:
             from repro.engine.pool import warm_up
 
             warm_up(engine.jobs)
@@ -184,18 +190,15 @@ class ReproServer:
         finally:
             loop.close()
             self._ready.set()
-            self._finished.set()
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self.queue_size)
         self._stop_event = asyncio.Event()
-        executor = ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-worker")
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
-        dispatcher = asyncio.ensure_future(self._dispatch(executor))
         self._ready.set()
         try:
             await self._stop_event.wait()
@@ -203,50 +206,26 @@ class ReproServer:
             server.close()
             await server.wait_closed()
             if self._drain_on_stop:
-                # Queued tickets drain via task_done; a ticket already
-                # popped into service is invisible to join(), so also
-                # wait for the in-flight count to hit zero.
-                await self._queue.join()
+                # Admitted requests still run, or wait in the executor's
+                # FIFO; each one's connection task writes its reply.
                 while self.stats.in_flight > 0:
                     await asyncio.sleep(0.02)
                 if self._connections:
-                    # Admitted responses are written by connection tasks;
-                    # give them a bounded window to flush.
+                    # Give the writes a bounded window to flush.
                     await asyncio.wait(set(self._connections), timeout=10)
         finally:
-            dispatcher.cancel()
-            await asyncio.gather(dispatcher, return_exceptions=True)
             for task in list(self._connections):
                 task.cancel()
             if self._connections:
                 await asyncio.gather(*list(self._connections),
                                      return_exceptions=True)
-            executor.shutdown(wait=True)
-
-    async def _dispatch(self, executor: ThreadPoolExecutor) -> None:
-        """Pop tickets and service them on the executor, forever."""
-        assert self._queue is not None and self._loop is not None
-        while True:
-            ticket = await self._queue.get()
-            try:
-                status, payload = await self._loop.run_in_executor(
-                    executor, self._service, ticket)
-                ok = status == 200
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:
-                status, payload = self._error_payload(
-                    500, f"{type(exc).__name__}: {exc}")
-                ok = False
-            self.stats.note_completed(ticket, ok=ok)
-            if not ticket.future.done():
-                ticket.future.set_result((status, payload))
-            self._queue.task_done()
+            self._executor.shutdown(wait=True)
 
     # -- request service (runs on the service thread) -------------------------
 
     def _service(self, ticket: RequestTicket) -> Tuple[int, Dict[str, Any]]:
         ticket.started_at = time.monotonic()
+        self.stats.note_started()
         # Opened here, on the service thread: run_in_executor does not
         # carry the event loop's context over.
         with run_record(parent=self.record) as record:
@@ -286,9 +265,7 @@ class ReproServer:
 
     def serve_section(self) -> Dict[str, Any]:
         """Aggregate lifetime ``serve`` section (the shutdown manifest)."""
-        depth = self._queue.qsize() if self._queue is not None else 0
         return self.stats.serve_section(
-            queue_depth=depth,
             cache_hit_ratio=self.engine.cache.stats.hit_ratio)
 
     # -- HTTP plumbing (runs on the event loop) -------------------------------
@@ -337,31 +314,8 @@ class ReproServer:
 
     async def _handle_request(
             self, reader: asyncio.StreamReader) -> Tuple[int, Dict[str, Any]]:
-        request_line = await asyncio.wait_for(reader.readline(), timeout=30)
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise ProtocolError(400, "malformed request line")
-        method, path = parts[0].upper(), parts[1].split("?", 1)[0]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=30)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise ProtocolError(400, "bad Content-Length")
-        if length > self.max_body_bytes:
-            raise ProtocolError(
-                413, f"body of {length} bytes exceeds the "
-                     f"{self.max_body_bytes}-byte limit")
-        raw = await asyncio.wait_for(
-            reader.readexactly(length), timeout=30) if length else b""
-
+        method, path, raw = await asyncio.wait_for(
+            self._read_request(reader), timeout=_READ_TIMEOUT)
         if method == "GET":
             return self._handle_get(path)
         if method != "POST":
@@ -377,13 +331,44 @@ class ReproServer:
         request = parse_request(path, body)
         return await self._enqueue(path, request)
 
+    async def _read_request(
+            self, reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
+        """The request's method, path and body; the caller bounds the
+        whole read by one deadline."""
+        try:
+            request_line = await reader.readline()
+            parts = request_line.decode("latin-1").split()
+            if len(parts) < 2:
+                raise ProtocolError(400, "malformed request line")
+            headers: Dict[str, str] = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # a line past the stream's 64 KiB limit
+            raise ProtocolError(
+                400, "request line or header too long") from None
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ProtocolError(400, "bad Content-Length")
+        if length > self.max_body_bytes:
+            raise ProtocolError(
+                413, f"body of {length} bytes exceeds the "
+                     f"{self.max_body_bytes}-byte limit")
+        raw = await reader.readexactly(length) if length else b""
+        return parts[0].upper(), parts[1].split("?", 1)[0], raw
+
     def _handle_get(self, path: str) -> Tuple[int, Dict[str, Any]]:
-        assert self._queue is not None
         if path == "/healthz":
             return 200, {
                 "schema": SERVE_SCHEMA_VERSION,
                 "status": "draining" if self._draining else "ok",
-                "queue_depth": self._queue.qsize(),
+                "queue_depth": self.stats.queue_depth,
                 "queue_size": self.queue_size,
             }
         if path == "/stats":
@@ -393,7 +378,7 @@ class ReproServer:
             return 200, {
                 "schema": SERVE_SCHEMA_VERSION,
                 "status": "draining" if self._draining else "ok",
-                "queue_depth": self._queue.qsize(),
+                "queue_depth": self.stats.queue_depth,
                 "queue_size": self.queue_size,
                 "serve": self.stats.snapshot(),
                 "cache": {
@@ -416,27 +401,28 @@ class ReproServer:
         return 200, {
             "schema": SERVE_SCHEMA_VERSION,
             "status": "draining",
-            "queue_depth": self._queue.qsize() if self._queue else 0,
+            "queue_depth": self.stats.queue_depth,
         }
 
     async def _enqueue(self, endpoint: str,
                        request: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        assert self._queue is not None and self._loop is not None
+        """Admit one request, then await its turn on the service thread."""
+        assert self._loop is not None
         if self._draining:
             raise ProtocolError(503, "server is draining")
-        ticket = RequestTicket(
-            endpoint=endpoint, request=request,
-            future=self._loop.create_future(),
-            queue_depth_at_enqueue=self._queue.qsize())
-        try:
-            self._queue.put_nowait(ticket)
-        except asyncio.QueueFull:
-            self.stats.note_rejected()
+        ticket = RequestTicket(endpoint=endpoint, request=request)
+        if not self.stats.admit(ticket, self.queue_size):
             raise ProtocolError(
                 429, f"request queue full ({self.queue_size} pending); "
-                     f"retry later") from None
-        self.stats.note_admitted(ticket)
-        return await ticket.future
+                     f"retry later")
+        try:
+            status, payload = await self._loop.run_in_executor(
+                self._executor, self._service, ticket)
+        except Exception as exc:
+            status, payload = self._error_payload(
+                500, f"{type(exc).__name__}: {exc}")
+        self.stats.note_completed(ticket, ok=status == 200)
+        return status, payload
 
 
 def _process_stats() -> Dict[str, int]:

@@ -157,25 +157,26 @@ class TestRoundTripProperty:
     def test_get_after_put_under_interleaved_processes(self, ops):
         """``get(put(k, v)) == v`` when two processes race the same
         writes (one via ``put``, one via ``put_many``) on one database."""
-        cache_dir = Path(tempfile.mkdtemp(prefix="repro-cache-prop-"))
         items = sorted(ops.items())
-        procs = [
-            _CTX.Process(target=_put_all,
-                         args=(cache_dir, items, batched))
-            for batched in (False, True)
-        ]
-        for proc in procs:
-            proc.start()
-        for proc in procs:
-            proc.join(timeout=120)
-            assert proc.exitcode == 0
-        cache = ResultCache(cache_dir)
-        try:
-            for key, value in items:
-                hit, got = cache.get(key)
-                assert hit and got == value
-        finally:
-            cache.close()
+        with tempfile.TemporaryDirectory(prefix="repro-cache-prop-") as tmp:
+            cache_dir = Path(tmp)
+            procs = [
+                _CTX.Process(target=_put_all,
+                             args=(cache_dir, items, batched))
+                for batched in (False, True)
+            ]
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=120)
+                assert proc.exitcode == 0
+            cache = ResultCache(cache_dir)
+            try:
+                for key, value in items:
+                    hit, got = cache.get(key)
+                    assert hit and got == value
+            finally:
+                cache.close()
 
     def test_db_filename_is_stable(self, tmp_path):
         """The database name is load-bearing (other processes must find

@@ -326,7 +326,9 @@ class TestTraceMemoRegression:
         fresh = _trace_for(variant, 400, 1234)
         assert fresh is not original
         # And the traces genuinely differ (different instruction mix).
-        loads = lambda t: sum(1 for op in t.ops if op.address is not None)
+        def loads(trace):
+            return sum(1 for op in trace.ops if op.address is not None)
+
         assert loads(fresh) != loads(original)
 
     def test_engine_result_matches_unmemoized_run(self):

@@ -16,8 +16,12 @@ import dataclasses
 import importlib
 import json
 import os
+import select
 import signal
+import socket
+import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -73,7 +77,6 @@ def _engine():
 def _server(**kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("engine", _engine())
-    kwargs.setdefault("warm_workers", False)
     return ReproServer(**kwargs)
 
 
@@ -430,6 +433,63 @@ class TestBackpressure:
             assert status == 200
             server.wait(timeout=30)
 
+    def test_admission_counts_settle_under_many_clients(self, monkeypatch):
+        """The event loop admits and the service thread starts requests,
+        and both update one waiting count.  With more clients than cores
+        and a short switch interval, every request is served or refused
+        and the counts come back to zero."""
+        def instant_execute(endpoint, request, engine=None):
+            return {"evaluations": []}
+
+        monkeypatch.setattr(server_module, "execute_request",
+                            instant_execute)
+        total, queue_size = 80, 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _server(queue_size=queue_size) as server:
+                with ThreadPoolExecutor(max_workers=16) as clients:
+                    statuses = list(clients.map(
+                        lambda _: request_json(server.port, "POST",
+                                               "/sweep", SWEEP_BODY)[0],
+                        range(total)))
+                snapshot = server.stats.snapshot()
+                queue_depth = server.stats.queue_depth
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(statuses) <= {200, 429}
+        assert snapshot["requests"] == statuses.count(200) > 0
+        assert snapshot["rejected"] == statuses.count(429)
+        assert snapshot["in_flight"] == 0 and queue_depth == 0
+        assert snapshot["max_queue_depth"] <= queue_size
+
+
+class TestServiceErrors:
+    def test_exception_in_service_is_500_and_the_server_recovers(
+            self, monkeypatch):
+        calls = []
+
+        def failing_once(endpoint, request, engine=None):
+            calls.append(endpoint)
+            if len(calls) == 1:
+                raise RuntimeError("kaboom")
+            return execute_request(endpoint, request, engine)
+
+        monkeypatch.setattr(server_module, "execute_request", failing_once)
+        with _server() as server:
+            status, body = request_json(
+                server.port, "POST", "/sweep", SWEEP_BODY)
+            assert status == 500
+            assert body["error"]["message"] == "RuntimeError: kaboom"
+            status, stats = request_json(server.port, "GET", "/stats")
+            assert status == 200
+            assert stats["serve"]["errors"] == 1
+            assert stats["serve"]["in_flight"] == 0
+            assert stats["queue_depth"] == 0
+            status, _ = request_json(
+                server.port, "POST", "/sweep", SWEEP_BODY)
+            assert status == 200
+
 
 class TestWorkerCrash:
     def test_worker_crash_mid_request_recovers_and_matches_serial(
@@ -483,6 +543,43 @@ class TestGracefulShutdown:
             assert body["results"]["evaluations"] == [{"name": "slow"}]
             assert server.wait(timeout=30)
             assert server.stats.snapshot()["requests"] == 1
+        finally:
+            gate.set()
+            server.stop(drain=False)
+
+    def test_drain_finishes_a_request_still_waiting(self, monkeypatch):
+        """A request admitted behind the running one waits in the
+        executor's FIFO; the drain must serve it too."""
+        gate = threading.Event()
+        started = threading.Event()
+
+        def slow_execute(endpoint, request, engine=None):
+            started.set()
+            assert gate.wait(timeout=30)
+            return {"evaluations": []}
+
+        monkeypatch.setattr(server_module, "execute_request", slow_execute)
+        server = _server(queue_size=4).start()
+        try:
+            with ThreadPoolExecutor(max_workers=2) as clients:
+                running = clients.submit(request_json, server.port, "POST",
+                                         "/sweep", SWEEP_BODY)
+                assert started.wait(timeout=30)
+                waiting = clients.submit(request_json, server.port, "POST",
+                                         "/sweep", SWEEP_BODY)
+                wait_until(lambda: server.stats.in_flight == 2)
+                stopper = threading.Thread(
+                    target=server.stop, kwargs={"drain": True})
+                stopper.start()
+                wait_until(lambda: server._draining)
+                gate.set()
+                assert running.result(timeout=30)[0] == 200
+                assert waiting.result(timeout=30)[0] == 200
+                stopper.join(timeout=30)
+            assert server.wait(timeout=30)
+            snapshot = server.stats.snapshot()
+            assert snapshot["requests"] == 2 and snapshot["in_flight"] == 0
+            assert server.stats.queue_depth == 0
         finally:
             gate.set()
             server.stop(drain=False)
@@ -636,3 +733,49 @@ class TestHttpPlumbing:
                 server.port, "POST", "/sweep",
                 {"points": ["Base"], "junk_padding": "x" * 256})
             assert status == 413
+
+    @pytest.mark.parametrize("where", ["header", "path"])
+    def test_line_past_the_stream_limit_is_400(self, where):
+        """asyncio's stream reader refuses a line over 64 KiB; the client
+        still gets an answer, and the server keeps serving."""
+        import http.client
+
+        with _server() as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+            try:
+                if where == "path":
+                    conn.putrequest("GET", "/" + "a" * 70_000)
+                else:
+                    conn.putrequest("GET", "/healthz")
+                    conn.putheader("X-Padding", "x" * 70_000)
+                conn.endheaders()
+                response = conn.getresponse()
+                payload = json.loads(response.read().decode())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert payload["error"]["message"] \
+                == "request line or header too long"
+            status, _ = request_json(server.port, "GET", "/healthz")
+            assert status == 200
+
+    def test_one_deadline_covers_the_whole_request(self, monkeypatch):
+        """A client that trickles one header line every 0.1 s gets a 408
+        once the request's deadline passes, not a fresh wait per line."""
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT", 0.5)
+        with _server() as server, socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30) as sock:
+            start = time.monotonic()
+            sock.sendall(b"POST /sweep HTTP/1.1\r\n")
+            readable = []
+            index = 0
+            while not readable and time.monotonic() - start < 4:
+                readable, _, _ = select.select([sock], [], [], 0.1)
+                if not readable:
+                    sock.sendall(b"X-Trickle-%d: 1\r\n" % index)
+                    index += 1
+            elapsed = time.monotonic() - start
+            reply = sock.recv(65536) if readable else b""
+        assert reply.startswith(b"HTTP/1.1 408 "), reply
+        assert elapsed < 2

@@ -26,8 +26,8 @@ from repro.workloads.spec import spec_by_name
 
 class TestStacks:
     def test_m3d_ild_far_thinner_than_tsv(self):
-        m3d = {l.name: l for l in stack_m3d_thermal().layers}
-        tsv = {l.name: l for l in stack_tsv3d_thermal().layers}
+        m3d = {layer.name: layer for layer in stack_m3d_thermal().layers}
+        tsv = {layer.name: layer for layer in stack_tsv3d_thermal().layers}
         assert m3d["ild"].thickness == pytest.approx(100e-9)
         assert tsv["d2d_ild"].thickness == pytest.approx(20e-6)
 
