@@ -1,9 +1,11 @@
 """Performance benchmark for the experiment engine.
 
-Times the full experiment runner plus the engine's batched timing
-kernel, design-space exploration, the sweep server and the manycore
-pipeline, and writes a ``BENCH_<timestamp>.json`` record so the
-performance trajectory is tracked from commit to commit.
+Times the full report, design-space exploration, the sweep server and
+the manycore pipeline, and writes a ``BENCH_<timestamp>.json`` record so
+the performance trajectory is tracked from commit to commit.
+Correctness lives elsewhere: ``repro validate --deep`` holds the kernel
+oracle and the golden comparison, and the test suite holds explore's
+resume and the manycore oracle.
 
 Usage::
 
@@ -18,20 +20,6 @@ Sections
     (empty caches), a warm in-memory pass (same process), and a warm
     on-disk pass (fresh engine, populated cache directory — must not
     simulate anything).
-``kernel``
-    Per-config scalar oracle vs one :func:`repro.uarch.kernel.run_trace_batch`
-    pass on the same trace, plus the max CPI divergence vs the oracle
-    (must be 0: the kernel is cycle-exact).
-``goldens``
-    ``repro validate`` over the static artifacts (tables, design points,
-    trace digests) against the committed ``goldens/`` — a model drift
-    tripwire that runs even in ``--quick`` mode.
-``explore``
-    ``repro explore`` throughput: a seeded random space evaluated cold
-    into a JSONL store, then *resumed* by a second run with a fresh
-    engine — the resume must re-evaluate nothing (every point comes back
-    from the store, not the cache) and reproduce the identical Pareto
-    frontier.
 ``explore_pipeline``
     Serial-chunk (``in_flight=1``, one pool spawn per chunk) vs
     pipelined (``in_flight=2`` on the warm persistent worker pool)
@@ -51,9 +39,7 @@ Sections
     least 5x the cold-CLI rate with zero divergent responses.
 ``manycore``
     One heterogeneous tile-grid scenario (``repro manycore``) through
-    the batched kernel and again through the full OOO oracle — the two
-    must agree cycle-for-cycle on every application — with the chip
-    thermal solve included in both passes.
+    the batched kernel, with the chip thermal solve included.
 """
 
 from __future__ import annotations
@@ -81,7 +67,7 @@ from repro.obs import (  # noqa: E402  (path set up above)
     write_manifest,
 )
 
-#: Seed-commit wall-clock of ``python -m repro.experiments.runner`` at
+#: Seed-commit wall-clock of the full report (every table and figure) at
 #: default sizes on the reference container (measured before the engine
 #: existed).  Only the *fallback* baseline: a fresh run compares itself
 #: against the most recent full ``BENCH_*.json`` in the repo when one
@@ -187,131 +173,6 @@ def bench_runner(uops: int, multicore_uops: int, quick: bool,
         record["gate_seconds"] = RUNNER_GATE_SECONDS
         record["gate_ok"] = cold_seconds <= RUNNER_GATE_SECONDS
     return record
-
-
-def bench_kernel(uops: int) -> dict:
-    """Scalar oracle vs the batched SoA kernel on one shared trace.
-
-    Two passes over the same workload, each on a freshly generated trace
-    so neither inherits the other's decode/replay memos: per-config
-    ``run_trace`` (the oracle) and one ``run_trace_batch`` call.
-    """
-    from repro.core.configs import single_core_configs
-    from repro.uarch import ooo
-    from repro.uarch.kernel import run_trace_batch
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.spec import spec_profiles
-
-    profile = spec_profiles()[0]
-    configs = single_core_configs()
-
-    def fresh_trace():
-        return generate_trace(profile, uops, seed=1234)
-
-    trace = fresh_trace()
-    with timer("kernel.scalar") as scalar_span:
-        oracle = [ooo.run_trace(config, trace) for config in configs]
-    with timer("kernel.batched") as batched_span:
-        batched = run_trace_batch(configs, fresh_trace())
-
-    scalar_seconds = scalar_span.seconds
-    batched_seconds = batched_span.seconds
-    return {
-        "uops": uops,
-        "batch_width": len(configs),
-        "scalar_seconds": round(scalar_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
-        "batched_speedup": round(
-            scalar_seconds / max(batched_seconds, 1e-9), 2
-        ),
-        "max_cpi_divergence": max(
-            abs(r.cycles / max(1, r.stats.uops)
-                - o.cycles / max(1, o.stats.uops))
-            for r, o in zip(batched, oracle)
-        ),
-    }
-
-
-def bench_goldens() -> dict:
-    """Validate the static golden artifacts against the live models.
-
-    Static artifacts (analytic tables, the design-point registry, trace
-    digests) are independent of sweep sizes, so this check is meaningful
-    even in ``--quick`` mode: a drift here means a model changed without
-    ``repro validate --update``.
-    """
-    from repro.golden import artifact_names, run_validation
-
-    with timer("goldens.static") as span:
-        report = run_validation(only=artifact_names(static_only=True))
-    return {
-        "seconds": round(span.seconds, 3),
-        "status": report["status"],
-        "artifacts": report["summary"]["artifacts"],
-        "cells": report["summary"]["cells"],
-        "drifted_cells": report["summary"]["drifted_cells"],
-        "drifted_artifacts": report["summary"]["drifted_artifacts"],
-        "errors": report["summary"]["errors"],
-    }
-
-
-def bench_explore(samples: int, uops: int, apps: int) -> dict:
-    """Explore throughput plus a live resume check.
-
-    A seeded random space is evaluated cold (fresh engine, no cache)
-    into a temporary JSONL store, then the identical run is repeated
-    with *another* fresh engine pointed at the same store: everything
-    must resume from the store (zero evaluations, zero cache misses)
-    and the frontier must be byte-identical.
-    """
-    from repro.design.space import SpaceSpec
-    from repro.engine.sweep import ExperimentEngine
-    from repro.explore import explore
-    from repro.golden.serialize import canonical_dumps
-
-    space = SpaceSpec(
-        name="bench",
-        kind="random",
-        samples=samples,
-        seed=20260808,
-        axes={
-            "stack": ("M3D", "TSV3D"),
-            "top_layer_slowdown": (0.0, 0.17, 0.3, 0.5),
-            "partition": ("symmetric", "asymmetric"),
-            "frequency_policy": ("base", "derived"),
-            "vdd": (0.9, 1.0),
-        },
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-explore-") as tmp:
-        store_path = Path(tmp) / "store.jsonl"
-        with timer("explore.cold") as cold_span:
-            cold = explore(space, store_path=store_path, uops=uops,
-                           apps=apps, engine=ExperimentEngine(jobs=1))
-        resume_engine = ExperimentEngine(jobs=1)
-        with timer("explore.resume") as resume_span:
-            resumed = explore(space, store_path=store_path, uops=uops,
-                              apps=apps, engine=resume_engine)
-        frontier_identical = (
-            canonical_dumps(cold.frontier) == canonical_dumps(resumed.frontier)
-        )
-    cold_seconds = cold_span.seconds
-    return {
-        "samples": samples,
-        "uops": uops,
-        "apps": apps,
-        "unique_points": cold.unique_points,
-        "evaluated": cold.evaluated,
-        "chunks": cold.chunks,
-        "frontier_size": len(cold.frontier),
-        "cold_seconds": round(cold_seconds, 3),
-        "points_per_second": round(
-            cold.evaluated / max(cold_seconds, 1e-9), 1
-        ),
-        "resume_seconds": round(resume_span.seconds, 4),
-        "resume_evaluated": resumed.evaluated,
-        "resume_cache_misses": resume_engine.cache.stats.misses,
-        "frontier_identical": frontier_identical,
-    }
 
 
 def bench_explore_pipeline(samples: int, uops: int, apps: int,
@@ -535,16 +396,11 @@ def bench_serve(uops: int, clients: int, requests_per_client: int) -> dict:
 
 def bench_manycore(scenario: str, uops: int, apps: int,
                    base_grid: int) -> dict:
-    """Tile-grid scenario wall-clock plus kernel/oracle equivalence.
+    """Tile-grid scenario wall-clock through the batched kernel.
 
-    The scenario runs twice: once through the batched kernel path and
-    once with ``oracle=True`` (the full per-core OOO model).  The two
-    must agree exactly on cycles, barrier waits and coherence transfers
-    for every application — the manycore pipeline inherits the kernel's
-    cycle-exactness guarantee.  A smaller untimed run first pays the
-    set-up both passes share (design resolution, power models, thermal
-    factorization, warm-cache snapshots), so the two timed passes start
-    from the same state and ``oracle_speedup`` compares simulation only.
+    A smaller untimed run first pays the set-up (design resolution,
+    power models, thermal factorization, warm-cache snapshots), so the
+    timed pass measures simulation and the chip thermal solve.
     """
     from repro.experiments.manycore import evaluate_manycore, get_scenario
     from repro.uarch.kernel import kernel_enabled
@@ -559,20 +415,6 @@ def bench_manycore(scenario: str, uops: int, apps: int,
         report = evaluate_manycore(
             grid, total_uops=uops, base_grid=base_grid, apps=apps,
         )
-    with timer("manycore.oracle") as oracle_span:
-        oracle = evaluate_manycore(
-            grid, total_uops=uops, base_grid=base_grid, apps=apps,
-            oracle=True,
-        )
-    matches = all(
-        report.results[app].cycles == oracle.results[app].cycles
-        and report.results[app].barrier_wait_cycles
-        == oracle.results[app].barrier_wait_cycles
-        and report.results[app].coherence_transfers
-        == oracle.results[app].coherence_transfers
-        for app in report.apps
-    )
-    assert matches, "manycore kernel diverged from the OOO oracle"
     noc = report.resolved.noc
     return {
         "scenario": scenario,
@@ -583,11 +425,6 @@ def bench_manycore(scenario: str, uops: int, apps: int,
         "kernel_enabled": kernel_enabled(),
         "setup_seconds": round(setup_span.seconds, 3),
         "kernel_seconds": round(kernel_span.seconds, 3),
-        "oracle_seconds": round(oracle_span.seconds, 3),
-        "oracle_speedup": round(
-            oracle_span.seconds / max(kernel_span.seconds, 1e-9), 2
-        ),
-        "kernel_matches_oracle": matches,
         "noc_latency": noc.average_latency,
         "max_peak_c": round(max(report.peak_c.values()), 2),
     }
@@ -611,14 +448,14 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
     """Every benchmark section; ``run`` collects the invocation's
     telemetry and timer spans for the manifest."""
     if args.quick:
-        sizes = dict(uops=1000, multicore_uops=3000, kernel_uops=2000,
+        sizes = dict(uops=1000, multicore_uops=3000,
                      explore_samples=24, explore_uops=400, explore_apps=2,
                      pipeline_chunk=6,
                      serve_uops=300, serve_clients=8, serve_requests=2,
                      manycore_scenario="mixed-2x2", manycore_uops=3000,
                      manycore_apps=2, manycore_grid=8)
     else:
-        sizes = dict(uops=8000, multicore_uops=24000, kernel_uops=8000,
+        sizes = dict(uops=8000, multicore_uops=24000,
                      explore_samples=200, explore_uops=2000, explore_apps=3,
                      pipeline_chunk=16,
                      serve_uops=1000, serve_clients=8, serve_requests=4,
@@ -657,35 +494,6 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
               f"({record['runner']['baseline_source']})")
         gate = "ok" if record["runner"]["gate_ok"] else "FAIL"
         print(f"  perf gate {record['runner']['gate_seconds']}s: {gate}")
-
-    print(f"benchmarking batched kernel (uops={sizes['kernel_uops']}) ...")
-    record["kernel"] = bench_kernel(sizes["kernel_uops"])
-    print(f"  scalar {record['kernel']['scalar_seconds']}s vs "
-          f"batched {record['kernel']['batched_seconds']}s "
-          f"({record['kernel']['batched_speedup']}x) at width "
-          f"{record['kernel']['batch_width']}, "
-          f"max CPI divergence {record['kernel']['max_cpi_divergence']:.2e}")
-
-    print("validating static goldens ...")
-    record["goldens"] = bench_goldens()
-    print(f"  {record['goldens']['status']}: "
-          f"{record['goldens']['cells']} cells across "
-          f"{record['goldens']['artifacts']} artifacts in "
-          f"{record['goldens']['seconds']}s")
-
-    print(f"benchmarking explore (samples={sizes['explore_samples']}, "
-          f"uops={sizes['explore_uops']}) ...")
-    record["explore"] = bench_explore(
-        sizes["explore_samples"], sizes["explore_uops"],
-        sizes["explore_apps"]
-    )
-    print(f"  cold {record['explore']['cold_seconds']}s "
-          f"({record['explore']['evaluated']} points, "
-          f"{record['explore']['points_per_second']}/s), resume "
-          f"{record['explore']['resume_seconds']}s "
-          f"({record['explore']['resume_evaluated']} re-evaluated, "
-          f"frontier identical: "
-          f"{record['explore']['frontier_identical']})")
 
     print(f"benchmarking explore pipeline (samples="
           f"{sizes['explore_samples']}, chunk={sizes['pipeline_chunk']}, "
@@ -728,12 +536,9 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
         sizes["manycore_scenario"], sizes["manycore_uops"],
         sizes["manycore_apps"], sizes["manycore_grid"]
     )
-    print(f"  kernel {record['manycore']['kernel_seconds']}s vs oracle "
-          f"{record['manycore']['oracle_seconds']}s "
-          f"({record['manycore']['oracle_speedup']}x) over "
+    print(f"  kernel {record['manycore']['kernel_seconds']}s over "
           f"{record['manycore']['tiles']} tiles / "
-          f"{record['manycore']['apps']} apps, matches oracle: "
-          f"{record['manycore']['kernel_matches_oracle']}, peak "
+          f"{record['manycore']['apps']} apps, peak "
           f"{record['manycore']['max_peak_c']}C")
 
     out.write_text(json.dumps(record, indent=2) + "\n")

@@ -14,7 +14,8 @@ Commands
     Regenerate one paper table (1-8, 11) or figure (2, 6-10).
 
 ``report``
-    Regenerate everything (equivalent to ``python -m repro.experiments.runner``).
+    Regenerate every table and figure, model vs paper; the multicore
+    figures run ``3 x --uops`` micro-ops.
 
 ``list``
     Enumerate the registered design points (by group), tables and figures.
@@ -339,7 +340,6 @@ def cmd_manycore(args: argparse.Namespace) -> None:
             total_uops=args.uops * 3,
             base_grid=args.grid,
             apps=args.apps,
-            oracle=args.oracle,
         )
     except GridError as exc:
         raise SystemExit(str(exc))
@@ -477,10 +477,6 @@ def main(argv=None) -> None:
         "--grid", type=int, default=12, metavar="N",
         help="per-core thermal grid resolution before mesh scaling "
              "(default 12)")
-    manycore_parser.add_argument(
-        "--oracle", action="store_true",
-        help="force the full out-of-order path instead of the batched "
-             "kernel (the two are cycle-exact)")
 
     raw = list(argv if argv is not None else sys.argv[1:])
     # Convenience spellings: "figure6" == "figure 6", "table11" == "table 11".

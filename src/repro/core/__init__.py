@@ -23,7 +23,6 @@ from repro.core.frequency import (
     derive_m3d_het_agg,
     derive_m3d_het_naive,
     derive_m3d_iso,
-    derive_m3d_iso_agg,
     derive_tsv3d,
     frequency_from_reduction,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "derive_m3d_het_agg",
     "derive_m3d_het_naive",
     "derive_m3d_iso",
-    "derive_m3d_iso_agg",
     "derive_tsv3d",
     "frequency_from_reduction",
     "core_structures",

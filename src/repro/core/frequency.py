@@ -140,11 +140,6 @@ def derive_m3d_iso(use_paper_values: bool = False) -> FrequencyDerivation:
     return _registry_derive("M3D-Iso", use_paper_values)
 
 
-def derive_m3d_iso_agg(use_paper_values: bool = False) -> FrequencyDerivation:
-    """M3D-IsoAgg: only the traditional critical structures (paper: 4.46 GHz)."""
-    return _registry_derive("M3D-IsoAgg", use_paper_values)
-
-
 def derive_m3d_het(use_paper_values: bool = False) -> FrequencyDerivation:
     """M3D-Het: asymmetric hetero partitions, all structures (paper: 3.79)."""
     return _registry_derive("M3D-Het", use_paper_values)

@@ -46,8 +46,6 @@ from repro.design.registry import (
     PAPER_SINGLE_CORE,
     TABLE11_ORDER,
     get_point,
-    paper_multicore_points,
-    paper_single_points,
     point_names,
     register,
     registered_points,
@@ -99,9 +97,7 @@ __all__ = [
     "load_grid",
     "load_points",
     "paper_multicore_configs",
-    "paper_multicore_points",
     "paper_single_core_configs",
-    "paper_single_points",
     "point_names",
     "print_sweep_summary",
     "register",

@@ -82,16 +82,6 @@ def registry_groups() -> Dict[str, List[DesignPoint]]:
     return groups
 
 
-def paper_single_points() -> List[DesignPoint]:
-    """The Figure 6-8 lineup as registered points."""
-    return [get_point(name) for name in PAPER_SINGLE_CORE]
-
-
-def paper_multicore_points() -> List[DesignPoint]:
-    """The Figure 9-10 lineup as registered points."""
-    return [get_point(name) for name in PAPER_MULTICORE]
-
-
 # -- built-in points ----------------------------------------------------------
 
 _HET = constants.TOP_LAYER_DELAY_PENALTY

@@ -1,5 +1,5 @@
 """Per-table/figure reproduction harness (used by benchmarks/ and the
-`python -m repro.experiments.runner` command)."""
+`python -m repro report` command)."""
 
 from repro.experiments import figures, tables
 from repro.experiments.figures import (

@@ -198,15 +198,12 @@ def evaluate_manycore(
     base_grid: int = MANYCORE_BASE_GRID,
     apps: Optional[int] = None,
     use_paper_values: Optional[bool] = None,
-    oracle: bool = False,
 ) -> ManycoreReport:
     """Evaluate one tile-grid scenario over the parallel suite.
 
     ``apps`` limits the suite to its first N applications (like
     :func:`repro.design.sweep.evaluate_points`); ``base_grid`` is the
-    per-core thermal resolution before mesh scaling.  ``oracle`` forces
-    the full out-of-order path even when the kernel is enabled
-    (differential testing — the two are cycle-exact).
+    per-core thermal resolution before mesh scaling.
     """
     from repro.uarch.kernel import kernel_enabled
 
@@ -225,8 +222,7 @@ def evaluate_manycore(
     tile_peak_c: Dict[str, List[float]] = {}
     peak_c: Dict[str, float] = {}
     for profile in profiles:
-        runner = evaluate_tiles if kernel_enabled() and not oracle \
-            else run_parallel_tiles
+        runner = evaluate_tiles if kernel_enabled() else run_parallel_tiles
         result = runner(
             tiles, profile, total_uops, seed=seed, noc=resolved.noc,
             name=grid.name,

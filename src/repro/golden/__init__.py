@@ -35,14 +35,12 @@ from repro.golden.policy import (
 from repro.golden.serialize import (
     canonical,
     canonical_dumps,
-    payload_digest,
     trace_digest,
 )
 from repro.golden.store import (
     GOLDEN_SCHEMA_VERSION,
     GoldenError,
     default_goldens_dir,
-    golden_exists,
     golden_path,
     load_golden,
     write_golden,
@@ -76,12 +74,10 @@ __all__ = [
     "policy_for",
     "canonical",
     "canonical_dumps",
-    "payload_digest",
     "trace_digest",
     "GOLDEN_SCHEMA_VERSION",
     "GoldenError",
     "default_goldens_dir",
-    "golden_exists",
     "golden_path",
     "load_golden",
     "write_golden",

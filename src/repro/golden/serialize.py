@@ -75,11 +75,6 @@ def canonical_dumps(value: Any) -> str:
     ) + "\n"
 
 
-def payload_digest(value: Any) -> str:
-    """SHA-256 over the canonical serialization of ``value``."""
-    return hashlib.sha256(canonical_dumps(value).encode()).hexdigest()
-
-
 def trace_digest(trace) -> str:
     """Content hash of one generated instruction trace.
 

@@ -114,8 +114,3 @@ def load_golden(name: str,
     if not isinstance(envelope.get("params"), dict):
         raise GoldenError(f"golden {path}: params must be an object")
     return envelope
-
-
-def golden_exists(name: str,
-                  goldens_dir: Optional[PathLike] = None) -> bool:
-    return golden_path(name, goldens_dir).exists()

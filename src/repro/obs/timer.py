@@ -30,16 +30,16 @@ class TimerSpan:
 
 
 @contextlib.contextmanager
-def timer(name: str, record: bool = True) -> Iterator[TimerSpan]:
+def timer(name: str) -> Iterator[TimerSpan]:
     """Time a ``with`` block; the yielded span's ``seconds`` is filled in
-    on exit and, unless ``record=False``, the span joins the record that
-    is active at that moment (none active: it is only yielded)."""
+    on exit and the span joins the record that is active at that moment
+    (none active: it is only yielded)."""
     span = TimerSpan(name)
     start = time.perf_counter()
     try:
         yield span
     finally:
         span.seconds = time.perf_counter() - start
-        active = current_record() if record else None
+        active = current_record()
         if active is not None:
             active.timers.append(span)

@@ -42,7 +42,6 @@ what ``python -m repro serve`` runs.
 from __future__ import annotations
 
 import asyncio
-import glob
 import json
 import os
 import threading
@@ -441,7 +440,6 @@ def _process_stats() -> Dict[str, int]:
         "rss_kb": rss_kb,
         "open_fds": open_fds,
         "threads": threading.active_count(),
-        "shm_segments": len(glob.glob("/dev/shm/psm_*")),
     }
 
 

@@ -78,7 +78,6 @@ class SimStats:
     complex_decodes: int = 0
     mem_level_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
     ifetch_blocks: int = 0
-    sync_stall_cycles: int = 0
     #: Commit cycle of every SYNC (barrier) marker, for barrier alignment
     #: in the multicore model.
     sync_commit_cycles: List[int] = dataclasses.field(default_factory=list)

@@ -1,5 +1,7 @@
 """Tests for the extension studies and the CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import _parse_geometry, main
@@ -94,6 +96,27 @@ class TestCli:
             assert name in output
         assert "Tables:" in output and "11" in output
         assert "Figures:" in output and "10" in output
+
+    def test_cli_report_prints_every_table_and_figure(self, capsys):
+        main(["--uops", "200", "report"])
+        output = capsys.readouterr().out
+        assert re.findall(r"^=== (.*) ===$", output, flags=re.M) == [
+            "Table 1: via area overhead",
+            "Table 2: via electrical characteristics",
+            "Figure 2: relative areas",
+            "Table 3: bit partitioning (RF, BPT)",
+            "Table 4: word partitioning (RF, BPT)",
+            "Table 5: port partitioning (RF)",
+            "Table 6 (M3D): best iso-layer partitions",
+            "Table 6 (TSV3D): best TSV partitions",
+            "Table 8: hetero-layer partitions",
+            "Table 11: derived frequencies",
+            "Figure 6: single-core speedup",
+            "Figure 7: single-core normalized energy",
+            "Figure 8: peak temperature (C)",
+            "Figure 9: multicore speedup",
+            "Figure 10: multicore normalized energy",
+        ]
 
     def test_cli_sweep_registered_point(self, capsys):
         main(["--uops", "200", "sweep", "M3D-Het50"])

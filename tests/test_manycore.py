@@ -236,12 +236,17 @@ class TestEvaluateManycore:
         # Round-trips back to the same grid spec.
         assert TileGrid.from_dict(payload["spec"]) == report.grid
 
-    def test_kernel_matches_oracle(self, report):
-        from repro.experiments.manycore import evaluate_manycore, get_scenario
+    def test_kernel_matches_oracle(self, report, monkeypatch):
+        from repro.experiments import manycore
 
-        oracle = evaluate_manycore(
-            get_scenario("mixed-2x2"), total_uops=2000, base_grid=6, apps=2,
-            oracle=True,
+        def kernel_path(*args, **kwargs):
+            raise AssertionError("REPRO_KERNEL=0 still ran the kernel")
+
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        monkeypatch.setattr(manycore, "evaluate_tiles", kernel_path)
+        oracle = manycore.evaluate_manycore(
+            manycore.get_scenario("mixed-2x2"), total_uops=2000, base_grid=6,
+            apps=2,
         )
         for app in report.apps:
             assert report.results[app].cycles == oracle.results[app].cycles

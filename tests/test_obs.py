@@ -54,12 +54,6 @@ class TestTimer:
         assert span.seconds >= 0.0
         assert [s.name for s in record.timers] == ["unit.test"]
 
-    def test_record_false_skips_registry(self):
-        with run_record() as record:
-            with timer("unit.skipped", record=False):
-                pass
-        assert record.timers == []
-
     def test_span_survives_exceptions(self):
         with run_record() as record:
             with pytest.raises(RuntimeError):

@@ -145,8 +145,7 @@ class TestServerBasics:
             assert status == 200
             assert body["serve"]["requests"] == 0
             assert "cache" in body and "pool" in body
-            assert set(body["process"]) == {"rss_kb", "open_fds", "threads",
-                                            "shm_segments"}
+            assert set(body["process"]) == {"rss_kb", "open_fds", "threads"}
             assert body["process"]["rss_kb"] > 0
             assert body["process"]["threads"] >= 2  # loop + caller
 
@@ -608,8 +607,8 @@ class TestGracefulShutdown:
 
 class TestBoundedResources:
     """A long warm stream must not grow the server: no record list grows
-    with the request count, RSS stays flat, and fds, threads and
-    shared-memory segments come back to where they started."""
+    with the request count, RSS stays flat, and fds and threads come
+    back to where they started."""
 
     REQUESTS = 2000
     BODY = {"points": ["Base"], "uops": 300, "apps": 1}
@@ -624,13 +623,13 @@ class TestBoundedResources:
         return body["process"]
 
     def _settled(self, server, start):
-        """The end gauges, once fds, threads and shm match ``start``."""
+        """The end gauges, once fds and threads match ``start``."""
         def settled():
             # Connection teardown is asynchronous: poll, don't race.
             now = self._process(server)
             return now if all(
                 now[key] == start[key]
-                for key in ("open_fds", "threads", "shm_segments")
+                for key in ("open_fds", "threads")
             ) else None
 
         return wait_until(settled)
