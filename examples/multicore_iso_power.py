@@ -12,12 +12,12 @@ Run with::
 """
 
 from repro.core.configs import base_config, m3d_het_2x_config, m3d_het_config
+from repro.engine import get_engine
 from repro.power.core_power import power_model_for
 from repro.power.dvfs import (
     iso_power_core_count,
     min_voltage_at_base_frequency,
 )
-from repro.uarch.multicore import run_parallel
 from repro.workloads.parallel import parallel_profiles
 
 APPS = ("Fft", "Ocean", "Lu", "Water-Spatial", "Blackscholes")
@@ -38,15 +38,16 @@ def main() -> None:
     ]
     models = {cfg.name: power_model_for(cfg) for cfg in configs}
     profiles = {p.name: p for p in parallel_profiles()}
+    engine = get_engine()
 
     print(f"\n{'app':<15} {'design':<12} {'speedup':>8} {'energy':>8} "
           f"{'power':>8}")
     for app in APPS:
         profile = profiles[app]
-        base = run_parallel(configs[0], profile, TOTAL_UOPS)
+        base = engine.simulate_parallel(configs[0], profile, TOTAL_UOPS)
         base_energy = models["Base"].evaluate_multicore(base)
         for cfg in configs:
-            result = run_parallel(cfg, profile, TOTAL_UOPS)
+            result = engine.simulate_parallel(cfg, profile, TOTAL_UOPS)
             report = models[cfg.name].evaluate_multicore(result)
             scale = base.total_uops / max(1, result.total_uops)
             print(

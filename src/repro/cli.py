@@ -369,12 +369,14 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("--uops", type=int, default=8000,
                         help="measured micro-ops per simulated run")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for simulation sweeps "
-                             "(1 = serial; results are identical either way)")
+                             "(1 = serial; results are identical either "
+                             "way); $REPRO_JOBS sets the default, else 1")
     parser.add_argument("--cache-dir", default=None,
                         help="persist simulation results here; a warm cache "
-                             "skips every simulation on the next run")
+                             "skips every simulation on the next run; "
+                             "$REPRO_CACHE_DIR sets the default")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write a schema-versioned run manifest (JSON) "
                              "here; $REPRO_METRICS sets the default")
@@ -505,10 +507,15 @@ def main(argv=None) -> None:
         tokens.append(token)
 
     args = parser.parse_args(tokens)
-    if args.jobs != 1 or args.cache_dir is not None:
+    if args.jobs is not None or args.cache_dir is not None:
         # Replacing the engine drops its in-memory layer, so only do it
-        # when the invocation actually asks for a different setup.
-        engine.configure(jobs=args.jobs, cache_dir=args.cache_dir)
+        # when the invocation sets a flag; a flag not given keeps its
+        # environment default.
+        jobs, cache_dir = engine.default_settings()
+        engine.configure(
+            jobs=jobs if args.jobs is None else args.jobs,
+            cache_dir=cache_dir if args.cache_dir is None else args.cache_dir,
+        )
     with run_record() as record:
         try:
             args.func(args)

@@ -76,10 +76,6 @@ class CoreConfig:
         return self.frequency / 1e9
 
     @property
-    def cycle_time(self) -> float:
-        return 1.0 / self.frequency
-
-    @property
     def dram_cycles(self) -> int:
         """DRAM round-trip in core cycles — grows with core frequency."""
         return max(1, round(self.dram_ns * 1e-9 * self.frequency))

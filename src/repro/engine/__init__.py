@@ -29,6 +29,7 @@ from repro.engine.sweep import (
     PendingSpecs,
     SimSpec,
     configure,
+    default_settings,
     execute_spec,
     get_engine,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "SimSpec",
     "code_fingerprint",
     "configure",
+    "default_settings",
     "execute_spec",
     "get_engine",
     "make_key",

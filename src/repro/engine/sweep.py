@@ -32,8 +32,8 @@ from repro.engine.cache import ResultCache, make_key
 from repro.lru import LruMemo
 from repro.obs.record import current_record
 from repro.uarch.kernel import kernel_enabled, run_trace_batch
-from repro.uarch.multicore import MulticoreResult, run_parallel, \
-    run_parallel_batch
+from repro.uarch.multicore import MulticoreResult, run_parallel_batch, \
+    run_parallel_tiles
 from repro.uarch.ooo import SimResult, run_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.parallel import parallel_profiles
@@ -88,11 +88,12 @@ def _trace_for(profile: AppProfile, uops: int, seed: int):
 
 def execute_spec(spec: SimSpec):
     """Run one spec to completion (in this process), via the scalar
-    oracle path (``OutOfOrderCore.run`` / ``run_parallel``)."""
+    oracle path (``OutOfOrderCore.run`` / ``run_parallel_tiles``)."""
     if spec.mode == "single":
         trace = _trace_for(spec.profile, spec.uops, spec.seed)
         return run_trace(spec.config, trace)
-    return run_parallel(spec.config, spec.profile, spec.uops, seed=spec.seed)
+    return run_parallel_tiles([spec.config] * spec.config.num_cores,
+                              spec.profile, spec.uops, seed=spec.seed)
 
 
 def execute_spec_group(specs: Sequence[SimSpec]):
@@ -499,17 +500,22 @@ class ExperimentEngine:
 _default_engine: Optional[ExperimentEngine] = None
 
 
+def default_settings() -> Tuple[int, Optional[str]]:
+    """The default engine's ``(jobs, cache_dir)``: ``$REPRO_JOBS``
+    (default 1) and ``$REPRO_CACHE_DIR`` (default: memory only)."""
+    return (int(os.environ.get("REPRO_JOBS", "1") or 1),
+            os.environ.get("REPRO_CACHE_DIR") or None)
+
+
 def get_engine() -> ExperimentEngine:
     """The process-wide engine every experiment entry point shares.
 
-    Created lazily with ``jobs`` from ``$REPRO_JOBS`` (default 1) and the
-    disk layer from ``$REPRO_CACHE_DIR`` (default: memory only); replace
-    it with :func:`configure`.
+    Created lazily with :func:`default_settings`; replace it with
+    :func:`configure`.
     """
     global _default_engine
     if _default_engine is None:
-        jobs = int(os.environ.get("REPRO_JOBS", "1") or 1)
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
+        jobs, cache_dir = default_settings()
         _default_engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir)
     return _default_engine
 

@@ -150,10 +150,6 @@ class Netlist:
         """Total leakage (A)."""
         return sum(node.gate.leakage_current for node in self._nodes.values())
 
-    def total_wire_load(self) -> float:
-        """Sum of explicit wire capacitance (F) — scaled by 3D folding."""
-        return sum(node.wire_load for node in self._nodes.values())
-
     def scale_wires(self, factor: float) -> None:
         """Scale every explicit wire load (folding shortens all wires)."""
         if factor < 0:

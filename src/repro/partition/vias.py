@@ -34,10 +34,6 @@ class ViaBudget:
     area: float
     fits: bool
 
-    @property
-    def area_um2(self) -> float:
-        return self.area * 1e12
-
 
 def via_count(geometry: ArrayGeometry, strategy: str) -> int:
     """Number of inter-layer vias a strategy needs for one bank.

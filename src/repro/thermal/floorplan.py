@@ -88,11 +88,6 @@ class Block:
         if self.power < 0:
             raise ValueError(f"{self.name}: negative power")
 
-    @property
-    def density_weight(self) -> float:
-        """Power density relative to uniform (power share / area share)."""
-        return self.power / self.area_fraction if self.area_fraction else 0.0
-
 
 @dataclasses.dataclass(frozen=True)
 class Floorplan:

@@ -58,23 +58,35 @@ def _report(design: str, trace: str, solution: ThermalSolution,
     )
 
 
+#: The thermal model of each stack kind, shallowest to deepest: its
+#: thermal stack and its floorplan's ``hot_block_extra_saving`` (``None``
+#: is the 2D floorplan; the folded ones differ in whether the
+#: PP-partitioned hot blocks shed extra power).
+_STACK_KINDS = {
+    "2D": (stack_2d_thermal, None),
+    "TSV3D": (stack_tsv3d_thermal, False),
+    "M3D": (stack_m3d_thermal, True),
+}
+
+
+def _tile_plans(stack_kind: str, core_power: float,
+                profile: Optional[AppProfile]):
+    """One core's per-layer floorplans on a stack kind."""
+    if stack_kind not in _STACK_KINDS:
+        raise ValueError(f"no thermal model for stack {stack_kind!r}")
+    hot_block_extra_saving = _STACK_KINDS[stack_kind][1]
+    if hot_block_extra_saving is None:
+        return [floorplan_2d(core_power, profile)]
+    return floorplan_folded(core_power, profile,
+                            hot_block_extra_saving=hot_block_extra_saving)
+
+
 def _solve_design(design_name: str, stack_kind: str, core_power: float,
                   profile: Optional[AppProfile], grid: int) -> ThermalReport:
     """Shared driver: pick the thermal stack + floorplan for a stack kind."""
     name = profile.name if profile is not None else "uniform"
-    if stack_kind == "2D":
-        stack = stack_2d_thermal()
-        plans = [floorplan_2d(core_power, profile)]
-    elif stack_kind == "TSV3D":
-        stack = stack_tsv3d_thermal()
-        plans = floorplan_folded(core_power, profile,
-                                 hot_block_extra_saving=False)
-    elif stack_kind == "M3D":
-        stack = stack_m3d_thermal()
-        plans = floorplan_folded(core_power, profile,
-                                 hot_block_extra_saving=True)
-    else:
-        raise ValueError(f"no thermal model for stack {stack_kind!r}")
+    plans = _tile_plans(stack_kind, core_power, profile)
+    stack = _STACK_KINDS[stack_kind][0]()
     solution = solve_floorplans(stack, plans, grid=grid)
     return _report(design_name, name, solution, stack)
 
@@ -171,19 +183,6 @@ def manycore_grid_resolution(base_grid: int, rows: int, cols: int) -> int:
     return min(MANYCORE_MAX_GRID, max(base_grid, base_grid * max(rows, cols)))
 
 
-def _tile_plans(stack_kind: str, core_power: float,
-                profile: Optional[AppProfile]):
-    if stack_kind == "2D":
-        return [floorplan_2d(core_power, profile)]
-    if stack_kind == "TSV3D":
-        return floorplan_folded(core_power, profile,
-                                hot_block_extra_saving=False)
-    if stack_kind == "M3D":
-        return floorplan_folded(core_power, profile,
-                                hot_block_extra_saving=True)
-    raise ValueError(f"no thermal model for stack {stack_kind!r}")
-
-
 def manycore_temperatures(
     tile_stacks: List[str],
     tile_powers: List[float],
@@ -205,18 +204,14 @@ def manycore_temperatures(
     """
     if len(tile_stacks) != len(tile_powers):
         raise ValueError("one power per tile stack")
-    kinds = set(tile_stacks)
-    if "M3D" in kinds:
-        stack = stack_m3d_thermal()
-    elif "TSV3D" in kinds:
-        stack = stack_tsv3d_thermal()
-    else:
-        stack = stack_2d_thermal()
-    active = stack.active_indices
     tile_plans = [
         _tile_plans(kind, power, profile)
         for kind, power in zip(tile_stacks, tile_powers)
     ]
+    depth = list(_STACK_KINDS)
+    deepest = max(tile_stacks, key=depth.index, default="2D")
+    stack = _STACK_KINDS[deepest][0]()
+    active = stack.active_indices
     chip_plans, block_ranges = floorplan_manycore(
         tile_plans, len(active), name=name,
     )

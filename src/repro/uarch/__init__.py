@@ -19,7 +19,6 @@ from repro.uarch.kernel import kernel_enabled, run_trace_batch
 from repro.uarch.multicore import (
     MulticoreResult,
     evaluate_tiles,
-    run_parallel,
     run_parallel_batch,
     run_parallel_tiles,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "OpClass",
     "Trace",
     "MulticoreResult",
-    "run_parallel",
     "run_parallel_tiles",
     "evaluate_tiles",
     "MeshNoc",

@@ -48,12 +48,6 @@ class PredictorStats:
     def accuracy(self) -> float:
         return 1.0 - self.mispredictions / self.branches if self.branches else 1.0
 
-    @property
-    def mpki(self) -> float:
-        """Mispredictions per 1000 branches-seen instructions are computed
-        by the caller; this is per 1000 *branches*."""
-        return 1000.0 * self.mispredictions / self.branches if self.branches else 0.0
-
 
 class TournamentPredictor:
     """The Table 9 tournament predictor with BTB and RAS."""

@@ -15,12 +15,13 @@ applications on four- and eight-core systems.  The model here:
   tile frequencies are aligned on a common reference clock (the fastest
   tile's).
 
-Heterogeneity is first-class: every entry point here is a thin wrapper
-over the tile-list core (:func:`run_parallel_tiles` /
-:func:`evaluate_tiles`), where each tile carries its own
-:class:`CoreConfig`.  The legacy single-config API (:func:`run_parallel`,
-:func:`run_parallel_batch`) expands ``config.num_cores`` identical tiles
-and is bit-exact against the pre-refactor implementation.
+Every run is a tile list, where each tile carries its own
+:class:`CoreConfig`; the paper's four- and eight-core systems are
+``config.num_cores`` copies of one config.  :func:`run_parallel_tiles`
+runs the scalar out-of-order model per tile (the oracle) and
+:func:`evaluate_tiles` is its cycle-exact batched-kernel equivalent;
+:func:`run_parallel_batch` evaluates many multicore configs through
+:func:`evaluate_tiles`.
 
 Figure 4's shared router stops (pairs of folded cores sharing L2s and a
 stop) enter through the NoC model: fewer stops, shorter links, lower
@@ -30,7 +31,7 @@ average latency.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.configs import CoreConfig
 from repro.lru import LruMemo
@@ -55,8 +56,8 @@ class MulticoreResult:
     barrier_wait_cycles: int
     coherence_transfers: int
     noc_latency: int
-    #: The ``total_uops`` the caller asked for.  ``actual_uops`` is what
-    #: the cores measured; the two differ only when ``total_uops`` is
+    #: The ``total_uops`` the caller asked for.  :attr:`total_uops` is
+    #: what the cores measured; the two differ only when the request is
     #: smaller than the core count (each core runs at least one uop).
     requested_uops: int = 0
     #: Tail barrier phases silently dropped by alignment when cores
@@ -72,12 +73,6 @@ class MulticoreResult:
     @property
     def total_uops(self) -> int:
         return sum(result.stats.uops for result in self.per_core)
-
-    @property
-    def actual_uops(self) -> int:
-        """Measured uops actually executed across all cores (alias of
-        :attr:`total_uops`, named for requested-vs-actual reporting)."""
-        return self.total_uops
 
     @property
     def stall_cycles(self) -> Dict[str, int]:
@@ -152,26 +147,21 @@ def _tile_weights(tiles: Sequence[CoreConfig]) -> List[float]:
 
 def _work_shares(
     total_uops: int,
-    tiles: Union[int, Sequence[CoreConfig]],
+    tiles: Sequence[CoreConfig],
 ) -> List[int]:
     """Per-tile measured-uop shares summing to ``total_uops``.
 
-    Identical tiles (or a bare core count, the legacy spelling) get the
-    exact legacy split: even base share, remainder spread over the first
-    cores.  Heterogeneous tiles get shares proportional to
-    :func:`_tile_weights` via largest-remainder apportionment (ties
-    broken by tile index).  Every tile runs at least one uop, so
-    requests smaller than the tile count round up.
+    Tiles of equal weight get an even split: the base share, with the
+    remainder spread over the first tiles.  Otherwise shares are
+    proportional to :func:`_tile_weights` via largest-remainder
+    apportionment (ties broken by tile index).  Every tile runs at
+    least one uop, so requests smaller than the tile count round up.
     """
-    if isinstance(tiles, int):
-        weights: List[float] = []
-        cores = tiles
-    else:
-        weights = _tile_weights(tiles)
-        cores = len(tiles)
-    if cores < 1:
+    if not tiles:
         raise ValueError("need at least one tile")
-    if not weights or len(set(weights)) == 1:
+    weights = _tile_weights(tiles)
+    cores = len(tiles)
+    if len(set(weights)) == 1:
         base_share, remainder = divmod(total_uops, cores)
         return [
             max(1, base_share + (1 if core_id < remainder else 0))
@@ -190,13 +180,29 @@ def _work_shares(
     return [max(1, share) for share in shares]
 
 
-def _default_noc(tiles: Sequence[CoreConfig]) -> RingNoc:
-    """The legacy interconnect for a bare tile list: a ring with shared
-    stops when every tile folds its L2 pair (Figure 4)."""
-    return RingNoc(
-        len(tiles),
-        shared_stops=all(tile.shared_l2 for tile in tiles),
-    )
+def _plan_tiles(
+    tiles: Sequence[CoreConfig],
+    profile: AppProfile,
+    total_uops: int,
+    noc: Optional[Noc],
+) -> Tuple[List[CoreConfig], int, List[int]]:
+    """What both tile-list paths start from: ``(tiles, noc_penalty,
+    shares)``.
+
+    Rejects sequential profiles and empty tile lists.  ``noc=None`` is
+    the paper's ring, with shared stops when every tile folds its L2
+    pair (Figure 4).  The shares conserve total work: they sum to
+    exactly ``total_uops`` unless the request is smaller than the tile
+    count (``requested_uops`` vs ``total_uops`` records it).
+    """
+    if not profile.is_parallel:
+        raise ValueError(f"{profile.name} is not a parallel profile")
+    tiles = list(tiles)
+    shares = _work_shares(total_uops, tiles)
+    if noc is None:
+        noc = RingNoc(len(tiles),
+                      shared_stops=all(tile.shared_l2 for tile in tiles))
+    return tiles, noc.average_latency, shares
 
 
 def _tiles_name(tiles: Sequence[CoreConfig]) -> str:
@@ -251,29 +257,16 @@ def run_parallel_tiles(
 
     Each tile is one core with its own :class:`CoreConfig`;
     ``total_uops`` is the application's total (measured) work, split
-    across tiles by :func:`_work_shares`.  This is the oracle path (the
-    full out-of-order model per tile); :func:`evaluate_tiles` is the
+    across tiles by :func:`_work_shares`.  A multicore config runs as
+    ``[config] * config.num_cores``.  This is the oracle path (the full
+    out-of-order model per tile); :func:`evaluate_tiles` is the
     cycle-exact batched-kernel equivalent.
     """
     # Imported here to keep repro.uarch importable without repro.workloads
     # (the two packages reference each other at the edges).
     from repro.workloads.generator import generate_trace
 
-    if not profile.is_parallel:
-        raise ValueError(f"{profile.name} is not a parallel profile")
-    tiles = list(tiles)
-    if not tiles:
-        raise ValueError("need at least one tile")
-    if noc is None:
-        noc = _default_noc(tiles)
-    penalty = noc.average_latency
-    # Conserve total work: shares sum to exactly ``total_uops`` (the old
-    # ``max(1000, total_uops // cores)`` floor both dropped remainders
-    # and inflated tiny sweeps).  Every tile still runs at least one
-    # uop, so requests smaller than the tile count round up —
-    # ``requested_uops`` vs ``actual_uops`` records it.
-    shares = _work_shares(total_uops, tiles)
-
+    tiles, penalty, shares = _plan_tiles(tiles, profile, total_uops, noc)
     coherence = CoherenceDirectory()
     results: List[SimResult] = []
     for core_id, (tile, share) in enumerate(zip(tiles, shares)):
@@ -292,33 +285,12 @@ def run_parallel_tiles(
     )
 
 
-def run_parallel(
-    config: CoreConfig,
-    profile: AppProfile,
-    total_uops: int,
-    seed: int = 1234,
-) -> MulticoreResult:
-    """Run one parallel application across the config's cores.
-
-    Thin shim over :func:`run_parallel_tiles` with ``config.num_cores``
-    identical tiles on the paper's ring — bit-exact against the
-    pre-tile-refactor implementation.
-    """
-    cores = config.num_cores
-    noc = RingNoc(cores, shared_stops=config.shared_l2)
-    return run_parallel_tiles(
-        [config] * cores, profile, total_uops, seed=seed, noc=noc,
-        name=config.name,
-    )
-
-
 # -- batched evaluation through the SoA kernel --------------------------------
 
-#: Per-process multicore trace memo: every configuration with the same
-#: core count shares one trace set per (profile, share, seed, thread) —
-#: ``run_parallel`` regenerating them per config is the single biggest
-#: cost of a cold multicore sweep.  Each trace carries its own kernel
-#: decode/replay memos.
+#: Per-process multicore trace memo: every tile list with the same work
+#: split shares one trace set per (profile, share, seed, thread) —
+#: regenerating them per config is the single biggest cost of a cold
+#: multicore sweep.  Each trace carries its own kernel decode/replay memos.
 _MC_TRACE_MEMO = LruMemo(cap=64)
 
 #: The longest trace generated so far per (profile, seed, thread).  The
@@ -359,17 +331,16 @@ def _prepare_tile_replay(
     seed: int,
     traces: List,
     shares: Sequence[int],
-    geometry: Tuple[bool, ...],
-    donors: Sequence[CoreConfig],
+    tiles: Sequence[CoreConfig],
     penalty: int,
 ) -> tuple:
-    """Memoized coherence-sequenced replay for one per-tile geometry:
+    """Memoized coherence-sequenced replay for one tile list:
     ``(images, coherence_transfers)``.
 
-    ``geometry`` is the per-tile ``shared_l2`` tuple — the only
-    :class:`CoreConfig` field the cache hierarchy's shape depends on —
-    so every tile list with the same geometry, work split and NoC
-    penalty shares one replay regardless of timing parameters.
+    The per-tile ``shared_l2`` tuple is the only :class:`CoreConfig`
+    input the cache hierarchy's shape depends on, so every tile list
+    with the same geometry, work split and NoC penalty shares one
+    replay regardless of timing parameters.
     """
     from repro.engine.cache import make_key
     from repro.uarch import kernel
@@ -381,43 +352,18 @@ def _prepare_tile_replay(
         # transfer count) are identical.
         coherence = CoherenceDirectory()
         images = [
-            kernel.replay_memory(trace, donors[core_id], core_id=core_id,
+            kernel.replay_memory(trace, tile, core_id=core_id,
                                  coherence=coherence,
                                  noc_penalty=penalty)
-            for core_id, trace in enumerate(traces)
+            for core_id, (trace, tile) in enumerate(zip(traces, tiles))
         ]
         return images, coherence.transfers
 
     image_key = make_key(
         "mc-images", profile=profile, seed=seed, shares=tuple(shares),
-        shared_l2=geometry, noc=penalty,
+        shared_l2=tuple(tile.shared_l2 for tile in tiles), noc=penalty,
     )
     return _MC_IMAGE_MEMO.get(image_key, build_images)
-
-
-def evaluate_tile_configs(
-    tiles: Sequence[CoreConfig],
-    profile: AppProfile,
-    total_uops: int,
-    traces: List,
-    images: List,
-    transfers: int,
-    penalty: int,
-    name: Optional[str] = None,
-) -> MulticoreResult:
-    """The configuration-dependent half of a tile batch: per-tile timing
-    recurrences over prepared replay state, then barrier alignment.
-    Bit-exact against :func:`run_parallel_tiles` for the same trace set
-    and geometry."""
-    from repro.uarch import kernel
-
-    per_core = [
-        kernel.simulate_core(trace, tile, image, noc_penalty=penalty)
-        for tile, trace, image in zip(tiles, traces, images)
-    ]
-    return _tile_result(
-        tiles, profile, total_uops, per_core, transfers, penalty, name,
-    )
 
 
 def evaluate_tiles(
@@ -432,29 +378,26 @@ def evaluate_tiles(
 
     Traces are memoized per (profile, share, seed, thread) and the
     coherence replay per per-tile geometry, so repeated tile lists over
-    the same workload amortise everything but the timing recurrences.
-    Cycle-exact against the oracle path.
+    the same workload amortise everything but the per-tile timing
+    recurrences (:func:`repro.uarch.kernel.simulate_core`).  Cycle-exact
+    against the oracle path.
     """
-    if not profile.is_parallel:
-        raise ValueError(f"{profile.name} is not a parallel profile")
-    tiles = list(tiles)
-    if not tiles:
-        raise ValueError("need at least one tile")
-    if noc is None:
-        noc = _default_noc(tiles)
-    penalty = noc.average_latency
-    shares = _work_shares(total_uops, tiles)
+    from repro.uarch import kernel
+
+    tiles, penalty, shares = _plan_tiles(tiles, profile, total_uops, noc)
     traces = [
         _mc_trace(profile, share, seed, core_id)
         for core_id, share in enumerate(shares)
     ]
-    geometry = tuple(tile.shared_l2 for tile in tiles)
     images, transfers = _prepare_tile_replay(
-        profile, seed, traces, shares, geometry, tiles, penalty,
+        profile, seed, traces, shares, tiles, penalty,
     )
-    return evaluate_tile_configs(
-        tiles, profile, total_uops, traces, images, transfers, penalty,
-        name=name,
+    per_core = [
+        kernel.simulate_core(trace, tile, image, noc_penalty=penalty)
+        for tile, trace, image in zip(tiles, traces, images)
+    ]
+    return _tile_result(
+        tiles, profile, total_uops, per_core, transfers, penalty, name,
     )
 
 
@@ -464,42 +407,21 @@ def run_parallel_batch(
     total_uops: int,
     seed: int = 1234,
 ) -> List[MulticoreResult]:
-    """Run one parallel application under many configs in one batch.
+    """Run one parallel application under many multicore configs.
 
-    Bit-exact against per-config :func:`run_parallel` calls, but configs
-    with the same core count share generated traces, and configs with
-    the same (core count, L2 geometry) additionally share the
-    coherence-sequenced cache replay; only the per-core timing
-    recurrences (:func:`evaluate_tile_configs`) run per config, through
-    :func:`repro.uarch.kernel.simulate_core`.
+    Each config runs as ``config.num_cores`` identical tiles through
+    :func:`evaluate_tiles`, whose memos make configs with the same core
+    count share one trace set, and configs with the same (core count,
+    L2 geometry) share one coherence-sequenced cache replay.  Results
+    come back in ``configs`` order.
     """
-    if not profile.is_parallel:
-        raise ValueError(f"{profile.name} is not a parallel profile")
     results: List[Optional[MulticoreResult]] = [None] * len(configs)
-    by_cores: Dict[int, List[int]] = {}
-    for index, config in enumerate(configs):
-        by_cores.setdefault(config.num_cores, []).append(index)
     # Fewest cores first: their per-core shares are the longest, so the
     # larger core counts' shares are prefixes of already-generated traces.
-    for cores, indices in sorted(by_cores.items()):
-        shares = _work_shares(total_uops, cores)
-        traces = [
-            _mc_trace(profile, share, seed, core_id)
-            for core_id, share in enumerate(shares)
-        ]
-        by_geometry: Dict[bool, List[int]] = {}
-        for index in indices:
-            by_geometry.setdefault(configs[index].shared_l2, []).append(index)
-        for shared_l2, geo_indices in by_geometry.items():
-            penalty = RingNoc(cores, shared_stops=shared_l2).average_latency
-            images, transfers = _prepare_tile_replay(
-                profile, seed, traces, shares, (shared_l2,) * cores,
-                [configs[geo_indices[0]]] * cores, penalty,
-            )
-            for index in geo_indices:
-                config = configs[index]
-                results[index] = evaluate_tile_configs(
-                    [config] * cores, profile, total_uops, traces, images,
-                    transfers, penalty, name=config.name,
-                )
+    for index in sorted(range(len(configs)),
+                        key=lambda i: configs[i].num_cores):
+        config = configs[index]
+        results[index] = evaluate_tiles(
+            [config] * config.num_cores, profile, total_uops, seed=seed,
+        )
     return results

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import _parse_geometry, main
+from repro.engine import get_engine
 from repro.experiments.extensions import (
     design_alternatives_study,
     lp_top_energy_study,
@@ -77,6 +78,32 @@ class TestCli:
         output = capsys.readouterr().out
         assert "M3D-Het" in output
         assert "3.3" in output
+
+    @pytest.fixture
+    def fresh_engine(self, monkeypatch):
+        """A process that has not built its default engine yet, under
+        ``REPRO_JOBS=3``; the test's engine is closed and the previous
+        one restored afterwards."""
+        import repro.engine.sweep as sweep
+
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        original = sweep._default_engine
+        sweep._default_engine = None
+        yield
+        if sweep._default_engine is not None:
+            sweep._default_engine.cache.close()
+        sweep._default_engine = original
+
+    def test_cli_explicit_jobs_beats_env(self, fresh_engine, capsys):
+        main(["--jobs", "1", "frequencies"])
+        assert get_engine().jobs == 1
+
+    def test_cli_cache_dir_keeps_env_jobs(self, fresh_engine, tmp_path,
+                                          capsys):
+        main(["--cache-dir", str(tmp_path), "frequencies"])
+        assert get_engine().jobs == 3
+        assert get_engine().cache.cache_dir == tmp_path
 
     def test_cli_table_runs(self, capsys):
         main(["table", "2"])

@@ -17,7 +17,7 @@ from repro.partition.planner import min_latency_reduction, plan_core
 from repro.power.core_power import power_model_for
 from repro.tech.process import stack_m3d_hetero, stack_m3d_iso
 from repro.thermal.hotspot import peak_temperature_2d, peak_temperature_m3d
-from repro.uarch.multicore import run_parallel
+from repro.uarch.multicore import run_parallel_tiles
 from repro.uarch.ooo import run_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.parallel import parallel_by_name
@@ -100,7 +100,8 @@ class TestMulticoreChain:
     def test_full_multicore_lineup_runs(self):
         profile = parallel_by_name()["Lu"]
         results = {
-            cfg.name: run_parallel(cfg, profile, 12000)
+            cfg.name: run_parallel_tiles([cfg] * cfg.num_cores, profile,
+                                         12000)
             for cfg in multicore_configs()
         }
         base = results["Base"]
@@ -115,8 +116,10 @@ class TestMulticoreChain:
         profile = parallel_by_name()["Fft"]
         base_cfg = multicore_configs()[0]
         het_cfg = multicore_configs()[2]
-        base = run_parallel(base_cfg, profile, 12000)
-        het = run_parallel(het_cfg, profile, 12000)
+        base = run_parallel_tiles([base_cfg] * base_cfg.num_cores, profile,
+                                  12000)
+        het = run_parallel_tiles([het_cfg] * het_cfg.num_cores, profile,
+                                 12000)
         base_report = power_model_for(base_cfg).evaluate_multicore(base)
         het_report = power_model_for(het_cfg).evaluate_multicore(het)
         assert het_report.total < base_report.total

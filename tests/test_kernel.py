@@ -28,7 +28,7 @@ from repro.uarch.kernel import (
     run_trace_batch,
     simulate_core,
 )
-from repro.uarch.multicore import run_parallel, run_parallel_batch
+from repro.uarch.multicore import run_parallel_batch, run_parallel_tiles
 from repro.uarch.ooo import run_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.parallel import parallel_profiles
@@ -255,7 +255,8 @@ def test_kernel_enabled_env(monkeypatch):
 def test_parallel_batch_matches_run_parallel(profile_index):
     profile = parallel_profiles()[profile_index]
     configs = multicore_configs()
-    oracle = [run_parallel(config, profile, 2400, seed=1234)
+    oracle = [run_parallel_tiles([config] * config.num_cores, profile, 2400,
+                                 seed=1234)
               for config in configs]
     batched = run_parallel_batch(configs, profile, 2400, seed=1234)
     assert batched == oracle

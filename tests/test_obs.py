@@ -21,7 +21,7 @@ from repro.obs import (
     validate_manifest,
     write_manifest,
 )
-from repro.uarch.multicore import run_parallel
+from repro.uarch.multicore import run_parallel_tiles
 from repro.uarch.ooo import STALL_CAUSES, run_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.parallel import parallel_by_name
@@ -83,7 +83,8 @@ class TestStallAttribution:
 
     def test_multicore_aggregates_stalls(self):
         water = parallel_by_name()["Water-Spatial"]
-        result = run_parallel(base_config(num_cores=4), water, 8000)
+        result = run_parallel_tiles([base_config(num_cores=4)] * 4, water,
+                                    8000)
         totals = result.stall_cycles
         assert set(totals) == set(STALL_CAUSES)
         for cause in STALL_CAUSES:

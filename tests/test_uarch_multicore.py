@@ -15,7 +15,6 @@ from repro.uarch.multicore import (
     _tile_result,
     _work_shares,
     evaluate_tiles,
-    run_parallel,
     run_parallel_batch,
     run_parallel_tiles,
 )
@@ -29,6 +28,11 @@ from repro.workloads.spec import spec_by_name
 @pytest.fixture(scope="module")
 def water():
     return parallel_by_name()["Water-Spatial"]
+
+
+@pytest.fixture(scope="module")
+def base4():
+    return base_config(num_cores=4)
 
 
 class TestRingNoc:
@@ -64,81 +68,82 @@ class TestRingNoc:
 
 
 class TestMulticore:
-    def test_runs_all_cores(self, water):
-        result = run_parallel(base_config(num_cores=4), water, 16000)
+    def test_runs_all_cores(self, water, base4):
+        result = run_parallel_tiles([base4] * 4, water, 16000)
         assert len(result.per_core) == 4
         assert result.cycles > 0
 
-    def test_rejects_sequential_profile(self):
+    def test_rejects_sequential_profile(self, base4):
         with pytest.raises(ValueError):
-            run_parallel(base_config(num_cores=4), spec_by_name()["Mcf"], 8000)
+            run_parallel_tiles([base4] * 4, spec_by_name()["Mcf"], 8000)
 
-    def test_barrier_alignment_never_faster_than_slowest(self, water):
-        result = run_parallel(base_config(num_cores=4), water, 16000)
+    def test_barrier_alignment_never_faster_than_slowest(self, water,
+                                                         base4):
+        result = run_parallel_tiles([base4] * 4, water, 16000)
         slowest = max(core.cycles for core in result.per_core)
         assert result.cycles >= slowest
 
-    def test_barrier_wait_nonnegative(self, water):
-        result = run_parallel(base_config(num_cores=4), water, 16000)
+    def test_barrier_wait_nonnegative(self, water, base4):
+        result = run_parallel_tiles([base4] * 4, water, 16000)
         assert result.barrier_wait_cycles >= 0
 
-    def test_more_cores_less_per_core_work(self, water):
-        four = run_parallel(base_config(num_cores=4), water, 16000)
-        eight = run_parallel(m3d_het_2x_config(), water, 16000)
+    def test_more_cores_less_per_core_work(self, water, base4):
+        four = run_parallel_tiles([base4] * 4, water, 16000)
+        eight = run_parallel_tiles([m3d_het_2x_config()] * 8, water, 16000)
         assert eight.per_core[0].stats.uops < four.per_core[0].stats.uops
 
-    def test_het_2x_near_double(self, water):
+    def test_het_2x_near_double(self, water, base4):
         # The headline result: twice the cores at iso power -> ~1.9x.
-        base = run_parallel(base_config(num_cores=4), water, 16000)
-        twice = run_parallel(m3d_het_2x_config(), water, 16000)
+        base = run_parallel_tiles([base4] * 4, water, 16000)
+        twice = run_parallel_tiles([m3d_het_2x_config()] * 8, water, 16000)
         assert twice.speedup_over(base) > 1.5
 
-    def test_m3d_het_beats_base(self, water):
-        base = run_parallel(base_config(num_cores=4), water, 16000)
-        het = run_parallel(m3d_het_config(num_cores=4), water, 16000)
+    def test_m3d_het_beats_base(self, water, base4):
+        base = run_parallel_tiles([base4] * 4, water, 16000)
+        het = run_parallel_tiles([m3d_het_config(num_cores=4)] * 4, water,
+                                 16000)
         assert het.speedup_over(base) > 1.0
 
-    def test_coherence_traffic_observed(self, water):
-        result = run_parallel(base_config(num_cores=4), water, 16000)
+    def test_coherence_traffic_observed(self, water, base4):
+        result = run_parallel_tiles([base4] * 4, water, 16000)
         assert result.coherence_transfers > 0
 
-    def test_deterministic(self, water):
-        first = run_parallel(base_config(num_cores=4), water, 8000, seed=7)
-        second = run_parallel(base_config(num_cores=4), water, 8000, seed=7)
+    def test_deterministic(self, water, base4):
+        first = run_parallel_tiles([base4] * 4, water, 8000, seed=7)
+        second = run_parallel_tiles([base4] * 4, water, 8000, seed=7)
         assert first.cycles == second.cycles
 
 
 class TestUopConservation:
-    """run_parallel must execute exactly the requested total work: the
+    """A tile list must execute exactly the requested total work: the
     old ``max(1000, total_uops // cores)`` share dropped remainders and
     inflated tiny sweeps."""
 
     @pytest.mark.parametrize("total", [16000, 1603, 4001, 7, 4])
-    def test_total_work_conserved(self, water, total):
-        result = run_parallel(base_config(num_cores=4), water, total)
+    def test_total_work_conserved(self, water, base4, total):
+        result = run_parallel_tiles([base4] * 4, water, total)
         assert result.requested_uops == total
-        assert result.actual_uops == total
+        assert result.total_uops == total
         assert sum(core.stats.uops for core in result.per_core) == total
 
-    def test_remainder_spread_evenly(self, water):
-        result = run_parallel(base_config(num_cores=4), water, 4001)
+    def test_remainder_spread_evenly(self, water, base4):
+        result = run_parallel_tiles([base4] * 4, water, 4001)
         shares = [core.stats.uops for core in result.per_core]
         assert max(shares) - min(shares) <= 1
 
-    def test_tiny_request_rounds_up_to_core_count(self, water):
+    def test_tiny_request_rounds_up_to_core_count(self, water, base4):
         # Fewer uops than cores: every core still runs one uop, and the
-        # inflation is visible in requested-vs-actual.
-        result = run_parallel(base_config(num_cores=4), water, 3)
+        # inflation is visible in requested-vs-measured.
+        result = run_parallel_tiles([base4] * 4, water, 3)
         assert result.requested_uops == 3
-        assert result.actual_uops == 4
+        assert result.total_uops == 4
         assert all(core.stats.uops == 1 for core in result.per_core)
 
 
 class TestWorkShares:
-    def test_int_and_identical_tiles_agree(self):
+    def test_identical_tiles_split_evenly(self):
         tiles = [base_config()] * 4
-        assert _work_shares(4001, tiles) == _work_shares(4001, 4)
-        assert _work_shares(4001, 4) == [1001, 1000, 1000, 1000]
+        assert _work_shares(4001, tiles) == [1001, 1000, 1000, 1000]
 
     def test_weighted_shares_conserve_total(self):
         tiles = [base_config(), m3d_het_config(), m3d_het_2x_config()]
@@ -166,8 +171,6 @@ class TestWorkShares:
         assert shares[1] == 2 * shares[0]
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            _work_shares(100, 0)
         with pytest.raises(ValueError):
             _work_shares(100, [])
 
@@ -224,8 +227,7 @@ class TestBarrierAlignment:
 
 
 class TestShimBitExactness:
-    """run_parallel must be a pure renaming of run_parallel_tiles, and
-    the kernel path must agree with the oracle path, with the batched
+    """The kernel path must agree with the oracle path, with the batched
     kernel both on and off."""
 
     FIELDS = (
@@ -243,17 +245,6 @@ class TestShimBitExactness:
         assert [r.stats.uops for r in a.per_core] == [
             r.stats.uops for r in b.per_core
         ]
-
-    @pytest.mark.parametrize("config_fn", [base_config, m3d_het_config])
-    def test_shim_equals_explicit_tiles(self, water, config_fn):
-        config = config_fn(num_cores=4)
-        shim = run_parallel(config, water, 6000)
-        explicit = run_parallel_tiles(
-            [config] * 4, water, 6000,
-            noc=RingNoc(4, shared_stops=config.shared_l2),
-            name=config.name,
-        )
-        self.assert_equal(shim, explicit)
 
     @pytest.mark.parametrize("kernel_env", ["1", "0"])
     def test_kernel_path_matches_oracle(self, water, monkeypatch,
@@ -308,7 +299,8 @@ class TestSharedTraceStreams:
         _clear_multicore_memos()
         total = 4800
         for cores in core_counts:
-            for thread, share in enumerate(_work_shares(total, cores)):
+            tiles = [base_config()] * cores
+            for thread, share in enumerate(_work_shares(total, tiles)):
                 trace = _mc_trace(water, share, 1234, thread)
                 assert trace == generate_trace(water, share, seed=1234,
                                                thread=thread)
@@ -338,6 +330,8 @@ class TestSharedTraceStreams:
             + [(600, thread) for thread in range(4, 8)]
         )
         monkeypatch.undo()
-        assert batch == [run_parallel(config, water, 4800)
-                         for config in configs]
+        assert batch == [
+            run_parallel_tiles([config] * config.num_cores, water, 4800)
+            for config in configs
+        ]
         _clear_multicore_memos()
