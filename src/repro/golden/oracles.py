@@ -13,6 +13,16 @@ execution — and ``repro validate --deep`` runs them against each other:
     the max CPI divergence (must be exactly 0.0) so the drift report
     names the magnitude.
 
+``kernel_multicore``
+    ``run_parallel_tiles`` (the oracle) vs ``evaluate_tiles`` on one
+    parallel profile, for a private-L2 and a shared-L2 multicore config.
+    Each core measures more than ``PRUNE_INTERVAL`` uops and crosses a
+    barrier, and the cores share the coherence directory, so the check
+    reaches the window prunes, the shared L2, the NoC penalty, SYNC
+    alignment and the coherence transfers that ``kernel_cpi`` never
+    does.  Full ``MulticoreResult`` equality is required; the payload
+    records each config's transfer count.
+
 ``sweep_identity``
     The same spec batch through a serial engine and a two-worker
     process-pool engine, both with the result cache bypassed.  Results
@@ -28,7 +38,7 @@ execution — and ``repro validate --deep`` runs them against each other:
 
 Oracle payloads are themselves snapshotted (``goldens/oracles.json``),
 so the comparison engine diffs them like any other artifact; the first
-two additionally hard-fail the run on any internal mismatch, golden or
+three additionally hard-fail the run on any internal mismatch, golden or
 no golden.
 """
 
@@ -39,6 +49,8 @@ from typing import Dict, List, Tuple
 #: Sweep sizes the oracles run at.  Fixed (never taken from the CLI) so
 #: the golden baseline is well-defined.
 KERNEL_ORACLE_UOPS = 1500
+MULTICORE_ORACLE_UOPS = 18000
+MULTICORE_ORACLE_PROFILE = "Ocean"
 SWEEP_ORACLE_UOPS = 600
 SWEEP_ORACLE_SEED = 4321
 INTERVAL_ORACLE_UOPS = 2000
@@ -80,6 +92,38 @@ def kernel_cpi_oracle() -> Tuple[dict, List[str]]:
         "profile": profile.name,
         "configs": [config.name for config in configs],
         "max_cpi_divergence": max_divergence,
+        "exact": not failures,
+    }
+    return payload, failures
+
+
+def kernel_multicore_oracle() -> Tuple[dict, List[str]]:
+    """Scalar per-tile oracle vs the kernel's tile path on multicore
+    configs with a private and a shared L2; returns
+    ``(payload, hard_failures)``."""
+    from repro.core.configs import base_config, m3d_het_config
+    from repro.uarch.multicore import evaluate_tiles, run_parallel_tiles
+    from repro.workloads.parallel import parallel_by_name
+
+    profile = parallel_by_name()[MULTICORE_ORACLE_PROFILE]
+    configs = [base_config(num_cores=4), m3d_het_config(num_cores=4)]
+    failures: List[str] = []
+    transfers: List[int] = []
+    for config in configs:
+        tiles = [config] * config.num_cores
+        oracle = run_parallel_tiles(tiles, profile, MULTICORE_ORACLE_UOPS)
+        kernel = evaluate_tiles(tiles, profile, MULTICORE_ORACLE_UOPS)
+        transfers.append(oracle.coherence_transfers)
+        if kernel != oracle:
+            failures.append(
+                f"kernel_multicore: the kernel's tile path diverges from "
+                f"the scalar oracle on config {config.name!r}"
+            )
+    payload = {
+        "uops": MULTICORE_ORACLE_UOPS,
+        "profile": profile.name,
+        "configs": [config.name for config in configs],
+        "transfers": transfers,
         "exact": not failures,
     }
     return payload, failures
@@ -156,6 +200,7 @@ def interval_direction_oracle() -> Tuple[dict, List[str]]:
 #: Name -> oracle function, in run order.
 ORACLES = {
     "kernel_cpi": kernel_cpi_oracle,
+    "kernel_multicore": kernel_multicore_oracle,
     "sweep_identity": sweep_identity_oracle,
     "interval_direction": interval_direction_oracle,
 }

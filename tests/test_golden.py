@@ -372,6 +372,7 @@ class TestCommittedGoldens:
         payload = load_golden("oracles")["payload"]
         assert payload["kernel_cpi"]["exact"] is True
         assert payload["kernel_cpi"]["max_cpi_divergence"] == 0.0
+        assert payload["kernel_multicore"]["exact"] is True
         assert payload["sweep_identity"]["identical"] is True
         # The two known cycle-vs-interval direction disagreements are
         # part of the baseline; a change in this set must fail validate.
