@@ -15,6 +15,13 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
+#: Entries of each counter table (selector, local, global) and of the
+#: local history table.  A power of two: indices are masked.
+TABLE_ENTRIES = 4096
+
+#: Bits of branch history kept per local-history entry.
+LOCAL_HISTORY_BITS = 10
+
 
 class _Counters:
     """An array of 2-bit saturating counters."""
@@ -54,11 +61,11 @@ class TournamentPredictor:
 
     def __init__(
         self,
-        table_entries: int = 4096,
+        table_entries: int = TABLE_ENTRIES,
         btb_entries: int = 4096,
         btb_ways: int = 4,
         ras_entries: int = 32,
-        local_history_bits: int = 10,
+        local_history_bits: int = LOCAL_HISTORY_BITS,
     ) -> None:
         self._selector = _Counters(table_entries)
         self._local = _Counters(table_entries)

@@ -332,15 +332,14 @@ def _prepare_tile_replay(
     traces: List,
     shares: Sequence[int],
     tiles: Sequence[CoreConfig],
-    penalty: int,
 ) -> tuple:
     """Memoized coherence-sequenced replay for one tile list:
     ``(images, coherence_transfers)``.
 
     The per-tile ``shared_l2`` tuple is the only :class:`CoreConfig`
     input the cache hierarchy's shape depends on, so every tile list
-    with the same geometry, work split and NoC penalty shares one
-    replay regardless of timing parameters.
+    with the same geometry and work split shares one replay regardless
+    of timing parameters and NoC.
     """
     from repro.engine.cache import make_key
     from repro.uarch import kernel
@@ -350,18 +349,17 @@ def _prepare_tile_replay(
         # — the same access interleaving as run_parallel_tiles'
         # core-by-core loop, so ownership transitions (and the
         # transfer count) are identical.
-        coherence = CoherenceDirectory()
+        directory = kernel.OwnerTable(traces)
         images = [
             kernel.replay_memory(trace, tile, core_id=core_id,
-                                 coherence=coherence,
-                                 noc_penalty=penalty)
+                                 coherence=directory)
             for core_id, (trace, tile) in enumerate(zip(traces, tiles))
         ]
-        return images, coherence.transfers
+        return images, directory.transfers
 
     image_key = make_key(
         "mc-images", profile=profile, seed=seed, shares=tuple(shares),
-        shared_l2=tuple(tile.shared_l2 for tile in tiles), noc=penalty,
+        shared_l2=tuple(tile.shared_l2 for tile in tiles),
     )
     return _MC_IMAGE_MEMO.get(image_key, build_images)
 
@@ -390,7 +388,7 @@ def evaluate_tiles(
         for core_id, share in enumerate(shares)
     ]
     images, transfers = _prepare_tile_replay(
-        profile, seed, traces, shares, tiles, penalty,
+        profile, seed, traces, shares, tiles,
     )
     per_core = [
         kernel.simulate_core(trace, tile, image, noc_penalty=penalty)

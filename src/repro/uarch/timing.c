@@ -1,25 +1,30 @@
 /*
- * Timing recurrences of the batched kernel (repro/uarch/kernel.py).
+ * The batched kernel's compiled half (repro/uarch/kernel.py).
  *
- * time_configs() times one trace's measured region under a batch of
- * configurations that share one memory image.  It walks the trace once
- * per configuration and evaluates, cycle for cycle, the recurrence of
- * OutOfOrderCore.run in repro/uarch/ooo.py: the in-order fetch, rename
- * and commit width limiters, the ROB/IQ/LQ/SQ occupancy gates, operand
- * readiness, the FP-divide issue interval, first-fit functional-unit
- * pools, the out-of-order issue-bandwidth limiter and the branch
- * redirect.  Cache levels and branch outcomes arrive precomputed.
+ * branch_outcomes() and replay_memory() replay one trace's
+ * configuration-independent state once: the tournament predictor's
+ * outcome per measured branch, and the cache level (plus the coherence
+ * remote flag) that serves every measured fetch block and load.
+ * time_configs() then times the measured region under a batch of
+ * configurations that share those outcomes and one memory image.  It
+ * walks the trace once per configuration and evaluates, cycle for
+ * cycle, the recurrence of OutOfOrderCore.run in repro/uarch/ooo.py:
+ * the in-order fetch, rename and commit width limiters, the
+ * ROB/IQ/LQ/SQ occupancy gates, operand readiness, the FP-divide issue
+ * interval, first-fit functional-unit pools, the out-of-order
+ * issue-bandwidth limiter and the branch redirect.
  *
  * The file holds no model constant of its own.  Op codes, the per-code
  * latency, busy and pool-size tables, the front-end depth, the fetch
- * block size, the FP-divide interval and the prune interval are
+ * block size, the FP-divide interval, the prune interval, the cache
+ * geometries, the prefetch degree and the predictor's table sizes are
  * arguments, passed in by the Python modules that own them; per-config
  * widths, queue depths and latencies are one row of `params` each.  So
  * one build serves every configuration.
  *
- * Returns 0 on success.  On failure (-1: out of memory, -2: a broken
- * window invariant) it stops at once; the outputs are then incomplete
- * and the caller raises instead of reading them.
+ * Every entry point returns 0 on success.  On failure (-1: out of
+ * memory, -2: a broken window invariant) it stops at once; the outputs
+ * are then incomplete and the caller raises instead of reading them.
  */
 
 #include <stdint.h>
@@ -336,6 +341,263 @@ finish:
     for (int64_t c = 0; windows && c <= ncodes; ++c)
         free(windows[c].slot);
     free(windows);
+    free(history);
+    return status;
+}
+
+
+/* -- memory replay --------------------------------------------------------- */
+
+/* One LRU set-associative level, as SetAssociativeCache in
+ * repro/uarch/cache.py keeps it: set s holds fill[s] tags in
+ * tag[s * ways ...], least recently used first. */
+typedef struct {
+    int64_t *tag;
+    int64_t *fill;
+    int64_t sets, ways, line_bytes;
+} level;
+
+/* Rows of `geometry`: IL1, DL1, L2, L3; columns: sets, ways, line bytes. */
+enum { L_IL1, L_DL1, L_L2, L_L3, L_COUNT };
+
+static int level_init(level *c, const int64_t *geometry)
+{
+    c->sets = geometry[0];
+    c->ways = geometry[1];
+    c->line_bytes = geometry[2];
+    c->tag = malloc((size_t)(c->sets * c->ways) * sizeof *c->tag);
+    c->fill = calloc((size_t)c->sets, sizeof *c->fill);
+    return c->tag && c->fill ? 0 : -1;
+}
+
+/* Warm state from resident lines walked newest first: a set keeps the
+ * first `ways` distinct tags it sees, which are the ones an in-order
+ * access of every line would leave there.  level_settle() then turns
+ * each set from newest-first into LRU-first order. */
+static void level_warm(level *c, const int64_t *lines, int64_t nlines)
+{
+    for (int64_t i = nlines - 1; i >= 0; --i) {
+        const int64_t tag = lines[i] / c->line_bytes;
+        const int64_t set = tag % c->sets;
+        int64_t *row = c->tag + set * c->ways;
+        const int64_t fill = c->fill[set];
+        if (fill < c->ways) {
+            int64_t k = 0;
+            while (k < fill && row[k] != tag)
+                ++k;
+            if (k == fill)
+                row[c->fill[set]++] = tag;
+        }
+    }
+}
+
+static void level_settle(level *c)
+{
+    for (int64_t set = 0; set < c->sets; ++set) {
+        int64_t *row = c->tag + set * c->ways;
+        for (int64_t lo = 0, hi = c->fill[set] - 1; lo < hi; ++lo, --hi) {
+            const int64_t tag = row[lo];
+            row[lo] = row[hi];
+            row[hi] = tag;
+        }
+    }
+}
+
+/* One access: a hit moves the tag to most recently used; a miss installs
+ * it there, evicting the least recently used tag of a full set.
+ * Returns 1 on a hit. */
+static int level_access(level *c, int64_t address)
+{
+    const int64_t tag = address / c->line_bytes;
+    const int64_t set = tag % c->sets;
+    int64_t *row = c->tag + set * c->ways;
+    const int64_t fill = c->fill[set];
+    int64_t k = fill - 1;
+    while (k >= 0 && row[k] != tag)
+        --k;
+    if (k < 0 && fill < c->ways) {
+        row[c->fill[set]++] = tag;
+        return 0;
+    }
+    const int hit = k >= 0;
+    if (!hit)
+        k = 0;
+    memmove(row + k, row + k + 1, (size_t)(fill - 1 - k) * sizeof *row);
+    row[fill - 1] = tag;
+    return hit;
+}
+
+/* Level code of an instruction fetch: 0 IL1, 1 L2, 2 L3, 3 DRAM. */
+static int8_t fetch_code(level *levels, int64_t address)
+{
+    if (level_access(&levels[L_IL1], address))
+        return 0;
+    if (level_access(&levels[L_L2], address))
+        return 1;
+    if (level_access(&levels[L_L3], address))
+        return 2;
+    return 3;
+}
+
+/* Level code of a data access, with CacheHierarchy.data_access's L2-miss
+ * stream prefetch of the next `degree` L2 lines into L2 and L3. */
+static int8_t data_code(level *levels, int64_t address, int64_t degree)
+{
+    if (level_access(&levels[L_DL1], address))
+        return 0;
+    if (level_access(&levels[L_L2], address))
+        return 1;
+    for (int64_t ahead = 1; ahead <= degree; ++ahead) {
+        const int64_t next = address + ahead * levels[L_L2].line_bytes;
+        level_access(&levels[L_L2], next);
+        level_access(&levels[L_L3], next);
+    }
+    if (level_access(&levels[L_L3], address))
+        return 2;
+    return 3;
+}
+
+/*
+ * Replays a trace's warmup and measured region through one core's cache
+ * hierarchy, warmed first from the resident lines (IL1 the code lines,
+ * DL1 the data lines, L2 and L3 the data lines and then the code lines).
+ * Writes the level of each measured fetch block and load, the load's
+ * remote flag, and the per-level load counts.
+ *
+ * With nowner > 0 the core shares a coherence directory: owner[id] is
+ * the core that last stored to line id (-1: none), and line_id gives the
+ * id of each of the trace's loads and stores in order.  A load or store
+ * of a line another core owns is a transfer; a store claims the line.
+ */
+int replay_memory(
+    int64_t n, const int8_t *codes, const int64_t *pc,
+    const int64_t *address, int64_t warmup,
+    int64_t load, int64_t store, int64_t fetch_block, int64_t degree,
+    const int64_t *geometry,
+    int64_t ndata, const int64_t *data_lines,
+    int64_t ncode, const int64_t *code_lines,
+    int64_t core, int64_t nowner, int64_t *owner, const int64_t *line_id,
+    int64_t *transfers,
+    int8_t *fetch_level, int8_t *load_level, int8_t *load_remote,
+    int64_t *level_counts)
+{
+    level levels[L_COUNT] = {{0}};
+    int status = 0;
+    for (int k = 0; k < L_COUNT && status == 0; ++k)
+        status = level_init(&levels[k], geometry + 3 * k);
+    if (status)
+        goto finish;
+
+    level_warm(&levels[L_IL1], code_lines, ncode);
+    level_warm(&levels[L_DL1], data_lines, ndata);
+    for (int k = L_L2; k <= L_L3; ++k) {
+        level_warm(&levels[k], code_lines, ncode);
+        level_warm(&levels[k], data_lines, ndata);
+    }
+    for (int k = 0; k < L_COUNT; ++k)
+        level_settle(&levels[k]);
+
+    int64_t k_block = 0, k_load = 0, k_memory = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t measured = i - warmup;
+        /* the warmup indexes fetch blocks from the trace start, the
+         * measured region from its own start */
+        const int64_t position = measured < 0 ? i : measured;
+        if (position % fetch_block == 0) {
+            const int8_t code = fetch_code(levels,
+                                           pc[i] ? pc[i] : position * 4);
+            if (measured >= 0)
+                fetch_level[k_block++] = code;
+        }
+        const int64_t op = codes[i];
+        if (op != load && op != store)
+            continue;
+        int8_t remote = 0;
+        if (nowner > 0) {
+            int64_t *line = &owner[line_id[k_memory]];
+            if (*line >= 0 && *line != core) {
+                ++*transfers;
+                remote = 1;
+            }
+            if (op == store)
+                *line = core;
+        }
+        ++k_memory;
+        const int8_t code = data_code(levels, address[i], degree);
+        if (op == load && measured >= 0) {
+            ++level_counts[code];
+            load_level[k_load] = code;
+            load_remote[k_load++] = remote;
+        }
+    }
+finish:
+    for (int k = 0; k < L_COUNT; ++k) {
+        free(levels[k].tag);
+        free(levels[k].fill);
+    }
+    return status;
+}
+
+/* -- branch prediction ------------------------------------------------------ */
+
+static void counter_train(int8_t *counter, int up)
+{
+    if (up && *counter < 3)
+        ++*counter;
+    else if (!up && *counter > 0)
+        --*counter;
+}
+
+/*
+ * Replays TournamentPredictor.predict_and_train (repro/uarch/bpred.py)
+ * over every branch of a trace and writes 1 (predicted correctly) or 0
+ * for each measured one.  The selector, local and global tables hold
+ * `entries` 2-bit counters each (initially 1, weakly not taken); the
+ * local history table holds `entries` histories of `history_bits` bits.
+ * The BTB and the return-address stack never change an outcome, so they
+ * are not modelled.
+ */
+int branch_outcomes(
+    int64_t n, const int8_t *codes, const int64_t *pc,
+    const uint8_t *taken, int64_t warmup, int64_t branch,
+    int64_t entries, int64_t history_bits, uint8_t *correct)
+{
+    int8_t *counters = malloc(3 * (size_t)entries);
+    int64_t *history = calloc((size_t)entries, sizeof *history);
+    int status = counters && history ? 0 : -1;
+    if (status)
+        goto finish;
+    memset(counters, 1, 3 * (size_t)entries);
+    int8_t *selector = counters, *local = counters + entries;
+    int8_t *global = counters + 2 * entries;
+    const int64_t mask = entries - 1;
+    const int64_t history_mask = ((int64_t)1 << history_bits) - 1;
+    int64_t ghr = 0, k = 0;
+
+    for (int64_t i = 0; i < n; ++i) {
+        if (codes[i] != branch)
+            continue;
+        const int64_t address = pc[i];
+        const int outcome = taken[i] != 0;
+        const int64_t index = (address ^ ghr) & mask;
+        int64_t *local_history = &history[address & mask];
+        const int64_t local_index = (*local_history ^ address) & mask;
+        const int local_prediction = local[local_index] >= 2;
+        const int global_prediction = global[index] >= 2;
+        const int prediction = selector[index] >= 2 ? global_prediction
+                                                    : local_prediction;
+        /* the selector moves toward whichever table was right */
+        if (local_prediction != global_prediction)
+            counter_train(&selector[index], global_prediction == outcome);
+        counter_train(&local[local_index], outcome);
+        counter_train(&global[index], outcome);
+        *local_history = ((*local_history << 1) | outcome) & history_mask;
+        ghr = ((ghr << 1) | outcome) & mask;
+        if (i >= warmup)
+            correct[k++] = prediction == outcome;
+    }
+finish:
+    free(counters);
     free(history);
     return status;
 }
