@@ -87,6 +87,7 @@ def trace_digest(trace) -> str:
     for u in trace.ops:
         hasher.update(repr((u.op.value, u.src1, u.src2, u.address, u.pc,
                             u.taken, u.barrier)).encode())
-    hasher.update(repr((trace.name, trace.warmup_ops, trace.resident_data,
-                        trace.resident_code)).encode())
+    hasher.update(repr((trace.name, trace.warmup_ops,
+                        trace.resident_data.tolist(),
+                        trace.resident_code.tolist())).encode())
     return hasher.hexdigest()

@@ -15,8 +15,9 @@ line; a read of a remote-dirty line costs an extra NoC round trip
 from __future__ import annotations
 
 import hashlib
-from array import array
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.configs import CoreConfig
 from repro.lru import LruMemo
@@ -108,18 +109,19 @@ class AccessResult:
 #: scalar oracle: the batched kernel builds warm state in C on every
 #: replay, so the cold report builds no entries here.  It still pays for
 #: the oracle, which re-warms the hierarchy for every configuration
-#: sweeping the same trace: without it tier-1 took 65 s instead of 57 s
-#: on a 2-vCPU host.  Keying per level lets the two L2 geometries of one
-#: trace share the IL1, DL1 and L3 states.  Values are immutable tuples
-#: of per-set tag tuples, copied into the sets on restore.  One (trace,
-#: L2 geometry) pair needs at most four entries, so the cap holds at
-#: least 256 such pairs.
+#: sweeping the same trace: without it tier-1 took 59-70 s instead of
+#: 49-53 s on a 2-vCPU host (two runs each).  Keying per level lets the
+#: two L2 geometries of one trace share the IL1, DL1 and L3 states.
+#: Values are immutable tuples of per-set tag tuples, copied into the
+#: sets on restore.  One (trace, L2 geometry) pair needs at most four
+#: entries, so the cap holds at least 256 such pairs.
 _PRELOAD_SNAPSHOTS = LruMemo(cap=1024)
 
 
-def _lines_digest(lines: List[int]) -> bytes:
-    """Content digest of a resident-line list (order matters for LRU)."""
-    return hashlib.blake2b(array("q", lines).tobytes(), digest_size=16).digest()
+def _lines_digest(lines: np.ndarray) -> bytes:
+    """Content digest of an ``int64`` resident-line array (order matters
+    for LRU)."""
+    return hashlib.blake2b(lines.tobytes(), digest_size=16).digest()
 
 
 def _newest_first_tags(streams, line_bytes: int) -> List[int]:
@@ -196,7 +198,8 @@ class CacheHierarchy:
         # instead of replaying every access.  Levels that see the same
         # streams at the same line size (L2 and L3) share one recency
         # pass.
-        streams = (data_lines, code_lines)
+        streams = [np.asarray(lines, dtype=np.int64)
+                   for lines in (data_lines, code_lines)]
         digests = tuple(_lines_digest(lines) for lines in streams)
         recency: Dict[tuple, List[int]] = {}
 
@@ -204,7 +207,7 @@ class CacheHierarchy:
             key = (seen, cache.line_bytes)
             if key not in recency:
                 recency[key] = _newest_first_tags(
-                    [streams[k] for k in seen], cache.line_bytes
+                    [streams[k].tolist() for k in seen], cache.line_bytes
                 )
             return _distribute_tags(recency[key], cache.sets, cache.ways)
 

@@ -14,15 +14,15 @@ of work per micro-op:
 3. **timing recurrences** — the only part that actually varies per
    configuration.
 
-This kernel factors the three apart.  A trace's columns are decoded
-**once** into contiguous arrays (op codes, producer distances, pcs,
-addresses, branch directions); the predictor is replayed **once per
-trace** and the cache hierarchy (with the coherence directory, in a
-multicore) **once per cache geometry**, into per-access level/outcome
-arrays; and the timing recurrences are then evaluated against those
-arrays.  All three replays and the timing loop are compiled C
-(``timing.c``, built with the system ``gcc`` on first use and called
-through :mod:`ctypes`); Python only decodes, checks and dispatches.
+This kernel factors the three apart.  A trace's columns already are
+the arrays the compiled code reads (checked once, when the
+:class:`~repro.uarch.isa.Trace` is built); the predictor is replayed
+**once per trace** and the cache hierarchy (with the coherence
+directory, in a multicore) **once per cache geometry**, into
+per-access level/outcome arrays; and the timing recurrences are then
+evaluated against those arrays.  All three replays and the timing loop
+are compiled C (``timing.c``, built with the system ``gcc`` on first
+use and called through :mod:`ctypes`); Python only dispatches.
 
 :func:`run_trace_batch` and :func:`simulate_core` are the public entry
 points; they are **cycle-exact** against the scalar oracle — same
@@ -96,10 +96,6 @@ _POOL_SIZES = np.array([FU_POOLS[op] for op in OP_ORDER], dtype=np.int64)
 #: Memory levels in fixed order; replay stores per-access level codes.
 _LEVELS = ("L1", "L2", "L3", "DRAM")
 
-#: The largest address the replay accepts: the prefetcher reads lines
-#: ahead of an address, and that sum must stay a valid ``int64``.
-_MAX_ADDRESS = 2 ** 62
-
 
 def kernel_enabled() -> bool:
     """Whether the engine should route batches through this kernel
@@ -111,71 +107,30 @@ def kernel_enabled() -> bool:
 # -- SoA decode ---------------------------------------------------------------
 
 
-def _int64_column(trace: Trace, values, what: str) -> np.ndarray:
-    """``values`` as an ``int64`` array, refusing what the compiled
-    replay would get silently wrong: C's ``/`` and ``%`` truncate toward
-    zero where Python's floor, so a negative value would land in a
-    plausible wrong set, and a value from :data:`_MAX_ADDRESS` up could
-    overflow."""
-    column = np.fromiter(values, dtype=np.int64, count=len(values))
-    if len(column) and (column.min() < 0 or column.max() >= _MAX_ADDRESS):
-        raise ValueError(
-            f"trace {trace.name!r} has a negative or out-of-range {what}"
-        )
-    return column
-
-
 class TraceArrays:
-    """Flat, configuration-independent decode of a trace.
-
-    The whole trace's op codes, pcs, addresses and branch directions
-    (what the compiled replays read, warmup included), the measured
-    region's op codes and producer distances (what the timing loop
-    reads), the SYNC positions and the measured op-mix counts.
+    """What the timing loop derives from a trace: the measured region's
+    op codes and producer distances (views of the trace's own columns),
+    the SYNC positions and the measured op-mix counts.  The compiled
+    replays read the trace's whole columns, warmup included, directly.
     """
 
     __slots__ = (
-        "n", "warmup", "all_codes", "pc", "address", "taken",
-        "codes", "src1", "src2", "sync_pos",
+        "n", "codes", "src1", "src2", "sync_pos",
         "loads", "stores", "branches", "fp_ops", "complex_decodes",
         "ifetch_blocks",
     )
 
     def __init__(self, trace: Trace) -> None:
         warmup = trace.warmup_ops
-        # The compiled code reads every column up to the op-code
-        # column's length, and the replays size their outputs by the
-        # measured region: a short column or a negative warmup would
-        # make it read or write past an array.
-        if any(len(column) != len(trace.codes) for column in trace.columns):
-            raise ValueError(f"trace {trace.name!r} has columns of "
-                             f"different lengths")
-        if not 0 <= warmup <= len(trace.codes):
-            raise ValueError(
-                f"trace {trace.name!r} has a warmup outside its length"
-            )
-        try:
-            all_codes = np.frombuffer(bytes(trace.codes), dtype=np.uint8)
-        except ValueError:  # a code outside 0-255
-            all_codes = None
-        if all_codes is None or (len(all_codes)
-                                 and all_codes.max() >= len(OP_ORDER)):
-            raise ValueError(f"trace {trace.name!r} has an unknown op code")
-        all_codes = all_codes.view(np.int8)
-        codes = all_codes[warmup:]
+        codes = trace.codes[warmup:]
         counts = np.bincount(codes, minlength=len(OP_ORDER)).tolist()
         n = len(codes)
         self.n = n
-        self.warmup = warmup
-        self.all_codes = all_codes
-        self.pc = _int64_column(trace, trace.pc, "pc")
-        self.address = _int64_column(trace, trace.address, "address")
-        self.taken = np.frombuffer(bytes(trace.taken), dtype=np.uint8)
         self.codes = codes
         # A distance reaching before the measured region means "ready";
         # the compiled loop checks ``dist <= i`` itself.
-        self.src1 = np.array(trace.src1[warmup:], dtype=np.int32)
-        self.src2 = np.array(trace.src2[warmup:], dtype=np.int32)
+        self.src1 = trace.src1[warmup:]
+        self.src2 = trace.src2[warmup:]
         self.sync_pos = np.flatnonzero(codes == _SYNC).astype(np.int64)
         self.loads = counts[_LOAD]
         self.stores = counts[_STORE]
@@ -230,9 +185,8 @@ class OwnerTable:
     def __init__(self, traces: Sequence[Trace]) -> None:
         lines = []
         for trace in traces:
-            arrays = _arrays(trace)
-            memory = (arrays.all_codes == _LOAD) | (arrays.all_codes == _STORE)
-            lines.append(arrays.address[memory] // COHERENCE_LINE_BYTES)
+            memory = (trace.codes == _LOAD) | (trace.codes == _STORE)
+            lines.append(trace.address[memory] // COHERENCE_LINE_BYTES)
         unique, ids = np.unique(np.concatenate(lines), return_inverse=True)
         self.owner = np.full(len(unique), -1, dtype=np.int64)
         #: Per core, the line id of each load and store, in trace order.
@@ -242,9 +196,9 @@ class OwnerTable:
 
 
 def _kernel_state(trace: Trace) -> dict:
-    """Decode/replay memo attached to the trace object itself (a trace
-    is immutable once generated, so its decode never invalidates); it
-    dies with the trace."""
+    """Decode/replay memo attached to the trace object itself (a trace's
+    columns are read-only, so its decode never invalidates); it dies
+    with the trace."""
     state = getattr(trace, "_kernel_state", None)
     if state is None:
         state = {"images": {}}
@@ -263,7 +217,7 @@ def _arrays(trace: Trace) -> TraceArrays:
 
 
 def decode(trace: Trace) -> TraceArrays:
-    """SoA decode of the trace, memoized on the trace."""
+    """The trace's :class:`TraceArrays`, memoized on the trace."""
     return _arrays(trace)
 
 
@@ -281,8 +235,8 @@ def branch_outcomes(trace: Trace) -> Tuple[np.ndarray, int]:
         arrays = _arrays(trace)
         correct = np.empty(arrays.branches, dtype=np.uint8)
         _check(_library(_BUILD_DIR).branch_outcomes(
-            len(arrays.all_codes), arrays.all_codes, arrays.pc,
-            arrays.taken, arrays.warmup, _BRANCH,
+            len(trace.codes), trace.codes, trace.pc,
+            trace.taken.view(np.uint8), trace.warmup_ops, _BRANCH,
             TABLE_ENTRIES, LOCAL_HISTORY_BITS, correct,
         ))
         outcomes = state["branches"] = (
@@ -298,18 +252,6 @@ def _geometry(shared_l2: bool) -> np.ndarray:
         [size // (ways * line_bytes), ways, line_bytes]
         for _, size, ways, line_bytes in level_geometries(shared_l2)
     ], dtype=np.int64)
-
-
-def _resident_lines(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
-    """The trace's resident data and code lines as arrays, memoized."""
-    state = _kernel_state(trace)
-    lines = state.get("resident")
-    if lines is None:
-        lines = state["resident"] = (
-            _int64_column(trace, trace.resident_data, "resident line"),
-            _int64_column(trace, trace.resident_code, "resident line"),
-        )
-    return lines
 
 
 _NO_OWNERS = np.empty(0, dtype=np.int64)
@@ -339,19 +281,19 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
         line_ids = coherence.line_ids[core_id]
     arrays = _arrays(trace)
     if not single and len(line_ids) != np.count_nonzero(
-            (arrays.all_codes == _LOAD) | (arrays.all_codes == _STORE)):
+            (trace.codes == _LOAD) | (trace.codes == _STORE)):
         raise ValueError(f"coherence ids do not match trace {trace.name!r}")
-    data_lines, code_lines = _resident_lines(trace)
     fetch_levels = np.empty(arrays.ifetch_blocks, dtype=np.int8)
     load_levels = np.empty(arrays.loads, dtype=np.int8)
     load_remote = np.empty(arrays.loads, dtype=np.int8)
     counts = np.zeros(len(_LEVELS), dtype=np.int64)
     transfers = np.zeros(1, dtype=np.int64)
     _check(_library(_BUILD_DIR).replay_memory(
-        len(arrays.all_codes), arrays.all_codes, arrays.pc, arrays.address,
-        arrays.warmup, _LOAD, _STORE, FETCH_BLOCK_UOPS, PREFETCH_DEGREE,
+        len(trace.codes), trace.codes, trace.pc, trace.address,
+        trace.warmup_ops, _LOAD, _STORE, FETCH_BLOCK_UOPS, PREFETCH_DEGREE,
         _geometry(donor_config.shared_l2),
-        len(data_lines), data_lines, len(code_lines), code_lines,
+        len(trace.resident_data), trace.resident_data,
+        len(trace.resident_code), trace.resident_code,
         core_id, len(owner), owner, line_ids, transfers,
         fetch_levels, load_levels, load_remote, counts,
     ))

@@ -279,7 +279,7 @@ class OutOfOrderCore:
         """Simulate a trace; fast-forwards its warmup prefix, then times
         the measured region.  Returns timing plus activity stats."""
         cfg = self.config
-        if trace.resident_data or trace.resident_code:
+        if len(trace.resident_data) or len(trace.resident_code):
             self.caches.preload(trace.resident_data, trace.resident_code)
         if trace.warmup_ops:
             self.warmup(trace.ops[: trace.warmup_ops])

@@ -16,6 +16,8 @@ import random
 import zlib
 from typing import List
 
+import numpy as np
+
 from repro.uarch.isa import OP_CODE, WARMUP_FRAC, OpClass, Trace
 from repro.workloads.profiles import AppProfile
 
@@ -221,33 +223,28 @@ class TraceGenerator:
             columns=[codes, src1, src2, address, pc, taken, barrier],
         )
 
-    def _resident_data(self) -> List[int]:
+    def _resident_data(self) -> np.ndarray:
         """Checkpoint-warm data lines: the hot set plus the working-set
         pool (capped — for huge working sets only a steady-state LRU
         residue would survive anyway)."""
         profile = self.profile
-        lines = [
-            self._private_base + i * 64
-            for i in range(0, profile.hot_set_bytes, 64)
-        ]
-        cap = 40000
-        step = max(1, self._pool_lines // cap)
-        lines.extend(
-            [self._private_base + i * self._pool_stride
-             for i in range(0, self._pool_lines, step)]
-        )
+        base = self._private_base
+        # ``i * 64`` over a 64-byte step puts these lines 4 KiB apart,
+        # most of them past the hot set; the goldens pin it.
+        lines = [base + np.arange(0, profile.hot_set_bytes, 64) * 64]
+        step = max(1, self._pool_lines // 40000)
+        lines.append(base + np.arange(0, self._pool_lines, step)
+                     * self._pool_stride)
         if profile.is_parallel and profile.sharing_frac > 0:
             shared_span = max(64, profile.working_set_bytes // 8)
             shared_step = max(64, shared_span // 8192)
-            lines.extend(
-                [SHARED_REGION_BASE + i
-                 for i in range(0, shared_span, shared_step)]
-            )
-        return lines
+            lines.append(SHARED_REGION_BASE
+                         + np.arange(0, shared_span, shared_step))
+        return np.concatenate(lines)
 
-    def _resident_code(self) -> List[int]:
+    def _resident_code(self) -> np.ndarray:
         """Checkpoint-warm instruction lines covering the code footprint."""
-        return [4096 + i for i in range(0, self.profile.code_bytes, 32)]
+        return 4096 + np.arange(0, self.profile.code_bytes, 32)
 
 
 def generate_trace(profile: AppProfile, num_uops: int, seed: int = 1234,

@@ -299,11 +299,12 @@ def _reference_replay(traces, shared_l2):
     replays = []
     for core_id, trace in enumerate(traces):
         caches = CacheHierarchy(config, core_id, directory)
-        if trace.resident_data or trace.resident_code:
+        if len(trace.resident_data) or len(trace.resident_code):
             caches.preload(trace.resident_data, trace.resident_code)
         fetches, loads, remote, counts = [], [], [], {}
-        for i, (code, address, pc) in enumerate(
-                zip(trace.codes, trace.address, trace.pc)):
+        for i, (code, address, pc) in enumerate(zip(
+                trace.codes.tolist(), trace.address.tolist(),
+                trace.pc.tolist())):
             measured = i - trace.warmup_ops
             position = i if measured < 0 else measured
             if position % FETCH_BLOCK_UOPS == 0:
@@ -331,8 +332,8 @@ def _reference_outcomes(trace):
     predictor = TournamentPredictor()
     branch = OP_CODE[OpClass.BRANCH]
     outcomes = []
-    for i, (code, pc, taken) in enumerate(
-            zip(trace.codes, trace.pc, trace.taken)):
+    for i, (code, pc, taken) in enumerate(zip(
+            trace.codes.tolist(), trace.pc.tolist(), trace.taken.tolist())):
         if code == branch:
             correct = predictor.predict_and_train(pc, taken)
             if i >= trace.warmup_ops:
