@@ -22,7 +22,10 @@ directory, in a multicore) **once per cache geometry**, into
 per-access level/outcome arrays; and the timing recurrences are then
 evaluated against those arrays.  All three replays and the timing loop
 are compiled C (``timing.c``, built with the system ``gcc`` on first
-use and called through :mod:`ctypes`); Python only dispatches.
+use and called through :mod:`ctypes`); Python only dispatches.  The
+same library also synthesizes the traces: the row loop of
+:meth:`~repro.workloads.generator.TraceGenerator.generate` is its
+``generate_trace``.
 
 :func:`run_trace_batch` and :func:`simulate_core` are the public entry
 points; they are **cycle-exact** against the scalar oracle — same
@@ -32,7 +35,8 @@ tests assert op-for-op.  The scalar :meth:`OutOfOrderCore.run`, with
 :class:`~repro.uarch.cache.CoherenceDirectory` and
 :class:`~repro.uarch.bpred.TournamentPredictor`, remains the reference
 implementation (the same oracle pattern as the thermal solver's
-reference path), and ``$REPRO_KERNEL=0`` runs it instead.
+reference path), and ``$REPRO_KERNEL=0`` runs it instead.  Traces come
+from the library either way, so every simulation needs ``gcc``.
 """
 
 from __future__ import annotations
@@ -310,8 +314,9 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
 
 # -- the compiled library (timing.c, built on first use) ----------------------
 
-#: The library's C source.  Every per-config and model constant is a call
-#: argument, so one build serves every timing and cache geometry.
+#: The library's C source.  Every per-config, per-profile and model
+#: constant is a call argument, so one build serves every timing and cache
+#: geometry and every profile.
 _SOURCE = Path(__file__).with_name("timing.c")
 _CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
 
@@ -320,13 +325,18 @@ _CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
 #: beside the modules would be taken for a broken extension module).
 _BUILD_DIR = Path(__file__).resolve().parent / "__pycache__"
 
-_ORACLE_HINT = "or set $REPRO_KERNEL=0 to time with the scalar OOO oracle"
+#: Why a failed build stops every simulation, the oracle's included.
+_NEEDED = ("trace synthesis, the replays and the timing loop are compiled C, "
+           "so every simulation needs this library")
 
 _I8 = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
 _I32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_U32 = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
+_F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _INT = ctypes.c_int64
+_DOUBLE = ctypes.c_double
 
 #: Each entry point's parameters, in timing.c's order.
 _SIGNATURES = {
@@ -351,6 +361,21 @@ _SIGNATURES = {
         _INT, _I8, _I64, _U8, _INT,   # n, codes, pc, taken, warmup
         _INT, _INT, _INT, _U8,        # branch code, table sizes, correct
     ),
+    "generate_trace": (
+        _INT, _U32, _I64,             # n, MT19937 state, code/stream pointers
+        _INT, _F64, _I8,              # op-mix cut points and their codes
+        _INT, _INT, _INT, _INT, _INT,  # alu/sync/load/store/branch codes
+        _INT, _INT, _INT,             # fp add/mul/div codes
+        _INT, _INT, _INT,             # first barrier, barrier gap, code bytes
+        _INT, _I64, _F64,             # branch sites: count, pcs, biases
+        _DOUBLE, _DOUBLE,             # serial fraction, dependence rate
+        _DOUBLE, _DOUBLE, _DOUBLE,    # shared / hot cuts, stream fraction
+        _INT, _INT, _INT,             # private base, hot bytes, stream end
+        _INT, _INT, _INT,             # stride, pool lines, pool stride
+        _INT, _INT,                   # shared base and span
+        _I8, _I32, _I32, _I64,        # codes, src1, src2, address
+        _I64, _U8, _I32,              # pc, taken, barrier
+    ),
 }
 
 #: ``results`` columns: cycles, occupied window slots, then the stalls
@@ -363,13 +388,15 @@ def _build(target: Path) -> None:
 
     gcc writes a temporary file in the same directory, which is then
     renamed into place: concurrent builders (pytest or pool workers) each
-    install a complete library and never load a partial one.
+    install a complete library and never load a partial one.  Once it
+    is in place, every other ``timing-*.so`` there is removed: the
+    content key names the one build this source and these flags load.
     """
     compiler = shutil.which("gcc")
     if compiler is None:
         raise RuntimeError(
-            "the timing kernel is compiled C and no C compiler (gcc) is on "
-            f"PATH; install gcc, {_ORACLE_HINT}"
+            f"cannot build the compiled kernel in {target.parent}: no C "
+            f"compiler (gcc) is on PATH; install gcc ({_NEEDED})"
         )
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -377,24 +404,28 @@ def _build(target: Path) -> None:
                                         suffix=".tmp", dir=target.parent)
     except OSError as error:
         raise RuntimeError(
-            f"cannot build the timing kernel in {target.parent} ({error}); "
-            f"make it writable, {_ORACLE_HINT}"
+            f"cannot build the compiled kernel with gcc in {target.parent} "
+            f"({error}); make the directory writable ({_NEEDED})"
         ) from error
     os.close(handle)
     try:
         done = subprocess.run(
-            [compiler, *_CFLAGS, "-o", temp, str(_SOURCE)],
+            [compiler, *_CFLAGS, "-o", temp, str(_SOURCE), "-lm"],
             capture_output=True, text=True,
         )
         if done.returncode:
             raise RuntimeError(
-                f"gcc failed to build the timing kernel ({done.stderr.strip()}); "
-                f"fix the build, {_ORACLE_HINT}"
+                f"gcc failed to build the compiled kernel in {target.parent} "
+                f"({done.stderr.strip()}); fix the build ({_NEEDED})"
             )
         os.chmod(temp, 0o755)  # mkstemp made it private to this user
         os.replace(temp, target)
     finally:
         Path(temp).unlink(missing_ok=True)
+    # Concurrent builders' temporaries (``.timing-*.tmp``) do not match.
+    for stale in target.parent.glob("timing-*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,6 +455,8 @@ def _check(status: int) -> None:
     incomplete otherwise)."""
     if status == -1:
         raise MemoryError("the compiled kernel could not allocate its state")
+    if status == -3:  # CPython's error for the randrange it replays
+        raise ValueError("empty range for randrange()")
     if status:
         raise RuntimeError(f"the compiled kernel failed with status {status}")
 

@@ -1,6 +1,9 @@
 /*
- * The batched kernel's compiled half (repro/uarch/kernel.py).
+ * The batched kernel's compiled half (repro/uarch/kernel.py), and the
+ * trace generator's row loop (repro/workloads/generator.py).
  *
+ * generate_trace() writes a synthetic trace's columns, replaying the
+ * generator's Python random.Random draws exactly.
  * branch_outcomes() and replay_memory() replay one trace's
  * configuration-independent state once: the tournament predictor's
  * outcome per measured branch, and the cache level (plus the coherence
@@ -14,19 +17,23 @@
  * interval, first-fit functional-unit pools, the out-of-order
  * issue-bandwidth limiter and the branch redirect.
  *
- * The file holds no model constant of its own.  Op codes, the per-code
- * latency, busy and pool-size tables, the front-end depth, the fetch
- * block size, the FP-divide interval, the prune interval, the cache
- * geometries, the prefetch degree and the predictor's table sizes are
- * arguments, passed in by the Python modules that own them; per-config
- * widths, queue depths and latencies are one row of `params` each.  So
- * one build serves every configuration.
+ * Beyond the synthesis loop's draw probabilities and code layout, whose
+ * one home is that loop, the file holds no model constant of its own.
+ * Op codes, the per-code latency, busy and pool-size tables, the
+ * front-end depth, the fetch block size, the FP-divide interval, the
+ * prune interval, the cache geometries, the prefetch degree, the
+ * predictor's table sizes and every profile's parameters are arguments,
+ * passed in by the Python modules that own them; per-config widths,
+ * queue depths and latencies are one row of `params` each.  So one build
+ * serves every configuration and profile.
  *
  * Every entry point returns 0 on success.  On failure (-1: out of
- * memory, -2: a broken window invariant) it stops at once; the outputs
- * are then incomplete and the caller raises instead of reading them.
+ * memory, -2: a broken window invariant, -3: an empty randrange) it
+ * stops at once; the outputs are then incomplete and the caller raises
+ * instead of reading them.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -599,5 +606,208 @@ int branch_outcomes(
 finish:
     free(counters);
     free(history);
+    return status;
+}
+
+/* -- trace synthesis -------------------------------------------------------- */
+
+/* CPython's random.Random (Modules/_randommodule.c and Lib/random.py),
+ * replayed draw for draw from the 624 words and the position that
+ * getstate() exposes, so a trace synthesized here is the one the
+ * generator's Python draws gave. */
+enum { MT_N = 624, MT_M = 397 };
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index;
+} mt19937;
+
+/* genrand_uint32: the next 32-bit output, regenerating all N words
+ * when the position has reached the end. */
+static uint32_t mt_next(mt19937 *s)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (s->index >= MT_N) {
+        int k;
+        for (k = 0; k < MT_N - MT_M; ++k) {
+            y = (s->mt[k] & 0x80000000U) | (s->mt[k + 1] & 0x7fffffffU);
+            s->mt[k] = s->mt[k + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; k < MT_N - 1; ++k) {
+            y = (s->mt[k] & 0x80000000U) | (s->mt[k + 1] & 0x7fffffffU);
+            s->mt[k] = s->mt[k + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (s->mt[MT_N - 1] & 0x80000000U) | (s->mt[0] & 0x7fffffffU);
+        s->mt[MT_N - 1] = s->mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        s->index = 0;
+    }
+    y = s->mt[s->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random(): 53 bits from two outputs; every step is exact. */
+static double mt_random(mt19937 *s)
+{
+    const uint32_t a = mt_next(s) >> 5;
+    const uint32_t b = mt_next(s) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* randrange(n): getrandbits(n.bit_length()) until the draw is below n.
+ * getrandbits fills its integer from the least significant 32-bit word
+ * up, the last word keeping its high bits.  Returns -3 for n <= 0,
+ * where randrange raises ValueError before drawing. */
+static int mt_randrange(mt19937 *s, int64_t n, int64_t *draw)
+{
+    if (n <= 0)
+        return -3;
+    const int bits = 64 - __builtin_clzll((uint64_t)n);
+    uint64_t r;
+    do {
+        r = mt_next(s);
+        if (bits <= 32)
+            r >>= 32 - bits;
+        else
+            r |= (uint64_t)(mt_next(s) >> (64 - bits)) << 32;
+    } while (r >= (uint64_t)n);
+    *draw = (int64_t)r;
+    return 0;
+}
+
+/* expovariate(rate), through the C library's log as math.log calls it. */
+static double mt_expovariate(mt19937 *s, double rate)
+{
+    return -log(1.0 - mt_random(s)) / rate;
+}
+
+/* A producer distance for row i > 0: 1 + int(expovariate(...)), short
+ * (rate 0.5) with probability serial_frac, clamped to i.  rate > 0, so
+ * the draw is not negative and `draw < i - 1` is `1 + int(draw) < i`. */
+static int32_t distance(mt19937 *s, double serial_frac, double rate,
+                        int64_t i)
+{
+    const double draw = mt_random(s) < serial_frac
+        ? mt_expovariate(s, 0.5) : mt_expovariate(s, rate);
+    return (int32_t)(draw < (double)(i - 1) ? 1 + (int64_t)draw : i);
+}
+
+/*
+ * Writes n rows of a synthetic trace (TraceGenerator.generate in
+ * repro/workloads/generator.py holds the model): per row, in draw order,
+ * the op class (cut points `cuts`, whose code -1 is refined into an FP
+ * add, multiply or divide by a second draw), the next instruction block
+ * (a jump with probability 0.1, else the next 32 bytes, wrapping at the
+ * code footprint), for a branch its static site and direction, then up
+ * to two producer distances and, for a load or store, a data address:
+ * shared region, hot set, stream or working-set pool.  SYNC rows (from
+ * row `first_barrier`, then every `barrier_gap` rows) draw nothing.
+ *
+ * `state` holds the generator's 624 MT19937 words and its position and
+ * `pointers` its code and stream pointers; both are written back, so
+ * the generator resumes where this call stopped.  The caller keeps
+ * every address and row count in range: addresses below 2**62, rows
+ * below 2**31.  Returns -3 when a randrange bound is not positive (the
+ * state then stops before that draw, as CPython's would).
+ */
+int generate_trace(
+    int64_t n, uint32_t *state, int64_t *pointers,
+    int64_t ncuts, const double *cuts, const int8_t *cut_codes,
+    int64_t alu, int64_t sync, int64_t load, int64_t store, int64_t branch,
+    int64_t fp_add, int64_t fp_mul, int64_t fp_div,
+    int64_t first_barrier, int64_t barrier_gap, int64_t code_bytes,
+    int64_t nsites, const int64_t *site_pc, const double *site_bias,
+    double serial_frac, double rate,
+    double shared_cut, double hot_cut, double stream_frac,
+    int64_t private_base, int64_t hot_bytes, int64_t stream_end,
+    int64_t stride, int64_t pool_lines, int64_t pool_stride,
+    int64_t shared_base, int64_t shared_span,
+    int8_t *codes, int32_t *src1, int32_t *src2, int64_t *address,
+    int64_t *pc, uint8_t *taken, int32_t *barrier)
+{
+    mt19937 rng;
+    memcpy(rng.mt, state, sizeof rng.mt);
+    rng.index = (int)state[MT_N];
+    int64_t code_ptr = pointers[0], stream_ptr = pointers[1];
+    int64_t next_barrier = first_barrier, barrier_id = 0, draw;
+    int status = 0;
+
+    for (int64_t i = 0; i < n; ++i) {
+        src1[i] = src2[i] = 0;
+        address[i] = 0;
+        taken[i] = 0;
+        barrier[i] = -1;
+        if (i >= next_barrier) {
+            codes[i] = (int8_t)sync;
+            pc[i] = 0;
+            barrier[i] = (int32_t)barrier_id++;
+            next_barrier = i + barrier_gap;
+            continue;
+        }
+        const double roll = mt_random(&rng);
+        int64_t code = alu;
+        for (int64_t k = 0; k < ncuts; ++k) {
+            if (roll < cuts[k]) {
+                code = cut_codes[k];
+                break;
+            }
+        }
+        if (code < 0) {
+            const double fp_roll = mt_random(&rng);
+            code = fp_roll < 0.55 ? fp_add : fp_roll < 0.93 ? fp_mul : fp_div;
+        }
+        codes[i] = (int8_t)code;
+        if (mt_random(&rng) < 0.1) {
+            if ((status = mt_randrange(&rng, code_bytes, &draw)))
+                goto finish;
+            code_ptr = 4096 + (draw & ~(int64_t)31);
+        } else {
+            code_ptr += 32;
+            if (code_ptr >= 4096 + code_bytes)
+                code_ptr = 4096;
+        }
+        if (code == branch) {
+            if ((status = mt_randrange(&rng, nsites, &draw)))
+                goto finish;
+            taken[i] = mt_random(&rng) < site_bias[draw];
+            pc[i] = site_pc[draw];
+        } else {
+            pc[i] = code_ptr;
+        }
+        if (i && mt_random(&rng) <= 0.55)
+            src1[i] = distance(&rng, serial_frac, rate, i);
+        if (code == load || code == store) {
+            const double where = mt_random(&rng);
+            if (where < shared_cut) {
+                if ((status = mt_randrange(&rng, shared_span, &draw)))
+                    goto finish;
+                address[i] = shared_base + draw;
+            } else if (where < hot_cut) {
+                if ((status = mt_randrange(&rng, hot_bytes, &draw)))
+                    goto finish;
+                address[i] = private_base + draw;
+            } else if (mt_random(&rng) < stream_frac) {
+                stream_ptr += stride;
+                if (stream_ptr >= stream_end)
+                    stream_ptr = private_base;
+                address[i] = stream_ptr;
+            } else {
+                if ((status = mt_randrange(&rng, pool_lines, &draw)))
+                    goto finish;
+                address[i] = private_base + draw * pool_stride;
+            }
+        } else if (code != branch && i && mt_random(&rng) <= 0.55) {
+            src2[i] = distance(&rng, serial_frac, rate, i);
+        }
+    }
+finish:
+    memcpy(state, rng.mt, sizeof rng.mt);
+    state[MT_N] = (uint32_t)rng.index;
+    pointers[0] = code_ptr;
+    pointers[1] = stream_ptr;
     return status;
 }

@@ -6,6 +6,7 @@
   once, by the benchmark.
 * :func:`reference_key`: ``make_key`` as one ``json.dumps`` of the whole
   canonical payload, the form every stored key was built with.
+* :func:`reference_generate`: the trace generator's Python row loop.
 """
 
 import hashlib
@@ -14,6 +15,17 @@ import json
 from pathlib import Path
 
 from repro.engine.cache import _canonical, code_fingerprint
+from repro.uarch.isa import OP_CODE, WARMUP_FRAC, OpClass, Trace
+from repro.workloads.generator import SHARED_REGION_BASE
+
+_ALU = OP_CODE[OpClass.ALU]
+_LOAD = OP_CODE[OpClass.LOAD]
+_STORE = OP_CODE[OpClass.STORE]
+_BRANCH = OP_CODE[OpClass.BRANCH]
+_SYNC = OP_CODE[OpClass.SYNC]
+_FP_ADD = OP_CODE[OpClass.FP_ADD]
+_FP_MUL = OP_CODE[OpClass.FP_MUL]
+_FP_DIV = OP_CODE[OpClass.FP_DIV]
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -42,3 +54,148 @@ def spec_reference_key(spec):
     """:func:`reference_key` of a ``SimSpec``'s ``cache_key`` parts."""
     return reference_key(f"sim:{spec.mode}", config=spec.config,
                          profile=spec.profile, uops=spec.uops, seed=spec.seed)
+
+
+def reference_generate(generator, num_uops, warmup_frac=WARMUP_FRAC):
+    """``generator.generate(num_uops, warmup_frac)`` as the Python row
+    loop the compiled one replaced, kept verbatim (``self`` is
+    ``generator``): the one check of the compiled loop's draw order
+    independent of it, on profiles, seeds and lengths no golden pins.
+    Like ``generate``, it advances the generator's RNG and its code and
+    stream pointers."""
+    if num_uops < 1:
+        raise ValueError("trace length must be positive")
+    warmup_ops = int(num_uops * warmup_frac)
+    total = num_uops + warmup_ops
+    profile = generator.profile
+    rng = generator._rng
+    random = rng.random
+    randrange = rng.randrange
+    expovariate = rng.expovariate
+    parallel = profile.is_parallel
+    barrier_period = profile.barrier_period
+    barrier_id = 0
+    next_barrier = barrier_period or 0
+    # Imbalance: threads do slightly different amounts of work between
+    # barriers; thread 0 is the reference.
+    skew = 1.0 + profile.imbalance * (
+        random() - 0.5
+    ) * 2.0 if parallel and generator._thread else 1.0
+
+    # Op-class thresholds, accumulated in draw order; FP (code -1) is
+    # refined into add/mul/div by a second draw.
+    cuts = []
+    acc = 0.0
+    for frac, code in (
+        (profile.load_frac, _LOAD),
+        (profile.store_frac, _STORE),
+        (profile.branch_frac, _BRANCH),
+        (profile.fp_frac, -1),
+        (profile.mul_frac, OP_CODE[OpClass.MUL]),
+        (profile.div_frac, OP_CODE[OpClass.DIV]),
+        (profile.complex_frac, OP_CODE[OpClass.COMPLEX]),
+    ):
+        acc += frac
+        cuts.append((acc, code))
+    code_bytes = profile.code_bytes
+    code_end = 4096 + code_bytes
+    code_ptr = generator._code_ptr
+    serial_frac = profile.serial_frac
+    dep_lambda = 1.0 / profile.dep_distance_mean
+    sharing_frac = profile.sharing_frac
+    hot_cut = sharing_frac + profile.hot_frac * (1 - sharing_frac)
+    shared_span = max(64, profile.working_set_bytes // 8)
+    hot_set_bytes = profile.hot_set_bytes
+    stream_frac = profile.stream_frac
+    stride = profile.stride_bytes
+    private_base = generator._private_base
+    stream_end = private_base + profile.working_set_bytes
+    stream_ptr = generator._stream_ptr
+    pool_lines = generator._pool_lines
+    pool_stride = generator._pool_stride
+    branch_pcs = generator._branch_pcs
+    branch_bias = generator._branch_bias
+    sites = len(branch_pcs)
+
+    # Preallocated columns hold each field's default (ALU, ready
+    # operands, no address, pc 0, not taken, no barrier); the loop
+    # stores only what differs.
+    codes = [_ALU] * total
+    src1 = [0] * total
+    src2 = [0] * total
+    address = [0] * total
+    pc = [0] * total
+    taken = [False] * total
+    barrier = [-1] * total
+    index = 0
+    while index < total:
+        if parallel and next_barrier and index >= next_barrier:
+            codes[index] = _SYNC
+            barrier[index] = barrier_id
+            barrier_id += 1
+            next_barrier = index + max(100, int(barrier_period * skew))
+            index += 1
+            continue
+        roll = random()
+        for cut, code in cuts:
+            if roll < cut:
+                break
+        else:
+            code = _ALU
+        if code < 0:
+            fp_roll = random()
+            code = (_FP_ADD if fp_roll < 0.55
+                    else _FP_MUL if fp_roll < 0.93 else _FP_DIV)
+        codes[index] = code
+        if random() < 0.1:
+            code_ptr = 4096 + (randrange(code_bytes) & ~31)
+        else:
+            code_ptr += 32
+            if code_ptr >= code_end:
+                code_ptr = 4096
+        if code == _BRANCH:
+            site = randrange(sites)
+            taken[index] = random() < branch_bias[site]
+            pc[index] = branch_pcs[site]
+        else:
+            pc[index] = code_ptr
+        # Producer distances: none for the first op or with
+        # probability 0.45; otherwise exponential, mostly short for
+        # serial code, clamped to the trace start.
+        if index and random() <= 0.55:
+            if random() < serial_frac:
+                dist = 1 + int(expovariate(0.5))
+            else:
+                dist = 1 + int(expovariate(dep_lambda))
+            src1[index] = dist if dist < index else index
+        if code == _LOAD or code == _STORE:
+            roll = random()
+            if parallel and roll < sharing_frac:
+                # Shared region: all threads touch the same lines.
+                address[index] = SHARED_REGION_BASE + randrange(shared_span)
+            elif roll < hot_cut:
+                address[index] = private_base + randrange(hot_set_bytes)
+            elif random() < stream_frac:
+                stream_ptr += stride
+                if stream_ptr >= stream_end:
+                    stream_ptr = private_base
+                address[index] = stream_ptr
+            else:
+                address[index] = (private_base
+                                  + randrange(pool_lines) * pool_stride)
+        elif code != _BRANCH and index and random() <= 0.55:
+            if random() < serial_frac:
+                dist = 1 + int(expovariate(0.5))
+            else:
+                dist = 1 + int(expovariate(dep_lambda))
+            src2[index] = dist if dist < index else index
+        index += 1
+    generator._code_ptr = code_ptr
+    generator._stream_ptr = stream_ptr
+    return Trace(
+        name=profile.name,
+        warmup_ops=warmup_ops,
+        resident_data=generator._resident_data(),
+        resident_code=generator._resident_code(),
+        columns=[codes, src1, src2, address, pc, taken, barrier],
+    )

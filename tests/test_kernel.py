@@ -282,18 +282,49 @@ def test_replay_geometry_is_the_hierarchy_geometry(shared_l2):
 # ---------------------------------------------------------------------------
 
 
-def test_missing_compiler_names_the_oracle_switch(monkeypatch, tmp_path):
+def test_missing_compiler_names_gcc_and_the_build_directory(monkeypatch,
+                                                           tmp_path):
+    """Without gcc nothing simulates, so the error offers no switch."""
     monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
-    with pytest.raises(RuntimeError, match=r"\$REPRO_KERNEL=0"):
+    with pytest.raises(RuntimeError, match=r"no C compiler \(gcc\)") as error:
         kernel._library(tmp_path / "build")
+    assert str(tmp_path / "build") in str(error.value)
+    assert "REPRO_KERNEL" not in str(error.value)
     assert not (tmp_path / "build").exists()
 
 
-def test_unwritable_build_directory_names_the_oracle_switch(tmp_path):
+def test_unwritable_build_directory_names_gcc_and_the_directory(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
-    with pytest.raises(RuntimeError, match=r"\$REPRO_KERNEL=0"):
+    with pytest.raises(RuntimeError, match="gcc") as error:
         kernel._library(blocker / "build")
+    assert str(blocker / "build") in str(error.value)
+    assert "REPRO_KERNEL" not in str(error.value)
+
+
+def test_trace_synthesis_needs_the_compiler(monkeypatch, tmp_path):
+    """The generator's row loop is in the library: even the oracle's
+    traces need gcc."""
+    monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
+    monkeypatch.setattr(kernel, "_BUILD_DIR", tmp_path / "build")
+    monkeypatch.setenv("REPRO_KERNEL", "0")
+    with pytest.raises(RuntimeError, match=r"no C compiler \(gcc\)"):
+        generate_trace(spec_profiles()[0], 100)
+
+
+def test_a_new_build_removes_stale_builds(tmp_path):
+    """An installed build deletes every other ``timing-*.so`` beside it
+    (dead builds of older sources) but not a concurrent builder's
+    temporary file."""
+    build = tmp_path / "build"
+    build.mkdir()
+    (build / "timing-0123456789abcdef.so").write_bytes(b"stale")
+    (build / ".timing-0123456789abcdef-x.tmp").write_bytes(b"in progress")
+    kernel._library(build)
+    libraries = sorted(p.name for p in build.glob("timing-*.so"))
+    assert len(libraries) == 1
+    assert libraries != ["timing-0123456789abcdef.so"]
+    assert (build / ".timing-0123456789abcdef-x.tmp").exists()
 
 
 _BUILD_AND_TIME = """
