@@ -10,8 +10,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.configs import base_config, m3d_het_config
 from repro.core.structures import register_file, structures_by_name
+from repro.design import resolve
 from repro.partition.planner import plan_structure
 from repro.partition.strategies import evaluate_2d, port_partition, reduction_report
 from repro.tech.constants import TSV_KOZ_RING_FRACTION
@@ -152,10 +152,11 @@ def test_ablation_path_savings(benchmark):
     trace = generate_trace(spec_by_name()["Povray"], 6000)
 
     def sweep():
-        base = run_trace(base_config(), trace)
-        full = run_trace(m3d_het_config(), trace)
+        het = resolve("M3D-Het").config
+        base = run_trace(resolve("Base").config, trace)
+        full = run_trace(het, trace)
         frequency_only = dataclasses.replace(
-            m3d_het_config(),
+            het,
             load_to_use_cycles=4,
             branch_mispredict_cycles=14,
             name="freq-only",

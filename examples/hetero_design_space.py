@@ -18,9 +18,9 @@ Run with::
 
 import dataclasses
 
-from repro.core.configs import base_config, m3d_iso_config
 from repro.core.frequency import derive_from_plans
 from repro.core.structures import core_structures
+from repro.design import resolve
 from repro.partition.planner import plan_core
 from repro.tech.process import stack_m3d_hetero
 from repro.uarch.ooo import run_trace
@@ -32,7 +32,7 @@ PENALTIES = (0.0, 0.10, 0.17, 0.25, 0.35)
 
 def hetero_config_at(frequency: float, name: str):
     """An M3D config pinned to a swept frequency."""
-    cfg = m3d_iso_config()
+    cfg = resolve("M3D-Iso").config
     return dataclasses.replace(
         cfg, name=name, frequency=frequency, hetero=True
     )
@@ -40,7 +40,7 @@ def hetero_config_at(frequency: float, name: str):
 
 def main() -> None:
     trace = generate_trace(spec_by_name()["Gamess"], 8000)
-    base_run = run_trace(base_config(), trace)
+    base_run = run_trace(resolve("Base").config, trace)
 
     print("Hetero-layer design space (Gamess, compute-bound):")
     print(f"{'penalty':>8} {'naive GHz':>10} {'asym GHz':>9} "

@@ -11,7 +11,7 @@ Run with::
     python examples/multicore_iso_power.py
 """
 
-from repro.core.configs import base_config, m3d_het_2x_config, m3d_het_config
+from repro.design import resolve
 from repro.engine import get_engine
 from repro.power.core_power import power_model_for
 from repro.power.dvfs import (
@@ -32,9 +32,8 @@ def main() -> None:
     print(f"  cores within the 4-core 2D budget: {cores} (paper: 8)")
 
     configs = [
-        base_config(num_cores=4),
-        m3d_het_config(num_cores=4),
-        m3d_het_2x_config(),
+        resolve(name).config
+        for name in ("Base-4C", "M3D-Het-4C", "M3D-Het-2X")
     ]
     models = {cfg.name: power_model_for(cfg) for cfg in configs}
     profiles = {p.name: p for p in parallel_profiles()}

@@ -13,9 +13,8 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.core.configs import base_config, m3d_het_config
-from repro.core.frequency import derive_m3d_het, derive_m3d_iso
 from repro.core.structures import register_file
+from repro.design import derive_frequency, resolve
 from repro.partition.strategies import (
     evaluate_2d,
     port_partition,
@@ -23,7 +22,7 @@ from repro.partition.strategies import (
 )
 from repro.power.core_power import power_model_for
 from repro.tech.process import stack_m3d_iso
-from repro.thermal.hotspot import peak_temperature_2d, peak_temperature_m3d
+from repro.thermal.hotspot import peak_temperature_for
 from repro.uarch.ooo import run_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec import spec_by_name
@@ -40,9 +39,10 @@ def main() -> None:
     print(f"  access energy   -{report.energy_pct:.0f}%  (paper: -38%)")
     print(f"  footprint       -{report.footprint_pct:.0f}%  (paper: -56%)")
 
-    # 2. Whole-core frequency derivation.
-    iso = derive_m3d_iso()
-    het = derive_m3d_het()
+    # 2. Whole-core frequency derivation, for designs named by their
+    #    registered design points.
+    iso = derive_frequency("M3D-Iso")
+    het = derive_frequency("M3D-Het")
     print("\nStep 2 - derived core frequencies:")
     print(f"  M3D-Iso {iso.ghz:.2f} GHz (limited by {iso.limiting_structure}; "
           f"paper: 3.83 GHz)")
@@ -52,7 +52,7 @@ def main() -> None:
     # 3. Simulate an application on both designs.
     profile = spec_by_name()["Povray"]
     trace = generate_trace(profile, 8000)
-    base_cfg, het_cfg = base_config(), m3d_het_config()
+    base_cfg, het_cfg = resolve("Base").config, resolve("M3D-Het").config
     base_run = run_trace(base_cfg, trace)
     het_run = run_trace(het_cfg, trace)
     speedup = het_run.speedup_over(base_run)
@@ -73,8 +73,8 @@ def main() -> None:
           f"(paper average: 0.61)")
 
     # 5. Thermals.
-    base_t = peak_temperature_2d(base_energy.average_power, profile)
-    het_t = peak_temperature_m3d(het_energy.average_power, profile)
+    base_t = peak_temperature_for(base_cfg, base_energy.average_power, profile)
+    het_t = peak_temperature_for(het_cfg, het_energy.average_power, profile)
     print("\nStep 5 - peak temperature:")
     print(f"  Base    {base_t.peak_c:.1f} C")
     print(f"  M3D-Het {het_t.peak_c:.1f} C "

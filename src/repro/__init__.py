@@ -9,22 +9,24 @@ The library builds every system the paper's evaluation rests on:
   and the hetero-layer asymmetric variants,
 * :mod:`repro.logic` — gate-level stage models and slack-based placement,
 * :mod:`repro.core` — structure inventory, frequency derivation, Table 11,
+* :mod:`repro.design` — the design-point registry, the one way to name a
+  design: ``resolve("M3D-Het")`` derives its clock and ``CoreConfig``,
 * :mod:`repro.uarch` — a trace-driven OOO core + multicore simulator,
 * :mod:`repro.workloads` — SPEC2006 / SPLASH2 / PARSEC synthetic traces,
 * :mod:`repro.power` — the McPAT-substitute energy model,
 * :mod:`repro.thermal` — the HotSpot-substitute grid solver,
 * :mod:`repro.experiments` — one entry point per paper table and figure.
 
-Quickstart::
+Quickstart (each design named by its registered point)::
 
-    from repro.core.configs import base_config, m3d_het_config
+    from repro.design import resolve
     from repro.uarch.ooo import run_trace
     from repro.workloads.spec import spec_by_name
     from repro.workloads.generator import generate_trace
 
     trace = generate_trace(spec_by_name()["Povray"], 8000)
-    base = run_trace(base_config(), trace)
-    m3d = run_trace(m3d_het_config(), trace)
+    base = run_trace(resolve("Base").config, trace)
+    m3d = run_trace(resolve("M3D-Het").config, trace)
     print(f"M3D-Het speedup: {m3d.speedup_over(base):.2f}x")
 """
 

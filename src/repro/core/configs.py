@@ -1,4 +1,4 @@
-"""The named core / multicore configurations of Table 11.
+"""The core configuration record of Table 11.
 
 A :class:`CoreConfig` bundles everything the microarchitectural simulator,
 power model and thermal model need about one design point: Table 9's
@@ -6,19 +6,19 @@ structure sizes, the derived frequency, the 3D critical-path cycle savings
 (load-to-use and branch misprediction, Section 6), voltage, issue width and
 core count.
 
-Every named constructor below is a thin shim over the design-point
-registry (:mod:`repro.design`): the paper's configurations are registered
-:class:`~repro.design.point.DesignPoint` specs, and
-:func:`repro.design.resolve.resolve` drives partitioning, frequency
-derivation and config construction from the spec alone.  Frequencies are
-derived from the partition model by default; pass ``use_paper_values=True``
-to pin them to the paper's published Table 11 numbers instead.
+The paper's designs are registered
+:class:`~repro.design.point.DesignPoint` specs, and the registry is the
+one way to name one: ``resolve("M3D-Het").config`` drives partitioning,
+frequency derivation and config construction from the spec alone
+(:mod:`repro.design.resolve`).  Frequencies are derived from the
+partition model by default; ``resolve(name, use_paper_values=True)``
+pins them to the paper's published reductions instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import List
 
 from repro.tech import constants
 
@@ -81,73 +81,15 @@ class CoreConfig:
         return max(1, round(self.dram_ns * 1e-9 * self.frequency))
 
 
-def _resolved(name: str, num_cores: int,
-              use_paper_values: bool = False) -> CoreConfig:
+def single_core_configs() -> List[CoreConfig]:
+    """The six single-core designs of Figures 6-8, in figure order.
+
+    Kept only for ``perfbench/tests/test_perfbench.py``, which imports
+    it; everything else calls
+    :func:`repro.design.resolve.paper_single_core_configs`.
+    """
     # Imported lazily: repro.design builds CoreConfig instances, so a
     # module-level import here would be circular.
-    from repro.design.resolve import resolve
-
-    return resolve(
-        name, num_cores=num_cores, use_paper_values=use_paper_values
-    ).config
-
-
-def base_config(num_cores: int = 1) -> CoreConfig:
-    """The 2D baseline: 3.3 GHz, Table 9 parameters."""
-    return _resolved("Base", num_cores)
-
-
-def tsv3d_config(num_cores: int = 1) -> CoreConfig:
-    """TSV3D: base frequency, but 3D path savings and (multicore) shared L2s."""
-    return _resolved("TSV3D", num_cores)
-
-
-def m3d_iso_config(use_paper_values: bool = False, num_cores: int = 1) -> CoreConfig:
-    """M3D-Iso: same-performance layers (paper: 3.83 GHz)."""
-    return _resolved("M3D-Iso", num_cores, use_paper_values)
-
-
-def m3d_het_naive_config(use_paper_values: bool = False,
-                         num_cores: int = 1) -> CoreConfig:
-    """M3D-HetNaive: iso design slowed 9% by the slow top layer (3.5 GHz)."""
-    return _resolved("M3D-HetNaive", num_cores, use_paper_values)
-
-
-def m3d_het_config(use_paper_values: bool = False, num_cores: int = 1) -> CoreConfig:
-    """M3D-Het: our asymmetric hetero partitioning (paper: 3.79 GHz)."""
-    return _resolved("M3D-Het", num_cores, use_paper_values)
-
-
-def m3d_het_agg_config(use_paper_values: bool = False,
-                       num_cores: int = 1) -> CoreConfig:
-    """M3D-HetAgg: frequency limited only by the IQ (paper: 4.34 GHz)."""
-    return _resolved("M3D-HetAgg", num_cores, use_paper_values)
-
-
-def m3d_het_wide_config(num_cores: int = 4) -> CoreConfig:
-    """M3D-Het-W: base frequency, issue width raised to 8 (Table 11)."""
-    return _resolved("M3D-Het-W", num_cores)
-
-
-def m3d_het_2x_config(num_cores: int = 8) -> CoreConfig:
-    """M3D-Het-2X: base frequency, 0.75 V, twice the cores (Table 11)."""
-    return _resolved("M3D-Het-2X", num_cores)
-
-
-def single_core_configs(use_paper_values: bool = False) -> List[CoreConfig]:
-    """The six single-core designs of Figures 6-8, in figure order."""
     from repro.design.resolve import paper_single_core_configs
 
-    return paper_single_core_configs(use_paper_values)
-
-
-def multicore_configs(use_paper_values: bool = False) -> List[CoreConfig]:
-    """The five multicore designs of Figures 9-10, in figure order."""
-    from repro.design.resolve import paper_multicore_configs
-
-    return paper_multicore_configs(use_paper_values)
-
-
-def configs_by_name(use_paper_values: bool = False) -> Dict[str, CoreConfig]:
-    """All single-core configs keyed by name."""
-    return {cfg.name: cfg for cfg in single_core_configs(use_paper_values)}
+    return paper_single_core_configs()

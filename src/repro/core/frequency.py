@@ -12,11 +12,11 @@ traditionally frequency-critical structures (RF, IQ, ALU+bypass), so their
 limiter is the IQ's reduction.
 
 This module owns the derivation *primitives* (:func:`derive_from_plans`,
-:func:`derive_from_reference`, :func:`apply_naive_loss`).  The named
-``derive_*`` functions are thin shims over the design-point registry
-(:mod:`repro.design`): each paper design is a registered
-:class:`~repro.design.point.DesignPoint` whose frequency policy drives
-these primitives, and arbitrary new points go through the same pipeline.
+:func:`derive_from_reference`, :func:`apply_naive_loss`).  Each paper
+design is a registered :class:`~repro.design.point.DesignPoint` whose
+frequency policy drives these primitives:
+``repro.design.resolve.derive_frequency("M3D-Het")`` derives a registered
+design by name, and arbitrary new points go through the same pipeline.
 """
 
 from __future__ import annotations
@@ -123,44 +123,3 @@ def apply_naive_loss(
         limiting_reduction=iso.limiting_reduction,
         plans=iso.plans,
     )
-
-
-# -- paper designs: shims over the design-point registry ----------------------
-
-
-def _registry_derive(name: str, use_paper_values: bool) -> FrequencyDerivation:
-    # Imported lazily: repro.design imports this module's primitives.
-    from repro.design.resolve import derive_frequency
-
-    return derive_frequency(name, use_paper_values=use_paper_values)
-
-
-def derive_m3d_iso(use_paper_values: bool = False) -> FrequencyDerivation:
-    """M3D-Iso: all structures assumed critical (paper: 3.83 GHz)."""
-    return _registry_derive("M3D-Iso", use_paper_values)
-
-
-def derive_m3d_het(use_paper_values: bool = False) -> FrequencyDerivation:
-    """M3D-Het: asymmetric hetero partitions, all structures (paper: 3.79)."""
-    return _registry_derive("M3D-Het", use_paper_values)
-
-
-def derive_m3d_het_agg(use_paper_values: bool = False) -> FrequencyDerivation:
-    """M3D-HetAgg: hetero partitions, critical structures only (paper: 4.34)."""
-    return _registry_derive("M3D-HetAgg", use_paper_values)
-
-
-def derive_m3d_het_naive(
-    iso: Optional[FrequencyDerivation] = None,
-) -> FrequencyDerivation:
-    """M3D-HetNaive: the iso design slowed by Shi et al.'s 9% (paper: 3.5)."""
-    if iso is not None:
-        return apply_naive_loss(iso)
-    return _registry_derive("M3D-HetNaive", False)
-
-
-def derive_tsv3d() -> FrequencyDerivation:
-    """TSV3D stays at the base frequency: some structures regress under
-    TSV partitioning, so intra-block 3D cannot raise the clock
-    (Section 6.1)."""
-    return _registry_derive("TSV3D", False)

@@ -61,7 +61,6 @@ from repro.design.resolve import (
     paper_multicore_configs,
     paper_single_core_configs,
     resolve,
-    resolve_many,
 )
 from repro.design.sweep import (
     MULTICORE_BASELINE_CORES,
@@ -104,7 +103,6 @@ __all__ = [
     "registered_points",
     "registry_groups",
     "resolve",
-    "resolve_many",
     "resolve_manycore",
     "submit_points",
     "unregister",

@@ -305,11 +305,6 @@ def resolve(point: PointLike,
     )
 
 
-def resolve_many(points, **overrides) -> List[ResolvedDesign]:
-    """Resolve a mixed list of points / registered names."""
-    return [resolve(point, **overrides) for point in points]
-
-
 def design_space_snapshot() -> Dict[str, dict]:
     """Every registered point, spec plus fully resolved, as JSON data.
 
@@ -340,17 +335,11 @@ def design_space_snapshot() -> Dict[str, dict]:
 # -- the paper lineups, registry-resolved -------------------------------------
 
 
-def paper_single_core_configs(use_paper_values: bool = False) -> List[CoreConfig]:
+def paper_single_core_configs() -> List[CoreConfig]:
     """The six single-core designs of Figures 6-8, in figure order."""
-    return [
-        resolve(name, use_paper_values=use_paper_values).config
-        for name in PAPER_SINGLE_CORE
-    ]
+    return [resolve(name).config for name in PAPER_SINGLE_CORE]
 
 
-def paper_multicore_configs(use_paper_values: bool = False) -> List[CoreConfig]:
+def paper_multicore_configs() -> List[CoreConfig]:
     """The five multicore designs of Figures 9-10, in figure order."""
-    return [
-        resolve(name, use_paper_values=use_paper_values).config
-        for name in PAPER_MULTICORE
-    ]
+    return [resolve(name).config for name in PAPER_MULTICORE]

@@ -16,12 +16,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-from repro.core.configs import (
-    base_config,
-    m3d_het_2x_config,
-    m3d_het_config,
-    m3d_het_wide_config,
-)
+from repro.design.resolve import resolve
 from repro.engine.sweep import get_engine
 from repro.power.core_power import CorePowerModel, power_model_for
 from repro.power.energy import factors_for_stack
@@ -55,8 +50,8 @@ def lp_top_energy_study(uops: int = 6000, apps: int = 8) -> LpTopResult:
     layer either way) but leaks an order of magnitude less in half the
     devices and switches less in the top layer.
     """
-    base_cfg = base_config()
-    het_cfg = m3d_het_config()
+    base_cfg = resolve("Base").config
+    het_cfg = resolve("M3D-Het").config
     base_model = power_model_for(base_cfg)
     het_model = power_model_for(het_cfg)
     lp_model = CorePowerModel(het_cfg, factors_for_stack("M3D-LPtop"))
@@ -83,10 +78,10 @@ def design_alternatives_study(total_uops: int = 24000,
     subset of the parallel suite, all against the 4-core 2D Base.
     """
     configs = [
-        base_config(num_cores=4),
-        m3d_het_config(num_cores=4),     # spend on frequency
-        m3d_het_wide_config(),           # spend on issue width
-        m3d_het_2x_config(),             # spend on cores at low voltage
+        resolve("Base-4C").config,
+        resolve("M3D-Het-4C").config,    # spend on frequency
+        resolve("M3D-Het-W").config,     # spend on issue width
+        resolve("M3D-Het-2X").config,    # spend on cores at low voltage
     ]
     models = {cfg.name: power_model_for(cfg) for cfg in configs}
     sums = {cfg.name: {"speedup": 0.0, "energy": 0.0} for cfg in configs}

@@ -59,13 +59,13 @@ INTERVAL_ORACLE_UOPS = 2000
 def kernel_cpi_oracle() -> Tuple[dict, List[str]]:
     """Scalar OOO oracle vs one batched-kernel pass; returns
     ``(payload, hard_failures)``."""
-    from repro.core.configs import single_core_configs
+    from repro.design.resolve import paper_single_core_configs
     from repro.uarch.kernel import run_trace_batch
     from repro.uarch.ooo import run_trace
     from repro.workloads.generator import generate_trace
     from repro.workloads.spec import spec_profiles
 
-    configs = single_core_configs()
+    configs = paper_single_core_configs()
     profile = spec_profiles()[0]
 
     def fresh_trace():
@@ -101,12 +101,12 @@ def kernel_multicore_oracle() -> Tuple[dict, List[str]]:
     """Scalar per-tile oracle vs the kernel's tile path on multicore
     configs with a private and a shared L2; returns
     ``(payload, hard_failures)``."""
-    from repro.core.configs import base_config, m3d_het_config
+    from repro.design.resolve import resolve
     from repro.uarch.multicore import evaluate_tiles, run_parallel_tiles
     from repro.workloads.parallel import parallel_by_name
 
     profile = parallel_by_name()[MULTICORE_ORACLE_PROFILE]
-    configs = [base_config(num_cores=4), m3d_het_config(num_cores=4)]
+    configs = [resolve("Base-4C").config, resolve("M3D-Het-4C").config]
     failures: List[str] = []
     transfers: List[int] = []
     for config in configs:
@@ -131,11 +131,11 @@ def kernel_multicore_oracle() -> Tuple[dict, List[str]]:
 
 def sweep_identity_oracle() -> Tuple[dict, List[str]]:
     """Serial vs process-pool sweep execution, cache bypassed."""
-    from repro.core.configs import single_core_configs
+    from repro.design.resolve import paper_single_core_configs
     from repro.engine.sweep import ExperimentEngine, SimSpec
     from repro.workloads.spec import spec_profiles
 
-    configs = single_core_configs()
+    configs = paper_single_core_configs()
     profiles = spec_profiles()[:2]
     specs = [
         SimSpec("single", config, profile, SWEEP_ORACLE_UOPS,
@@ -169,10 +169,10 @@ def interval_direction_oracle() -> Tuple[dict, List[str]]:
     """
     from repro.design.sweep import interval_crosscheck
     from repro.engine.sweep import ExperimentEngine
-    from repro.core.configs import single_core_configs
+    from repro.design.resolve import paper_single_core_configs
     from repro.workloads.spec import spec_profiles
 
-    configs = single_core_configs()
+    configs = paper_single_core_configs()
     profiles = spec_profiles()
     engine = ExperimentEngine(jobs=1)
     _, runs = engine.single_core_runs(

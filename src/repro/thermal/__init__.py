@@ -8,12 +8,7 @@ from repro.thermal.floorplan import (
     floorplan_folded,
 )
 from repro.thermal.grid import ThermalSolution, solve_floorplans, solve_stack
-from repro.thermal.hotspot import (
-    ThermalReport,
-    peak_temperature_2d,
-    peak_temperature_m3d,
-    peak_temperature_tsv3d,
-)
+from repro.thermal.hotspot import ThermalReport
 from repro.thermal.stack import (
     ThermalLayer,
     ThermalStack,
@@ -31,9 +26,6 @@ __all__ = [
     "solve_floorplans",
     "solve_stack",
     "ThermalReport",
-    "peak_temperature_2d",
-    "peak_temperature_m3d",
-    "peak_temperature_tsv3d",
     "ThermalLayer",
     "ThermalStack",
     "stack_2d_thermal",

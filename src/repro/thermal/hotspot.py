@@ -61,7 +61,9 @@ def _report(design: str, trace: str, solution: ThermalSolution,
 #: The thermal model of each stack kind, shallowest to deepest: its
 #: thermal stack and its floorplan's ``hot_block_extra_saving`` (``None``
 #: is the 2D floorplan; the folded ones differ in whether the
-#: PP-partitioned hot blocks shed extra power).
+#: PP-partitioned hot blocks shed extra power).  Folding raises power
+#: density, but M3D's thin ILD keeps the layers coupled (Section 7.1.3's
+#: small deltas), while TSV3D's bottom die sits under 20um of dielectric.
 _STACK_KINDS = {
     "2D": (stack_2d_thermal, None),
     "TSV3D": (stack_tsv3d_thermal, False),
@@ -108,33 +110,6 @@ def _design_report(design_name: str, stack_kind: str, core_power: float,
         (design_name, stack_kind, core_power, profile, grid),
         lambda: _solve_design(design_name, stack_kind, core_power, profile,
                               grid))
-
-
-def peak_temperature_2d(core_power: float,
-                        profile: Optional[AppProfile] = None,
-                        grid: int = 16) -> ThermalReport:
-    """Peak temperature of the 2D baseline at the given core power."""
-    return _design_report("Base", "2D", core_power, profile, grid)
-
-
-def peak_temperature_m3d(core_power: float,
-                         profile: Optional[AppProfile] = None,
-                         grid: int = 16) -> ThermalReport:
-    """Peak temperature of the folded M3D-Het core.
-
-    Power density rises with the halved footprint, but the thin ILD keeps
-    the layers thermally coupled and the PP-partitioned hot blocks shed
-    extra power — the two effects behind Section 7.1.3's small deltas.
-    """
-    return _design_report("M3D-Het", "M3D", core_power, profile, grid)
-
-
-def peak_temperature_tsv3d(core_power: float,
-                           profile: Optional[AppProfile] = None,
-                           grid: int = 16) -> ThermalReport:
-    """Peak temperature of the TSV3D core: same folding, but the bottom
-    die sits under 20um of dielectric."""
-    return _design_report("TSV3D", "TSV3D", core_power, profile, grid)
 
 
 def peak_temperature_for(design, core_power: float,

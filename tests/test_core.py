@@ -5,20 +5,13 @@ import dataclasses
 import pytest
 
 from repro.core import frequency as freqmod
-from repro.core.configs import (
-    base_config,
-    configs_by_name,
-    m3d_het_2x_config,
-    m3d_het_agg_config,
-    m3d_het_config,
-    m3d_het_naive_config,
-    m3d_het_wide_config,
-    m3d_iso_config,
-    multicore_configs,
-    single_core_configs,
-    tsv3d_config,
-)
 from repro.core.structures import core_structures, structures_by_name
+from repro.design.resolve import (
+    derive_frequency,
+    paper_multicore_configs,
+    paper_single_core_configs,
+    resolve,
+)
 
 
 class TestStructures:
@@ -53,41 +46,42 @@ class TestFrequencyDerivation:
 
     def test_iso_near_paper(self):
         # Paper: 3.83 GHz.
-        derivation = freqmod.derive_m3d_iso()
+        derivation = derive_frequency("M3D-Iso")
         assert 3.6 < derivation.ghz < 4.1
 
     def test_het_near_paper(self):
         # Paper: 3.79 GHz.
-        derivation = freqmod.derive_m3d_het()
+        derivation = derive_frequency("M3D-Het")
         assert 3.5 < derivation.ghz < 4.0
 
     def test_het_naive_is_9pct_slower_than_iso(self):
-        iso = freqmod.derive_m3d_iso()
-        naive = freqmod.derive_m3d_het_naive(iso)
+        iso = derive_frequency("M3D-Iso")
+        naive = freqmod.apply_naive_loss(iso)
         assert naive.frequency == pytest.approx(iso.frequency * 0.91)
 
     def test_agg_faster_than_conservative(self):
-        assert freqmod.derive_m3d_het_agg().ghz > freqmod.derive_m3d_het().ghz
+        assert (derive_frequency("M3D-HetAgg").ghz
+                > derive_frequency("M3D-Het").ghz)
 
     def test_tsv_stays_at_base(self):
-        assert freqmod.derive_tsv3d().frequency == freqmod.BASE_FREQUENCY
+        assert derive_frequency("TSV3D").frequency == freqmod.BASE_FREQUENCY
 
     def test_paper_value_mode(self):
-        derivation = freqmod.derive_m3d_iso(use_paper_values=True)
+        derivation = derive_frequency("M3D-Iso", use_paper_values=True)
         assert derivation.ghz == pytest.approx(3.837, rel=0.01)
         assert derivation.limiting_structure in ("SQ", "BPT")
 
     def test_ordering_matches_table11(self):
-        iso = freqmod.derive_m3d_iso()
-        het = freqmod.derive_m3d_het()
-        naive = freqmod.derive_m3d_het_naive(iso)
-        agg = freqmod.derive_m3d_het_agg()
+        iso = derive_frequency("M3D-Iso")
+        het = derive_frequency("M3D-Het")
+        naive = freqmod.apply_naive_loss(iso)
+        agg = derive_frequency("M3D-HetAgg")
         assert naive.frequency < het.frequency <= iso.frequency < agg.frequency
 
 
 class TestConfigs:
     def test_base_parameters_match_table9(self):
-        cfg = base_config()
+        cfg = resolve("Base").config
         assert cfg.ghz == pytest.approx(3.3)
         assert (cfg.dispatch_width, cfg.issue_width, cfg.commit_width) == (4, 6, 4)
         assert cfg.rob_entries == 192
@@ -97,7 +91,8 @@ class TestConfigs:
         assert cfg.branch_mispredict_cycles == 14
 
     def test_3d_path_savings(self):
-        for cfg in (tsv3d_config(), m3d_iso_config(), m3d_het_config()):
+        for name in ("TSV3D", "M3D-Iso", "M3D-Het"):
+            cfg = resolve(name).config
             assert cfg.load_to_use_cycles == 3
             assert cfg.branch_mispredict_cycles == 12
             assert cfg.is_3d
@@ -105,43 +100,41 @@ class TestConfigs:
     def test_dram_cycles_grow_with_frequency(self):
         # Section 7.1.1: "despite the increase in memory latency in terms
         # of core clocks".
-        assert m3d_iso_config().dram_cycles > base_config().dram_cycles
+        assert (resolve("M3D-Iso").config.dram_cycles
+                > resolve("Base").config.dram_cycles)
 
     def test_het_2x_table11_row(self):
-        cfg = m3d_het_2x_config()
+        cfg = resolve("M3D-Het-2X").config
         assert cfg.num_cores == 8
         assert cfg.ghz == pytest.approx(3.3)
         assert cfg.vdd == pytest.approx(0.75)
         assert cfg.shared_l2
 
     def test_het_wide_table11_row(self):
-        cfg = m3d_het_wide_config()
+        cfg = resolve("M3D-Het-W").config
         assert cfg.issue_width == 8
         assert cfg.ghz == pytest.approx(3.3)
 
     def test_single_core_lineup(self):
-        names = [c.name for c in single_core_configs()]
+        names = [c.name for c in paper_single_core_configs()]
         assert names == [
             "Base", "TSV3D", "M3D-Iso", "M3D-HetNaive", "M3D-Het", "M3D-HetAgg",
         ]
 
     def test_multicore_lineup(self):
-        names = [c.name for c in multicore_configs()]
+        names = [c.name for c in paper_multicore_configs()]
         assert names == ["Base", "TSV3D", "M3D-Het", "M3D-Het-W", "M3D-Het-2X"]
-
-    def test_configs_by_name(self):
-        assert set(configs_by_name()) == {
-            "Base", "TSV3D", "M3D-Iso", "M3D-HetNaive", "M3D-Het", "M3D-HetAgg",
-        }
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dataclasses.replace(base_config(), frequency=0.0)
+            dataclasses.replace(resolve("Base").config, frequency=0.0)
         with pytest.raises(ValueError):
-            dataclasses.replace(base_config(), num_cores=0)
+            dataclasses.replace(resolve("Base").config, num_cores=0)
 
     def test_agg_frequency_exceeds_het(self):
-        assert m3d_het_agg_config().frequency > m3d_het_config().frequency
+        assert (resolve("M3D-HetAgg").config.frequency
+                > resolve("M3D-Het").config.frequency)
 
     def test_naive_slower_than_iso(self):
-        assert m3d_het_naive_config().frequency < m3d_iso_config().frequency
+        assert (resolve("M3D-HetNaive").config.frequency
+                < resolve("M3D-Iso").config.frequency)

@@ -5,19 +5,7 @@ import json
 
 import pytest
 
-from repro.core import frequency as freqmod
 from repro.core import reference
-from repro.core.configs import (
-    base_config,
-    configs_by_name,
-    m3d_het_agg_config,
-    m3d_het_config,
-    m3d_het_wide_config,
-    m3d_iso_config,
-    multicore_configs,
-    single_core_configs,
-    tsv3d_config,
-)
 from repro.design import (
     DesignPoint,
     PAPER_MULTICORE,
@@ -27,6 +15,8 @@ from repro.design import (
     evaluate_points,
     get_point,
     load_points,
+    paper_multicore_configs,
+    paper_single_core_configs,
     point_names,
     register,
     registered_points,
@@ -136,32 +126,11 @@ class TestRegistry:
 class TestResolveMatchesRetiredWiring:
     """The registry resolves to exactly what the hand-wired configs built."""
 
-    def test_single_core_configs_identical(self):
-        old = {
-            "Base": base_config(),
-            "TSV3D": tsv3d_config(),
-            "M3D-Iso": m3d_iso_config(),
-            "M3D-Het": m3d_het_config(),
-            "M3D-HetAgg": m3d_het_agg_config(),
-        }
-        for name, config in old.items():
-            assert resolve(name).config == config, name
-
-    def test_config_lineups_match_shims(self):
-        assert [c.name for c in single_core_configs()] == list(PAPER_SINGLE_CORE)
-        lineup = multicore_configs()
+    def test_paper_lineups_in_figure_order(self):
+        assert [c.name for c in paper_single_core_configs()] == list(PAPER_SINGLE_CORE)
+        lineup = paper_multicore_configs()
         assert [c.num_cores for c in lineup] == [4, 4, 4, 4, 8]
-        assert lineup[3] == m3d_het_wide_config()
-
-    def test_configs_by_name_round_trip(self):
-        by_name = configs_by_name()
-        assert by_name["M3D-Het"] == resolve("M3D-Het").config
-
-    def test_frequency_shims_delegate_to_registry(self):
-        assert freqmod.derive_m3d_het().frequency == pytest.approx(
-            derive_frequency("M3D-Het").frequency
-        )
-        assert freqmod.derive_tsv3d().frequency == freqmod.BASE_FREQUENCY
+        assert lineup[3] == resolve("M3D-Het-W").config
 
     def test_multicore_variant_shares_single_core_frequency(self):
         assert resolve("M3D-Het-4C").config.frequency == pytest.approx(
@@ -172,9 +141,6 @@ class TestResolveMatchesRetiredWiring:
         modeled = derive_frequency("M3D-Iso")
         pinned = derive_frequency("M3D-Iso", use_paper_values=True)
         assert pinned.frequency != modeled.frequency
-        assert pinned.frequency == pytest.approx(
-            freqmod.derive_m3d_iso(use_paper_values=True).frequency
-        )
         # The same override flows through full resolution.
         assert resolve("M3D-Iso", use_paper_values=True).config.frequency \
             == pytest.approx(pinned.frequency)

@@ -5,14 +5,13 @@ import pickle
 
 import pytest
 
-from repro.core.configs import (
-    CoreConfig,
-    base_config,
-    m3d_het_config,
-    multicore_configs,
-    single_core_configs,
-)
+from repro.core.configs import CoreConfig
 from repro.design.point import DesignPoint
+from repro.design.resolve import (
+    paper_multicore_configs,
+    paper_single_core_configs,
+    resolve,
+)
 from repro.design.space import SpaceSpec
 from repro.engine import (
     ExperimentEngine,
@@ -31,6 +30,7 @@ from repro.workloads.spec import spec_profiles
 from tests.references import reference_key, spec_reference_key, workloads
 
 UOPS = 600
+BASE = resolve("Base").config
 
 
 def _profiles(n=2):
@@ -38,7 +38,7 @@ def _profiles(n=2):
 
 
 def _configs(n=2):
-    return single_core_configs()[:n]
+    return paper_single_core_configs()[:n]
 
 
 class TestCacheKeys:
@@ -64,20 +64,20 @@ class TestCacheKeys:
 
     def test_key_includes_all_inputs(self):
         profile = _profiles(1)[0]
-        spec = SimSpec("single", base_config(), profile, UOPS, seed=1)
+        spec = SimSpec("single", BASE, profile, UOPS, seed=1)
         assert spec.cache_key() == spec.cache_key()
         variants = [
-            SimSpec("single", m3d_het_config(), profile, UOPS, seed=1),
-            SimSpec("single", base_config(), profile, UOPS + 1, seed=1),
-            SimSpec("single", base_config(), profile, UOPS, seed=2),
-            SimSpec("multicore", base_config(), profile, UOPS, seed=1),
+            SimSpec("single", resolve("M3D-Het").config, profile, UOPS, seed=1),
+            SimSpec("single", BASE, profile, UOPS + 1, seed=1),
+            SimSpec("single", BASE, profile, UOPS, seed=2),
+            SimSpec("multicore", BASE, profile, UOPS, seed=1),
         ]
         keys = {spec.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == 5  # every input perturbs the key
 
     def test_key_sensitive_to_profile(self):
         a, b = _profiles(2)
-        cfg = base_config()
+        cfg = BASE
         assert (
             SimSpec("single", cfg, a, UOPS).cache_key()
             != SimSpec("single", cfg, b, UOPS).cache_key()
@@ -89,7 +89,7 @@ class TestCacheKeys:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            SimSpec("both", base_config(), _profiles(1)[0], UOPS)
+            SimSpec("both", BASE, _profiles(1)[0], UOPS)
 
 
 class TestKeyFragmentMemo:
@@ -105,10 +105,10 @@ class TestKeyFragmentMemo:
     def test_report_suite_keys_match_reference(self):
         specs = suite_specs(
             "single", workloads.REPORT_UOPS, 1234,
-            single_core_configs(), spec_profiles(),
+            paper_single_core_configs(), spec_profiles(),
         ) + suite_specs(
             "multicore", workloads.REPORT_MULTICORE_UOPS, 1234,
-            multicore_configs(), parallel_profiles(),
+            paper_multicore_configs(), parallel_profiles(),
         )
         assert len(specs) == 21 * 6 + 15 * 5
         for _ in range(2):  # built, then served from the memo
@@ -131,12 +131,12 @@ class TestKeyFragmentMemo:
     def test_type_variants_keep_distinct_keys(self):
         # Dataclass equality says 1 == 1.0 == True and 0.0 == -0.0; the
         # canonical JSON does not, so neither may the memo.
-        configs = [dataclasses.replace(base_config(), vdd=vdd)
+        configs = [dataclasses.replace(BASE, vdd=vdd)
                    for vdd in (1.0, 1, True)]
         points = [DesignPoint(name="variant", stack="M3D",
                               top_layer_slowdown=slowdown)
                   for slowdown in (0.0, -0.0)]
-        nan = dataclasses.replace(base_config(), vdd=float("nan"))
+        nan = dataclasses.replace(BASE, vdd=float("nan"))
         parts = ([{"config": c} for c in configs]
                  + [{"point": p} for p in points] + [{"config": nan}]
                  + [{"config": configs[0], "extra": [1, {"b": 2.5, "a": None}],
@@ -159,7 +159,7 @@ class TestKeyFragmentMemo:
             return real(value)
 
         monkeypatch.setattr(cache_module, "_canonical", counting)
-        configs = [dataclasses.replace(base_config(), name=f"cap-{i}")
+        configs = [dataclasses.replace(BASE, name=f"cap-{i}")
                    for i in range(cap + 1)]
         keys = [make_key("cap", config=config) for config in configs]
         assert len(cache_module._PART_JSON) == cap
@@ -352,14 +352,14 @@ class TestEngineExecution:
     def test_single_simulation_is_cached(self):
         engine = ExperimentEngine(jobs=1)
         profile = _profiles(1)[0]
-        first = engine.simulate(base_config(), profile, UOPS)
-        second = engine.simulate(base_config(), profile, UOPS)
+        first = engine.simulate(BASE, profile, UOPS)
+        second = engine.simulate(BASE, profile, UOPS)
         assert first.cycles == second.cycles
         assert engine.cache.stats.stores == 1
 
     def test_results_survive_pickling(self):
         engine = ExperimentEngine(jobs=1)
-        result = engine.simulate(base_config(), _profiles(1)[0], UOPS)
+        result = engine.simulate(BASE, _profiles(1)[0], UOPS)
         clone = pickle.loads(pickle.dumps(result))
         assert clone.cycles == result.cycles
         assert clone.stats == result.stats
@@ -377,8 +377,8 @@ class TestEngineExecution:
         from repro.engine.sweep import execute_spec, execute_spec_group
 
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        config = (multicore_configs()[-1] if mode == "multicore"
-                  else base_config())
+        config = (paper_multicore_configs()[-1] if mode == "multicore"
+                  else BASE)
         spec = SimSpec(mode, config, profile, uops)
         results, used_kernel = execute_spec_group([spec])
         assert used_kernel
@@ -395,7 +395,7 @@ class TestSharding:
         configs = [
             dataclasses.replace(config, name=f"{config.name}-v{k}",
                                 rob_entries=config.rob_entries + k)
-            for k in range(2) for config in single_core_configs()
+            for k in range(2) for config in paper_single_core_configs()
         ][:width]
         specs = [SimSpec("single", config, _profiles(1)[0], UOPS)
                  for config in configs]

@@ -4,19 +4,16 @@ SRAM -> partition -> frequency -> simulator -> power -> thermal."""
 import pytest
 
 from repro.core import frequency as freqmod
-from repro.core.configs import (
-    base_config,
-    m3d_het_config,
-    m3d_iso_config,
-    multicore_configs,
-    single_core_configs,
-    tsv3d_config,
-)
 from repro.core.structures import core_structures
+from repro.design.resolve import (
+    paper_multicore_configs,
+    paper_single_core_configs,
+    resolve,
+)
 from repro.partition.planner import min_latency_reduction, plan_core
 from repro.power.core_power import power_model_for
 from repro.tech.process import stack_m3d_hetero, stack_m3d_iso
-from repro.thermal.hotspot import peak_temperature_2d, peak_temperature_m3d
+from repro.thermal.hotspot import peak_temperature_for
 from repro.uarch.multicore import run_parallel_tiles
 from repro.uarch.ooo import run_trace
 from repro.workloads.generator import generate_trace
@@ -53,8 +50,8 @@ class TestSimulatorChain:
         trace = generate_trace(spec_by_name()["Povray"], 6000)
         return {
             cfg.name: run_trace(cfg, trace)
-            for cfg in (base_config(), tsv3d_config(), m3d_iso_config(),
-                        m3d_het_config())
+            for cfg in (resolve(name).config
+                        for name in ("Base", "TSV3D", "M3D-Iso", "M3D-Het"))
         }
 
     def test_figure6_ordering_on_compute_app(self, povray_runs):
@@ -74,24 +71,24 @@ class TestSimulatorChain:
         assert tsv.cycles < base.cycles
 
     def test_energy_chain(self, povray_runs):
-        base_report = power_model_for(base_config()).evaluate(
+        base_report = power_model_for(resolve("Base").config).evaluate(
             povray_runs["Base"]
         )
-        het_report = power_model_for(m3d_het_config()).evaluate(
+        het_report = power_model_for(resolve("M3D-Het").config).evaluate(
             povray_runs["M3D-Het"]
         )
         assert het_report.normalized_to(base_report) < 0.85
 
     def test_thermal_chain(self, povray_runs):
-        base_power = power_model_for(base_config()).evaluate(
+        base_power = power_model_for(resolve("Base").config).evaluate(
             povray_runs["Base"]
         ).average_power
-        het_power = power_model_for(m3d_het_config()).evaluate(
+        het_power = power_model_for(resolve("M3D-Het").config).evaluate(
             povray_runs["M3D-Het"]
         ).average_power
         profile = spec_by_name()["Povray"]
-        base_t = peak_temperature_2d(base_power, profile, grid=8)
-        het_t = peak_temperature_m3d(het_power, profile, grid=8)
+        base_t = peak_temperature_for("Base", base_power, profile, grid=8)
+        het_t = peak_temperature_for("M3D-Het", het_power, profile, grid=8)
         assert het_t.peak_c > base_t.peak_c  # denser
         assert het_t.peak_c - base_t.peak_c < 15.0  # but thermally efficient
 
@@ -102,7 +99,7 @@ class TestMulticoreChain:
         results = {
             cfg.name: run_parallel_tiles([cfg] * cfg.num_cores, profile,
                                          12000)
-            for cfg in multicore_configs()
+            for cfg in paper_multicore_configs()
         }
         base = results["Base"]
         speedups = {
@@ -114,8 +111,8 @@ class TestMulticoreChain:
 
     def test_multicore_energy_chain(self):
         profile = parallel_by_name()["Fft"]
-        base_cfg = multicore_configs()[0]
-        het_cfg = multicore_configs()[2]
+        base_cfg = paper_multicore_configs()[0]
+        het_cfg = paper_multicore_configs()[2]
         base = run_parallel_tiles([base_cfg] * base_cfg.num_cores, profile,
                                   12000)
         het = run_parallel_tiles([het_cfg] * het_cfg.num_cores, profile,
@@ -129,8 +126,8 @@ class TestDeterminism:
     def test_end_to_end_reproducible(self):
         trace_a = generate_trace(spec_by_name()["Gcc"], 3000, seed=5)
         trace_b = generate_trace(spec_by_name()["Gcc"], 3000, seed=5)
-        run_a = run_trace(base_config(), trace_a)
-        run_b = run_trace(base_config(), trace_b)
+        run_a = run_trace(resolve("Base").config, trace_a)
+        run_b = run_trace(resolve("Base").config, trace_b)
         assert run_a.cycles == run_b.cycles
         assert run_a.stats.mispredictions == run_b.stats.mispredictions
 
@@ -138,7 +135,7 @@ class TestDeterminism:
 class TestAllConfigsRun:
     def test_every_single_core_config_simulates(self):
         trace = generate_trace(spec_by_name()["Hmmer"], 3000)
-        for cfg in single_core_configs():
+        for cfg in paper_single_core_configs():
             result = run_trace(cfg, trace)
             assert result.cycles > 0
             assert result.ipc > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.configs import base_config, m3d_het_config, m3d_iso_config
+from repro.design.resolve import resolve
 from repro.experiments.tables import (
     figure2,
     table1,
@@ -18,6 +18,9 @@ from repro.uarch.interval import (
     predict_speedup,
     workload_stats_from_sim,
 )
+
+BASE = resolve("Base").config
+ISO = resolve("M3D-Iso").config
 
 
 class TestIntervalModel:
@@ -36,10 +39,10 @@ class TestIntervalModel:
         )
 
     def test_cpi_positive(self):
-        assert predict_cpi(base_config(), self._compute_workload()) > 0
+        assert predict_cpi(BASE, self._compute_workload()) > 0
 
     def test_memory_bound_has_higher_cpi(self):
-        cfg = base_config()
+        cfg = BASE
         assert predict_cpi(cfg, self._memory_workload()) > predict_cpi(
             cfg, self._compute_workload()
         )
@@ -48,27 +51,27 @@ class TestIntervalModel:
         # The interval model must agree with the simulator's *direction*:
         # M3D-Iso is faster than Base on every workload.
         for workload in (self._compute_workload(), self._memory_workload()):
-            assert predict_speedup(m3d_iso_config(), base_config(), workload) > 1.0
+            assert predict_speedup(ISO, BASE, workload) > 1.0
 
     def test_compute_apps_gain_more(self):
         compute = predict_speedup(
-            m3d_iso_config(), base_config(), self._compute_workload()
+            ISO, BASE, self._compute_workload()
         )
         memory = predict_speedup(
-            m3d_iso_config(), base_config(), self._memory_workload()
+            ISO, BASE, self._memory_workload()
         )
         assert compute > memory
 
     def test_het_between_base_and_iso(self):
         workload = self._compute_workload()
-        het = predict_speedup(m3d_het_config(), base_config(), workload)
-        iso = predict_speedup(m3d_iso_config(), base_config(), workload)
+        het = predict_speedup(resolve("M3D-Het").config, BASE, workload)
+        iso = predict_speedup(ISO, BASE, workload)
         assert 1.0 < het <= iso + 1e-9
 
     def test_runtime_scales_with_instructions(self):
         workload = self._compute_workload()
-        assert predict_runtime(base_config(), workload, 2000) == pytest.approx(
-            2 * predict_runtime(base_config(), workload, 1000)
+        assert predict_runtime(BASE, workload, 2000) == pytest.approx(
+            2 * predict_runtime(BASE, workload, 1000)
         )
 
     def test_workload_stats_from_sim(self):
@@ -77,7 +80,7 @@ class TestIntervalModel:
         from repro.workloads.spec import spec_profiles
 
         result = run_trace(
-            base_config(), generate_trace(spec_profiles()[0], 800)
+            BASE, generate_trace(spec_profiles()[0], 800)
         )
         workload = workload_stats_from_sim(result)
         uops = result.stats.uops
@@ -116,7 +119,7 @@ class TestIntervalCrosscheck:
         import dataclasses
 
         return dataclasses.replace(
-            base_config(), name="improved", load_to_use_cycles=3,
+            BASE, name="improved", load_to_use_cycles=3,
             branch_mispredict_cycles=10,
         )
 
@@ -125,7 +128,7 @@ class TestIntervalCrosscheck:
 
         # Measured CPI falls and the interval model predicts a fall too.
         message = interval_crosscheck(
-            self._improved_config(), base_config(),
+            self._improved_config(), BASE,
             run=self._fake_run(900, 1000), base_run=self._fake_run(1000, 1000),
             label="agree",
         )
@@ -136,7 +139,7 @@ class TestIntervalCrosscheck:
 
         # A 1% measured rise is inside the noise floor: no verdict.
         message = interval_crosscheck(
-            self._improved_config(), base_config(),
+            self._improved_config(), BASE,
             run=self._fake_run(1010, 1000),
             base_run=self._fake_run(1000, 1000),
             label="flat",
@@ -149,7 +152,7 @@ class TestIntervalCrosscheck:
         # The interval model predicts a fall (shorter branch loop and
         # load-to-use) but the cycle model measured a 20% rise.
         message = interval_crosscheck(
-            self._improved_config(), base_config(),
+            self._improved_config(), BASE,
             run=self._fake_run(1200, 1000),
             base_run=self._fake_run(1000, 1000),
             label="clash/app",

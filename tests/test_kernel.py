@@ -16,10 +16,10 @@ import os
 
 import pytest
 
-from repro.core.configs import (
-    base_config,
-    multicore_configs,
-    single_core_configs,
+from repro.design.resolve import (
+    paper_multicore_configs,
+    paper_single_core_configs,
+    resolve,
 )
 from repro.golden import TRACE_CASES, load_golden, trace_digest
 from repro.uarch import kernel
@@ -33,9 +33,6 @@ from repro.uarch.ooo import run_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.parallel import parallel_profiles
 from repro.workloads.spec import spec_profiles
-
-if os.environ.get("REPRO_KERNEL") in ("0", "false", "off", "no"):
-    pytest.skip("kernel disabled via $REPRO_KERNEL", allow_module_level=True)
 
 
 def _fresh_trace(profile, uops, seed=1234, thread=None):
@@ -52,7 +49,7 @@ def _fresh_trace(profile, uops, seed=1234, thread=None):
 @pytest.mark.parametrize("profile_index", [0, 4, 9])
 def test_batch_matches_oracle_paper_configs(profile_index):
     profile = spec_profiles()[profile_index]
-    configs = single_core_configs()
+    configs = paper_single_core_configs()
     trace = _fresh_trace(profile, 1500)
     oracle = [run_trace(config, trace) for config in configs]
     batched = run_trace_batch(configs, _fresh_trace(profile, 1500))
@@ -61,7 +58,7 @@ def test_batch_matches_oracle_paper_configs(profile_index):
 
 def test_batch_matches_oracle_edge_configs():
     """Narrow widths, hetero penalty, shared L2, tiny queues."""
-    base = base_config()
+    base = resolve("Base").config
     configs = [
         base,
         dataclasses.replace(base, name="narrow", dispatch_width=1,
@@ -84,13 +81,13 @@ def test_batch_matches_oracle_edge_configs():
 def test_batch_rejects_empty_widths_and_queues(field):
     """The compiled loop indexes its histories by queue depth and width;
     a zero would read entries no op has written, so it is refused."""
-    config = dataclasses.replace(base_config(), **{field: 0})
+    config = dataclasses.replace(resolve("Base").config, **{field: 0})
     with pytest.raises(ValueError, match=field):
         run_trace_batch([config], _fresh_trace(spec_profiles()[0], 200))
 
 
 def test_batch_preserves_config_order_and_duplicates():
-    configs = single_core_configs()
+    configs = paper_single_core_configs()
     shuffled = [configs[3], configs[0], configs[3], configs[5]]
     profile = spec_profiles()[1]
     trace = _fresh_trace(profile, 800)
@@ -102,7 +99,7 @@ def test_batch_preserves_config_order_and_duplicates():
 
 def test_simulate_core_matches_oracle_single():
     """The per-core primitive agrees with the oracle on its own."""
-    config = base_config()
+    config = resolve("Base").config
     profile = spec_profiles()[0]
     trace = _fresh_trace(profile, 1000)
     expected = run_trace(config, trace)
@@ -125,7 +122,7 @@ def test_dispatch_boundary_widths(width, monkeypatch):
                                  *rest)
 
     monkeypatch.setattr(kernel, "_time_configs", spy)
-    base = base_config()
+    base = resolve("Base").config
     configs = [
         dataclasses.replace(base, name=f"b{k}", shared_l2=bool(k % 2),
                             rob_entries=base.rob_entries + k)
@@ -151,7 +148,7 @@ def test_windows_across_prunes_match_oracle():
     from repro.workloads.spec import spec_by_name
 
     profile = spec_by_name()["Xalancbmk"]
-    base = base_config()
+    base = resolve("Base").config
     narrow = dataclasses.replace(base, name="narrow", dispatch_width=1,
                                  issue_width=1, commit_width=1)
     configs = [
@@ -256,7 +253,7 @@ def test_prefix_shares_its_stream():
     arrays = kernel.decode(prefix)
     for name in ("codes", "src1", "src2"):
         assert np.shares_memory(getattr(arrays, name), getattr(prefix, name))
-    configs = single_core_configs()
+    configs = paper_single_core_configs()
     assert run_trace_batch(configs, prefix) == run_trace_batch(
         configs, _fresh_trace(profile, n, thread=1))
 
@@ -268,7 +265,7 @@ def test_replay_geometry_is_the_hierarchy_geometry(shared_l2):
     from repro.uarch.cache import CacheHierarchy
 
     hierarchy = CacheHierarchy(
-        dataclasses.replace(base_config(), shared_l2=shared_l2)
+        dataclasses.replace(resolve("Base").config, shared_l2=shared_l2)
     )
     assert kernel._geometry(shared_l2).tolist() == [
         [level.sets, level.ways, level.line_bytes]
@@ -330,14 +327,14 @@ def test_a_new_build_removes_stale_builds(tmp_path):
 _BUILD_AND_TIME = """
 import sys
 from pathlib import Path
-from repro.core.configs import single_core_configs
+from repro.design.resolve import paper_single_core_configs
 from repro.uarch import kernel
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec import spec_profiles
 
 kernel._BUILD_DIR = Path(sys.argv[1])
 trace = generate_trace(spec_profiles()[3], 600, seed=7)
-print(repr(kernel.run_trace_batch(single_core_configs(), trace)))
+print(repr(kernel.run_trace_batch(paper_single_core_configs(), trace)))
 """
 
 
@@ -390,7 +387,7 @@ def test_kernel_enabled_env(monkeypatch):
 @pytest.mark.parametrize("profile_index", [0, 2])
 def test_parallel_batch_matches_run_parallel(profile_index):
     profile = parallel_profiles()[profile_index]
-    configs = multicore_configs()
+    configs = paper_multicore_configs()
     oracle = [run_parallel_tiles([config] * config.num_cores, profile, 2400,
                                  seed=1234)
               for config in configs]
@@ -400,7 +397,7 @@ def test_parallel_batch_matches_run_parallel(profile_index):
 
 def test_parallel_batch_rejects_serial_profiles():
     with pytest.raises(ValueError):
-        run_parallel_batch(multicore_configs(), spec_profiles()[0], 1000)
+        run_parallel_batch(paper_multicore_configs(), spec_profiles()[0], 1000)
 
 
 def test_kernel_path_builds_no_micro_ops(monkeypatch):
@@ -423,9 +420,9 @@ def test_kernel_path_builds_no_micro_ops(monkeypatch):
     MicroOp(op=OpClass.ALU)
     assert built == [OpClass.ALU]  # the counter sees construction
     built.clear()
-    run_trace_batch(single_core_configs(),
+    run_trace_batch(paper_single_core_configs(),
                     _fresh_trace(spec_profiles()[1], 800))
-    run_parallel_batch(multicore_configs(), parallel_profiles()[1], 2400)
+    run_parallel_batch(paper_multicore_configs(), parallel_profiles()[1], 2400)
     assert built == []
     for memo in (multicore._MC_TRACE_MEMO, multicore._MC_STREAM_MEMO,
                  multicore._MC_IMAGE_MEMO):
@@ -451,18 +448,19 @@ def test_figure6_identical_with_kernel_disabled(monkeypatch):
     assert with_kernel == without_kernel
 
 
-def test_engine_telemetry_counts_kernel_batches():
+def test_engine_telemetry_counts_kernel_batches(monkeypatch):
     from repro.engine.sweep import ExperimentEngine
 
     from repro.obs import run_record
 
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     eng = ExperimentEngine(jobs=1, cache_dir=None)
     with run_record() as record:
         eng.single_core_runs(700, profiles=spec_profiles()[:2])
     summary = record.kernel_summary()
     assert summary["groups"] == 2  # one batch per profile
-    assert summary["batched_specs"] == 2 * len(single_core_configs())
-    assert summary["max_width"] == len(single_core_configs())
+    assert summary["batched_specs"] == 2 * len(paper_single_core_configs())
+    assert summary["max_width"] == len(paper_single_core_configs())
     assert summary["fallback_specs"] == 0
 
 
@@ -494,17 +492,18 @@ def test_generated_trace_digests_pinned(case):
 # ---------------------------------------------------------------------------
 
 
-def test_manifest_kernel_section_roundtrip():
+def test_manifest_kernel_section_roundtrip(monkeypatch):
     from repro.engine.sweep import ExperimentEngine
     from repro.obs import build_manifest, run_record, validate_manifest
 
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     eng = ExperimentEngine(jobs=1, cache_dir=None)
     with run_record() as record:
         eng.single_core_runs(600, profiles=spec_profiles()[:1])
     manifest = build_manifest("test", record, engine=eng)
     assert validate_manifest(manifest) == []
     assert manifest["kernel"]["summary"]["batched_specs"] == len(
-        single_core_configs()
+        paper_single_core_configs()
     )
     assert all(batch["used_kernel"]
                for batch in manifest["kernel"]["batches"])
@@ -529,7 +528,7 @@ def test_manifest_rejects_malformed_kernel_section():
 
 
 def test_kernel_results_carry_tracked_limiter_cycles():
-    configs = single_core_configs()
+    configs = paper_single_core_configs()
     profile = spec_profiles()[0]
     trace = _fresh_trace(profile, 800)
     oracle = [run_trace(config, trace) for config in configs]

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.core.configs import base_config, single_core_configs
+from repro.design.resolve import paper_single_core_configs, resolve
 from repro.engine import ExperimentEngine
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
@@ -33,7 +33,7 @@ UOPS = 600
 def _small_sweep(engine: ExperimentEngine) -> None:
     engine.single_core_runs(
         UOPS,
-        configs=single_core_configs()[:2],
+        configs=paper_single_core_configs()[:2],
         profiles=spec_profiles()[:2],
     )
 
@@ -66,7 +66,7 @@ class TestStallAttribution:
     def test_counters_present_and_nonzero(self):
         profile = spec_profiles()[0]
         trace = generate_trace(profile, 2000, seed=1234)
-        result = run_trace(base_config(), trace)
+        result = run_trace(resolve("Base").config, trace)
         stalls = result.stats.stall_cycles
         assert set(stalls) == set(STALL_CAUSES)
         assert all(v >= 0 for v in stalls.values())
@@ -75,7 +75,7 @@ class TestStallAttribution:
     def test_hit_rate_counters(self):
         profile = spec_profiles()[0]
         trace = generate_trace(profile, 2000, seed=1234)
-        result = run_trace(base_config(), trace)
+        result = run_trace(resolve("Base").config, trace)
         assert 0.0 <= result.stats.branch_accuracy <= 1.0
         rates = result.stats.cache_hit_rates()
         assert rates  # loads happened
@@ -83,7 +83,7 @@ class TestStallAttribution:
 
     def test_multicore_aggregates_stalls(self):
         water = parallel_by_name()["Water-Spatial"]
-        result = run_parallel_tiles([base_config(num_cores=4)] * 4, water,
+        result = run_parallel_tiles([resolve("Base-4C").config] * 4, water,
                                     8000)
         totals = result.stall_cycles
         assert set(totals) == set(STALL_CAUSES)
@@ -335,10 +335,9 @@ class TestTraceMemoRegression:
             profile, hot_frac=max(0.0, profile.hot_frac - 0.3)
         )
         engine = ExperimentEngine(jobs=1)
-        engine.simulate(base_config(), profile, UOPS)  # populates the memo
-        via_engine = engine.simulate(base_config(), variant, UOPS)
-        expected = run_trace(
-            base_config(), generate_trace(variant, UOPS, seed=1234)
-        )
+        base = resolve("Base").config
+        engine.simulate(base, profile, UOPS)  # populates the memo
+        via_engine = engine.simulate(base, variant, UOPS)
+        expected = run_trace(base, generate_trace(variant, UOPS, seed=1234))
         assert via_engine.cycles == expected.cycles
         assert via_engine.stats == expected.stats

@@ -14,7 +14,7 @@ import signal
 
 import pytest
 
-from repro.core.configs import single_core_configs
+from repro.design.resolve import paper_single_core_configs
 from repro.engine import pool
 from repro.engine import sweep as sweep_module
 from repro.engine.sweep import ExperimentEngine, SimSpec
@@ -33,7 +33,7 @@ _SENTINEL_ENV = "REPRO_TEST_CRASH_SENTINEL"
 
 
 def _specs(width=6, uops=500, profiles=2):
-    configs = single_core_configs()[:width]
+    configs = paper_single_core_configs()[:width]
     return [
         SimSpec("single", config, profile, uops)
         for profile in spec_profiles()[:profiles]

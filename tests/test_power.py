@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.configs import (
-    base_config,
-    m3d_het_2x_config,
-    m3d_het_config,
-    tsv3d_config,
-)
+from repro.design.resolve import resolve
 from repro.power.clocktree import ClockTree, clock_energy_ratio
 from repro.power.core_power import CorePowerModel, power_model_for
 from repro.power.dvfs import (
@@ -26,11 +21,15 @@ from repro.uarch.ooo import run_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec import spec_by_name
 
+BASE = resolve("Base").config
+TSV = resolve("TSV3D").config
+HET = resolve("M3D-Het").config
+
 
 @pytest.fixture(scope="module")
 def gamess_runs():
     trace = generate_trace(spec_by_name()["Gamess"], 6000)
-    configs = [base_config(), tsv3d_config(), m3d_het_config()]
+    configs = [BASE, TSV, HET]
     return {cfg.name: run_trace(cfg, trace) for cfg in configs}
 
 
@@ -80,36 +79,36 @@ class TestVddScaling:
 
 class TestCorePower:
     def test_base_power_near_6_4w(self, gamess_runs):
-        report = power_model_for(base_config()).evaluate(gamess_runs["Base"])
+        report = power_model_for(BASE).evaluate(gamess_runs["Base"])
         assert 3.0 < report.average_power < 11.0
 
     def test_m3d_energy_below_base(self, gamess_runs):
-        base = power_model_for(base_config()).evaluate(gamess_runs["Base"])
-        m3d = power_model_for(m3d_het_config()).evaluate(gamess_runs["M3D-Het"])
+        base = power_model_for(BASE).evaluate(gamess_runs["Base"])
+        m3d = power_model_for(HET).evaluate(gamess_runs["M3D-Het"])
         ratio = m3d.normalized_to(base)
         assert 0.5 < ratio < 0.85
 
     def test_tsv_between_m3d_and_base(self, gamess_runs):
-        base = power_model_for(base_config()).evaluate(gamess_runs["Base"])
-        tsv = power_model_for(tsv3d_config()).evaluate(gamess_runs["TSV3D"])
-        m3d = power_model_for(m3d_het_config()).evaluate(gamess_runs["M3D-Het"])
+        base = power_model_for(BASE).evaluate(gamess_runs["Base"])
+        tsv = power_model_for(TSV).evaluate(gamess_runs["TSV3D"])
+        m3d = power_model_for(HET).evaluate(gamess_runs["M3D-Het"])
         assert m3d.total < tsv.total < base.total
 
     def test_components_positive(self, gamess_runs):
-        report = power_model_for(base_config()).evaluate(gamess_runs["Base"])
+        report = power_model_for(BASE).evaluate(gamess_runs["Base"])
         for value in (report.arrays, report.logic, report.wires,
                       report.clock, report.leakage, report.uncore):
             assert value > 0
 
     def test_total_is_sum(self, gamess_runs):
-        report = power_model_for(base_config()).evaluate(gamess_runs["Base"])
+        report = power_model_for(BASE).evaluate(gamess_runs["Base"])
         assert report.total == pytest.approx(report.dynamic + report.leakage)
 
     def test_lower_vdd_lowers_energy(self, gamess_runs):
-        nominal = CorePowerModel(m3d_het_config()).evaluate(
+        nominal = CorePowerModel(HET).evaluate(
             gamess_runs["M3D-Het"]
         )
-        low_v = CorePowerModel(m3d_het_2x_config()).evaluate(
+        low_v = CorePowerModel(resolve("M3D-Het-2X").config).evaluate(
             gamess_runs["M3D-Het"]
         )
         assert low_v.dynamic < nominal.dynamic

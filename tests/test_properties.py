@@ -191,13 +191,13 @@ _CONFIG_STRATEGY = st.builds(
 
 
 def _random_config(index, fields):
-    from repro.core.configs import base_config
+    from repro.design.resolve import resolve
 
     fields = dict(fields)
     dispatch = fields.pop("dispatch_width")
     issue = dispatch + fields.pop("extra_issue")
     return dataclasses.replace(
-        base_config(), name=f"prop{index}", dispatch_width=dispatch,
+        resolve("Base").config, name=f"prop{index}", dispatch_width=dispatch,
         issue_width=issue, commit_width=dispatch, **fields,
     )
 
@@ -287,14 +287,14 @@ def _reference_replay(traces, shared_l2):
     """Per-core ``(fetch levels, load levels, remote flags, level
     counts)`` from :class:`CacheHierarchy` run core after core through one
     :class:`CoherenceDirectory`, and its transfer count."""
-    from repro.core.configs import base_config
+    from repro.design.resolve import resolve
     from repro.uarch.cache import CacheHierarchy, CoherenceDirectory
     from repro.uarch.isa import OP_CODE, OpClass
     from repro.uarch.ooo import FETCH_BLOCK_UOPS
 
     load, store = OP_CODE[OpClass.LOAD], OP_CODE[OpClass.STORE]
     levels = ("L1", "L2", "L3", "DRAM")
-    config = dataclasses.replace(base_config(), shared_l2=shared_l2)
+    config = dataclasses.replace(resolve("Base").config, shared_l2=shared_l2)
     directory = CoherenceDirectory() if len(traces) > 1 else None
     replays = []
     for core_id, trace in enumerate(traces):
@@ -395,11 +395,11 @@ def test_compiled_replay_matches_the_models(trace):
     """``replay_memory`` under both L2 geometries and ``branch_outcomes``
     equal a replay through ``CacheHierarchy`` and
     ``TournamentPredictor``."""
-    from repro.core.configs import base_config
+    from repro.design.resolve import resolve
     from repro.uarch import kernel
 
     for shared_l2 in (False, True):
-        config = dataclasses.replace(base_config(), shared_l2=shared_l2)
+        config = dataclasses.replace(resolve("Base").config, shared_l2=shared_l2)
         (expected,), _ = _reference_replay([trace], shared_l2)
         assert _image_tuple(kernel.replay_memory(trace, config)) == expected
     outcomes, mispredictions = kernel.branch_outcomes(trace)
@@ -414,10 +414,10 @@ def test_compiled_replay_matches_the_models(trace):
 def test_compiled_coherence_matches_the_directory(traces, shared_l2):
     """A 2-4 core group replayed core by core through one ``OwnerTable``
     gives the directory's levels, remote flags and transfer count."""
-    from repro.core.configs import base_config
+    from repro.design.resolve import resolve
     from repro.uarch import kernel
 
-    config = dataclasses.replace(base_config(), shared_l2=shared_l2)
+    config = dataclasses.replace(resolve("Base").config, shared_l2=shared_l2)
     expected, transfers = _reference_replay(traces, shared_l2)
     table = kernel.OwnerTable(traces)
     images = [
@@ -523,10 +523,10 @@ def test_thermal_maximum_principle(power):
 @settings(deadline=None, max_examples=10)
 @given(power=st.floats(min_value=1.0, max_value=10.0))
 def test_thermal_tsv_always_hotter_than_m3d(power):
-    from repro.thermal.hotspot import peak_temperature_m3d, peak_temperature_tsv3d
+    from repro.thermal.hotspot import peak_temperature_for
 
-    m3d = peak_temperature_m3d(power, grid=6)
-    tsv = peak_temperature_tsv3d(power, grid=6)
+    m3d = peak_temperature_for("M3D-Het", power, grid=6)
+    tsv = peak_temperature_for("TSV3D", power, grid=6)
     assert tsv.peak_c > m3d.peak_c
 
 

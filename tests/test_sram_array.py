@@ -211,7 +211,8 @@ class TestSolve2dMemo:
 
         monkeypatch.setattr(array, "_search_2d", counting_search)
         monkeypatch.setattr(strategies, "solve_2d", recording_solve)
-        resolve_module.resolve_many(registered_points())
+        for point in registered_points():
+            resolve_module.resolve(point)
         fresh = {}
         for geometry, kwargs, result in solved:
             key = (geometry, tuple(sorted(kwargs.items())))

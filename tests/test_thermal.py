@@ -10,11 +10,7 @@ from repro.thermal.floorplan import (
     floorplan_folded,
 )
 from repro.thermal.grid import solve_floorplans, solve_stack
-from repro.thermal.hotspot import (
-    peak_temperature_2d,
-    peak_temperature_m3d,
-    peak_temperature_tsv3d,
-)
+from repro.thermal.hotspot import peak_temperature_for
 from repro.thermal.stack import (
     ThermalLayer,
     stack_2d_thermal,
@@ -106,8 +102,8 @@ class TestSolver:
         assert solution.peak_delta_c == pytest.approx(0.0, abs=1e-6)
 
     def test_more_power_hotter(self):
-        cool = peak_temperature_2d(4.0, grid=8)
-        hot = peak_temperature_2d(8.0, grid=8)
+        cool = peak_temperature_for("Base", 4.0, grid=8)
+        hot = peak_temperature_for("Base", 8.0, grid=8)
         assert hot.peak_c > cool.peak_c
 
     def test_floorplan_count_checked(self):
@@ -122,7 +118,7 @@ class TestReportMemo:
     def test_repeat_is_the_fresh_report_without_a_solve(self, monkeypatch):
         monkeypatch.setattr(hotspot, "_REPORTS", LruMemo(cap=8))
         profile = spec_by_name()["Gems"]
-        first = peak_temperature_m3d(6.4, profile, grid=8)
+        first = peak_temperature_for("M3D-Het", 6.4, profile, grid=8)
         solves = []
         real = hotspot.solve_floorplans
 
@@ -131,12 +127,12 @@ class TestReportMemo:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hotspot, "solve_floorplans", counting)
-        assert peak_temperature_m3d(6.4, profile, grid=8) is first
+        assert peak_temperature_for("M3D-Het", 6.4, profile, grid=8) is first
         assert solves == []
         assert first == hotspot._solve_design("M3D-Het", "M3D", 6.4,
                                               profile, 8)
         # Any other input is a new solve.
-        assert peak_temperature_m3d(6.4, profile, grid=10) != first
+        assert peak_temperature_for("M3D-Het", 6.4, profile, grid=10) != first
         assert len(solves) == 2
 
     def test_memo_holds_at_its_cap(self, monkeypatch):
@@ -151,48 +147,48 @@ class TestReportMemo:
 
         monkeypatch.setattr(hotspot, "_solve_design", fake_solve)
         for power in range(cap + 1):
-            peak_temperature_2d(float(power), grid=8)
+            peak_temperature_for("Base", float(power), grid=8)
         assert len(hotspot._REPORTS) == cap and len(solves) == cap + 1
         # The newest report is still cached; the oldest was evicted.
-        peak_temperature_2d(float(cap), grid=8)
+        peak_temperature_for("Base", float(cap), grid=8)
         assert len(solves) == cap + 1
-        assert peak_temperature_2d(0.0, grid=8) == ("Base", "2D", 0.0,
-                                                    None, 8)
+        assert peak_temperature_for("Base", 0.0, grid=8) == (
+            "Base", "2D", 0.0, None, 8)
         assert len(solves) == cap + 2 and len(hotspot._REPORTS) == cap
 
 
 class TestFigure8Physics:
     def test_ordering_base_m3d_tsv(self):
-        base = peak_temperature_2d(6.4, grid=10)
-        m3d = peak_temperature_m3d(6.4, grid=10)
-        tsv = peak_temperature_tsv3d(6.4, grid=10)
+        base = peak_temperature_for("Base", 6.4, grid=10)
+        m3d = peak_temperature_for("M3D-Het", 6.4, grid=10)
+        tsv = peak_temperature_for("TSV3D", 6.4, grid=10)
         assert base.peak_c < m3d.peak_c < tsv.peak_c
 
     def test_m3d_delta_small(self):
         # Section 7.1.3: M3D-Het is ~5C above Base on average, <=10C max.
         # At *equal* power this is a stress case (the real M3D core draws
         # ~24% less); the delta must still stay far below TSV3D's ~+30C.
-        base = peak_temperature_2d(6.4, grid=10)
-        m3d = peak_temperature_m3d(6.4, grid=10)
+        base = peak_temperature_for("Base", 6.4, grid=10)
+        m3d = peak_temperature_for("M3D-Het", 6.4, grid=10)
         assert m3d.peak_c - base.peak_c < 24.0
-        realistic = peak_temperature_m3d(6.4 * 0.76, grid=10)
+        realistic = peak_temperature_for("M3D-Het", 6.4 * 0.76, grid=10)
         assert realistic.peak_c - base.peak_c < 11.0
 
     def test_tsv_delta_large(self):
         # TSV3D averages ~+30C.
-        base = peak_temperature_2d(6.4, grid=10)
-        tsv = peak_temperature_tsv3d(6.4, grid=10)
+        base = peak_temperature_for("Base", 6.4, grid=10)
+        tsv = peak_temperature_for("TSV3D", 6.4, grid=10)
         assert tsv.peak_c - base.peak_c > 15.0
 
     def test_tsv_bottom_die_is_the_hot_one(self):
-        tsv = peak_temperature_tsv3d(6.4, grid=10)
+        tsv = peak_temperature_for("TSV3D", 6.4, grid=10)
         assert tsv.bottom_layer_peak_c > tsv.top_layer_peak_c
 
     def test_m3d_layers_tightly_coupled(self):
         # "the temperature variation across layers is small."
-        m3d = peak_temperature_m3d(6.4, grid=10)
+        m3d = peak_temperature_for("M3D-Het", 6.4, grid=10)
         assert abs(m3d.bottom_layer_peak_c - m3d.top_layer_peak_c) < 3.0
 
     def test_tsv_exceeds_tjmax_when_hot(self):
-        tsv = peak_temperature_tsv3d(8.0, grid=10)
+        tsv = peak_temperature_for("TSV3D", 8.0, grid=10)
         assert tsv.exceeds_tjmax

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.configs import base_config, m3d_het_config
+from repro.design.resolve import resolve
 from repro.lru import LruMemo
 from repro.uarch import cache as cache_module
 from repro.uarch.cache import (
@@ -14,6 +14,8 @@ from repro.uarch.cache import (
 )
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec import spec_by_name
+
+BASE = resolve("Base").config
 
 
 class TestSetAssociative:
@@ -50,7 +52,7 @@ class TestSetAssociative:
 
 class TestHierarchy:
     def test_latencies_match_config(self):
-        cfg = base_config()
+        cfg = BASE
         caches = CacheHierarchy(cfg)
         miss = caches.data_access(1 << 30)
         assert miss.level == "DRAM"
@@ -61,17 +63,17 @@ class TestHierarchy:
 
     def test_m3d_dram_costs_more_cycles(self):
         # Same 50ns, more cycles at 3.7+ GHz.
-        base = CacheHierarchy(base_config()).data_access(1 << 30)
-        m3d = CacheHierarchy(m3d_het_config()).data_access(1 << 30)
+        base = CacheHierarchy(BASE).data_access(1 << 30)
+        m3d = CacheHierarchy(resolve("M3D-Het").config).data_access(1 << 30)
         assert m3d.latency > base.latency
 
     def test_shared_l2_capacity_doubles(self):
-        private = CacheHierarchy(base_config())
-        shared = CacheHierarchy(m3d_het_config(num_cores=4))
+        private = CacheHierarchy(BASE)
+        shared = CacheHierarchy(resolve("M3D-Het-4C").config)
         assert shared.l2.sets == 2 * private.l2.sets
 
     def test_prefetcher_covers_streams(self):
-        caches = CacheHierarchy(base_config())
+        caches = CacheHierarchy(BASE)
         # Walk sequential lines: after the first miss, the prefetcher keeps
         # the next lines in L2.
         levels = [caches.data_access(64 * i).level for i in range(32)]
@@ -79,13 +81,13 @@ class TestHierarchy:
         assert dram < 12  # far fewer than 32 without a prefetcher
 
     def test_preload_establishes_residency(self):
-        caches = CacheHierarchy(base_config())
+        caches = CacheHierarchy(BASE)
         lines = [4096 + 64 * i for i in range(32)]
         caches.preload(lines, [])
         assert caches.data_access(4096).level == "L1"
 
     def test_preload_code_last_wins_l2(self):
-        caches = CacheHierarchy(base_config())
+        caches = CacheHierarchy(BASE)
         data = [1 << 20 | (64 * i) for i in range(8192)]  # 512KB of data
         code = [4096 + 32 * i for i in range(256)]  # 8KB of code
         caches.preload(data, code)
@@ -93,17 +95,17 @@ class TestHierarchy:
 
     def test_preload_needs_an_untouched_hierarchy(self):
         lines = [4096 + 64 * i for i in range(32)]
-        twice = CacheHierarchy(base_config())
+        twice = CacheHierarchy(BASE)
         twice.preload(lines, [])
         with pytest.raises(ValueError, match="untouched"):
             twice.preload(lines, [])
-        touched = CacheHierarchy(base_config())
+        touched = CacheHierarchy(BASE)
         touched.data_access(1 << 30)
         with pytest.raises(ValueError, match="untouched"):
             touched.preload(lines, [])
 
     def test_fetch_path_levels(self):
-        caches = CacheHierarchy(base_config())
+        caches = CacheHierarchy(BASE)
         first = caches.fetch(1 << 25)
         assert first.level == "DRAM"
         assert caches.fetch(1 << 25).level == "L1"
@@ -112,7 +114,7 @@ class TestHierarchy:
 class TestCoherence:
     def test_remote_dirty_costs_transfer(self):
         directory = CoherenceDirectory()
-        cfg = base_config(num_cores=2)
+        cfg = resolve("Base", num_cores=2).config
         core0 = CacheHierarchy(cfg, core_id=0, coherence=directory)
         core1 = CacheHierarchy(cfg, core_id=1, coherence=directory)
         core0.data_access(4096, is_store=True)
@@ -122,7 +124,7 @@ class TestCoherence:
 
     def test_own_line_free(self):
         directory = CoherenceDirectory()
-        cfg = base_config()
+        cfg = BASE
         core0 = CacheHierarchy(cfg, core_id=0, coherence=directory)
         core0.data_access(4096, is_store=True)
         core0.data_access(4096)
@@ -130,7 +132,7 @@ class TestCoherence:
 
     def test_store_claims_ownership(self):
         directory = CoherenceDirectory()
-        cfg = base_config(num_cores=2)
+        cfg = resolve("Base", num_cores=2).config
         core0 = CacheHierarchy(cfg, core_id=0, coherence=directory)
         core1 = CacheHierarchy(cfg, core_id=1, coherence=directory)
         core0.data_access(4096, is_store=True)
@@ -166,7 +168,7 @@ class TestPerLevelWarmSnapshots:
         trace = generate_trace(spec_by_name()["Hmmer"], 200)
         data, code = trace.resident_data, trace.resident_code
         for shared_l2 in (False, True):
-            config = dataclasses.replace(base_config(), shared_l2=shared_l2)
+            config = dataclasses.replace(BASE, shared_l2=shared_l2)
             hierarchy = CacheHierarchy(config)
             hierarchy.preload(data, code)
             cold = CacheHierarchy(config)
@@ -178,7 +180,7 @@ class TestPerLevelWarmSnapshots:
                 assert level._lines == self.replayed(reference, streams), (
                     level.name, shared_l2)
                 assert level.accesses == level.misses == 0
-        shape = CacheHierarchy(base_config())
+        shape = CacheHierarchy(BASE)
         for level in (shape.il1, shape.dl1, shape.l3):
             assert builds.count((level.sets, level.ways)) == 1, level.name
         assert len(builds) == 5  # IL1, DL1, L3 and one L2 per geometry
@@ -192,13 +194,13 @@ class TestPerLevelWarmSnapshots:
         def levels(hierarchy):
             return (hierarchy.il1, hierarchy.dl1, hierarchy.l2, hierarchy.l3)
 
-        first = CacheHierarchy(base_config())
+        first = CacheHierarchy(BASE)
         first.preload(data, code)
         warm = [[list(line) for line in level._lines]
                 for level in levels(first)]
         for level in levels(first):
             level.access(1 << 30)  # mutate the restored per-set lists
-        second = CacheHierarchy(base_config())
+        second = CacheHierarchy(BASE)
         second.preload(data, code)
         assert [level._lines for level in levels(second)] == warm
 
@@ -208,5 +210,5 @@ class TestPerLevelWarmSnapshots:
         code = [4096 + 32 * i for i in range(64)]
         for k in range(3):
             data = [((k + 1) << 34) + 64 * i for i in range(64)]
-            CacheHierarchy(base_config()).preload(data, code)
+            CacheHierarchy(BASE).preload(data, code)
             assert len(memo) == 3

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.configs import base_config, m3d_het_2x_config, m3d_het_config
+from repro.design.resolve import resolve
 from repro.obs import ModelDisagreementWarning
 from repro.uarch import multicore
 from repro.uarch.multicore import (
@@ -24,6 +24,10 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.parallel import parallel_by_name
 from repro.workloads.spec import spec_by_name
 
+BASE = resolve("Base").config
+HET = resolve("M3D-Het").config
+HET_2X = resolve("M3D-Het-2X").config
+
 
 @pytest.fixture(scope="module")
 def water():
@@ -32,7 +36,7 @@ def water():
 
 @pytest.fixture(scope="module")
 def base4():
-    return base_config(num_cores=4)
+    return resolve("Base-4C").config
 
 
 class TestRingNoc:
@@ -89,18 +93,18 @@ class TestMulticore:
 
     def test_more_cores_less_per_core_work(self, water, base4):
         four = run_parallel_tiles([base4] * 4, water, 16000)
-        eight = run_parallel_tiles([m3d_het_2x_config()] * 8, water, 16000)
+        eight = run_parallel_tiles([HET_2X] * 8, water, 16000)
         assert eight.per_core[0].stats.uops < four.per_core[0].stats.uops
 
     def test_het_2x_near_double(self, water, base4):
         # The headline result: twice the cores at iso power -> ~1.9x.
         base = run_parallel_tiles([base4] * 4, water, 16000)
-        twice = run_parallel_tiles([m3d_het_2x_config()] * 8, water, 16000)
+        twice = run_parallel_tiles([HET_2X] * 8, water, 16000)
         assert twice.speedup_over(base) > 1.5
 
     def test_m3d_het_beats_base(self, water, base4):
         base = run_parallel_tiles([base4] * 4, water, 16000)
-        het = run_parallel_tiles([m3d_het_config(num_cores=4)] * 4, water,
+        het = run_parallel_tiles([resolve("M3D-Het-4C").config] * 4, water,
                                  16000)
         assert het.speedup_over(base) > 1.0
 
@@ -142,11 +146,11 @@ class TestUopConservation:
 
 class TestWorkShares:
     def test_identical_tiles_split_evenly(self):
-        tiles = [base_config()] * 4
+        tiles = [BASE] * 4
         assert _work_shares(4001, tiles) == [1001, 1000, 1000, 1000]
 
     def test_weighted_shares_conserve_total(self):
-        tiles = [base_config(), m3d_het_config(), m3d_het_2x_config()]
+        tiles = [BASE, HET, HET_2X]
         for total in (16000, 1603):
             shares = _work_shares(total, tiles)
             assert sum(shares) == total
@@ -155,7 +159,7 @@ class TestWorkShares:
         assert all(share >= 1 for share in _work_shares(2, tiles))
 
     def test_weighted_shares_track_capability(self):
-        slow = base_config()
+        slow = BASE
         fast = dataclasses.replace(
             slow, name="fast", frequency=slow.frequency * 2,
         )
@@ -163,7 +167,7 @@ class TestWorkShares:
         assert shares == [10000, 20000]
 
     def test_issue_width_weighs_in(self):
-        narrow = base_config()
+        narrow = BASE
         wide = dataclasses.replace(
             narrow, name="wide", issue_width=narrow.issue_width * 2,
         )
@@ -206,7 +210,7 @@ class TestBarrierAlignment:
         assert total == 200 + BARRIER_OVERHEAD_CYCLES
 
     def test_dropped_phases_warn_and_land_on_result(self):
-        tiles = [base_config(), base_config()]
+        tiles = [BASE, BASE]
         runs = [_fake_run(100, [40, 80]), _fake_run(90, [50])]
         profile = SimpleNamespace(name="fake-app")
         with pytest.warns(ModelDisagreementWarning, match="dropped 1 tail"):
@@ -214,7 +218,7 @@ class TestBarrierAlignment:
         assert result.dropped_phases == 1
 
     def test_aligned_runs_do_not_warn(self, recwarn):
-        tiles = [base_config(), base_config()]
+        tiles = [BASE, BASE]
         runs = [_fake_run(100, [40]), _fake_run(90, [50])]
         result = _tile_result(
             tiles, SimpleNamespace(name="fake-app"), 200, runs, 0, 2, None,
@@ -226,55 +230,32 @@ class TestBarrierAlignment:
         ]
 
 
-class TestShimBitExactness:
-    """The kernel path must agree with the oracle path, with the batched
-    kernel both on and off."""
+class TestKernelTilesMatchOracle:
+    """The kernel's tile path returns exactly the scalar per-tile
+    oracle's result, every field, on tiles at two clocks."""
 
-    FIELDS = (
-        "config_name", "trace_name", "cycles", "frequency",
-        "barrier_wait_cycles", "coherence_transfers", "noc_latency",
-        "requested_uops", "dropped_phases",
-    )
-
-    def assert_equal(self, a, b):
-        for field in self.FIELDS:
-            assert getattr(a, field) == getattr(b, field), field
-        assert [r.cycles for r in a.per_core] == [
-            r.cycles for r in b.per_core
-        ]
-        assert [r.stats.uops for r in a.per_core] == [
-            r.stats.uops for r in b.per_core
-        ]
-
-    @pytest.mark.parametrize("kernel_env", ["1", "0"])
-    def test_kernel_path_matches_oracle(self, water, monkeypatch,
-                                        kernel_env):
-        # evaluate_tiles always runs the kernel recurrences; REPRO_KERNEL
-        # gates the higher engine layers, so flipping it must change
-        # nothing here — and both must equal the OOO oracle.
-        monkeypatch.setenv("REPRO_KERNEL", kernel_env)
-        tiles = [base_config(), m3d_het_config(), base_config(),
-                 m3d_het_config()]
+    def test_kernel_path_matches_oracle(self, water):
+        tiles = [BASE, HET, BASE, HET]
         oracle = run_parallel_tiles(tiles, water, 6000)
         kernel = evaluate_tiles(tiles, water, 6000)
-        self.assert_equal(oracle, kernel)
+        assert oracle == kernel
 
 
 class TestHeteroTiles:
     def test_mixed_tiles_run(self, water):
-        tiles = [base_config(), m3d_het_config()]
+        tiles = [BASE, HET]
         result = run_parallel_tiles(tiles, water, 8000)
         assert len(result.per_core) == 2
         assert result.config_name == "2-tile-mix"
         assert result.cycles > 0
 
     def test_reference_clock_is_fastest_tile(self, water):
-        tiles = [base_config(), m3d_het_config()]
+        tiles = [BASE, HET]
         result = run_parallel_tiles(tiles, water, 8000)
         assert result.frequency == max(t.frequency for t in tiles)
 
     def test_faster_tile_gets_more_work(self, water):
-        slow = base_config()
+        slow = BASE
         fast = dataclasses.replace(
             slow, name="fast", frequency=slow.frequency * 2,
         )
@@ -299,7 +280,7 @@ class TestSharedTraceStreams:
         _clear_multicore_memos()
         total = 4800
         for cores in core_counts:
-            tiles = [base_config()] * cores
+            tiles = [BASE] * cores
             for thread, share in enumerate(_work_shares(total, tiles)):
                 trace = _mc_trace(water, share, 1234, thread)
                 assert trace == generate_trace(water, share, seed=1234,
@@ -318,8 +299,8 @@ class TestSharedTraceStreams:
             return original(profile, num_uops, **kwargs)
 
         monkeypatch.setattr(generator, "generate_trace", counting)
-        four = base_config(num_cores=4)
-        eight = m3d_het_2x_config()
+        four = resolve("Base-4C").config
+        eight = HET_2X
         assert (four.num_cores, eight.num_cores) == (4, 8)
         configs = [four, eight][::order]
         batch = run_parallel_batch(configs, water, 4800)

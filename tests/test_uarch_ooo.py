@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.configs import base_config, m3d_het_config, m3d_iso_config
+from repro.design.resolve import resolve
 from repro.uarch import ooo
 from repro.uarch.isa import MicroOp, OpClass, Trace
 from repro.uarch.ooo import (
@@ -15,6 +15,8 @@ from repro.uarch.ooo import (
 )
 from repro.workloads.generator import generate_trace
 from repro.workloads.spec import spec_by_name
+
+BASE = resolve("Base").config
 
 
 def make_trace(ops, warmup=0):
@@ -66,24 +68,24 @@ class TestLimiters:
 class TestPipeline:
     def test_independent_ops_reach_width_limit(self):
         ops = [alu() for _ in range(4000)]
-        result = run_trace(base_config(), make_trace(ops))
+        result = run_trace(BASE, make_trace(ops))
         # Dispatch width 4 caps IPC; independent ALU ops should get close.
         assert result.ipc > 3.0
 
     def test_serial_chain_is_ipc_one(self):
         ops = [alu(src1=1 if i else None) for i in range(2000)]
-        result = run_trace(base_config(), make_trace(ops))
+        result = run_trace(BASE, make_trace(ops))
         assert result.ipc == pytest.approx(1.0, abs=0.1)
 
     def test_divides_throttle_throughput(self):
         ops = [MicroOp(op=OpClass.DIV, pc=4096) for _ in range(500)]
-        result = run_trace(base_config(), make_trace(ops))
+        result = run_trace(BASE, make_trace(ops))
         # 2 divide units, each blocked 4 cycles -> at most 0.5/cycle.
         assert result.ipc <= 0.55
 
     def test_fp_div_issue_interval(self):
         ops = [MicroOp(op=OpClass.FP_DIV, pc=4096) for _ in range(64)]
-        result = run_trace(base_config(), make_trace(ops))
+        result = run_trace(BASE, make_trace(ops))
         # One FP divide may issue every 8 cycles (Table 9).
         assert result.ipc <= 0.13 + 0.02
 
@@ -96,9 +98,9 @@ class TestPipeline:
                 MicroOp(op=OpClass.LOAD, address=64 * (i % 32), pc=4096)
             )
             ops.append(alu(src1=1))
-        base = run_trace(base_config(), make_trace(list(ops)))
+        base = run_trace(BASE, make_trace(list(ops)))
         cfg = dataclasses.replace(
-            base_config(), load_to_use_cycles=3, name="cut"
+            BASE, load_to_use_cycles=3, name="cut"
         )
         cut = run_trace(cfg, make_trace(list(ops)))
         assert cut.cycles < base.cycles
@@ -113,8 +115,8 @@ class TestPipeline:
         predictable = [
             MicroOp(op=OpClass.BRANCH, pc=4096, taken=True) for i in range(800)
         ]
-        chaotic = run_trace(base_config(), make_trace(taken_wrong))
-        steady = run_trace(base_config(), make_trace(predictable))
+        chaotic = run_trace(BASE, make_trace(taken_wrong))
+        steady = run_trace(BASE, make_trace(predictable))
         assert chaotic.cycles > steady.cycles
         assert chaotic.stats.mispredictions > steady.stats.mispredictions
 
@@ -126,9 +128,9 @@ class TestPipeline:
                     taken=rng.random() < 0.5)
             for i in range(2000)
         ]
-        base = run_trace(base_config(), make_trace(list(ops)))
+        base = run_trace(BASE, make_trace(list(ops)))
         cfg = dataclasses.replace(
-            base_config(), branch_mispredict_cycles=12, name="short"
+            BASE, branch_mispredict_cycles=12, name="short"
         )
         short = run_trace(cfg, make_trace(list(ops)))
         assert short.cycles < base.cycles
@@ -139,15 +141,15 @@ class TestPipeline:
             MicroOp(op=OpClass.LOAD, address=(1 << 28) + 4096 * i, pc=4096)
             for i in range(600)
         ]
-        wide = run_trace(base_config(), make_trace(list(ops)))
-        tiny = dataclasses.replace(base_config(), rob_entries=8, name="tiny")
+        wide = run_trace(BASE, make_trace(list(ops)))
+        tiny = dataclasses.replace(BASE, rob_entries=8, name="tiny")
         narrow = run_trace(tiny, make_trace(list(ops)))
         assert narrow.cycles > wide.cycles
 
     def test_complex_decode_penalty_hetero_only(self):
         ops = [MicroOp(op=OpClass.COMPLEX, pc=4096) for _ in range(1000)]
-        base = run_trace(base_config(), make_trace(list(ops)))
-        het = run_trace(m3d_het_config(), make_trace(list(ops)))
+        base = run_trace(BASE, make_trace(list(ops)))
+        het = run_trace(resolve("M3D-Het").config, make_trace(list(ops)))
         # The +1 cycle is per complex op but pipelined; just confirm it
         # does not crash and the counter is kept.
         assert het.stats.complex_decodes == 1000
@@ -155,25 +157,25 @@ class TestPipeline:
 
     def test_warmup_prefix_excluded_from_stats(self):
         ops = [alu() for _ in range(100)] + [alu() for _ in range(200)]
-        result = run_trace(base_config(), make_trace(ops, warmup=100))
+        result = run_trace(BASE, make_trace(ops, warmup=100))
         assert result.stats.uops == 200
 
     def test_sync_markers_recorded(self):
         ops = [alu() for _ in range(50)]
         ops.append(MicroOp(op=OpClass.SYNC, barrier=0))
         ops.extend(alu() for _ in range(50))
-        result = run_trace(base_config(), make_trace(ops))
+        result = run_trace(BASE, make_trace(ops))
         assert len(result.stats.sync_commit_cycles) == 1
 
     def test_speedup_over_is_time_ratio(self):
         ops = [alu() for _ in range(2000)]
-        base = run_trace(base_config(), make_trace(list(ops)))
-        iso = run_trace(m3d_iso_config(), make_trace(list(ops)))
+        base = run_trace(BASE, make_trace(list(ops)))
+        iso = run_trace(resolve("M3D-Iso").config, make_trace(list(ops)))
         expected = (base.cycles / 3.3e9) / (iso.cycles / iso.frequency)
         assert iso.speedup_over(base) == pytest.approx(expected)
 
     def test_empty_trace(self):
-        result = run_trace(base_config(), make_trace([alu()]))
+        result = run_trace(BASE, make_trace([alu()]))
         assert result.cycles > 0
 
 
@@ -185,10 +187,10 @@ class TestPruning:
         with pruning disabled the result must be identical, only the
         bookkeeping larger."""
         trace = generate_trace(spec_by_name()[app], 10_000, seed=1234)
-        pruned = run_trace(base_config(), trace)
+        pruned = run_trace(BASE, trace)
         assert pruned.stats.uops > 2 * ooo.PRUNE_INTERVAL
         monkeypatch.setattr(ooo, "PRUNE_INTERVAL", 1 << 62)
-        unbounded = run_trace(base_config(), trace)
+        unbounded = run_trace(BASE, trace)
         assert pruned.stats.tracked_limiter_cycles \
             < unbounded.stats.tracked_limiter_cycles
 
