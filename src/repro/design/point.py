@@ -181,8 +181,13 @@ class DesignPoint:
     # -- (de)serialisation ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready mapping (round-trips through :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
+        """JSON-ready mapping (round-trips through :meth:`from_dict`).
+
+        Every field is a JSON scalar, so the flat mapping in field order
+        is what ``dataclasses.asdict`` builds, without its deep copy.
+        """
+        return {field.name: getattr(self, field.name)
+                for field in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DesignPoint":

@@ -22,6 +22,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.design.resolve import ResolvedDesign, as_point, resolve
 from repro.obs import warn_model_disagreement
 
+#: The registered point every evaluation is normalised to.
+BASELINE_POINT: str = "Base"
+
 #: Core count of the multicore reference design (Figure 9's 4-core Base).
 MULTICORE_BASELINE_CORES: int = 4
 
@@ -155,15 +158,23 @@ def interval_crosscheck(config, base_config, run, base_run,
     )
 
 
-@dataclasses.dataclass
-class _PendingGroup:
-    """One mode's suite sweep in flight: specs submitted, results pending."""
+class ConfigNameClash(ValueError):
+    """Two points of one evaluation resolve to the same config name.
 
-    group: List[ResolvedDesign]
+    Runs are keyed by config name, so the evaluation could not tell the
+    two apart; the caller named the points, so the caller renames one.
+    """
+
+
+@dataclasses.dataclass(frozen=True)
+class _SuiteGroup:
+    """One mode's suite sweep: its designs, the Base reference they are
+    normalised to, and the spec list the engine runs for both."""
+
+    designs: List[ResolvedDesign]
     baseline: ResolvedDesign
     profiles: List
     specs: List
-    pending: object  # repro.engine.sweep.PendingSpecs
     multicore: bool
     grid: int
 
@@ -175,34 +186,44 @@ class PendingPointEvaluation:
     power/thermal post-processing — cheap, parent-side — happens at
     :meth:`result` time.  This is what lets ``repro explore`` overlap
     chunk N's simulation with chunk N±1's expansion and store commits.
+
+    ``resolved`` and ``groups`` are the resolved designs and their suite
+    groups; :func:`submit_groups` submits the same groups again without
+    resolving or planning anything.
     """
 
     def __init__(self, resolved: List[ResolvedDesign],
-                 groups: List[_PendingGroup]) -> None:
-        self._resolved = resolved
-        self._groups = groups
+                 groups: List[_SuiteGroup], pending: List) -> None:
+        self.resolved = resolved
+        self.groups = groups
+        self._pending = pending  # one repro.engine.sweep.PendingSpecs each
         self._final: Optional[List[PointEvaluation]] = None
 
     @property
     def done(self) -> bool:
         return self._final is not None
 
+    def group_results(self) -> List[List[object]]:
+        """Wait for the simulations; each group's engine results, in spec
+        order (the same list objects on every call)."""
+        return [pending.result() for pending in self._pending]
+
     def result(self) -> List[PointEvaluation]:
         """Wait for the simulations and assemble evaluations in point order."""
         if self._final is not None:
             return self._final
         evaluations: Dict[str, PointEvaluation] = {}
-        for group in self._groups:
-            evaluations.update(_finish_group(group))
+        for group, flat in zip(self.groups, self.group_results()):
+            evaluations.update(_finish_group(group, flat))
         self._final = [
-            evaluations[design.point.name] for design in self._resolved
+            evaluations[design.point.name] for design in self.resolved
         ]
         return self._final
 
     def abandon(self) -> None:
         """Drop the batch without waiting (releases its pool leases)."""
-        for group in self._groups:
-            group.pending.abandon()
+        for pending in self._pending:
+            pending.abandon()
 
 
 def submit_points(points: Sequence, *,
@@ -214,40 +235,34 @@ def submit_points(points: Sequence, *,
                   apps: Optional[int] = None) -> PendingPointEvaluation:
     """Start evaluating design points; return the in-flight batch.
 
-    Point resolution, the config-name clash check and spec submission
-    happen here on the calling thread; the suite sweeps run in the
-    engine's worker pool until :meth:`PendingPointEvaluation.result` is
-    called.  ``evaluate_points(...)`` is exactly
-    ``submit_points(...).result()`` — same specs, same order, same
-    results.
+    Point resolution, the config-name clash check (a
+    :class:`ConfigNameClash`) and spec submission happen here on the
+    calling thread; the suite sweeps run in the engine's worker pool
+    until :meth:`PendingPointEvaluation.result` is called.
+    ``evaluate_points(...)`` is exactly ``submit_points(...).result()`` —
+    same specs, same order, same results.
     """
-    from repro.engine.sweep import get_engine
-
-    engine = engine if engine is not None else get_engine()
     multicore_uops = multicore_uops if multicore_uops is not None else 3 * uops
     resolved = [resolve(as_point(point)) for point in points]
     seen: Dict[str, str] = {}
     for design in resolved:
         clash = seen.get(design.config.name)
         if clash is not None and clash != design.point.name:
-            raise ValueError(
+            raise ConfigNameClash(
                 f"points {clash!r} and {design.point.name!r} both resolve to "
                 f"config name {design.config.name!r}; rename one"
             )
         seen[design.config.name] = design.point.name
 
-    groups: List[_PendingGroup] = []
-    try:
-        for multicore in (False, True):
-            group = [
-                d for d in resolved if (d.config.num_cores > 1) == multicore
-            ]
-            if not group:
-                continue
+    groups: List[_SuiteGroup] = []
+    for multicore in (False, True):
+        designs = [
+            d for d in resolved if (d.config.num_cores > 1) == multicore
+        ]
+        if designs:
             groups.append(
-                _submit_group(
-                    group,
-                    engine=engine,
+                _plan_group(
+                    designs,
                     multicore=multicore,
                     uops=multicore_uops if multicore else uops,
                     seed=seed,
@@ -255,11 +270,29 @@ def submit_points(points: Sequence, *,
                     apps=apps,
                 )
             )
+    return submit_groups(resolved, groups, engine=engine)
+
+
+def submit_groups(resolved: List[ResolvedDesign], groups: List[_SuiteGroup],
+                  engine=None) -> PendingPointEvaluation:
+    """Submit each group's specs to the engine, one batch per group.
+
+    ``resolved`` and ``groups`` come from an earlier batch
+    (:attr:`PendingPointEvaluation.resolved` and ``.groups``): its specs
+    are looked up, and run where missing, exactly as the first time.
+    """
+    from repro.engine.sweep import get_engine
+
+    engine = engine if engine is not None else get_engine()
+    pending: List = []
+    try:
+        for group in groups:
+            pending.append(engine.submit_specs(group.specs))
     except BaseException:
-        for pending_group in groups:
-            pending_group.pending.abandon()
+        for submitted in pending:
+            submitted.abandon()
         raise
-    return PendingPointEvaluation(resolved, groups)
+    return PendingPointEvaluation(resolved, groups, pending)
 
 
 def evaluate_points(points: Sequence, *,
@@ -283,50 +316,49 @@ def evaluate_points(points: Sequence, *,
     ).result()
 
 
-def _submit_group(group: List[ResolvedDesign], *, engine, multicore: bool,
-                  uops: int, seed: int, grid: int,
-                  apps: Optional[int]) -> _PendingGroup:
+def _plan_group(designs: List[ResolvedDesign], *, multicore: bool,
+                uops: int, seed: int, grid: int,
+                apps: Optional[int]) -> _SuiteGroup:
     from repro.engine.sweep import suite_specs
     from repro.workloads.parallel import parallel_profiles
     from repro.workloads.spec import spec_profiles
 
     if multicore:
-        baseline = resolve("Base", num_cores=MULTICORE_BASELINE_CORES)
+        baseline = resolve(BASELINE_POINT,
+                           num_cores=MULTICORE_BASELINE_CORES)
         profiles = parallel_profiles()
     else:
-        baseline = resolve("Base")
+        baseline = resolve(BASELINE_POINT)
         profiles = spec_profiles()
     if apps is not None:
         profiles = profiles[:apps]
 
     configs = [baseline.config] + [
-        design.config for design in group
+        design.config for design in designs
         if design.config != baseline.config
     ]
     # The exact spec list single_core_runs/multicore_runs would build —
     # same cache keys, same result order, bit-identical evaluations.
     specs = suite_specs("multicore" if multicore else "single",
                         uops, seed, configs, profiles)
-    return _PendingGroup(
-        group=group, baseline=baseline, profiles=list(profiles), specs=specs,
-        pending=engine.submit_specs(specs), multicore=multicore, grid=grid,
+    return _SuiteGroup(
+        designs=designs, baseline=baseline, profiles=list(profiles),
+        specs=specs, multicore=multicore, grid=grid,
     )
 
 
-def _finish_group(pending_group: _PendingGroup) -> Dict[str, PointEvaluation]:
-    group = pending_group.group
-    baseline = pending_group.baseline
-    profiles = pending_group.profiles
-    multicore = pending_group.multicore
-    grid = pending_group.grid
-    flat = pending_group.pending.result()
+def _finish_group(group: _SuiteGroup,
+                  flat: Sequence[object]) -> Dict[str, PointEvaluation]:
+    """Evaluate a group's designs from its engine results (spec order)."""
+    baseline = group.baseline
+    multicore = group.multicore
     runs: Dict[str, Dict[str, object]] = {}
-    for spec, result in zip(pending_group.specs, flat):
+    for spec, result in zip(group.specs, flat):
         runs.setdefault(spec.profile.name, {})[spec.config.name] = result
 
     base_model = baseline.power_model()
     out: Dict[str, PointEvaluation] = {}
-    for design in group:
+    for design in group.designs:
         model = design.power_model()
         names: List[str] = []
         cpi: List[float] = []
@@ -334,7 +366,7 @@ def _finish_group(pending_group: _PendingGroup) -> Dict[str, PointEvaluation]:
         energy: List[float] = []
         peak: List[float] = []
         cores = design.config.num_cores
-        for profile in profiles:
+        for profile in group.profiles:
             base_run = runs[profile.name][baseline.config.name]
             run = runs[profile.name][design.config.name]
             if multicore:
@@ -360,7 +392,8 @@ def _finish_group(pending_group: _PendingGroup) -> Dict[str, PointEvaluation]:
             speedup.append(run.speedup_over(base_run))
             energy.append(report.total * scale / base_report.total)
             peak.append(
-                design.peak_temperature(core_power, profile, grid=grid).peak_c
+                design.peak_temperature(core_power, profile,
+                                        grid=group.grid).peak_c
             )
         out[design.point.name] = PointEvaluation(
             design=design, apps=names, cpi=cpi, speedup=speedup,
@@ -382,6 +415,8 @@ def print_sweep_summary(evaluations: Sequence[PointEvaluation]) -> None:
 
 
 __all__ = [
+    "BASELINE_POINT",
+    "ConfigNameClash",
     "INTERVAL_CHECK_THRESHOLD",
     "MULTICORE_BASELINE_CORES",
     "PendingPointEvaluation",
@@ -389,5 +424,6 @@ __all__ = [
     "evaluate_points",
     "interval_crosscheck",
     "print_sweep_summary",
+    "submit_groups",
     "submit_points",
 ]

@@ -17,6 +17,7 @@ multicore sweep.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import time
 from collections import OrderedDict
@@ -60,6 +61,12 @@ class SimSpec:
             raise ValueError(f"unknown SimSpec mode {self.mode!r}")
 
     def cache_key(self) -> str:
+        return self._cache_key
+
+    @functools.cached_property
+    def _cache_key(self) -> str:
+        # Once per instance: the fields are frozen, so the key cannot
+        # change, and a spec submitted again skips ``make_key``.
         return make_key(
             f"sim:{self.mode}",
             config=self.config,

@@ -19,7 +19,8 @@ class LruMemo:
 
     ``get(key, build)`` returns the cached value for ``key`` (refreshing
     its recency) or calls ``build()`` and caches the result.  Not
-    thread-safe; every current user is per-process single-threaded.
+    thread-safe: a memo shared between threads is used under a lock of
+    its owner's, as the served request plans are.
     """
 
     def __init__(self, cap: int) -> None:

@@ -119,7 +119,10 @@ def warn_model_disagreement(message: str) -> None:
     app, and the "default" action would keep every distinct text in the
     calling module's ``__warningregistry__`` for the life of the process,
     which grows without bound under ``repro serve``.  The trade-off: an
-    identical disagreement raised again is shown again.
+    identical disagreement is shown again whenever its runs are evaluated
+    again.  A served request's runs are evaluated once per plan
+    (:mod:`repro.serve.protocol`), so a repeat answered from its plan
+    shows nothing new.
     """
     import sys
     import warnings

@@ -17,12 +17,19 @@ Endpoints:
 * ``POST /validate`` — ``{"only": [...], "deep": bool, ...sizes}``.
 
 All three echo their normalised request back in the response, so a
-client can verify the server ran what it meant.
+client can verify the server ran what it meant.  A repeated ``/sweep``
+or ``/points`` request is answered from the plan its first run left
+behind (:func:`_evaluate`), still asking the engine for every result.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import dataclasses
+import json
+import threading
+from typing import Any, Dict, List, Tuple
+
+from repro.lru import LruMemo
 
 #: Response envelope schema; bump when the response shape changes.
 SERVE_SCHEMA_VERSION = "repro-serve-v1"
@@ -200,19 +207,112 @@ def evaluation_payload(evaluations) -> List[Dict[str, Any]]:
     ]
 
 
-def _evaluate(points, request: Dict[str, Any], engine) -> Dict[str, Any]:
-    from repro.design.sweep import evaluate_points
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building a new encoder on every call.
+_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    evaluations = evaluate_points(
-        points,
-        uops=request["uops"],
-        multicore_uops=request["multicore_uops"],
-        seed=request["seed"],
-        grid=request["grid"],
-        apps=request["apps"],
-        engine=engine,
-    )
-    return {"evaluations": evaluation_payload(evaluations)}
+
+@dataclasses.dataclass(frozen=True)
+class _Plan:
+    """One evaluated ``/sweep`` or ``/points`` request, kept for repeats.
+
+    ``registered`` is every registry entry the evaluation read, as
+    ``(name, point)`` pairs; ``resolved`` and ``groups`` are what
+    :func:`~repro.design.sweep.submit_groups` resubmits; ``results``
+    holds, per group, the engine results ``evaluations`` was built from.
+    """
+
+    registered: Tuple[Tuple[str, Any], ...]
+    resolved: List[Any]
+    groups: List[Any]
+    results: List[List[Any]]
+    evaluations: List[Dict[str, Any]]
+
+    def current(self) -> bool:
+        """True while the registry still holds every point read."""
+        from repro.design.registry import get_point
+
+        try:
+            return all(get_point(name) is point
+                       for name, point in self.registered)
+        except KeyError:
+            return False
+
+    def built_from(self, results: List[List[Any]]) -> bool:
+        """True when ``results`` are the very objects the payload came
+        from (``is``, not ``==``)."""
+        return all(fresh is kept
+                   for now, then in zip(results, self.results)
+                   for fresh, kept in zip(now, then))
+
+
+#: Plans keyed by the canonical JSON of ``[endpoint, request]``.  Bounded
+#: because ``repro serve`` is long-lived; locked because the serial
+#: reference may run on another thread while the service thread serves.
+_PLANS = LruMemo(cap=64)
+_PLANS_LOCK = threading.Lock()
+
+
+def _evaluate(endpoint: str, request: Dict[str, Any],
+              engine) -> Dict[str, Any]:
+    """Evaluate a ``/sweep`` or ``/points`` request through its plan.
+
+    A request with no plan runs :func:`submit_points` and leaves one.  A
+    repeat submits each group's specs once, as the first run did, so its
+    lookups, counters and manifest are unchanged; it resolves, keys,
+    prices and solves nothing.  It returns the plan's payload while the
+    registry still holds the points read and every result is the very
+    object that payload was built from; otherwise it finishes the groups
+    from the results it just fetched and replaces the plan.
+    """
+    from repro.design.sweep import submit_groups
+
+    key = _to_json([endpoint, request])
+    with _PLANS_LOCK:
+        plan = _PLANS.peek(key)
+    if plan is not None and plan.current():
+        registered = plan.registered
+        pending = submit_groups(plan.resolved, plan.groups, engine)
+        if plan.built_from(pending.group_results()):
+            return {"evaluations": plan.evaluations}
+    else:
+        registered, pending = _submit(endpoint, request, engine)
+    evaluations = evaluation_payload(pending.result())
+    with _PLANS_LOCK:
+        _PLANS.put(key, _Plan(registered, pending.resolved, pending.groups,
+                              pending.group_results(), evaluations))
+    return {"evaluations": evaluations}
+
+
+def _submit(endpoint: str, request: Dict[str, Any], engine):
+    """Read a request's points and submit them: ``(registry entries
+    read, pending evaluation)``."""
+    from repro.design.point import DesignPoint
+    from repro.design.registry import get_point
+    from repro.design.sweep import BASELINE_POINT, ConfigNameClash, \
+        submit_points
+
+    if endpoint == "/sweep":
+        names = list(request["points"])
+        points = [get_point(name) for name in names]
+    else:
+        names = []
+        points = [DesignPoint.from_dict(spec) for spec in request["points"]]
+    registered = (*zip(names, points),
+                  (BASELINE_POINT, get_point(BASELINE_POINT)))
+    try:
+        pending = submit_points(
+            points,
+            uops=request["uops"],
+            multicore_uops=request["multicore_uops"],
+            seed=request["seed"],
+            grid=request["grid"],
+            apps=request["apps"],
+            engine=engine,
+        )
+    except ConfigNameClash as exc:
+        raise ProtocolError(400, str(exc)) from None
+    return registered, pending
 
 
 def execute_request(endpoint: str, request: Dict[str, Any],
@@ -221,18 +321,12 @@ def execute_request(endpoint: str, request: Dict[str, Any],
 
     This is the single execution path shared by the server's service
     thread and the serial reference (:func:`serial_reference`) — both
-    sides of the identity assertion call exactly this.
+    sides of the identity assertion call exactly this.  A ``/sweep`` or
+    ``/points`` payload may be shared with the request's memoized plan,
+    so callers must not mutate it.
     """
-    if endpoint == "/sweep":
-        from repro.design.registry import get_point
-
-        points = [get_point(name) for name in request["points"]]
-        return _evaluate(points, request, engine)
-    if endpoint == "/points":
-        from repro.design.point import DesignPoint
-
-        points = [DesignPoint.from_dict(spec) for spec in request["points"]]
-        return _evaluate(points, request, engine)
+    if endpoint in ("/sweep", "/points"):
+        return _evaluate(endpoint, request, engine)
     if endpoint == "/validate":
         from repro.golden.artifacts import BuildParams
         from repro.golden.validate import run_validation

@@ -75,6 +75,11 @@ class TestDesignPoint:
         again = DesignPoint.from_dict(point.to_dict())
         assert again == point
 
+    def test_to_dict_is_asdict_for_every_registered_point(self):
+        for point in registered_points():
+            assert list(point.to_dict().items()) \
+                == list(dataclasses.asdict(point).items())
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown design-point field"):
             DesignPoint.from_dict({"name": "X", "stak": "M3D"})
