@@ -21,7 +21,6 @@ from repro.engine.cache import (
     ResultCache,
     code_fingerprint,
     make_key,
-    memoized,
 )
 from repro.engine.pool import pool_stats, shutdown_pool
 from repro.engine.sweep import (
@@ -46,7 +45,6 @@ __all__ = [
     "execute_spec",
     "get_engine",
     "make_key",
-    "memoized",
     "pool_stats",
     "shutdown_pool",
 ]

@@ -214,14 +214,6 @@ class _SqliteLayer:
                                    (key,))
             return False, None
 
-    def put(self, key: str, value: Any) -> None:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock, self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results (key, value) VALUES (?, ?)",
-                (key, blob),
-            )
-
     def put_many(self, items: Iterable[Tuple[str, bytes]]) -> None:
         """Commit pre-pickled ``(key, blob)`` pairs in one transaction."""
         with self._lock, self._conn:
@@ -240,6 +232,9 @@ class ResultCache:
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None,
                  max_memory_entries: int = 8192) -> None:
+        if max_memory_entries < 1:
+            raise ValueError(f"ResultCache max_memory_entries must be >= 1, "
+                             f"got {max_memory_entries}")
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.max_memory_entries = max_memory_entries
         self._memory: dict = {}
@@ -276,33 +271,18 @@ class ResultCache:
             self._count("misses")
             return False, None
 
-    def put(self, key: str, value: Any) -> None:
-        """Store a result in memory and (if configured) on disk.
-
-        Disk failures must not kill an otherwise-healthy sweep — neither
-        I/O failures (full disk, read-only cache directory, a locked
-        database, ...) nor serialization failures (a result holding a
-        lambda, a generator, an open handle, ...).  Either way the store
-        degrades to memory-only with a one-time warning, and every
-        failed write is counted in ``stats.disk_put_failures``.
-        """
-        with self._lock:
-            self._count("stores")
-            self._remember(key, value)
-            if self._disk is not None:
-                try:
-                    self._disk.put(key, value)
-                except (sqlite3.Error, OSError, pickle.PickleError,
-                        TypeError, AttributeError) as exc:
-                    self._degrade(exc)
-
     def put_many(self, items) -> None:
-        """Store a batch of ``(key, value)`` pairs (one kernel group).
+        """Store a batch of ``(key, value)`` pairs (one kernel group) in
+        memory and, if configured, on disk.
 
-        Same semantics as :meth:`put` per pair — ``stores`` counting,
-        disk degradation — but the disk half commits the whole batch in
-        one SQLite transaction, so a pipelined sweep pays one fsync per
-        unit instead of one per result.
+        The disk half commits the whole batch in one SQLite transaction,
+        so a pipelined sweep pays one fsync per unit instead of one per
+        result.  Disk failures must not kill an otherwise-healthy sweep —
+        neither I/O failures (full disk, read-only cache directory, a
+        locked database, ...) nor serialization failures (a result
+        holding a lambda, a generator, an open handle, ...).  Either way
+        the pairs stay in memory with a one-time warning, and every
+        failed write is counted in ``stats.disk_put_failures``.
         """
         items = list(items)
         with self._lock:
@@ -367,40 +347,13 @@ class ResultCache:
             # Re-store of a live key: refresh its recency, no eviction.
             del memory[key]
         elif len(memory) >= self.max_memory_entries:
-            # Evict the least recently used quarter: both ``get`` hits
-            # and re-stores move keys to the back of the dict, so the
-            # front really is the coldest end (true LRU — insertion
-            # order alone would evict the hottest keys first).
-            for stale in list(memory)[: self.max_memory_entries // 4]:
+            # Evict the least recently used quarter, and at least one
+            # entry: both ``get`` hits and re-stores move keys to the
+            # back of the dict, so the front really is the coldest end
+            # (true LRU — insertion order alone would evict the hottest
+            # keys first).
+            evict = max(1, self.max_memory_entries // 4)
+            for stale in list(memory)[:evict]:
                 del memory[stale]
         memory[key] = value
 
-
-def memoized(kind: str):
-    """Memoize a pure experiment function through the default engine cache.
-
-    Used by the table generators whose sweeps repeat across the runner,
-    the CLI and the benchmark suite.  Arguments must be hashable into a
-    content key (strings/numbers/dataclasses).
-    """
-
-    def decorate(fn):
-        import functools
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            from repro.engine.sweep import get_engine
-
-            cache = get_engine().cache
-            key = make_key(f"memo:{kind}", args=list(args), kwargs=kwargs)
-            hit, value = cache.get(key)
-            if hit:
-                return value
-            value = fn(*args, **kwargs)
-            cache.put(key, value)
-            return value
-
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return decorate

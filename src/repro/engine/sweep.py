@@ -7,11 +7,11 @@ fans the misses out across worker processes (``jobs > 1``) or runs them
 inline (``jobs == 1``), and returns results in submission order — so a
 parallel sweep is bit-identical to a serial one.
 
-Trace generation is memoized per process (one trace per
-``(profile, uops, seed)`` no matter how many configurations consume it),
-and simulation results are memoized across sweeps: figure6, figure7 and
-figure8 together cost *one* single-core sweep, figure9 and figure10 one
-multicore sweep.
+Traces come from :func:`~repro.workloads.generator.memoized_trace` (one
+trace per ``(profile, uops, seed, thread)`` no matter how many
+configurations consume it), and simulation results are memoized across
+sweeps: figure6, figure7 and figure8 together cost *one* single-core
+sweep, figure9 and figure10 one multicore sweep.
 """
 
 from __future__ import annotations
@@ -30,13 +30,15 @@ from repro.design.resolve import (
 )
 from repro.engine import pool as worker_pool
 from repro.engine.cache import ResultCache, make_key
-from repro.lru import LruMemo
 from repro.obs.record import current_record
 from repro.uarch.kernel import kernel_enabled, run_trace_batch
 from repro.uarch.multicore import MulticoreResult, run_parallel_batch, \
     run_parallel_tiles
 from repro.uarch.ooo import SimResult, run_trace
-from repro.workloads.generator import generate_trace
+# Bound here as well: perfbench's tracer wraps every ``repro`` alias of
+# ``generate_trace``, and its tests check this one.
+from repro.workloads.generator import generate_trace  # noqa: F401
+from repro.workloads.generator import memoized_trace
 from repro.workloads.parallel import parallel_profiles
 from repro.workloads.profiles import AppProfile
 from repro.workloads.spec import spec_profiles
@@ -78,26 +80,11 @@ class SimSpec:
 
 # -- worker-side execution ----------------------------------------------------
 
-#: Per-process trace memo: every configuration sweeping the same app reuses
-#: one generated trace (bounded; traces are a few MB each at most).
-#: Keys are content keys over the *full* profile — two profiles that share
-#: a name but differ in any field (ablation sweeps build such variants
-#: with ``dataclasses.replace``) must never share a trace.
-_TRACE_MEMO = LruMemo(cap=8)
-
-
-def _trace_for(profile: AppProfile, uops: int, seed: int):
-    key = make_key("trace", profile=profile, uops=uops, seed=seed)
-    return _TRACE_MEMO.get(
-        key, lambda: generate_trace(profile, uops, seed=seed)
-    )
-
-
 def execute_spec(spec: SimSpec):
     """Run one spec to completion (in this process), via the scalar
     oracle path (``OutOfOrderCore.run`` / ``run_parallel_tiles``)."""
     if spec.mode == "single":
-        trace = _trace_for(spec.profile, spec.uops, spec.seed)
+        trace = memoized_trace(spec.profile, spec.uops, spec.seed)
         return run_trace(spec.config, trace)
     return run_parallel_tiles([spec.config] * spec.config.num_cores,
                               spec.profile, spec.uops, seed=spec.seed)
@@ -116,7 +103,7 @@ def execute_spec_group(specs: Sequence[SimSpec]):
     if kernel_enabled():
         configs = [spec.config for spec in specs]
         if first.mode == "single":
-            trace = _trace_for(first.profile, first.uops, first.seed)
+            trace = memoized_trace(first.profile, first.uops, first.seed)
             return run_trace_batch(configs, trace), True
         return run_parallel_batch(configs, first.profile, first.uops,
                                   seed=first.seed), True

@@ -13,7 +13,6 @@ from typing import Dict, List
 
 from repro.core import reference
 from repro.core.structures import core_structures, structures_by_name
-from repro.engine.cache import memoized
 from repro.partition.planner import plan_core
 from repro.partition.strategies import (
     bit_partition,
@@ -124,25 +123,21 @@ def _strategy_table(strategy, paper_table, structures=("RF", "BPT")) -> List[Tab
     return rows
 
 
-@memoized("table3")
 def table3() -> List[TableRow]:
     """Table 3: bit partitioning of the RF and BPT."""
     return _strategy_table(bit_partition, reference.TABLE3_BP)
 
 
-@memoized("table4")
 def table4() -> List[TableRow]:
     """Table 4: word partitioning of the RF and BPT."""
     return _strategy_table(word_partition, reference.TABLE4_WP)
 
 
-@memoized("table5")
 def table5() -> List[TableRow]:
     """Table 5: port partitioning of the RF (impossible for the BPT)."""
     return _strategy_table(port_partition, reference.TABLE5_PP, structures=("RF",))
 
 
-@memoized("table6")
 def table6(stack: str = "M3D") -> List[TableRow]:
     """Table 6: best iso-layer partition per structure (M3D or TSV3D)."""
     the_stack = stack_m3d_iso() if stack == "M3D" else stack_tsv3d()
@@ -170,7 +165,6 @@ def table6(stack: str = "M3D") -> List[TableRow]:
     return rows
 
 
-@memoized("table8")
 def table8() -> List[TableRow]:
     """Table 8: hetero-layer (asymmetric) partition per structure."""
     rows = []

@@ -1,11 +1,9 @@
 """A tiny capped LRU memo shared by every hand-rolled cache in the tree.
 
-The call sites that used to carry their own OrderedDict + cap +
-eviction loop (the multicore trace/image memos, the kernel-path trace
-memo and the warm-cache snapshots) all ride on :class:`LruMemo` now.  The class is dependency-free on
-purpose — it sits at the top of the package so ``repro.uarch``,
-``repro.engine`` and ``repro.thermal`` can all import it without
-creating cycles.
+Every bounded per-process memo rides on :class:`LruMemo` rather than an
+OrderedDict, cap and eviction loop of its own.  The class is
+dependency-free on purpose — it sits at the top of the package so any
+subpackage can import it without creating cycles.
 """
 
 from __future__ import annotations

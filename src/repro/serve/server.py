@@ -19,7 +19,7 @@ Architecture (DESIGN.md §15):
   :func:`~repro.serve.protocol.execute_request` on the shared
   :class:`~repro.engine.sweep.ExperimentEngine` — whose worker pool is
   where the actual parallelism lives.  One thread is deliberate: the
-  engine's memos (traces, content keys, thermal reports) are
+  engine's memos (traces, content keys, thermal factorizations) are
   single-threaded ``LruMemo``s, so the queue serialises *bookkeeping*
   while the process pool parallelises *simulation*.
 * **Responses are run manifests**: each request runs inside its own

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.lru import LruMemo
 from repro.thermal.floorplan import (
     floorplan_2d,
     floorplan_folded,
@@ -93,25 +92,6 @@ def _solve_design(design_name: str, stack_kind: str, core_power: float,
     return _report(design_name, name, solution, stack)
 
 
-#: One report per exact :func:`_solve_design` input.  The solve is a pure
-#: function of its arguments, a warm served request asks for the same
-#: (design, app, power, grid) again, and a frozen ``ThermalReport`` is
-#: safe to share.  Keyed on the arguments themselves: inputs that compare
-#: equal (a power of 6 or 6.0) solve to equal reports.  Bounded because
-#: ``repro serve`` is long-lived.
-_REPORTS = LruMemo(cap=1024)
-
-
-def _design_report(design_name: str, stack_kind: str, core_power: float,
-                   profile: Optional[AppProfile],
-                   grid: int) -> ThermalReport:
-    """:func:`_solve_design`, solved once per distinct input."""
-    return _REPORTS.get(
-        (design_name, stack_kind, core_power, profile, grid),
-        lambda: _solve_design(design_name, stack_kind, core_power, profile,
-                              grid))
-
-
 def peak_temperature_for(design, core_power: float,
                          profile: Optional[AppProfile] = None,
                          grid: int = 16) -> ThermalReport:
@@ -126,8 +106,8 @@ def peak_temperature_for(design, core_power: float,
     from repro.core.configs import CoreConfig
 
     if isinstance(design, CoreConfig):
-        return _design_report(design.name, design.stack, core_power,
-                              profile, grid)
+        return _solve_design(design.name, design.stack, core_power,
+                             profile, grid)
     # Imported lazily: repro.design resolves through this module.
     from repro.design.point import DesignPoint
     from repro.design.resolve import ResolvedDesign, resolve
@@ -138,8 +118,8 @@ def peak_temperature_for(design, core_power: float,
         raise TypeError(
             f"cannot pick a thermal model for {type(design).__name__}"
         )
-    return _design_report(design.display_name, design.point.stack,
-                          core_power, profile, grid)
+    return _solve_design(design.display_name, design.point.stack,
+                         core_power, profile, grid)
 
 
 # -- manycore: one thermal solve for a whole tile grid ------------------------

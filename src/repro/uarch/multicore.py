@@ -287,43 +287,10 @@ def run_parallel_tiles(
 
 # -- batched evaluation through the SoA kernel --------------------------------
 
-#: Per-process multicore trace memo: every tile list with the same work
-#: split shares one trace set per (profile, share, seed, thread) —
-#: regenerating them per config is the single biggest cost of a cold
-#: multicore sweep.  Each trace carries its own kernel decode/replay memos.
-_MC_TRACE_MEMO = LruMemo(cap=64)
-
-#: The longest trace generated so far per (profile, seed, thread).  The
-#: generator's draws do not depend on the requested length, so a shorter
-#: share is a prefix of it (:meth:`Trace.prefix`): an 8-core split's
-#: threads 0-3 come from the 4-core split's traces.  Entries are never
-#: handed to the kernel, so they hold columns only.
-_MC_STREAM_MEMO = LruMemo(cap=32)
-
 #: Per-process memo of coherence-sequenced memory images, keyed by the
 #: (profile, work split, per-tile geometry) that determines them.
 #: Values are ``(images, coherence_transfers)``.
 _MC_IMAGE_MEMO = LruMemo(cap=32)
-
-
-def _mc_trace(profile: AppProfile, share: int, seed: int, thread: int):
-    """Thread ``thread``'s ``share``-uop trace, generated only when no
-    longer trace of the same stream is memoized."""
-    from repro.engine.cache import make_key
-    from repro.workloads.generator import generate_trace
-
-    def build():
-        stream_key = make_key("mc-stream", profile=profile, seed=seed,
-                              thread=thread)
-        stream = _MC_STREAM_MEMO.peek(stream_key)
-        if stream is None or len(stream) - stream.warmup_ops < share:
-            stream = generate_trace(profile, share, seed=seed, thread=thread)
-            _MC_STREAM_MEMO.put(stream_key, stream)
-        return stream.prefix(share)
-
-    key = make_key("mc-trace", profile=profile, uops=share, seed=seed,
-                   thread=thread)
-    return _MC_TRACE_MEMO.get(key, build)
 
 
 def _prepare_tile_replay(
@@ -374,17 +341,19 @@ def evaluate_tiles(
 ) -> MulticoreResult:
     """Kernel-path equivalent of :func:`run_parallel_tiles`.
 
-    Traces are memoized per (profile, share, seed, thread) and the
-    coherence replay per per-tile geometry, so repeated tile lists over
-    the same workload amortise everything but the per-tile timing
-    recurrences (:func:`repro.uarch.kernel.simulate_core`).  Cycle-exact
-    against the oracle path.
+    Traces come from :func:`~repro.workloads.generator.memoized_trace`
+    and the coherence replay is memoized per per-tile geometry, so
+    repeated tile lists over the same workload amortise everything but
+    the per-tile timing recurrences
+    (:func:`repro.uarch.kernel.simulate_core`).  Cycle-exact against the
+    oracle path.
     """
     from repro.uarch import kernel
+    from repro.workloads.generator import memoized_trace
 
     tiles, penalty, shares = _plan_tiles(tiles, profile, total_uops, noc)
     traces = [
-        _mc_trace(profile, share, seed, core_id)
+        memoized_trace(profile, share, seed, core_id)
         for core_id, share in enumerate(shares)
     ]
     images, transfers = _prepare_tile_replay(

@@ -18,6 +18,7 @@ import zlib
 
 import numpy as np
 
+from repro.lru import LruMemo
 from repro.uarch import kernel
 from repro.uarch.isa import (
     _COLUMN_TYPES,
@@ -229,3 +230,41 @@ def generate_trace(profile: AppProfile, num_uops: int, seed: int = 1234,
     return TraceGenerator(profile, seed=seed, thread=thread).generate(
         num_uops, warmup_frac=warmup_frac
     )
+
+
+#: The longest trace generated so far per (profile, seed, thread).  The
+#: generator's draws do not depend on the requested length, so a shorter
+#: trace is a prefix of it (:meth:`Trace.prefix`): an 8-core split's
+#: threads 0-3 come from the 4-core split's traces.  Entries are never
+#: handed to the kernel, so they hold columns only.
+_STREAMS = LruMemo(cap=32)
+
+#: One prefix trace per (profile, uops, seed, thread): every config
+#: sweeping an app, and every tile list with the same work split, shares
+#: it, and with it the kernel's decode and replay memos, which live on
+#: the trace.
+_TRACES = LruMemo(cap=64)
+
+
+def memoized_trace(profile: AppProfile, num_uops: int, seed: int = 1234,
+                   thread: int = 0) -> Trace:
+    """:func:`generate_trace` at the default warmup, memoized per process.
+
+    A trace is generated only when no stream of the same (profile, seed,
+    thread) is at least ``num_uops`` long; otherwise it is that stream's
+    prefix.  Keys hold ``repr(profile)``, which shows every field, so a
+    profile rebuilt with ``dataclasses.replace`` under the same name
+    never shares a trace.
+    """
+    key = (repr(profile), num_uops, seed, thread)
+    stream_key = (key[0], seed, thread)
+
+    def build():
+        stream = _STREAMS.peek(stream_key)
+        if stream is None or len(stream) - stream.warmup_ops < num_uops:
+            stream = generate_trace(profile, num_uops, seed=seed,
+                                    thread=thread)
+            _STREAMS.put(stream_key, stream)
+        return stream.prefix(num_uops)
+
+    return _TRACES.get(key, build)

@@ -36,7 +36,7 @@ def _expected_value(prefix: str, i: int):
 def _writer_proc(cache_dir, prefix):
     cache = ResultCache(cache_dir)
     for i in range(N_ENTRIES):
-        cache.put(f"{prefix}{i}", _expected_value(prefix, i))
+        cache.put_many([(f"{prefix}{i}", _expected_value(prefix, i))])
     cache.close()
 
 
@@ -64,12 +64,13 @@ def _reader_proc(cache_dir, prefixes, out):
 
 
 def _put_all(cache_dir, items, batched):
+    """Store ``items`` in one transaction, or one transaction per pair."""
     cache = ResultCache(cache_dir)
     if batched:
         cache.put_many(items)
     else:
-        for key, value in items:
-            cache.put(key, value)
+        for item in items:
+            cache.put_many([item])
     cache.close()
 
 
@@ -120,9 +121,9 @@ class TestLruSemanticsWithSqliteBackend:
     def test_eviction_and_recency_are_unchanged(self, tmp_path):
         cache = ResultCache(tmp_path, max_memory_entries=8)
         for i in range(8):
-            cache.put(f"k{i}", i)
+            cache.put_many([(f"k{i}", i)])
         assert cache.get("k0")[0]  # refresh: k0 is now most recent
-        cache.put("k8", 8)  # over capacity: evicts the stale quarter
+        cache.put_many([("k8", 8)])  # over capacity: evicts the stale quarter
         assert cache.stats.memory_hits == 1
         hit, value = cache.get("k0")
         assert hit and value == 0 and cache.stats.memory_hits == 2
@@ -134,7 +135,7 @@ class TestLruSemanticsWithSqliteBackend:
 
     def test_clear_memory_keeps_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("k", [1, 2])
+        cache.put_many([("k", [1, 2])])
         cache.clear_memory()
         hit, value = cache.get("k")
         assert hit and value == [1, 2]
@@ -155,8 +156,9 @@ class TestRoundTripProperty:
               suppress_health_check=[HealthCheck.too_slow])
     @given(ops=st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=6))
     def test_get_after_put_under_interleaved_processes(self, ops):
-        """``get(put(k, v)) == v`` when two processes race the same
-        writes (one via ``put``, one via ``put_many``) on one database."""
+        """A stored ``(k, v)`` reads back as ``v`` when two processes
+        race the same writes on one database (one commits each pair on
+        its own, the other the whole batch at once)."""
         items = sorted(ops.items())
         with tempfile.TemporaryDirectory(prefix="repro-cache-prop-") as tmp:
             cache_dir = Path(tmp)
@@ -181,6 +183,6 @@ class TestRoundTripProperty:
     def test_db_filename_is_stable(self, tmp_path):
         """The database name is load-bearing (other processes must find
         it); pin it so a rename cannot silently split the cache."""
-        ResultCache(tmp_path).put("k", 1)
+        ResultCache(tmp_path).put_many([("k", 1)])
         assert DB_FILENAME == "cache.sqlite"
         assert (tmp_path / DB_FILENAME).exists()

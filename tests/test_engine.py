@@ -178,7 +178,7 @@ class TestResultCache:
         cache = ResultCache()
         hit, _ = cache.get("k")
         assert not hit
-        cache.put("k", {"x": 1})
+        cache.put_many([("k", {"x": 1})])
         hit, value = cache.get("k")
         assert hit and value == {"x": 1}
         assert cache.stats.memory_hits == 1
@@ -186,7 +186,7 @@ class TestResultCache:
 
     def test_disk_roundtrip(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("deadbeef", [1, 2, 3])
+        first.put_many([("deadbeef", [1, 2, 3])])
         second = ResultCache(tmp_path)  # fresh memory, same directory
         hit, value = second.get("deadbeef")
         assert hit and value == [1, 2, 3]
@@ -198,7 +198,7 @@ class TestResultCache:
         from repro.engine.cache import DB_FILENAME
 
         cache = ResultCache(tmp_path)
-        cache.put("deadbeef", [1])
+        cache.put_many([("deadbeef", [1])])
         cache.close()
         with sqlite3.connect(tmp_path / DB_FILENAME) as conn:
             conn.execute("UPDATE results SET value = ? WHERE key = ?",
@@ -216,19 +216,28 @@ class TestResultCache:
 
         (tmp_path / DB_FILENAME).write_bytes(b"this is not a database")
         cache = ResultCache(tmp_path)  # must not raise
-        cache.put("deadbeef", [1])
+        cache.put_many([("deadbeef", [1])])
         fresh = ResultCache(tmp_path)
         hit, value = fresh.get("deadbeef")
         assert hit and value == [1]
 
-    def test_memory_eviction_keeps_recent(self):
-        cache = ResultCache(max_memory_entries=8)
-        for i in range(9):
-            cache.put(f"k{i}", i)
-        hit, value = cache.get("k8")
-        assert hit and value == 8
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 8])
+    def test_memory_eviction_keeps_recent(self, cap):
+        """The memory layer holds at most ``cap`` entries, newest first
+        (regression: below a cap of 4 the evicted quarter was empty, so
+        the layer grew without bound)."""
+        cache = ResultCache(max_memory_entries=cap)
+        for i in range(100):
+            cache.put_many([(f"k{i}", i)])
+            assert len(cache._memory) <= cap
+        hit, value = cache.get("k99")
+        assert hit and value == 99
         hit, _ = cache.get("k0")
-        assert not hit  # oldest quarter evicted
+        assert not hit  # oldest evicted
+
+    def test_memory_cap_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_memory_entries"):
+            ResultCache(max_memory_entries=0)
 
     def test_disk_full_degrades_to_memory_only(self, tmp_path, monkeypatch):
         """A full disk (SQLITE_FULL on commit) must not kill the sweep:
@@ -240,10 +249,10 @@ class TestResultCache:
         def full_disk(*args, **kwargs):
             raise sqlite3.OperationalError("database or disk is full")
 
-        monkeypatch.setattr(cache._disk, "put", full_disk)
+        monkeypatch.setattr(cache._disk, "put_many", full_disk)
         with pytest.warns(RuntimeWarning, match="memory-only"):
-            cache.put("deadbeef", [1, 2, 3])
-        cache.put("cafef00d", [4])  # second failure: counted, no re-warn
+            cache.put_many([("deadbeef", [1, 2, 3])])
+        cache.put_many([("cafef00d", [4])])  # second failure: no re-warn
         assert cache.stats.disk_put_failures == 2
         assert cache.stats.stores == 2
         hit, value = cache.get("deadbeef")
@@ -252,13 +261,13 @@ class TestResultCache:
         assert not fresh.get("deadbeef")[0]  # nothing landed on disk
 
     def test_unpicklable_value_degrades_to_memory_only(self, tmp_path):
-        """A result that cannot be pickled (regression: ``put`` used to
+        """A result that cannot be pickled (regression: a store used to
         let the pickle error propagate out of the sweep) must degrade to
         memory-only exactly like a full disk."""
         cache = ResultCache(tmp_path)
         value = {"closure": lambda: None}  # functions don't pickle
         with pytest.warns(RuntimeWarning, match="memory-only"):
-            cache.put("deadbeef", value)
+            cache.put_many([("deadbeef", value)])
         assert cache.stats.disk_put_failures == 1
         assert cache.stats.stores == 1
         hit, served = cache.get("deadbeef")
@@ -272,10 +281,10 @@ class TestResultCache:
         entry must survive the eviction that drops the stale quarter."""
         cache = ResultCache(max_memory_entries=8)
         for i in range(8):
-            cache.put(f"k{i}", i)
+            cache.put_many([(f"k{i}", i)])
         hit, _ = cache.get("k0")  # refresh: k0 is now most recent
         assert hit
-        cache.put("k8", 8)  # over capacity: evicts the stale quarter
+        cache.put_many([("k8", 8)])  # over capacity: evicts the stale quarter
         hit, value = cache.get("k0")
         assert hit and value == 0  # survived: it was recently used
         hit, _ = cache.get("k1")
@@ -286,16 +295,16 @@ class TestResultCache:
         import sqlite3
 
         cache = ResultCache(tmp_path)
-        real_put = cache._disk.put
+        real_put = cache._disk.put_many
         monkeypatch.setattr(
-            cache._disk, "put",
+            cache._disk, "put_many",
             lambda *a, **k: (_ for _ in ()).throw(
                 sqlite3.OperationalError("database or disk is full")),
         )
         with pytest.warns(RuntimeWarning):
-            cache.put("deadbeef", [1])
-        monkeypatch.setattr(cache._disk, "put", real_put)
-        cache.put("cafef00d", [2])  # disk recovered
+            cache.put_many([("deadbeef", [1])])
+        monkeypatch.setattr(cache._disk, "put_many", real_put)
+        cache.put_many([("cafef00d", [2])])  # disk recovered
         assert cache.stats.disk_put_failures == 1
         fresh = ResultCache(tmp_path)
         hit, value = fresh.get("cafef00d")

@@ -258,6 +258,30 @@ def test_prefix_shares_its_stream():
         configs, _fresh_trace(profile, n, thread=1))
 
 
+def test_memoized_single_core_prefix_matches_a_fresh_trace():
+    """A single-core request shorter than its memoized stream is a view
+    into that stream's buffers, and the compiled replay and timing loop
+    read it exactly as they read a trace generated at that length."""
+    import numpy as np
+
+    from repro.workloads import generator
+
+    profile = spec_profiles()[2]
+    n = 700
+    generator._TRACES.clear()
+    generator._STREAMS.clear()
+    stream = generator.memoized_trace(profile, 2 * n)
+    prefix = generator.memoized_trace(profile, n)
+    for mine, theirs in zip(prefix.columns, stream.columns):
+        assert np.shares_memory(mine, theirs)
+    assert len(prefix) < len(stream)
+    configs = paper_single_core_configs()
+    assert run_trace_batch(configs, prefix) == run_trace_batch(
+        configs, _fresh_trace(profile, n))
+    generator._TRACES.clear()
+    generator._STREAMS.clear()
+
+
 @pytest.mark.parametrize("shared_l2", [False, True])
 def test_replay_geometry_is_the_hierarchy_geometry(shared_l2):
     """The compiled replay and the oracle's hierarchy build their levels
@@ -405,9 +429,10 @@ def test_kernel_path_builds_no_micro_ops(monkeypatch):
     only the scalar oracle, digests and tests build ``MicroOp`` records."""
     from repro.uarch import multicore
     from repro.uarch.isa import MicroOp, OpClass
+    from repro.workloads import generator
 
-    for memo in (multicore._MC_TRACE_MEMO, multicore._MC_STREAM_MEMO,
-                 multicore._MC_IMAGE_MEMO):
+    memos = (generator._TRACES, generator._STREAMS, multicore._MC_IMAGE_MEMO)
+    for memo in memos:
         memo.clear()
     built = []
     original = MicroOp.__post_init__
@@ -424,8 +449,7 @@ def test_kernel_path_builds_no_micro_ops(monkeypatch):
                     _fresh_trace(spec_profiles()[1], 800))
     run_parallel_batch(paper_multicore_configs(), parallel_profiles()[1], 2400)
     assert built == []
-    for memo in (multicore._MC_TRACE_MEMO, multicore._MC_STREAM_MEMO,
-                 multicore._MC_IMAGE_MEMO):
+    for memo in memos:
         memo.clear()
 
 

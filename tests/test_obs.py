@@ -23,7 +23,7 @@ from repro.obs import (
 )
 from repro.uarch.multicore import run_parallel_tiles
 from repro.uarch.ooo import STALL_CAUSES, run_trace
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace, memoized_trace
 from repro.workloads.parallel import parallel_by_name
 from repro.workloads.spec import spec_profiles
 
@@ -309,17 +309,22 @@ class TestTraceMemoRegression:
     but must not reuse the original's trace (the pre-fix memo did)."""
 
     def test_replaced_profile_gets_fresh_trace(self):
-        from repro.engine.sweep import _TRACE_MEMO, _trace_for
+        from repro.workloads.generator import _STREAMS, _TRACES
 
-        _TRACE_MEMO.clear()
+        _TRACES.clear()
+        _STREAMS.clear()
         profile = spec_profiles()[0]
-        original = _trace_for(profile, 400, 1234)
+        # The original's stream is longer than the variant's request, so
+        # a name-keyed memo would serve the variant a prefix of it.
+        memoized_trace(profile, 800, 1234)
+        original = memoized_trace(profile, 400, 1234)
         variant = dataclasses.replace(
             profile, load_frac=profile.load_frac + 0.05
         )
         assert variant.name == profile.name
-        fresh = _trace_for(variant, 400, 1234)
+        fresh = memoized_trace(variant, 400, 1234)
         assert fresh is not original
+        assert fresh == generate_trace(variant, 400, seed=1234)
         # And the traces genuinely differ (different instruction mix).
         def loads(trace):
             return sum(1 for op in trace.ops if op.address is not None)
@@ -327,9 +332,10 @@ class TestTraceMemoRegression:
         assert loads(fresh) != loads(original)
 
     def test_engine_result_matches_unmemoized_run(self):
-        from repro.engine.sweep import _TRACE_MEMO
+        from repro.workloads.generator import _STREAMS, _TRACES
 
-        _TRACE_MEMO.clear()
+        _TRACES.clear()
+        _STREAMS.clear()
         profile = spec_profiles()[0]
         variant = dataclasses.replace(
             profile, hot_frac=max(0.0, profile.hot_frac - 0.3)

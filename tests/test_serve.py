@@ -84,12 +84,10 @@ def _server(**kwargs):
 
 
 def _fresh_memos(monkeypatch, cap=None):
-    """Empty content-key, thermal and request-plan memos for one test (the
-    module memos outlive tests within a worker process)."""
+    """Empty content-key and request-plan memos for one test (the module
+    memos outlive tests within a worker process)."""
     monkeypatch.setattr(cache_module, "_PART_JSON",
                         LruMemo(cap or cache_module._PART_JSON.cap))
-    monkeypatch.setattr(hotspot, "_REPORTS",
-                        LruMemo(cap or hotspot._REPORTS.cap))
     monkeypatch.setattr(protocol, "_PLANS",
                         LruMemo(cap or protocol._PLANS.cap))
 
@@ -279,8 +277,8 @@ def warm_engine():
 
 
 class TestWarmRequests:
-    """A warm request simulates nothing, and with the content-key and
-    thermal memos it rebuilds nothing either: it pays for lookups."""
+    """A warm request simulates nothing, and a repeat is answered from its
+    request plan, so it rebuilds nothing either: it pays for lookups."""
 
     def test_warm_repeat_canonicalises_and_solves_nothing(
             self, warm_engine, monkeypatch):
@@ -330,25 +328,6 @@ class TestWarmRequests:
         for _ in range(2):  # built, then served from the memo
             for spec in specs:
                 assert spec.cache_key() == spec_reference_key(spec)
-
-    def test_thermal_reports_equal_fresh_solves(self, warm_engine,
-                                                monkeypatch):
-        _fresh_memos(monkeypatch)
-        served = []
-        real_report = hotspot._design_report
-
-        def recording(*args):
-            report = real_report(*args)
-            served.append((args, report))
-            return report
-
-        monkeypatch.setattr(hotspot, "_design_report", recording)
-        for _ in range(2):  # solved, then served from the memo
-            for endpoint, request in WARM_REQUESTS:
-                execute_request(endpoint, request, warm_engine)
-        assert len({args for args, _ in served}) == 24
-        for args, report in served:
-            assert report == hotspot._solve_design(*args)
 
     def test_plan_hit_asks_the_engine_and_rebuilds_nothing(
             self, warm_engine, monkeypatch):
@@ -493,8 +472,8 @@ class TestPlanMemo:
                       request["uops"], request["seed"]).cache_key()
         hit, run = engine.cache.get(key)
         assert hit
-        engine.cache.put(key, dataclasses.replace(run,
-                                                  cycles=2 * run.cycles))
+        engine.cache.put_many(
+            [(key, dataclasses.replace(run, cycles=2 * run.cycles))])
         second = execute_request("/sweep", request, engine)
         [_, het] = second["evaluations"]
         assert het["cpi"][0] == 2 * first["evaluations"][1]["cpi"][0]
@@ -868,8 +847,7 @@ class TestBoundedResources:
 
     #: Point names the distinct-body stream cycles through, and the memo
     #: cap it runs under: more names than entries, so every request
-    #: evicts a content-key fragment and a thermal report and rebuilds
-    #: its own.
+    #: evicts a content-key fragment and rebuilds its own.
     NAMES = 64
     MEMO_CAP = 16
 
@@ -892,7 +870,6 @@ class TestBoundedResources:
                                          body(2 * self.NAMES + index))
                 assert status == 200
             assert len(cache_module._PART_JSON) == self.MEMO_CAP
-            assert len(hotspot._REPORTS) == self.MEMO_CAP
             end = self._settled(server, start)
         assert end["rss_kb"] - start["rss_kb"] < self.RSS_GROWTH_BOUND_KB, \
             (start, end)

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.lru import LruMemo
-from repro.thermal import hotspot
 from repro.thermal.floorplan import (
     BLOCK_AREAS,
     floorplan_2d,
@@ -109,52 +107,6 @@ class TestSolver:
     def test_floorplan_count_checked(self):
         with pytest.raises(ValueError):
             solve_floorplans(stack_m3d_thermal(), [floorplan_2d(6.4)], grid=6)
-
-
-class TestReportMemo:
-    """Each distinct ``_solve_design`` input is solved once; the memo is
-    bounded because ``repro serve`` is long-lived."""
-
-    def test_repeat_is_the_fresh_report_without_a_solve(self, monkeypatch):
-        monkeypatch.setattr(hotspot, "_REPORTS", LruMemo(cap=8))
-        profile = spec_by_name()["Gems"]
-        first = peak_temperature_for("M3D-Het", 6.4, profile, grid=8)
-        solves = []
-        real = hotspot.solve_floorplans
-
-        def counting(*args, **kwargs):
-            solves.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hotspot, "solve_floorplans", counting)
-        assert peak_temperature_for("M3D-Het", 6.4, profile, grid=8) is first
-        assert solves == []
-        assert first == hotspot._solve_design("M3D-Het", "M3D", 6.4,
-                                              profile, 8)
-        # Any other input is a new solve.
-        assert peak_temperature_for("M3D-Het", 6.4, profile, grid=10) != first
-        assert len(solves) == 2
-
-    def test_memo_holds_at_its_cap(self, monkeypatch):
-        cap = hotspot._REPORTS.cap
-        assert cap == 1024
-        monkeypatch.setattr(hotspot, "_REPORTS", LruMemo(cap=cap))
-        solves = []
-
-        def fake_solve(*args):
-            solves.append(args)
-            return args
-
-        monkeypatch.setattr(hotspot, "_solve_design", fake_solve)
-        for power in range(cap + 1):
-            peak_temperature_for("Base", float(power), grid=8)
-        assert len(hotspot._REPORTS) == cap and len(solves) == cap + 1
-        # The newest report is still cached; the oldest was evicted.
-        peak_temperature_for("Base", float(cap), grid=8)
-        assert len(solves) == cap + 1
-        assert peak_temperature_for("Base", 0.0, grid=8) == (
-            "Base", "2D", 0.0, None, 8)
-        assert len(solves) == cap + 2 and len(hotspot._REPORTS) == cap
 
 
 class TestFigure8Physics:

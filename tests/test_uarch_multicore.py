@@ -11,7 +11,6 @@ from repro.uarch import multicore
 from repro.uarch.multicore import (
     BARRIER_OVERHEAD_CYCLES,
     _align_barriers,
-    _mc_trace,
     _tile_result,
     _work_shares,
     evaluate_tiles,
@@ -20,7 +19,7 @@ from repro.uarch.multicore import (
 )
 from repro.uarch.noc import RingNoc
 from repro.workloads import generator
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace, memoized_trace
 from repro.workloads.parallel import parallel_by_name
 from repro.workloads.spec import spec_by_name
 
@@ -266,14 +265,14 @@ class TestHeteroTiles:
 
 
 def _clear_multicore_memos():
-    multicore._MC_TRACE_MEMO.clear()
-    multicore._MC_STREAM_MEMO.clear()
+    generator._TRACES.clear()
+    generator._STREAMS.clear()
     multicore._MC_IMAGE_MEMO.clear()
 
 
 class TestSharedTraceStreams:
     """Shorter core shares are prefixes of one memoized stream per
-    (profile, seed, thread)."""
+    (profile, seed, thread), the one :func:`memoized_trace` keeps."""
 
     @pytest.mark.parametrize("core_counts", [(8, 4), (4, 8)])
     def test_lookup_order_does_not_change_traces(self, water, core_counts):
@@ -282,7 +281,7 @@ class TestSharedTraceStreams:
         for cores in core_counts:
             tiles = [BASE] * cores
             for thread, share in enumerate(_work_shares(total, tiles)):
-                trace = _mc_trace(water, share, 1234, thread)
+                trace = memoized_trace(water, share, 1234, thread)
                 assert trace == generate_trace(water, share, seed=1234,
                                                thread=thread)
         _clear_multicore_memos()
