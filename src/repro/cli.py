@@ -7,11 +7,9 @@ Commands
     Evaluate every partitioning strategy for one core structure (or a
     custom ``WORDSxBITS[xPORTS]`` geometry) on every stack.
 
-``frequencies``
-    Print the derived Table 11 frequencies.
-
 ``table <n>`` / ``figure <n>``
-    Regenerate one paper table (1-8, 11) or figure (2, 6-10).
+    Regenerate one paper table (1-8, 11) or figure (2, 6-10), printed as
+    ``report`` prints it.
 
 ``report``
     Regenerate every table and figure, model vs paper; the multicore
@@ -60,6 +58,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import List
 
 from repro import engine
 from repro.core.structures import structures_by_name
@@ -70,9 +69,12 @@ from repro.obs import (
     run_record,
     write_manifest,
 )
-from repro.experiments import figures as figmod
-from repro.experiments import tables as tabmod
-from repro.experiments.tables import print_rows
+from repro.experiments.runner import (
+    ARTIFACTS,
+    BuildParams,
+    run_figures,
+    run_tables,
+)
 from repro.partition.planner import evaluate_strategies
 from repro.partition.strategies import evaluate_2d, reduction_report
 from repro.sram.array import ArrayGeometry
@@ -119,53 +121,23 @@ def cmd_partition(args: argparse.Namespace) -> None:
             print(f"  {stack.name:<8} {report.as_row()}")
 
 
-def cmd_frequencies(args: argparse.Namespace) -> None:
-    print_rows("Table 11: derived frequencies", tabmod.table11())
+def _paper_numbers(kind: str) -> List[str]:
+    """The numbers of the paper's tables or figures, in paper order."""
+    return [name[len(kind):] for name in ARTIFACTS if name.startswith(kind)]
 
 
-def cmd_table(args: argparse.Namespace) -> None:
-    dispatch = {
-        "1": lambda: print_rows("Table 1", tabmod.table1()),
-        "2": lambda: print_rows("Table 2", tabmod.table2()),
-        "3": lambda: print_rows("Table 3", tabmod.table3()),
-        "4": lambda: print_rows("Table 4", tabmod.table4()),
-        "5": lambda: print_rows("Table 5", tabmod.table5()),
-        "6": lambda: (
-            print_rows("Table 6 (M3D)", tabmod.table6("M3D")),
-            print_rows("Table 6 (TSV3D)", tabmod.table6("TSV3D")),
-        ),
-        "8": lambda: print_rows("Table 8", tabmod.table8()),
-        "11": lambda: print_rows("Table 11", tabmod.table11()),
-    }
-    if args.number not in dispatch:
-        raise SystemExit(f"no table {args.number}; choose {sorted(dispatch)}")
-    dispatch[args.number]()
-
-
-def cmd_figure(args: argparse.Namespace) -> None:
-    dispatch = {
-        "2": lambda: print_rows("Figure 2", [tabmod.figure2()]),
-        "6": lambda: figmod.figure6(args.uops).print(),
-        "7": lambda: figmod.figure7(args.uops).print(),
-        "8": lambda: figmod.figure8(args.uops).print(),
-        "9": lambda: figmod.figure9(args.uops * 3).print(),
-        "10": lambda: figmod.figure10(args.uops * 3).print(),
-    }
-    if args.number not in dispatch:
-        raise SystemExit(f"no figure {args.number}; choose {sorted(dispatch)}")
-    dispatch[args.number]()
+def cmd_artifact(args: argparse.Namespace) -> None:
+    name = args.command + args.number
+    if name not in ARTIFACTS:
+        raise SystemExit(f"no {args.command} {args.number}; choose "
+                         f"{' '.join(_paper_numbers(args.command))}")
+    params = BuildParams(uops=args.uops, multicore_uops=args.uops * 3)
+    ARTIFACTS[name](params).print()
 
 
 def cmd_report(args: argparse.Namespace) -> None:
-    from repro.experiments.runner import run_figures, run_tables
-
     run_tables()
     run_figures(args.uops, args.uops * 3)
-
-
-#: Paper artefacts the CLI can regenerate (cf. cmd_table / cmd_figure).
-TABLE_NUMBERS = ("1", "2", "3", "4", "5", "6", "8", "11")
-FIGURE_NUMBERS = ("2", "6", "7", "8", "9", "10")
 
 
 def cmd_list(args: argparse.Namespace) -> None:
@@ -179,8 +151,8 @@ def cmd_list(args: argparse.Namespace) -> None:
                      else "1 core")
             print(f"    {point.name:<14} {point.stack:<6} "
                   f"{point.partition:<10} {cores:<8} {point.description}")
-    print("\nTables:  " + " ".join(TABLE_NUMBERS))
-    print("Figures: " + " ".join(FIGURE_NUMBERS))
+    print("\nTables:  " + " ".join(_paper_numbers("table")))
+    print("Figures: " + " ".join(_paper_numbers("figure")))
     print("\nSweep any subset: repro sweep <name>[,<name>|,<specs.json>...]")
 
 
@@ -211,7 +183,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> None:
     from repro.golden import (
-        BuildParams,
         UnknownArtifactError,
         print_report,
         run_validation,
@@ -396,11 +367,9 @@ def main(argv=None) -> None:
 
     add_command("partition", cmd_partition, "partition one structure",
                 ("structure", "RF/IQ/... or WORDSxBITS[xPORTS]"))
-    add_command("frequencies", cmd_frequencies,
-                "derived Table 11 frequencies")
-    add_command("table", cmd_table, "regenerate one paper table",
+    add_command("table", cmd_artifact, "regenerate one paper table",
                 ("number", "table number"))
-    add_command("figure", cmd_figure, "regenerate one paper figure",
+    add_command("figure", cmd_artifact, "regenerate one paper figure",
                 ("number", "figure number"))
     add_command("report", cmd_report, "regenerate everything")
     add_command("list", cmd_list,

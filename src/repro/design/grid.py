@@ -211,11 +211,7 @@ class ResolvedManycore:
         return self.noc.folded_tiles
 
 
-def resolve_manycore(
-    grid: TileGrid,
-    *,
-    use_paper_values: Optional[bool] = None,
-) -> ResolvedManycore:
+def resolve_manycore(grid: TileGrid) -> ResolvedManycore:
     """Resolve every tile of a grid to a single-core design + the mesh NoC.
 
     Each tile is one core, so every point resolves at ``num_cores=1``
@@ -228,9 +224,7 @@ def resolve_manycore(
     designs_by_name: Dict[str, ResolvedDesign] = {}
     for tile in grid.tile_names():
         point = grid.tile_point(tile)
-        designs_by_name[tile] = resolve(
-            point, num_cores=1, use_paper_values=use_paper_values,
-        )
+        designs_by_name[tile] = resolve(point, num_cores=1)
     designs = tuple(designs_by_name[tile] for tile in grid.tiles)
     folded = grid.folded_tiles
     if folded is None:

@@ -125,16 +125,15 @@ def _effective_cpi(result, num_cores: int) -> float:
 INTERVAL_CHECK_THRESHOLD: float = 0.02
 
 
-def interval_crosscheck(config, base_config, run, base_run,
-                        label: str,
-                        threshold: float = INTERVAL_CHECK_THRESHOLD):
+def interval_crosscheck(config, base_config, run, base_run, label: str):
     """Compare the cycle model and the interval model on the direction of
     the ``base_config -> config`` CPI change.
 
     Returns a warning message when the two models disagree on the sign of
-    a change both consider significant (``>= threshold`` relative), else
-    ``None``.  Single-core only: the interval model has no notion of
-    barriers or coherence, so multicore runs are not comparable.
+    a change both consider significant (at least
+    :data:`INTERVAL_CHECK_THRESHOLD` relative), else ``None``.
+    Single-core only: the interval model has no notion of barriers or
+    coherence, so multicore runs are not comparable.
     """
     from repro.uarch.interval import predict_cpi, workload_stats_from_sim
 
@@ -145,7 +144,8 @@ def interval_crosscheck(config, base_config, run, base_run,
     predicted = predict_cpi(config, workload)
     measured_delta = measured / measured_base - 1.0
     predicted_delta = predicted / predicted_base - 1.0
-    if abs(measured_delta) < threshold or abs(predicted_delta) < threshold:
+    if abs(measured_delta) < INTERVAL_CHECK_THRESHOLD \
+            or abs(predicted_delta) < INTERVAL_CHECK_THRESHOLD:
         return None
     if (measured_delta > 0) == (predicted_delta > 0):
         return None
@@ -198,10 +198,6 @@ class PendingPointEvaluation:
         self.groups = groups
         self._pending = pending  # one repro.engine.sweep.PendingSpecs each
         self._final: Optional[List[PointEvaluation]] = None
-
-    @property
-    def done(self) -> bool:
-        return self._final is not None
 
     def group_results(self) -> List[List[object]]:
         """Wait for the simulations; each group's engine results, in spec

@@ -135,14 +135,14 @@ def _respawn_after_break(broken_generation: int,
         return _executor, _generation
 
 
-def shutdown_pool(wait: bool = True) -> None:
+def shutdown_pool() -> None:
     """Join every worker and drop the shared executor (idempotent).
 
     Safe to call while leases are active: pending futures complete
-    first (``wait=True``).  The next :func:`get_executor` spawns fresh.
+    first.  The next :func:`get_executor` spawns fresh.
     """
     with _lock:
-        _shutdown_locked(wait=wait)
+        _shutdown_locked(wait=True)
 
 
 atexit.register(shutdown_pool)

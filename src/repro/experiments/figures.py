@@ -17,10 +17,9 @@ not one per (app, config) pair.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.configs import CoreConfig
-from repro.engine.sweep import ExperimentEngine, get_engine
+from repro.engine.sweep import get_engine
 from repro.power.core_power import power_model_for
 from repro.thermal.hotspot import peak_temperature_for
 from repro.workloads.parallel import parallel_profiles
@@ -83,22 +82,9 @@ class FigureSeries:
         )
 
 
-def _single_core_runs(uops: int, seed: int,
-                      configs: Optional[List[CoreConfig]] = None,
-                      engine: Optional[ExperimentEngine] = None):
-    """Simulate every SPEC app on every single-core config.
-
-    Delegates to the shared engine: results are cached by content key, so
-    figures 6, 7 and 8 calling this with the same arguments pay for the
-    sweep once, and ``--jobs`` fans the pairs across processes.
-    """
-    engine = engine if engine is not None else get_engine()
-    return engine.single_core_runs(uops, seed=seed, configs=configs)
-
-
 def figure6(uops: int = SINGLE_CORE_UOPS, seed: int = 1234) -> FigureSeries:
     """Figure 6: single-core speedup over Base, 21 SPEC2006 apps."""
-    configs, runs = _single_core_runs(uops, seed)
+    configs, runs = get_engine().single_core_runs(uops, seed=seed)
     apps = [p.name for p in spec_profiles()]
     values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
     for app in apps:
@@ -110,7 +96,7 @@ def figure6(uops: int = SINGLE_CORE_UOPS, seed: int = 1234) -> FigureSeries:
 
 def figure7(uops: int = SINGLE_CORE_UOPS, seed: int = 1234) -> FigureSeries:
     """Figure 7: single-core energy normalised to Base."""
-    configs, runs = _single_core_runs(uops, seed)
+    configs, runs = get_engine().single_core_runs(uops, seed=seed)
     models = {cfg.name: power_model_for(cfg) for cfg in configs}
     apps = [p.name for p in spec_profiles()]
     values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
@@ -129,7 +115,7 @@ def figure8(uops: int = SINGLE_CORE_UOPS, seed: int = 1234,
     Per-app core power comes from the power model's Base run, scaled per
     design by its average power ratio (power = energy / time).
     """
-    configs, runs = _single_core_runs(uops, seed)
+    configs, runs = get_engine().single_core_runs(uops, seed=seed)
     by_name = {cfg.name: cfg for cfg in configs}
     models = {cfg.name: power_model_for(cfg) for cfg in configs}
     apps = [p.name for p in spec_profiles()]
@@ -146,15 +132,9 @@ def figure8(uops: int = SINGLE_CORE_UOPS, seed: int = 1234,
     return FigureSeries("Figure 8: peak temperature (C)", apps, values)
 
 
-def _multicore_runs(total_uops: int, seed: int,
-                    engine: Optional[ExperimentEngine] = None):
-    engine = engine if engine is not None else get_engine()
-    return engine.multicore_runs(total_uops, seed=seed)
-
-
 def figure9(total_uops: int = MULTICORE_UOPS, seed: int = 1234) -> FigureSeries:
     """Figure 9: multicore speedup over the 4-core Base."""
-    configs, runs = _multicore_runs(total_uops, seed)
+    configs, runs = get_engine().multicore_runs(total_uops, seed=seed)
     apps = [p.name for p in parallel_profiles()]
     values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
     for app in apps:
@@ -166,7 +146,7 @@ def figure9(total_uops: int = MULTICORE_UOPS, seed: int = 1234) -> FigureSeries:
 
 def figure10(total_uops: int = MULTICORE_UOPS, seed: int = 1234) -> FigureSeries:
     """Figure 10: multicore energy normalised to the 4-core Base."""
-    configs, runs = _multicore_runs(total_uops, seed)
+    configs, runs = get_engine().multicore_runs(total_uops, seed=seed)
     models = {cfg.name: power_model_for(cfg) for cfg in configs}
     apps = [p.name for p in parallel_profiles()]
     values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
@@ -181,14 +161,3 @@ def figure10(total_uops: int = MULTICORE_UOPS, seed: int = 1234) -> FigureSeries
             values[cfg.name].append(report.total * scale / base_report.total)
     return FigureSeries("Figure 10: multicore normalized energy", apps, values)
 
-
-#: Simulated-figure builders by artifact name.  Values are
-#: ``(builder, multicore)``: single-core figures take the measured uops
-#: per run, multicore figures the total work across all cores.
-FIGURE_BUILDERS = {
-    "figure6": (figure6, False),
-    "figure7": (figure7, False),
-    "figure8": (figure8, False),
-    "figure9": (figure9, True),
-    "figure10": (figure10, True),
-}

@@ -197,7 +197,6 @@ def evaluate_manycore(
     seed: int = 1234,
     base_grid: int = MANYCORE_BASE_GRID,
     apps: Optional[int] = None,
-    use_paper_values: Optional[bool] = None,
 ) -> ManycoreReport:
     """Evaluate one tile-grid scenario over the parallel suite.
 
@@ -207,7 +206,7 @@ def evaluate_manycore(
     """
     from repro.uarch.kernel import kernel_enabled
 
-    resolved = resolve_manycore(grid, use_paper_values=use_paper_values)
+    resolved = resolve_manycore(grid)
     tiles = resolved.tiles
     profiles = parallel_profiles()
     if apps is not None:

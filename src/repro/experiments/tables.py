@@ -1,9 +1,10 @@
 """Reproduction entry points for the paper's tables (1-8, 11).
 
-Each function runs the relevant models and returns structured rows plus a
-``print_*`` helper that renders them next to the paper's published values
+Each function runs the relevant models and returns structured rows, which
+:func:`print_rows` renders next to the paper's published values
 (:mod:`repro.core.reference`), so every benchmark and EXPERIMENTS.md entry
-comes from the same code path.
+comes from the same code path.  :mod:`repro.experiments.runner` titles
+each table (:class:`Table`) in report order.
 """
 
 from __future__ import annotations
@@ -38,9 +39,37 @@ class TableRow:
         return {"model": dict(self.model), "paper": dict(self.paper)}
 
 
-def rows_payload(rows: List[TableRow]) -> Dict[str, object]:
-    """Key a table's rows by name: the golden-artifact payload shape."""
-    return {"rows": {row.key: row.as_dict() for row in rows}}
+@dataclasses.dataclass(frozen=True)
+class Table:
+    """A titled reproduction table, as ``repro report`` prints it."""
+
+    title: str
+    rows: List[TableRow]
+
+    def print(self) -> None:
+        print_rows(self.title, self.rows)
+
+    def as_dict(self) -> Dict[str, object]:
+        """The golden payload: the rows keyed by name."""
+        return {"rows": {row.key: row.as_dict() for row in self.rows}}
+
+
+@dataclasses.dataclass(frozen=True)
+class TableVariants:
+    """One table per stack (Table 6), printed in turn; the golden payload
+    keys each variant's rows by stack."""
+
+    tables: Dict[str, Table]
+
+    def print(self) -> None:
+        for table in self.tables.values():
+            table.print()
+
+    def as_dict(self) -> Dict[str, object]:
+        return {"variants": {
+            stack: table.as_dict()["rows"]
+            for stack, table in self.tables.items()
+        }}
 
 
 def table1() -> List[TableRow]:
@@ -207,25 +236,6 @@ def table11() -> List[TableRow]:
     ]
 
 
-#: Zero-argument builders for every uops-independent table artifact,
-#: in paper order.  The golden layer (:mod:`repro.golden.artifacts`)
-#: snapshots exactly these payloads.
-TABLE_PAYLOADS = {
-    "table1": lambda: rows_payload(table1()),
-    "table2": lambda: rows_payload(table2()),
-    "table3": lambda: rows_payload(table3()),
-    "table4": lambda: rows_payload(table4()),
-    "table5": lambda: rows_payload(table5()),
-    "table6": lambda: {"variants": {
-        "M3D": rows_payload(table6("M3D"))["rows"],
-        "TSV3D": rows_payload(table6("TSV3D"))["rows"],
-    }},
-    "table8": lambda: rows_payload(table8()),
-    "table11": lambda: rows_payload(table11()),
-    "figure2": lambda: rows_payload([figure2()]),
-}
-
-
 def print_rows(title: str, rows: List[TableRow]) -> None:
     """Render a reproduction table, model vs paper."""
     print(f"\n=== {title} ===")
@@ -240,3 +250,4 @@ def print_rows(title: str, rows: List[TableRow]) -> None:
         )
         print(f"{row.key:<14} model: {model}")
         print(f"{'':<14} paper: {paper}")
+

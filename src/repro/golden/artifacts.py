@@ -1,23 +1,27 @@
 """The registry of golden artifacts: everything the paper publishes.
 
-Every table (1-8, 11), every figure (2, 6-10), the full design-point
-registry, and the pinned workload-trace digests are registered here as
-:class:`Artifact` entries.  Each knows how to rebuild its payload from
-the live models; ``repro validate`` compares that rebuild against the
-committed golden, ``repro validate --update`` re-blesses it.
+Every paper table and figure (:data:`repro.experiments.runner.ARTIFACTS`,
+in report order), the full design-point registry, the pinned
+workload-trace digests, the golden exploration and the golden manycore
+scenario are registered here as :class:`Artifact` entries.  Each knows
+how to rebuild its payload from the live models; ``repro validate``
+compares that rebuild against the committed golden, ``repro validate
+--update`` re-blesses it.
 
-Static artifacts (tables, the design space, trace digests) are
-independent of the sweep sizes; simulated artifacts (figures 6-10)
-record the :class:`BuildParams` they were blessed at inside the golden
-envelope, and validation replays them at exactly those sizes.
+Static artifacts (tables, Figure 2, the design space, trace digests)
+are independent of the sweep sizes; simulated artifacts (figures 6-10,
+explore, manycore) record the :class:`BuildParams` they were blessed at
+inside the golden envelope, and validation replays them at exactly
+those sizes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro.experiments.runner import ARTIFACTS, STATIC, BuildParams
 from repro.golden.serialize import trace_digest
 
 #: The pinned trace-generation cases: (suite, profile index, uops, seed,
@@ -33,29 +37,10 @@ TRACE_CASES: Tuple[Tuple[str, int, int, int, Optional[int]], ...] = (
 
 
 @dataclasses.dataclass(frozen=True)
-class BuildParams:
-    """Sweep sizes a simulated artifact is built at."""
-
-    uops: int = 8000
-    multicore_uops: int = 24000
-    seed: int = 1234
-    grid: int = 12
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "BuildParams":
-        known = {field.name for field in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-@dataclasses.dataclass(frozen=True)
 class Artifact:
     """One golden-tracked artifact."""
 
     name: str
-    kind: str  # "table" | "figure" | "design" | "trace"
     build: Callable[[BuildParams], dict]
     #: Static artifacts do not depend on the sweep sizes; their golden
     #: params are recorded but irrelevant to the rebuild.
@@ -139,84 +124,37 @@ def _build_manycore(params: BuildParams) -> dict:
     return report.as_dict()
 
 
-def _table_builder(name: str) -> Callable[[BuildParams], dict]:
-    def build(params: BuildParams) -> dict:
-        from repro.experiments.tables import TABLE_PAYLOADS
-
-        return TABLE_PAYLOADS[name]()
-
-    return build
-
-
-def _figure_builder(name: str) -> Callable[[BuildParams], dict]:
-    def build(params: BuildParams) -> dict:
-        from repro.experiments.figures import FIGURE_BUILDERS
-
-        builder, multicore = FIGURE_BUILDERS[name]
-        uops = params.multicore_uops if multicore else params.uops
-        if name == "figure8":
-            series = builder(uops, seed=params.seed, grid=params.grid)
-        else:
-            series = builder(uops, seed=params.seed)
-        return series.as_dict()
-
-    return build
-
-
-def _registry() -> "OrderedDict[str, Artifact]":
-    from repro.experiments.figures import FIGURE_BUILDERS
-    from repro.experiments.tables import TABLE_PAYLOADS
-
-    artifacts: "OrderedDict[str, Artifact]" = OrderedDict()
-    for name in TABLE_PAYLOADS:
-        artifacts[name] = Artifact(
-            name=name, kind="table", build=_table_builder(name), static=True,
-        )
-    for name in FIGURE_BUILDERS:
-        artifacts[name] = Artifact(
-            name=name, kind="figure", build=_figure_builder(name),
-            static=False,
-        )
-    artifacts["points"] = Artifact(
-        name="points", kind="design", build=_build_points, static=True,
-    )
-    artifacts["traces"] = Artifact(
-        name="traces", kind="trace", build=_build_traces, static=True,
-    )
-    artifacts["explore"] = Artifact(
-        name="explore", kind="explore", build=_build_explore, static=False,
-    )
-    artifacts["manycore"] = Artifact(
-        name="manycore", kind="manycore", build=_build_manycore,
-        static=False,
-    )
-    return artifacts
-
-
-_ARTIFACTS: Optional["OrderedDict[str, Artifact]"] = None
+#: The paper's tables and figures in report order, then the design
+#: points, the trace digests, the golden exploration and the golden
+#: manycore scenario.
+_REGISTRY: "OrderedDict[str, Artifact]" = OrderedDict(
+    (artifact.name, artifact) for artifact in [
+        *(Artifact(name,
+                   lambda params, build=build: build(params).as_dict(),
+                   static=name in STATIC)
+          for name, build in ARTIFACTS.items()),
+        Artifact("points", _build_points),
+        Artifact("traces", _build_traces),
+        Artifact("explore", _build_explore, static=False),
+        Artifact("manycore", _build_manycore, static=False),
+    ]
+)
 
 
 def artifacts() -> "OrderedDict[str, Artifact]":
-    """The artifact registry (built lazily: it imports the experiments)."""
-    global _ARTIFACTS
-    if _ARTIFACTS is None:
-        _ARTIFACTS = _registry()
-    return _ARTIFACTS
+    """The artifact registry."""
+    return _REGISTRY
 
 
-def artifact_names(static_only: bool = False) -> List[str]:
-    return [
-        name for name, artifact in artifacts().items()
-        if artifact.static or not static_only
-    ]
+def artifact_names() -> List[str]:
+    return list(_REGISTRY)
 
 
 def get_artifact(name: str) -> Artifact:
-    registry = artifacts()
     try:
-        return registry[name]
+        return _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown golden artifact {name!r}; "
-            f"known artifacts: {', '.join(registry)}"
+            f"known artifacts: {', '.join(_REGISTRY)}"
         ) from None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.golden.policy import EXACT, Tolerance, policy_for
 from repro.golden.serialize import decode_nonfinite
@@ -56,15 +56,10 @@ class Comparison:
         return not self.drifts
 
 
-PolicyFn = Callable[[str, Tuple[str, ...]], Tolerance]
-
-
-def compare_payloads(artifact: str, golden: Any, actual: Any,
-                     policy: Optional[PolicyFn] = None) -> Comparison:
+def compare_payloads(artifact: str, golden: Any, actual: Any) -> Comparison:
     """Compare a recomputed payload against its golden counterpart."""
-    policy = policy if policy is not None else policy_for
     drifts: List[Drift] = []
-    cells = _walk(artifact, (), golden, actual, policy, drifts)
+    cells = _walk(artifact, (), golden, actual, drifts)
     return Comparison(artifact=artifact, cells=cells, drifts=drifts)
 
 
@@ -101,7 +96,7 @@ def _is_number(value: Any) -> bool:
 
 
 def _walk(artifact: str, path: Tuple[str, ...], golden: Any, actual: Any,
-          policy: PolicyFn, drifts: List[Drift]) -> int:
+          drifts: List[Drift]) -> int:
     """Recursive comparison; returns the number of leaf cells visited."""
     golden = decode_nonfinite(golden)
     actual = decode_nonfinite(actual)
@@ -127,7 +122,7 @@ def _walk(artifact: str, path: Tuple[str, ...], golden: Any, actual: Any,
                 cells += 1
             else:
                 cells += _walk(artifact, path + (key,), golden[key],
-                               actual[key], policy, drifts)
+                               actual[key], drifts)
         return cells
 
     if isinstance(golden, list) and isinstance(actual, list):
@@ -138,13 +133,12 @@ def _walk(artifact: str, path: Tuple[str, ...], golden: Any, actual: Any,
                    f"{_fmt_path(path)}: golden has {len(golden)} entries, "
                    f"recomputed has {len(actual)}")
         for index, (g, a) in enumerate(zip(golden, actual)):
-            cells += _walk(artifact, path + (str(index),), g, a, policy,
-                           drifts)
+            cells += _walk(artifact, path + (str(index),), g, a, drifts)
         return cells
 
     # Leaves from here on.
     if _is_number(golden) and _is_number(actual):
-        tolerance = policy(artifact, path)
+        tolerance = policy_for(artifact, path)
         if not tolerance.matches(float(golden), float(actual)):
             _drift(drifts, artifact, path, "value", golden, actual,
                    tolerance,

@@ -5,7 +5,9 @@ shared experiment engine, so caching and ``--jobs`` apply), compares the
 rebuild against the committed golden under the tolerance policy, and
 assembles one structured drift report.  ``--update`` re-blesses the
 requested goldens instead of comparing; ``--deep`` adds the
-differential oracles of :mod:`repro.golden.oracles`.
+differential oracles of :mod:`repro.golden.oracles`, whose hard
+failures fail the run in either mode (an update then leaves the oracle
+baseline as it was).
 
 The report is JSON-ready: it is embedded into the run manifest as the
 ``validation`` section (:mod:`repro.obs.manifest`, schema v3), written
@@ -17,11 +19,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.golden.artifacts import (
+    Artifact,
     BuildParams,
     artifact_names,
-    get_artifact,
+    artifacts,
 )
-from repro.golden.compare import Comparison, compare_payloads
+from repro.golden.compare import compare_payloads
 from repro.golden.oracles import run_deep_oracles
 from repro.golden.store import (
     GoldenError,
@@ -33,8 +36,12 @@ from repro.golden.store import (
 #: Drift-report schema; bump when the report shape changes.
 DRIFT_SCHEMA_VERSION = "repro-drift-v1"
 
-#: The pseudo-artifact holding the deep-oracle baseline.
+#: The pseudo-artifact holding the deep-oracle baseline: not in the
+#: registry, selected by ``--deep`` or by name.
 ORACLES_ARTIFACT = "oracles"
+
+#: Drifted cells :func:`print_report` lists before summarising the rest.
+MAX_PRINTED_DRIFTS = 20
 
 
 class UnknownArtifactError(KeyError):
@@ -44,22 +51,15 @@ class UnknownArtifactError(KeyError):
 def select_artifacts(only: Optional[Sequence[str]] = None,
                      deep: bool = False) -> List[str]:
     """Resolve a ``--only`` selection to concrete artifact names."""
-    if only:
-        names: List[str] = []
-        for name in only:
-            if name == ORACLES_ARTIFACT:
-                names.append(name)
-                continue
-            try:
-                get_artifact(name)
-            except KeyError as exc:
-                raise UnknownArtifactError(exc.args[0]) from None
-            names.append(name)
-        if deep and ORACLES_ARTIFACT not in names:
-            names.append(ORACLES_ARTIFACT)
-        return names
-    names = artifact_names()
-    if deep:
+    known = artifact_names() + [ORACLES_ARTIFACT]
+    names = list(only) if only else artifact_names()
+    for name in names:
+        if name not in known:
+            raise UnknownArtifactError(
+                f"unknown golden artifact {name!r}; "
+                f"known artifacts: {', '.join(known)}"
+            )
+    if deep and ORACLES_ARTIFACT not in names:
         names.append(ORACLES_ARTIFACT)
     return names
 
@@ -87,25 +87,33 @@ def run_validation(only: Optional[Sequence[str]] = None,
     """Run one validate/update pass and return the drift report."""
     params = params if params is not None else BuildParams()
     names = select_artifacts(only, deep=deep)
-    run_oracles = ORACLES_ARTIFACT in names
-    regular = [name for name in names if name != ORACLES_ARTIFACT]
+    registry: Dict[str, Artifact] = dict(artifacts())
+    oracle_failures: List[str] = []
+    if ORACLES_ARTIFACT in names:
+        # The oracles run first, so their hard failures are reported
+        # even when their baseline cannot be loaded.
+        payloads, oracle_failures = run_deep_oracles()
+        registry[ORACLES_ARTIFACT] = Artifact(ORACLES_ARTIFACT,
+                                              lambda _: payloads)
 
     entries: List[dict] = []
-    oracle_failures: List[str] = []
-
-    oracle_payloads: Optional[Dict[str, dict]] = None
-    if run_oracles:
-        oracle_payloads, oracle_failures = run_deep_oracles()
-
-    for name in regular:
-        artifact = get_artifact(name)
+    for name in names:
+        artifact = registry[name]
+        failed = name == ORACLES_ARTIFACT and bool(oracle_failures)
+        path = golden_path(name, goldens_dir)
+        if update and failed:
+            # A failing oracle must never become the baseline.
+            entries.append(_artifact_entry(
+                name, "error", path=str(path),
+                error=f"{len(oracle_failures)} hard oracle failure(s); "
+                      f"baseline not re-blessed",
+            ))
+            continue
         if update:
-            payload = artifact.build(params)
-            path = write_golden(name, payload, params=params.as_dict(),
-                                goldens_dir=goldens_dir)
+            write_golden(name, artifact.build(params),
+                         params=params.as_dict(), goldens_dir=goldens_dir)
             entries.append(_artifact_entry(name, "updated", path=str(path)))
             continue
-        path = golden_path(name, goldens_dir)
         try:
             envelope = load_golden(name, goldens_dir)
         except GoldenError as exc:
@@ -115,60 +123,27 @@ def run_validation(only: Optional[Sequence[str]] = None,
             continue
         build_params = params if artifact.static \
             else BuildParams.from_dict(envelope["params"])
-        actual = artifact.build(build_params)
-        comparison: Comparison = compare_payloads(
-            name, envelope["payload"], actual
+        comparison = compare_payloads(
+            name, envelope["payload"], artifact.build(build_params)
         )
         entries.append(_artifact_entry(
             name,
-            "pass" if comparison.clean else "drift",
+            "pass" if comparison.clean and not failed else "drift",
             cells=comparison.cells,
             drifts=[drift.as_record() for drift in comparison.drifts],
             path=str(path),
         ))
 
-    if run_oracles and oracle_payloads is not None:
-        if update:
-            path = write_golden(ORACLES_ARTIFACT, oracle_payloads,
-                                params=params.as_dict(),
-                                goldens_dir=goldens_dir)
-            entries.append(_artifact_entry(
-                ORACLES_ARTIFACT, "updated", path=str(path)
-            ))
-        else:
-            path = golden_path(ORACLES_ARTIFACT, goldens_dir)
-            try:
-                envelope = load_golden(ORACLES_ARTIFACT, goldens_dir)
-            except GoldenError as exc:
-                entries.append(_artifact_entry(
-                    ORACLES_ARTIFACT, "error", path=str(path),
-                    error=str(exc),
-                ))
-            else:
-                comparison = compare_payloads(
-                    ORACLES_ARTIFACT, envelope["payload"], oracle_payloads
-                )
-                status = "pass" if comparison.clean and not oracle_failures \
-                    else "drift"
-                entries.append(_artifact_entry(
-                    ORACLES_ARTIFACT, status,
-                    cells=comparison.cells,
-                    drifts=[d.as_record() for d in comparison.drifts],
-                    path=str(path),
-                ))
-
     drifted = [e["artifact"] for e in entries if e["status"] == "drift"]
     errors = [e["artifact"] for e in entries if e["status"] == "error"]
-    if update:
-        status = "updated"
-    elif drifted or errors or oracle_failures:
+    if drifted or errors or oracle_failures:
         status = "fail"
     else:
-        status = "pass"
+        status = "updated" if update else "pass"
     report: Dict[str, Any] = {
         "schema": DRIFT_SCHEMA_VERSION,
         "mode": "update" if update else "validate",
-        "deep": run_oracles,
+        "deep": ORACLES_ARTIFACT in names,
         "status": status,
         "params": params.as_dict(),
         "artifacts": entries,
@@ -195,7 +170,7 @@ def run_validation(only: Optional[Sequence[str]] = None,
     return report
 
 
-def print_report(report: Dict[str, Any], max_drifts: int = 20) -> None:
+def print_report(report: Dict[str, Any]) -> None:
     """Human-readable drift-report summary (the CLI's output)."""
     mode = report["mode"]
     print(f"\n=== repro validate ({mode}"
@@ -215,7 +190,7 @@ def print_report(report: Dict[str, Any], max_drifts: int = 20) -> None:
     shown = 0
     for entry in report["artifacts"]:
         for drift in entry["drifts"]:
-            if shown >= max_drifts:
+            if shown >= MAX_PRINTED_DRIFTS:
                 remaining = report["summary"]["drifted_cells"] - shown
                 print(f"  ... and {remaining} more drifted cells")
                 break

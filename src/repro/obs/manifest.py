@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -73,13 +74,11 @@ class ManifestError(ValueError):
 
 
 def build_manifest(command: str, record: RunRecord,
-                   engine: Optional[object] = None,
-                   created: Optional[str] = None) -> Dict[str, Any]:
-    """Assemble the manifest describing ``record``.
+                   engine: Optional[object] = None) -> Dict[str, Any]:
+    """Assemble the manifest describing ``record``, stamped now.
 
     ``engine`` (default: the process engine) supplies only the static
-    ``engine`` section, its job count and cache directory; ``created``
-    (an ISO timestamp) is stamped automatically when omitted.
+    ``engine`` section, its job count and cache directory.
     """
     # Imported lazily: repro.engine imports repro.obs, so a module-level
     # import here would be circular.
@@ -91,14 +90,10 @@ def build_manifest(command: str, record: RunRecord,
         from repro.engine.sweep import get_engine
 
         engine = get_engine()
-    if created is None:
-        from datetime import datetime, timezone
-
-        created = datetime.now(timezone.utc).isoformat()
     cache_dir = engine.cache.cache_dir
     manifest = {
         "schema": MANIFEST_SCHEMA_VERSION,
-        "created": created,
+        "created": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "code_fingerprint": code_fingerprint(),
         "platform": {

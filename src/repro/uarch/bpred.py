@@ -2,8 +2,10 @@
 
 4K-entry selector indexed by PC ^ global history, choosing between a
 4K-entry local predictor (per-PC 2-bit counters behind a local history
-table) and a 4K-entry gshare global predictor; a 4K-entry 4-way BTB and a
-32-entry return-address stack complete the front end.
+table) and a 4K-entry gshare global predictor.  Table 9's 4K-entry BTB
+and 32-entry return-address stack never change a direction outcome, so
+they are not modelled here; the BTB's SRAM geometry still sizes its
+array (:mod:`repro.core.structures`).
 
 This is a *functional* model: it is consulted per branch and trained on the
 outcome; its mispredictions inject the (config-dependent) redirect bubble
@@ -49,7 +51,6 @@ class PredictorStats:
 
     branches: int = 0
     mispredictions: int = 0
-    btb_misses: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -57,14 +58,11 @@ class PredictorStats:
 
 
 class TournamentPredictor:
-    """The Table 9 tournament predictor with BTB and RAS."""
+    """The Table 9 tournament predictor."""
 
     def __init__(
         self,
         table_entries: int = TABLE_ENTRIES,
-        btb_entries: int = 4096,
-        btb_ways: int = 4,
-        ras_entries: int = 32,
         local_history_bits: int = LOCAL_HISTORY_BITS,
     ) -> None:
         self._selector = _Counters(table_entries)
@@ -74,28 +72,7 @@ class TournamentPredictor:
         self._local_mask = table_entries - 1
         self._history_mask = (1 << local_history_bits) - 1
         self._ghr = 0
-        self._btb_sets = btb_entries // btb_ways
-        self._btb_ways = btb_ways
-        self._btb: List[List[int]] = [[] for _ in range(self._btb_sets)]
-        self._ras: List[int] = []
-        self._ras_entries = ras_entries
         self.stats = PredictorStats()
-
-    # -- BTB ----------------------------------------------------------------
-
-    def _btb_lookup(self, pc: int) -> bool:
-        """True on BTB hit; installs the entry (LRU) on miss."""
-        line = self._btb[pc % self._btb_sets]
-        if pc in line:
-            line.remove(pc)
-            line.insert(0, pc)
-            return True
-        line.insert(0, pc)
-        if len(line) > self._btb_ways:
-            line.pop()
-        return False
-
-    # -- prediction -----------------------------------------------------------
 
     def predict_and_train(self, pc: int, taken: bool) -> bool:
         """Predict one branch, train all tables, return correctness."""
@@ -109,9 +86,6 @@ class TournamentPredictor:
         global_pred = self._global.predict(index)
         use_global = self._selector.predict(index)
         prediction = global_pred if use_global else local_pred
-
-        if taken and not self._btb_lookup(pc):
-            self.stats.btb_misses += 1
 
         # Train the selector toward whichever predictor was right.
         if local_pred != global_pred:
@@ -128,19 +102,3 @@ class TournamentPredictor:
             self.stats.mispredictions += 1
         return correct
 
-    # -- RAS -----------------------------------------------------------------
-
-    def push_return(self, pc: int) -> None:
-        """Record a call for later return prediction."""
-        self._ras.append(pc)
-        if len(self._ras) > self._ras_entries:
-            self._ras.pop(0)
-
-    def pop_return(self, pc: int) -> bool:
-        """Predict a return; True when the RAS top matches."""
-        self.stats.branches += 1
-        predicted = self._ras.pop() if self._ras else -1
-        correct = predicted == pc
-        if not correct:
-            self.stats.mispredictions += 1
-        return correct

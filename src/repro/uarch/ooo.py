@@ -273,7 +273,6 @@ class OutOfOrderCore:
         # accuracy statistics.
         self.predictor.stats.branches = 0
         self.predictor.stats.mispredictions = 0
-        self.predictor.stats.btb_misses = 0
 
     def run(self, trace: Trace) -> SimResult:
         """Simulate a trace; fast-forwards its warmup prefix, then times

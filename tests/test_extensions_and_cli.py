@@ -74,7 +74,7 @@ class TestCli:
         assert "TSV3D" in output
 
     def test_cli_frequencies_runs(self, capsys):
-        main(["frequencies"])
+        main(["table", "11"])
         output = capsys.readouterr().out
         assert "M3D-Het" in output
         assert "3.3" in output
@@ -96,12 +96,12 @@ class TestCli:
         sweep._default_engine = original
 
     def test_cli_explicit_jobs_beats_env(self, fresh_engine, capsys):
-        main(["--jobs", "1", "frequencies"])
+        main(["--jobs", "1", "table", "11"])
         assert get_engine().jobs == 1
 
     def test_cli_cache_dir_keeps_env_jobs(self, fresh_engine, tmp_path,
                                           capsys):
-        main(["--cache-dir", str(tmp_path), "frequencies"])
+        main(["--cache-dir", str(tmp_path), "table", "11"])
         assert get_engine().jobs == 3
         assert get_engine().cache.cache_dir == tmp_path
 
@@ -111,8 +111,29 @@ class TestCli:
         assert "MIV" in output
 
     def test_cli_rejects_unknown_table(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["table", "99"])
+        # The valid numbers, in paper order.
+        assert str(excinfo.value) == "no table 99; choose 1 2 3 4 5 6 8 11"
+
+    def test_cli_rejects_unknown_figure(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "99"])
+        assert str(excinfo.value) == "no figure 99; choose 2 6 7 8 9 10"
+
+    def test_every_listed_artifact_prints_its_report_section(self, capsys):
+        main(["--uops", "200", "report"])
+        report = capsys.readouterr().out
+        main(["list"])
+        listing = capsys.readouterr().out
+        for kind, label in (("table", "Tables"), ("figure", "Figures")):
+            numbers = re.search(rf"^{label}:\s+(.*)$", listing, flags=re.M)
+            for number in numbers.group(1).split():
+                main(["--uops", "200", kind, number])
+                output = capsys.readouterr().out
+                # The report's section(s), heading and body, verbatim.
+                assert output.startswith("\n=== ") and output in report, \
+                    (kind, number)
 
     def test_cli_list_enumerates_points_tables_figures(self, capsys):
         main(["list"])

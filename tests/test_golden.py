@@ -6,6 +6,7 @@ exercised read-only, everything writable happens in ``tmp_path``.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -282,10 +283,32 @@ class TestRunValidation:
         assert validate_manifest(manifest) != []
 
     def test_registry_covers_the_paper(self):
-        names = artifact_names()
-        for expected in ("table1", "table11", "figure2", "figure6",
-                         "figure10", "points", "traces"):
-            assert expected in names
+        # The paper's tables and figures in report order, then the rest.
+        assert artifact_names() == [
+            "table1", "table2", "figure2", "table3", "table4", "table5",
+            "table6", "table8", "table11", "figure6", "figure7", "figure8",
+            "figure9", "figure10", "points", "traces", "explore",
+            "manycore",
+        ]
+
+    def test_update_never_blesses_a_failing_oracle(self, tmp_path,
+                                                   monkeypatch, capsys):
+        from repro.golden import oracles
+
+        goldens = tmp_path / "goldens"
+        shutil.copytree(golden_path("oracles").parent, goldens)
+        before = golden_path("oracles", goldens).read_bytes()
+        monkeypatch.setattr(oracles, "ORACLES", {
+            "kernel_cpi": lambda: ({"exact": False}, ["kernel_cpi: planted"]),
+        })
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["validate", "--update", "--deep", "--only", "table1",
+                      "--goldens", str(goldens)])
+        assert excinfo.value.code == 1
+        out = capsys.readouterr().out
+        assert "ORACLE FAILURE: kernel_cpi: planted" in out
+        assert "status: FAIL" in out
+        assert golden_path("oracles", goldens).read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class TestCliManifests:
 
     def test_no_flag_no_manifest(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_METRICS", raising=False)
-        cli.main(["frequencies"])
+        cli.main(["table", "11"])
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
 

@@ -58,37 +58,6 @@ class TestTournament:
             predictor.predict_and_train(pc, rng.random() < bias)
         assert predictor.stats.accuracy > 0.82
 
-    def test_btb_tracks_taken_branches(self):
-        predictor = TournamentPredictor()
-        for _ in range(3):
-            predictor.predict_and_train(4096, True)
-        first_misses = predictor.stats.btb_misses
-        assert first_misses == 1  # only the first taken visit misses
-
-    def test_btb_capacity_eviction(self):
-        predictor = TournamentPredictor(btb_entries=16, btb_ways=4)
-        # Fill one set beyond capacity: 8 branches mapping to the same set.
-        for i in range(8):
-            predictor.predict_and_train(4096 + i * 4 * 4, True)
-        before = predictor.stats.btb_misses
-        predictor.predict_and_train(4096, True)  # evicted by now
-        assert predictor.stats.btb_misses == before + 1
-
-    def test_ras_matches_calls(self):
-        predictor = TournamentPredictor()
-        predictor.push_return(100)
-        predictor.push_return(200)
-        assert predictor.pop_return(200)
-        assert predictor.pop_return(100)
-
-    def test_ras_overflow_drops_oldest(self):
-        predictor = TournamentPredictor(ras_entries=2)
-        for pc in (1, 2, 3):
-            predictor.push_return(pc)
-        assert predictor.pop_return(3)
-        assert predictor.pop_return(2)
-        assert not predictor.pop_return(1)  # dropped
-
     def test_stats_accumulate(self):
         predictor = TournamentPredictor()
         for i in range(100):
