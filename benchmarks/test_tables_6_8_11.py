@@ -3,14 +3,14 @@ partitions) and Table 11 (derived frequencies)."""
 
 import pytest
 
-from repro.experiments.tables import print_rows, table6, table8, table11
+from repro.experiments.runner import ARTIFACTS, BuildParams
 
 
 @pytest.mark.table
 def test_table6_m3d_partitions(benchmark):
-    rows = benchmark(table6, "M3D")
-    print_rows("Table 6 (M3D columns)", rows)
-    by_key = {row.key: row for row in rows}
+    table = benchmark(ARTIFACTS["table6"], BuildParams()).tables["M3D"]
+    table.print()
+    by_key = {row.key: row for row in table.rows}
     # PP for every multiported structure, BP/WP for the rest.
     for name in ("RF", "IQ", "SQ", "LQ", "RAT"):
         assert by_key[name].model["strategy"] == "PP", name
@@ -24,20 +24,20 @@ def test_table6_m3d_partitions(benchmark):
 
 @pytest.mark.table
 def test_table6_tsv_partitions(benchmark):
-    rows = benchmark(table6, "TSV3D")
-    print_rows("Table 6 (TSV3D columns)", rows)
-    by_key = {row.key: row for row in rows}
+    table = benchmark(ARTIFACTS["table6"], BuildParams()).tables["TSV3D"]
+    table.print()
+    by_key = {row.key: row for row in table.rows}
     for name, row in by_key.items():
         assert row.model["strategy"] != "PP", name
     # TSV3D regresses somewhere, exactly as the paper's column does.
-    assert min(row.model["latency"] for row in rows) < 3.0
+    assert min(row.model["latency"] for row in table.rows) < 3.0
 
 
 @pytest.mark.table
 def test_table8_hetero_partitions(benchmark):
-    rows = benchmark(table8)
-    print_rows("Table 8: hetero-layer partitions", rows)
-    by_key = {row.key: row for row in rows}
+    table = benchmark(ARTIFACTS["table8"], BuildParams())
+    table.print()
+    by_key = {row.key: row for row in table.rows}
     for name in ("RF", "IQ", "SQ", "LQ", "RAT"):
         assert by_key[name].model["strategy"] == "PP", name
     for name, row in by_key.items():
@@ -48,9 +48,9 @@ def test_table8_hetero_partitions(benchmark):
 
 @pytest.mark.table
 def test_table11_frequencies(benchmark):
-    rows = benchmark(table11)
-    print_rows("Table 11: derived frequencies", rows)
-    ghz = {row.key: row.model["ghz"] for row in rows}
+    table = benchmark(ARTIFACTS["table11"], BuildParams())
+    table.print()
+    ghz = {row.key: row.model["ghz"] for row in table.rows}
     # Ordering and magnitudes of the paper's configuration table.
     assert ghz["Base"] == pytest.approx(3.30)
     assert ghz["TSV3D"] == pytest.approx(3.30)

@@ -1,5 +1,5 @@
-"""Core assembly: structure inventory, whole-core partitioning, frequency
-derivation primitives and the Table 11 configuration record.
+"""Core assembly: structure inventory, frequency derivation primitives and
+the Table 11 configuration record.
 
 A paper design is named only through the design-point registry
 (:mod:`repro.design`): ``resolve("M3D-Het").config`` is its
@@ -12,7 +12,6 @@ from repro.core.frequency import (
     derive_from_plans,
     frequency_from_reduction,
 )
-from repro.core.partitioner import CorePartition, StageReport, partition_core
 from repro.core.structures import core_structures, structures_by_name
 
 __all__ = [
@@ -23,7 +22,4 @@ __all__ = [
     "frequency_from_reduction",
     "core_structures",
     "structures_by_name",
-    "CorePartition",
-    "StageReport",
-    "partition_core",
 ]

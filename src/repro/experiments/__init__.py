@@ -13,7 +13,6 @@ from repro.experiments.figures import (
 from repro.experiments.tables import (
     TableRow,
     figure2,
-    print_rows,
     table1,
     table2,
     table3,
@@ -35,7 +34,6 @@ __all__ = [
     "figure10",
     "TableRow",
     "figure2",
-    "print_rows",
     "table1",
     "table2",
     "table3",

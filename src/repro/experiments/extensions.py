@@ -18,8 +18,7 @@ from typing import Dict, List
 
 from repro.design.resolve import resolve
 from repro.engine.sweep import get_engine
-from repro.power.core_power import CorePowerModel, power_model_for
-from repro.power.energy import factors_for_stack
+from repro.power.core_power import power_model_for
 from repro.tech.constants import TUNGSTEN_RESISTANCE_FACTOR
 from repro.tech.transistor import Transistor, VtClass
 from repro.tech.wire import LOCAL_WIRE
@@ -54,7 +53,8 @@ def lp_top_energy_study(uops: int = 6000, apps: int = 8) -> LpTopResult:
     het_cfg = resolve("M3D-Het").config
     base_model = power_model_for(base_cfg)
     het_model = power_model_for(het_cfg)
-    lp_model = CorePowerModel(het_cfg, factors_for_stack("M3D-LPtop"))
+    # M3D-LPtop's config is M3D-Het's; only its energy table differs.
+    lp_model = power_model_for("M3D-LPtop")
 
     engine = get_engine()
     names: List[str] = []

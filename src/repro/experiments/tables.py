@@ -1,7 +1,7 @@
 """Reproduction entry points for the paper's tables (1-8, 11).
 
 Each function runs the relevant models and returns structured rows, which
-:func:`print_rows` renders next to the paper's published values
+:meth:`Table.print` renders next to the paper's published values
 (:mod:`repro.core.reference`), so every benchmark and EXPERIMENTS.md entry
 comes from the same code path.  :mod:`repro.experiments.runner` titles
 each table (:class:`Table`) in report order.
@@ -39,6 +39,20 @@ class TableRow:
         return {"model": dict(self.model), "paper": dict(self.paper)}
 
 
+def _cells(values: Dict[str, object]) -> str:
+    """One side of a row.  Numbers take an 8-character field, so a row's
+    model and paper lines line up."""
+    cells = []
+    for key, value in values.items():
+        if isinstance(value, float):
+            cells.append(f"{key}={value:8.2f}")
+        elif isinstance(value, int) and not isinstance(value, bool):
+            cells.append(f"{key}={value:8d}")
+        else:
+            cells.append(f"{key}={value}")
+    return "  ".join(cells)
+
+
 @dataclasses.dataclass(frozen=True)
 class Table:
     """A titled reproduction table, as ``repro report`` prints it."""
@@ -47,7 +61,11 @@ class Table:
     rows: List[TableRow]
 
     def print(self) -> None:
-        print_rows(self.title, self.rows)
+        """Render the table, each row's model values above the paper's."""
+        print(f"\n=== {self.title} ===")
+        for row in self.rows:
+            print(f"{row.key:<14} model: {_cells(row.model)}")
+            print(f"{'':<14} paper: {_cells(row.paper)}")
 
     def as_dict(self) -> Dict[str, object]:
         """The golden payload: the rows keyed by name."""
@@ -234,20 +252,3 @@ def table11() -> List[TableRow]:
         )
         for name in TABLE11_ORDER
     ]
-
-
-def print_rows(title: str, rows: List[TableRow]) -> None:
-    """Render a reproduction table, model vs paper."""
-    print(f"\n=== {title} ===")
-    for row in rows:
-        model = "  ".join(
-            f"{k}={v:8.2f}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in row.model.items()
-        )
-        paper = "  ".join(
-            f"{k}={v:8.2f}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in row.paper.items()
-        )
-        print(f"{row.key:<14} model: {model}")
-        print(f"{'':<14} paper: {paper}")
-

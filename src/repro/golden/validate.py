@@ -6,8 +6,7 @@ rebuild against the committed golden under the tolerance policy, and
 assembles one structured drift report.  ``--update`` re-blesses the
 requested goldens instead of comparing; ``--deep`` adds the
 differential oracles of :mod:`repro.golden.oracles`, whose hard
-failures fail the run in either mode (an update then leaves the oracle
-baseline as it was).
+failures fail the run in either mode (an update then writes no golden).
 
 The report is JSON-ready: it is embedded into the run manifest as the
 ``validation`` section (:mod:`repro.obs.manifest`, schema v3), written
@@ -101,12 +100,13 @@ def run_validation(only: Optional[Sequence[str]] = None,
         artifact = registry[name]
         failed = name == ORACLES_ARTIFACT and bool(oracle_failures)
         path = golden_path(name, goldens_dir)
-        if update and failed:
-            # A failing oracle must never become the baseline.
+        if update and oracle_failures:
+            # A failing oracle must never become the baseline, and a
+            # failing update re-blesses nothing beside it.
             entries.append(_artifact_entry(
                 name, "error", path=str(path),
                 error=f"{len(oracle_failures)} hard oracle failure(s); "
-                      f"baseline not re-blessed",
+                      f"golden not re-blessed",
             ))
             continue
         if update:

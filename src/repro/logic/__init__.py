@@ -1,5 +1,5 @@
 """Logic-stage modelling: gates, netlists, the Figure-5 adder, bypass
-networks, slack-based two-layer placement and the named stage partitions."""
+networks and slack-based two-layer placement."""
 
 from repro.logic.adder import build_carry_skip_adder, noncritical_block_names
 from repro.logic.bypass import (
@@ -12,16 +12,6 @@ from repro.logic.bypass import (
 from repro.logic.gates import Gate, GateType, fo4_delay
 from repro.logic.netlist import Netlist, Node
 from repro.logic.placement import PlacementResult, fold_stage, partition_netlist
-from repro.logic.stages import (
-    BlockPlacement,
-    StagePartition,
-    all_stages,
-    decode_stage,
-    fetch_stage,
-    issue_stage,
-    lsu_stage,
-    rename_stage,
-)
 
 __all__ = [
     "build_carry_skip_adder",
@@ -39,12 +29,4 @@ __all__ = [
     "PlacementResult",
     "fold_stage",
     "partition_netlist",
-    "BlockPlacement",
-    "StagePartition",
-    "all_stages",
-    "decode_stage",
-    "fetch_stage",
-    "issue_stage",
-    "lsu_stage",
-    "rename_stage",
 ]

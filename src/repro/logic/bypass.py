@@ -7,7 +7,9 @@ number of ALUs — which is why Section 3.1 finds a single folded ALU buys a
 
 The model: stage delay = ALU critical path (from the adder netlist) + the
 bypass wire flight + the result mux.  Folding multiplies the bypass length
-by ``sqrt(1 - footprint_reduction)`` with the Section 3.1 default of 41%.
+by ``(1 - footprint_reduction)``, with the Section 3.1 default of 41%: the
+bypass endpoints stack vertically, so the wire sees the full footprint
+reduction rather than its square root.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""3D partitioning engine: strategies, per-structure planning, via budgets.
+"""3D partitioning engine: strategies and per-structure planning.
 
 This package implements the paper's primary contribution — partitioning the
 storage structures of an out-of-order core across the two layers of an M3D
@@ -9,7 +9,6 @@ from repro.partition.planner import (
     StructurePlan,
     canonical_strategy,
     evaluate_strategies,
-    min_latency_reduction,
     plan_core,
     plan_structure,
 )
@@ -25,13 +24,11 @@ from repro.partition.strategies import (
     reduction_report,
     word_partition,
 )
-from repro.partition.vias import ViaBudget, budget, fits_in_cell, via_count
 
 __all__ = [
     "StructurePlan",
     "canonical_strategy",
     "evaluate_strategies",
-    "min_latency_reduction",
     "plan_core",
     "plan_structure",
     "PartitionResult",
@@ -44,8 +41,4 @@ __all__ = [
     "port_partition",
     "reduction_report",
     "word_partition",
-    "ViaBudget",
-    "budget",
-    "fits_in_cell",
-    "via_count",
 ]

@@ -12,7 +12,7 @@ on the TSV3D stack it shows why TSVs forbid port partitioning (Table 5).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.partition.strategies import (
     PartitionResult,
@@ -127,23 +127,3 @@ def plan_core(
         plan_structure(geometry, stack, asymmetric=asymmetric, vdd=vdd)
         for geometry in geometries
     ]
-
-
-def min_latency_reduction(
-    plans: Iterable[StructurePlan], exclude: Optional[Iterable[str]] = None
-) -> float:
-    """Smallest per-structure latency reduction (fraction, not percent).
-
-    Section 6.1 derives core frequency from the structure with the *least*
-    access-time reduction, conservatively assuming every array is on the
-    critical path: ``f = f_base / (1 - min_reduction)``.
-    """
-    excluded = set(exclude or ())
-    reductions = [
-        plan.best_report.latency_pct / 100.0
-        for plan in plans
-        if plan.geometry.name not in excluded
-    ]
-    if not reductions:
-        raise ValueError("no structures to derive a frequency from")
-    return min(reductions)

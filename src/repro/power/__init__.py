@@ -1,7 +1,6 @@
-"""Power modelling: per-stack energy factors, whole-core accounting,
-clock-tree model and DVFS / iso-power derivations."""
+"""Power modelling: per-stack energy factors, whole-core accounting and
+DVFS / iso-power derivations."""
 
-from repro.power.clocktree import ClockTree, clock_energy_ratio
 from repro.power.core_power import (
     CorePowerModel,
     EnergyReport,
@@ -16,14 +15,11 @@ from repro.power.dvfs import (
 from repro.power.energy import (
     StackEnergyFactors,
     factors_for_stack,
-    leakage_temperature_scale,
     vdd_dynamic_scale,
     vdd_leakage_scale,
 )
 
 __all__ = [
-    "ClockTree",
-    "clock_energy_ratio",
     "CorePowerModel",
     "EnergyReport",
     "power_model_for",
@@ -33,7 +29,6 @@ __all__ = [
     "power_budget_check",
     "StackEnergyFactors",
     "factors_for_stack",
-    "leakage_temperature_scale",
     "vdd_dynamic_scale",
     "vdd_leakage_scale",
 ]

@@ -11,7 +11,7 @@ and voltage scaling applies for the iso-power multicore (0.75 V).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.configs import CoreConfig
 from repro.power.energy import (
@@ -73,15 +73,15 @@ class EnergyReport:
 
 
 class CorePowerModel:
-    """Maps simulation activity to energy for one configuration."""
+    """Maps simulation activity to energy for one configuration.
 
-    def __init__(self, config: CoreConfig,
-                 factors: Optional[StackEnergyFactors] = None) -> None:
+    :func:`power_model_for` is the one place that picks a design's
+    energy-factor table; build models through it.
+    """
+
+    def __init__(self, config: CoreConfig, factors: StackEnergyFactors) -> None:
         self.config = config
-        self.factors = factors if factors is not None else factors_for_stack(
-            config.stack if config.stack != "M3D" or not config.hetero
-            else "M3D"
-        )
+        self.factors = factors
         self._dyn_scale = vdd_dynamic_scale(config.vdd)
         self._leak_scale = vdd_leakage_scale(config.vdd)
 

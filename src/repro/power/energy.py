@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import Dict
 
 from repro.core import structures as structdefs
@@ -151,8 +150,3 @@ def vdd_leakage_scale(vdd: float, nominal: float = constants.VDD_NOMINAL_22NM) -
     if vdd <= 0:
         raise ValueError("vdd must be positive")
     return (vdd / nominal) ** 3
-
-
-def leakage_temperature_scale(temperature_c: float, reference_c: float = 85.0) -> float:
-    """Leakage doubles roughly every 18 C."""
-    return math.pow(2.0, (temperature_c - reference_c) / 18.0)

@@ -22,7 +22,6 @@ from repro.tech.transistor import (
     TransistorParams,
     VtClass,
     gate_delay,
-    leakage_at_temperature,
 )
 from repro.tech.via import (
     Via,
@@ -37,8 +36,6 @@ from repro.tech.wire import (
     LOCAL_WIRE,
     SEMI_GLOBAL_WIRE,
     WireTechnology,
-    folded_length,
-    folded_length_3d,
 )
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
     "TransistorParams",
     "VtClass",
     "gate_delay",
-    "leakage_at_temperature",
     "Via",
     "figure2_relative_areas",
     "make_miv",
@@ -66,6 +62,4 @@ __all__ = [
     "LOCAL_WIRE",
     "SEMI_GLOBAL_WIRE",
     "WireTechnology",
-    "folded_length",
-    "folded_length_3d",
 ]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 
 from repro.tech import constants
 
@@ -188,14 +187,3 @@ def gate_delay(driver: Transistor, load_capacitance: float) -> float:
     if load_capacitance < 0:
         raise ValueError("load capacitance must be non-negative")
     return 0.69 * driver.drive_resistance * load_capacitance
-
-
-def leakage_at_temperature(base_leakage: float, temperature_c: float) -> float:
-    """Scale a reference leakage current to an operating temperature.
-
-    Sub-threshold leakage grows roughly exponentially with temperature;
-    we use the common rule of thumb of doubling every ~18 C around the
-    85 C reference point.
-    """
-    delta = temperature_c - (constants.T_REFERENCE_K - 273.15)
-    return base_leakage * math.pow(2.0, delta / 18.0)

@@ -127,34 +127,3 @@ GLOBAL_WIRE = WireTechnology(
     capacitance_per_m=constants.WIRE_CAP_PER_M * 1.2,
     name="global-cu",
 )
-
-
-def folded_length(length_2d: float, footprint_reduction: float) -> float:
-    """Wire length after folding a block into two layers.
-
-    A block folded to ``(1 - footprint_reduction)`` of its area shrinks
-    linear distances by the square root of the area ratio.  A 50% footprint
-    reduction shortens a semi-global wire by up to ~29%; the paper quotes
-    "reducing the distance traversed by the semi-global wires by up to 50%"
-    for paths that can additionally exploit the third dimension — callers
-    choose the exponent via :func:`folded_length_3d`.
-    """
-    _check_length(length_2d)
-    if not 0.0 <= footprint_reduction < 1.0:
-        raise ValueError("footprint reduction must be in [0, 1)")
-    return length_2d * math.sqrt(1.0 - footprint_reduction)
-
-
-def folded_length_3d(length_2d: float, footprint_reduction: float) -> float:
-    """Best-case folded wire length for paths re-routed through the stack.
-
-    Paths whose endpoints can be placed directly above each other (e.g. a
-    bypass wire between an ALU and a register-file port split across layers)
-    see the full footprint reduction in linear distance, not just its square
-    root — "reducing the distance traversed by the semi-global wires by up to
-    50%" (Section 3.1).
-    """
-    _check_length(length_2d)
-    if not 0.0 <= footprint_reduction < 1.0:
-        raise ValueError("footprint reduction must be in [0, 1)")
-    return length_2d * (1.0 - footprint_reduction)

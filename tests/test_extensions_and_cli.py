@@ -110,6 +110,16 @@ class TestCli:
         output = capsys.readouterr().out
         assert "MIV" in output
 
+    def test_table3_paper_cells_line_up_with_model_cells(self, capsys):
+        main(["table", "3"])
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(lines) == 8
+        for model, paper in zip(lines[0::2], lines[1::2]):
+            assert " model: " in model and " paper: " in paper
+            columns = [[m.start() for m in re.finditer("=", line)]
+                       for line in (model, paper)]
+            assert columns[0] == columns[1], (model, paper)
+
     def test_cli_rejects_unknown_table(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["table", "99"])

@@ -297,7 +297,8 @@ class TestRunValidation:
 
         goldens = tmp_path / "goldens"
         shutil.copytree(golden_path("oracles").parent, goldens)
-        before = golden_path("oracles", goldens).read_bytes()
+        before = {name: golden_path(name, goldens).read_bytes()
+                  for name in ("table1", "oracles")}
         monkeypatch.setattr(oracles, "ORACLES", {
             "kernel_cpi": lambda: ({"exact": False}, ["kernel_cpi: planted"]),
         })
@@ -308,7 +309,12 @@ class TestRunValidation:
         out = capsys.readouterr().out
         assert "ORACLE FAILURE: kernel_cpi: planted" in out
         assert "status: FAIL" in out
-        assert golden_path("oracles", goldens).read_bytes() == before
+        assert "updated" not in out
+        assert "table1       ERROR: 1 hard oracle failure(s)" in out
+        # Nothing is re-blessed, the requested table no more than the
+        # oracle baseline.
+        for name, content in before.items():
+            assert golden_path(name, goldens).read_bytes() == content, name
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.design.resolve import (
     paper_single_core_configs,
     resolve,
 )
-from repro.partition.planner import min_latency_reduction, plan_core
+from repro.partition.planner import plan_core
 from repro.power.core_power import power_model_for
 from repro.tech.process import stack_m3d_hetero, stack_m3d_iso
 from repro.thermal.hotspot import peak_temperature_for
@@ -25,14 +25,15 @@ class TestPartitionToFrequencyChain:
     def test_plans_drive_table11(self):
         """The frequency derivation consumes real planner output."""
         plans = plan_core(core_structures(), stack_m3d_iso())
-        reduction = min_latency_reduction(plans)
         derivation = freqmod.derive_from_plans("chain", plans)
-        assert derivation.frequency == pytest.approx(
-            freqmod.BASE_FREQUENCY / (1 - reduction)
+        limiter = min(plans, key=lambda plan: plan.best_report.latency_pct)
+        assert derivation.limiting_structure == limiter.geometry.name
+        assert derivation.limiting_reduction == pytest.approx(
+            limiter.best_report.latency_pct / 100
         )
-        assert derivation.limiting_structure in {
-            plan.geometry.name for plan in plans
-        }
+        assert derivation.frequency == pytest.approx(
+            freqmod.BASE_FREQUENCY / (1 - derivation.limiting_reduction)
+        )
 
     def test_hetero_chain_slower_or_equal(self):
         iso = plan_core(core_structures(), stack_m3d_iso())

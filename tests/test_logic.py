@@ -12,7 +12,6 @@ from repro.logic.bypass import (
 from repro.logic.gates import Gate, GateType, fo4_delay
 from repro.logic.netlist import Netlist
 from repro.logic.placement import fold_stage, partition_netlist
-from repro.logic.stages import all_stages, decode_stage, issue_stage, lsu_stage
 
 
 class TestGates:
@@ -192,30 +191,3 @@ class TestBypass:
     def test_zero_alus_rejected(self):
         with pytest.raises(ValueError):
             bypass_wire_length(0)
-
-
-class TestStages:
-    def test_all_stages_validate(self):
-        stages = all_stages()
-        assert len(stages) == 5
-
-    def test_critical_blocks_stay_below(self):
-        for stage in all_stages():
-            for placement in stage.placements:
-                if placement.critical:
-                    assert placement.layer == "bottom", (
-                        stage.stage, placement.block
-                    )
-
-    def test_decode_complex_penalty(self):
-        assert decode_stage().extra_cycles["complex_decode"] == 1
-
-    def test_issue_keeps_arbiter_grant_below(self):
-        stage = issue_stage()
-        assert "arbiter_grant" in stage.bottom_blocks
-        assert "local_grant" in stage.top_blocks
-
-    def test_lsu_keeps_sq_path_below(self):
-        stage = lsu_stage()
-        assert "sq_cam_asym_pp" in stage.bottom_blocks
-        assert "lq_cam_asym_pp" in stage.top_blocks

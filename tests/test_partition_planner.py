@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core.frequency import derive_from_plans
 from repro.core.structures import core_structures, structures_by_name
 from repro.partition.planner import (
     canonical_strategy,
     evaluate_strategies,
-    min_latency_reduction,
     plan_core,
     plan_structure,
 )
@@ -51,9 +51,9 @@ class TestIsoPlans:
         for plan in iso_plans:
             assert plan.best_report.footprint_pct > 15, plan.geometry.name
 
-    def test_min_latency_reduction_sets_frequency(self, iso_plans):
+    def test_limiting_reduction_sets_frequency(self, iso_plans):
         # Section 6.1: the limiter is ~14% -> ~3.83 GHz.
-        reduction = min_latency_reduction(iso_plans)
+        reduction = derive_from_plans("iso", iso_plans).limiting_reduction
         assert 0.08 < reduction < 0.20
 
     def test_candidates_recorded(self, iso_plans):
@@ -82,9 +82,9 @@ class TestHeteroPlans:
             assert plan.best_report.latency_pct > 0, plan.geometry.name
 
     def test_min_reduction_slightly_below_iso(self, iso_plans, hetero_plans):
-        assert min_latency_reduction(hetero_plans) <= min_latency_reduction(
-            iso_plans
-        ) + 0.01
+        het = derive_from_plans("het", hetero_plans).limiting_reduction
+        iso = derive_from_plans("iso", iso_plans).limiting_reduction
+        assert het <= iso + 0.01
 
 
 class TestTsvPlans:
@@ -121,16 +121,17 @@ class TestPlannerMechanics:
         assert rf_plan.strategy == core_rf.strategy
 
     def test_min_reduction_excludes(self, iso_plans):
-        full = min_latency_reduction(iso_plans)
+        full = derive_from_plans("iso", iso_plans).limiting_reduction
         limiter = min(iso_plans, key=lambda p: p.best_report.latency_pct)
-        without = min_latency_reduction(
-            iso_plans, exclude=[limiter.geometry.name]
-        )
+        others = [p.geometry.name for p in iso_plans if p is not limiter]
+        without = derive_from_plans(
+            "iso", iso_plans, only=others
+        ).limiting_reduction
         assert without >= full
 
     def test_min_reduction_empty_raises(self):
         with pytest.raises(ValueError):
-            min_latency_reduction([])
+            derive_from_plans("none", [])
 
     def test_evaluate_strategies_keys(self):
         strategies = evaluate_strategies(

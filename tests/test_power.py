@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.design.registry import registered_points
 from repro.design.resolve import resolve
-from repro.power.clocktree import ClockTree, clock_energy_ratio
-from repro.power.core_power import CorePowerModel, power_model_for
+from repro.power.core_power import power_model_for
 from repro.power.dvfs import (
     OperatingPoint,
     iso_power_core_count,
@@ -13,7 +13,6 @@ from repro.power.dvfs import (
 )
 from repro.power.energy import (
     factors_for_stack,
-    leakage_temperature_scale,
     vdd_dynamic_scale,
     vdd_leakage_scale,
 )
@@ -24,6 +23,16 @@ from repro.workloads.spec import spec_by_name
 BASE = resolve("Base").config
 TSV = resolve("TSV3D").config
 HET = resolve("M3D-Het").config
+
+#: The energy-factor table each kind of design takes, keyed by (stack,
+#: slow top layer); a point's ``power_stack`` overrides it.
+ENERGY_TABLES = {
+    ("2D", False): "2D",
+    ("TSV3D", False): "TSV3D",
+    ("TSV3D", True): "TSV3D",
+    ("M3D", False): "M3D-Iso",
+    ("M3D", True): "M3D",
+}
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +71,20 @@ class TestStackFactors:
             factors_for_stack("PCB")
 
 
+class TestEnergyTableMapping:
+    @pytest.mark.parametrize("point", registered_points(),
+                             ids=lambda point: point.name)
+    def test_every_registered_point(self, point):
+        expected = point.power_stack or ENERGY_TABLES[point.stack, point.hetero]
+        assert power_model_for(resolve(point.name)).factors.stack == expected
+
+
 class TestVddScaling:
     def test_dynamic_quadratic(self):
         assert vdd_dynamic_scale(0.4, nominal=0.8) == pytest.approx(0.25)
 
     def test_leakage_cubic(self):
         assert vdd_leakage_scale(0.4, nominal=0.8) == pytest.approx(0.125)
-
-    def test_leakage_temperature_doubles(self):
-        assert leakage_temperature_scale(103.0) == pytest.approx(2.0, rel=0.01)
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
@@ -105,12 +119,8 @@ class TestCorePower:
         assert report.total == pytest.approx(report.dynamic + report.leakage)
 
     def test_lower_vdd_lowers_energy(self, gamess_runs):
-        nominal = CorePowerModel(HET).evaluate(
-            gamess_runs["M3D-Het"]
-        )
-        low_v = CorePowerModel(resolve("M3D-Het-2X").config).evaluate(
-            gamess_runs["M3D-Het"]
-        )
+        nominal = power_model_for(HET).evaluate(gamess_runs["M3D-Het"])
+        low_v = power_model_for("M3D-Het-2X").evaluate(gamess_runs["M3D-Het"])
         assert low_v.dynamic < nominal.dynamic
 
 
@@ -132,18 +142,3 @@ class TestDvfs:
         low = OperatingPoint(3.3e9, 0.75)
         assert low.dynamic_power_scale < nominal.dynamic_power_scale
         assert low.leakage_power_scale < nominal.leakage_power_scale
-
-
-class TestClockTree:
-    def test_folding_halves_energy_roughly(self):
-        tree = ClockTree(footprint_m2=5e-6)
-        folded = tree.folded(0.5)
-        assert folded.energy_per_cycle < tree.energy_per_cycle
-
-    def test_combined_ratio_below_half(self):
-        # Footprint halving x 25% switching reduction.
-        assert clock_energy_ratio() < 0.65
-
-    def test_invalid_footprint(self):
-        with pytest.raises(ValueError):
-            ClockTree(footprint_m2=0.0)

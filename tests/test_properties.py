@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.sram.array import ArrayGeometry, analyze_plane, solve_2d
 from repro.sram.bitcell import Bitcell
 from repro.tech.transistor import Transistor
-from repro.tech.wire import LOCAL_WIRE, folded_length, folded_length_3d
+from repro.tech.wire import LOCAL_WIRE
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.noc import RingNoc
 from repro.uarch.ooo import _FuPool, _PerCycleBandwidth, _WidthLimiter
@@ -40,17 +40,6 @@ def test_layer_penalty_never_speeds_up(width, penalty):
     base = Transistor(width=width)
     slowed = Transistor(width=width, layer_penalty=penalty)
     assert slowed.drive_resistance >= base.drive_resistance
-
-
-@given(
-    length=st.floats(min_value=1e-7, max_value=5e-3),
-    reduction=st.floats(min_value=0.0, max_value=0.9),
-)
-def test_folding_never_lengthens_wires(length, reduction):
-    assert folded_length(length, reduction) <= length + 1e-18
-    assert folded_length_3d(length, reduction) <= folded_length(
-        length, reduction
-    ) + 1e-18
 
 
 @given(

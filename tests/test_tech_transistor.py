@@ -8,7 +8,6 @@ from repro.tech.transistor import (
     Transistor,
     VtClass,
     gate_delay,
-    leakage_at_temperature,
 )
 
 
@@ -109,13 +108,3 @@ class TestGateDelay:
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
             gate_delay(Transistor(), -1e-15)
-
-
-class TestLeakageTemperature:
-    def test_leakage_doubles_every_18c(self):
-        base = leakage_at_temperature(1e-9, 85.0)
-        hot = leakage_at_temperature(1e-9, 103.0)
-        assert hot == pytest.approx(2 * base, rel=0.01)
-
-    def test_reference_point_identity(self):
-        assert leakage_at_temperature(5e-9, 85.0) == pytest.approx(5e-9)

@@ -8,8 +8,6 @@ from repro.tech.wire import (
     LOCAL_WIRE,
     SEMI_GLOBAL_WIRE,
     WireTechnology,
-    folded_length,
-    folded_length_3d,
 )
 
 
@@ -46,6 +44,10 @@ class TestWireRc:
             3 * LOCAL_WIRE.resistance_per_m
         )
         assert "w" in w.name
+
+    def test_bad_wire_technology_rejected(self):
+        with pytest.raises(ValueError):
+            WireTechnology(resistance_per_m=0.0)
 
 
 class TestElmore:
@@ -91,32 +93,3 @@ class TestEnergy:
     def test_vdd_must_be_positive(self):
         with pytest.raises(ValueError):
             LOCAL_WIRE.switching_energy(1e-6, vdd=0.0)
-
-
-class TestFolding:
-    def test_folded_length_sqrt_rule(self):
-        # 50% footprint reduction -> sqrt(0.5) length.
-        assert folded_length(100e-6, 0.5) == pytest.approx(100e-6 * 0.5**0.5)
-
-    def test_folded_length_3d_full_rule(self):
-        # Stackable endpoints see the full reduction.
-        assert folded_length_3d(100e-6, 0.5) == pytest.approx(50e-6)
-
-    def test_3d_folding_at_least_as_good(self):
-        for reduction in (0.1, 0.41, 0.5):
-            assert folded_length_3d(1e-3, reduction) <= folded_length(
-                1e-3, reduction
-            )
-
-    def test_no_reduction_is_identity(self):
-        assert folded_length(42e-6, 0.0) == pytest.approx(42e-6)
-
-    def test_invalid_reduction_rejected(self):
-        with pytest.raises(ValueError):
-            folded_length(1e-6, 1.0)
-        with pytest.raises(ValueError):
-            folded_length_3d(1e-6, -0.2)
-
-    def test_bad_wire_technology_rejected(self):
-        with pytest.raises(ValueError):
-            WireTechnology(resistance_per_m=0.0)
