@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.engine.cache import code_fingerprint, make_key
 
@@ -132,10 +132,6 @@ class ResultStore:
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         return self._records.get(key)
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        """Completed records, in append order."""
-        return iter(self._records.values())
 
     def line_count(self) -> int:
         """Physical lines seen on disk plus lines appended this run

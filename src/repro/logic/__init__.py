@@ -1,7 +1,7 @@
 """Logic-stage modelling: gates, netlists, the Figure-5 adder, bypass
 networks and slack-based two-layer placement."""
 
-from repro.logic.adder import build_carry_skip_adder, noncritical_block_names
+from repro.logic.adder import build_carry_skip_adder
 from repro.logic.bypass import (
     BypassResult,
     bypass_delay,
@@ -9,13 +9,12 @@ from repro.logic.bypass import (
     bypass_wire_length,
     evaluate_execute_stage,
 )
-from repro.logic.gates import Gate, GateType, fo4_delay
+from repro.logic.gates import Gate, GateType
 from repro.logic.netlist import Netlist, Node
 from repro.logic.placement import PlacementResult, fold_stage, partition_netlist
 
 __all__ = [
     "build_carry_skip_adder",
-    "noncritical_block_names",
     "BypassResult",
     "bypass_delay",
     "bypass_energy",
@@ -23,7 +22,6 @@ __all__ = [
     "evaluate_execute_stage",
     "Gate",
     "GateType",
-    "fo4_delay",
     "Netlist",
     "Node",
     "PlacementResult",

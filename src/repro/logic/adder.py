@@ -12,8 +12,6 @@ top layer with no cycle-time impact (Section 4.1.1).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.logic.gates import Gate, GateType
 from repro.logic.netlist import Netlist
 from repro.tech.transistor import VtClass
@@ -101,21 +99,3 @@ def build_carry_skip_adder(
     )
     return netlist
 
-
-def noncritical_block_names(bits: int = 64, group: int = 4) -> Dict[str, List[str]]:
-    """The blocks the paper moves to the top layer (Section 4.1.1).
-
-    Returns ``{"propagate": [...], "sum": [...]}`` with the node names of
-    the carry-propagate blocks of bits {bits/2 : bits-1} and the sum blocks
-    of bits {bits/2 - group : bits - group - 1} — the paper's {32:63} and
-    {28:59} for a 64-bit adder.
-    """
-    groups = bits // group
-    half = groups // 2
-    propagate = [
-        f"p{g}_{b}" for g in range(half, groups) for b in range(group)
-    ]
-    sums = [
-        f"s{g}_{b}" for g in range(half - 1, groups - 1) for b in range(group)
-    ]
-    return {"propagate": propagate, "sum": sums}

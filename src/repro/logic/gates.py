@@ -39,7 +39,7 @@ _LOGICAL_EFFORT: Dict[GateType, float] = {
     GateType.BUF: 1.0,
 }
 
-#: Parasitic delay p (in units of tau) per gate type.
+#: Parasitic delay p (in units of 0.69 * R_drive * C_drain) per gate type.
 _PARASITIC: Dict[GateType, float] = {
     GateType.INV: 1.0,
     GateType.NAND2: 2.0,
@@ -92,13 +92,6 @@ class Gate:
         return Transistor(width=self.size, vt=self.vt, layer_penalty=self.layer_penalty)
 
     @property
-    def tau(self) -> float:
-        """Unit delay (s) of this gate's technology/layer/Vt corner."""
-        device = self._device
-        unit = Transistor(width=1.0, vt=self.vt, layer_penalty=self.layer_penalty)
-        return unit.drive_resistance * unit.gate_capacitance * self.size / self.size
-
-    @property
     def input_capacitance(self) -> float:
         """Capacitance presented to the driving gate (F)."""
         return self._device.gate_capacitance * _LOGICAL_EFFORT[self.kind]
@@ -131,13 +124,3 @@ class Gate:
     def on_layer(self, penalty: float) -> "Gate":
         """Copy of this gate on a layer with the given penalty."""
         return dataclasses.replace(self, layer_penalty=penalty)
-
-    def upsized(self, factor: float) -> "Gate":
-        """Copy of this gate scaled by ``factor``."""
-        return dataclasses.replace(self, size=self.size * factor)
-
-
-def fo4_delay(layer_penalty: float = 0.0) -> float:
-    """The FO4 inverter delay of a layer (s) — the canonical speed unit."""
-    inv = Gate(GateType.INV, size=1.0, vt=VtClass.REGULAR, layer_penalty=layer_penalty)
-    return inv.delay(4.0 * inv.input_capacitance)

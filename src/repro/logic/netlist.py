@@ -15,8 +15,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Tuple
 
-import networkx as nx
-
 from repro.logic.gates import Gate
 from repro.tech import constants
 
@@ -36,24 +34,32 @@ class Netlist:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._nodes: Dict[str, Node] = {}
+        self._fanin: Dict[str, List[str]] = {}
+        self._fanout: Dict[str, List[str]] = {}
 
     # -- construction -------------------------------------------------------
 
     def add_gate(
         self, name: str, gate: Gate, fanin: Iterable[str] = (), wire_load: float = 0.0
     ) -> None:
-        """Add a gate fed by the named predecessor gates."""
+        """Add a gate fed by the named predecessor gates.
+
+        Every fanin must already be in the netlist, so a gate cannot feed
+        itself and insertion order is a topological order.  A repeated
+        fanin is one edge; a rejected gate leaves the netlist unchanged.
+        """
         if name in self._nodes:
             raise ValueError(f"duplicate node {name!r}")
-        node = Node(name=name, gate=gate, wire_load=wire_load)
-        self._nodes[name] = node
-        self._graph.add_node(name)
-        for src in fanin:
+        preds = list(dict.fromkeys(fanin))
+        for src in preds:
             if src not in self._nodes:
                 raise ValueError(f"unknown fanin {src!r} for {name!r}")
-            self._graph.add_edge(src, name)
+        self._nodes[name] = Node(name=name, gate=gate, wire_load=wire_load)
+        self._fanin[name] = preds
+        self._fanout[name] = []
+        for src in preds:
+            self._fanout[src].append(name)
 
     def node(self, name: str) -> Node:
         return self._nodes[name]
@@ -67,20 +73,23 @@ class Netlist:
 
     # -- timing -------------------------------------------------------------
 
+    def _load(self, name: str) -> float:
+        """Capacitance a node drives: its wire load plus its fanout's inputs."""
+        load = self._nodes[name].wire_load
+        for succ in self._fanout[name]:
+            load += self._nodes[succ].gate.input_capacitance
+        return load
+
     def _node_delay(self, name: str) -> float:
         """Delay through one node: gate delay into its fanout + wire load."""
-        node = self._nodes[name]
-        load = node.wire_load
-        for succ in self._graph.successors(name):
-            load += self._nodes[succ].gate.input_capacitance
-        return node.gate.delay(load)
+        return self._nodes[name].gate.delay(self._load(name))
 
     def arrival_times(self) -> Dict[str, float]:
         """Latest arrival time at each node's output (s)."""
         arrivals: Dict[str, float] = {}
-        for name in nx.topological_sort(self._graph):
+        for name in self._nodes:  # insertion order is topological
             latest_in = max(
-                (arrivals[p] for p in self._graph.predecessors(name)), default=0.0
+                (arrivals[p] for p in self._fanin[name]), default=0.0
             )
             arrivals[name] = latest_in + self._node_delay(name)
         return arrivals
@@ -92,11 +101,8 @@ class Netlist:
             return [], 0.0
         end = max(arrivals, key=arrivals.get)
         path = [end]
-        while True:
-            preds = list(self._graph.predecessors(path[-1]))
-            if not preds:
-                break
-            path.append(max(preds, key=lambda p: arrivals[p]))
+        while self._fanin[path[-1]]:
+            path.append(max(self._fanin[path[-1]], key=arrivals.get))
         path.reverse()
         return path, arrivals[end]
 
@@ -104,16 +110,13 @@ class Netlist:
         """Slack per node: critical delay minus the node's worst path (s)."""
         arrivals = self.arrival_times()
         critical = max(arrivals.values(), default=0.0)
-        # Required times via reverse topological order.
+        # Required times in reverse insertion (topological) order.
         required: Dict[str, float] = {}
-        for name in reversed(list(nx.topological_sort(self._graph))):
-            succs = list(self._graph.successors(name))
-            if not succs:
-                required[name] = critical
-            else:
-                required[name] = min(
-                    required[s] - self._node_delay(s) for s in succs
-                )
+        for name in reversed(self._nodes):
+            required[name] = min(
+                (required[s] - self._node_delay(s) for s in self._fanout[name]),
+                default=critical,
+            )
         return {name: required[name] - arrivals[name] for name in self._nodes}
 
     def critical_fraction(self, slack_threshold: float = 0.0) -> float:
@@ -140,10 +143,9 @@ class Netlist:
         """Expected switching energy per cycle (J) at the given activity."""
         total = 0.0
         for name, node in self._nodes.items():
-            load = node.wire_load
-            for succ in self._graph.successors(name):
-                load += self._nodes[succ].gate.input_capacitance
-            total += activity * (load * vdd**2 + node.gate.switching_energy(vdd))
+            total += activity * (
+                self._load(name) * vdd**2 + node.gate.switching_energy(vdd)
+            )
         return total
 
     def leakage_current(self) -> float:

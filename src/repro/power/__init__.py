@@ -10,7 +10,6 @@ from repro.power.dvfs import (
     OperatingPoint,
     iso_power_core_count,
     min_voltage_at_base_frequency,
-    power_budget_check,
 )
 from repro.power.energy import (
     StackEnergyFactors,
@@ -26,7 +25,6 @@ __all__ = [
     "OperatingPoint",
     "iso_power_core_count",
     "min_voltage_at_base_frequency",
-    "power_budget_check",
     "StackEnergyFactors",
     "factors_for_stack",
     "vdd_dynamic_scale",

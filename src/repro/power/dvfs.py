@@ -77,13 +77,3 @@ def iso_power_core_count(
     # "between 7 and 8" budget to 8 (Section 6.1, tolerating a modest
     # overshoot that Section 7.2.2 reports as ~13% extra power).
     return 2 ** int(round(math.log2(max(1.0, raw))))
-
-
-def power_budget_check(cores: int, per_core_power_scale: float,
-                       base_cores: int = 4, tolerance: float = 0.15) -> bool:
-    """Whether ``cores`` M3D cores stay within ~tolerance of the budget.
-
-    Section 7.2.2 concedes the chosen 8-core design runs "on average, only
-    13% higher" than the 4-core baseline's power.
-    """
-    return cores * per_core_power_scale <= base_cores * (1.0 + tolerance)

@@ -368,10 +368,6 @@ class ArrayGeometry:
         """Total port count (read + write)."""
         return self.read_ports + self.write_ports
 
-    @property
-    def total_bits(self) -> int:
-        return self.words * self.bits * self.banks
-
     def cell(self, **overrides) -> Bitcell:
         """The 2D bitcell implied by this geometry."""
         return Bitcell(ports=self.ports, cam=self.cam, **overrides)

@@ -209,10 +209,6 @@ class Bitcell:
 
     # -- construction helpers ----------------------------------------------
 
-    def with_ports(self, ports: float) -> "Bitcell":
-        """Copy of this cell with a different port count."""
-        return dataclasses.replace(self, ports=ports)
-
     def scaled(self, width_mult: float) -> "Bitcell":
         """Copy with up-sized port transistors (hetero top-layer cells)."""
         return dataclasses.replace(self, port_width_mult=width_mult)

@@ -21,7 +21,6 @@ from repro.tech.transistor import (
     Transistor,
     TransistorParams,
     VtClass,
-    gate_delay,
 )
 from repro.tech.via import (
     Via,
@@ -32,7 +31,6 @@ from repro.tech.via import (
     table1_area_overheads,
 )
 from repro.tech.wire import (
-    GLOBAL_WIRE,
     LOCAL_WIRE,
     SEMI_GLOBAL_WIRE,
     WireTechnology,
@@ -51,14 +49,12 @@ __all__ = [
     "Transistor",
     "TransistorParams",
     "VtClass",
-    "gate_delay",
     "Via",
     "figure2_relative_areas",
     "make_miv",
     "make_tsv_aggressive",
     "make_tsv_research",
     "table1_area_overheads",
-    "GLOBAL_WIRE",
     "LOCAL_WIRE",
     "SEMI_GLOBAL_WIRE",
     "WireTechnology",

@@ -13,17 +13,8 @@ All values are in SI units unless the name says otherwise.
 from __future__ import annotations
 
 # ---------------------------------------------------------------------------
-# Universal constants
+# Thermal limit
 # ---------------------------------------------------------------------------
-
-#: Boltzmann constant (J/K), used by the leakage model.
-BOLTZMANN_K: float = 1.380649e-23
-
-#: Elementary charge (C).
-ELEMENTARY_CHARGE: float = 1.602176634e-19
-
-#: Reference junction temperature for leakage normalisation (K) — 85 C.
-T_REFERENCE_K: float = 358.15
 
 #: Maximum safe transistor junction temperature (C), "Tjmax ~= 100C" (Sec 7.1.3).
 T_JMAX_C: float = 100.0
@@ -40,15 +31,8 @@ VDD_NOMINAL_22NM: float = 0.8
 #: "the maximum reduction is 50mV, which sets the voltage to 0.75V").
 VDD_HET2X: float = 0.75
 
-#: Threshold voltage classes at 22nm HP (approximate ITRS values, V).
-VTH_LOW: float = 0.25
-VTH_REGULAR: float = 0.32
-VTH_HIGH: float = 0.42
-
-#: Feature sizes of the nodes referenced by the paper (m).
-FEATURE_15NM: float = 15e-9
+#: Feature size of the 22nm node (m).
 FEATURE_22NM: float = 22e-9
-FEATURE_45NM: float = 45e-9
 
 # ---------------------------------------------------------------------------
 # Via geometry (Table 2) — MIV and the two TSV designs
@@ -94,14 +78,6 @@ ADDER32_AREA_UM2: float = 77.7
 #: Area of a 32-bit SRAM word, i.e. 32 bitcells (um^2) [24].
 SRAM32_AREA_UM2: float = 2.3
 
-#: Single 6T SRAM bitcell area at ~14/15nm (um^2): 0.0499um^2 in Intel's 14nm
-#: platform [24]; the paper rounds it to ~0.05um^2 in Section 2.3.1.
-SRAM_BITCELL_AREA_UM2: float = 0.0499 * (2.3 / (32 * 0.0499))  # normalised to Table 1
-# Note: Table 1 charges 2.3um^2 for 32 cells => 0.0719um^2/cell including
-# array overheads; the raw Intel number is 0.0499um^2.  We keep the raw cell
-# for layout modelling and the Table-1 value for the area-overhead table.
-SRAM_BITCELL_RAW_AREA_UM2: float = 0.0499
-
 #: FO1 inverter area at 15nm (um^2).  Figure 2 gives the relative areas:
 #: MIV = 0.07x inverter and the MIV is a 50nm square (0.0025um^2), hence the
 #: inverter is ~0.0357um^2; an SRAM bitcell is then ~2x the inverter.
@@ -114,12 +90,7 @@ INVERTER_FO1_AREA_UM2: float = (MIV_SIDE * 1e6) ** 2 / 0.07
 #: Inverter delay degradation of the top M3D layer, Shi et al. [45]: 17%.
 TOP_LAYER_DELAY_PENALTY: float = 0.17
 
-#: Device-level degradations measured on laser-annealed M3D [43].
-TOP_LAYER_PMOS_PENALTY: float = 0.278
-TOP_LAYER_NMOS_PENALTY: float = 0.168
-
-#: Frequency losses observed by Shi et al. for gate-level partitioned blocks.
-NAIVE_FREQ_LOSS_LDPC: float = 0.075
+#: Frequency loss observed by Shi et al. for a gate-level partitioned AES block.
 NAIVE_FREQ_LOSS_AES: float = 0.09
 
 # ---------------------------------------------------------------------------
@@ -136,10 +107,6 @@ WIRE_CAP_PER_M: float = 0.25e-9
 #: has 3x higher resistance than copper").
 TUNGSTEN_RESISTANCE_FACTOR: float = 3.0
 
-#: Fraction of local-wire-length reduction delivered by M3D floorplanners on
-#: local wires (Section 3.1: "reduce the lengths of local wires by up to 25%").
-LOCAL_WIRE_REDUCTION_M3D: float = 0.25
-
 #: Footprint reduction of a folded two-layer block (Section 3.1: the adder
 #: layout shows 41%; the theoretical maximum is 50%).
 FOOTPRINT_REDUCTION_LOGIC: float = 0.41
@@ -150,7 +117,3 @@ FOOTPRINT_REDUCTION_LOGIC: float = 0.41
 # ---------------------------------------------------------------------------
 
 CLOCK_TREE_POWER_REDUCTION_3D: float = 0.25
-
-#: Fraction of core dynamic power consumed by the clock tree in the 2D
-#: baseline (typical of high-performance OOO cores).
-CLOCK_TREE_POWER_FRACTION: float = 0.22

@@ -18,7 +18,7 @@ import dataclasses
 from typing import List, Optional
 
 from repro.tech import constants
-from repro.tech.transistor import ProcessFlavor, Transistor, VtClass
+from repro.tech.transistor import ProcessFlavor
 from repro.tech.via import Via, make_miv, make_tsv_aggressive
 
 
@@ -40,12 +40,6 @@ class LayerSpec:
     name: str
     delay_penalty: float = 0.0
     flavor: ProcessFlavor = ProcessFlavor.HP
-
-    def device(self, width: float = 1.0, vt: VtClass = VtClass.REGULAR) -> Transistor:
-        """Instantiate a sized transistor living on this layer."""
-        return Transistor(
-            width=width, vt=vt, flavor=self.flavor, layer_penalty=self.delay_penalty
-        )
 
     @property
     def relative_speed(self) -> float:

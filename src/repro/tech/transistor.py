@@ -79,7 +79,7 @@ class TransistorParams:
     unit_gate_cap: float = 0.05e-15
     #: Drain (diffusion) capacitance of a unit-width device (F).
     unit_drain_cap: float = 0.03e-15
-    #: Sub-threshold leakage of a unit-width device at T_REFERENCE_K (A).
+    #: Sub-threshold leakage of a unit-width device at 85 C (A).
     unit_leakage: float = 20e-9
     #: Layout area of a unit-width device (m^2), ~ (6F)x(10F) at F=22nm.
     unit_area: float = (6 * constants.FEATURE_22NM) * (10 * constants.FEATURE_22NM)
@@ -154,36 +154,3 @@ class Transistor:
     def area(self) -> float:
         """Layout area (m^2); linear in width."""
         return self.params.unit_area * self.width
-
-    def resized(self, width: float) -> "Transistor":
-        """Return a copy of this device with a new width multiple."""
-        return dataclasses.replace(self, width=width)
-
-    def on_top_layer(
-        self, penalty: float = constants.TOP_LAYER_DELAY_PENALTY
-    ) -> "Transistor":
-        """Return a copy of this device placed on the slow top layer."""
-        return dataclasses.replace(self, layer_penalty=penalty)
-
-    def compensating_width(
-        self, penalty: float = constants.TOP_LAYER_DELAY_PENALTY
-    ) -> float:
-        """Width multiple needed on the top layer to match bottom-layer drive.
-
-        Up-sizing by ``1 / (1 - penalty)`` restores the drive resistance of a
-        bottom-layer device of the original width.  The paper simply doubles
-        widths ("double the width of transistors of the ports in the top
-        layer", Section 4.2.1), which more than compensates a 17% penalty.
-        """
-        return self.width / (1.0 - penalty)
-
-
-def gate_delay(driver: Transistor, load_capacitance: float) -> float:
-    """First-order gate delay (s): ``0.69 * R_drive * C_load``.
-
-    This is the standard RC switching model used by CACTI; 0.69 = ln(2)
-    converts an RC time constant into a 50% transition delay.
-    """
-    if load_capacitance < 0:
-        raise ValueError("load capacitance must be non-negative")
-    return 0.69 * driver.drive_resistance * load_capacitance

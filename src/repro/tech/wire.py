@@ -8,13 +8,12 @@ block into two layers shortens its wires by up to ~sqrt(2)x per dimension
 paper.
 
 The models here are the standard distributed-RC (Elmore) expressions used by
-CACTI, plus optimal-repeater insertion for semi-global wires.
+CACTI.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from repro.tech import constants
 from repro.tech.transistor import Transistor
@@ -96,19 +95,6 @@ class WireTechnology:
             raise ValueError("vdd must be positive")
         return (self.capacitance(length) + load_cap) * vdd**2
 
-    def repeated_delay_per_m(self, repeater: Transistor) -> float:
-        """Delay per metre of an optimally repeated wire (s/m).
-
-        With optimal repeater insertion, delay grows linearly with length:
-        ``t/L ~ 2 * sqrt(0.69 * 0.38 * R_drv * C_gate * r_w * c_w)`` (per
-        Bakoglu).  Used for semi-global/global wires such as NoC links.
-        """
-        r_drv = repeater.drive_resistance
-        c_g = repeater.gate_capacitance + repeater.drain_capacitance
-        return 2.0 * math.sqrt(
-            0.69 * 0.38 * r_drv * c_g * self.resistance_per_m * self.capacitance_per_m
-        )
-
 
 def _check_length(length: float) -> None:
     if length < 0:
@@ -121,9 +107,4 @@ SEMI_GLOBAL_WIRE = WireTechnology(
     resistance_per_m=constants.WIRE_RES_PER_M / 4.0,
     capacitance_per_m=constants.WIRE_CAP_PER_M * 1.1,
     name="semi-global-cu",
-)
-GLOBAL_WIRE = WireTechnology(
-    resistance_per_m=constants.WIRE_RES_PER_M / 16.0,
-    capacitance_per_m=constants.WIRE_CAP_PER_M * 1.2,
-    name="global-cu",
 )

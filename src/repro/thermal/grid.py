@@ -22,8 +22,8 @@ import dataclasses
 from typing import List, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, lil_matrix
-from scipy.sparse.linalg import spsolve, splu
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import splu
 
 from repro.lru import LruMemo
 from repro.thermal.floorplan import Floorplan
@@ -205,95 +205,6 @@ def solve_stack(
         stack_name=stack.name,
         grid=grid,
         temperatures=temperatures.reshape(len(stack.layers), grid, grid),
-        ambient_c=stack.ambient_c,
-    )
-
-
-def solve_stack_reference(
-    stack: ThermalStack,
-    power_maps: List[Optional[List[List[float]]]],
-    chip_area: float,
-    grid: int = 16,
-) -> ThermalSolution:
-    """Reference implementation: scalar ``lil_matrix`` assembly + ``spsolve``.
-
-    Kept as the oracle the vectorized+factorized fast path is tested
-    against; not used on any production path.
-    """
-    if len(power_maps) != len(stack.layers):
-        raise ValueError("need one power map (or None) per stack layer")
-    layers = stack.layers
-    nl = len(layers)
-    cells = grid * grid
-    n = nl * cells
-    side = chip_area**0.5
-    cell_w = side / grid
-    cell_area = cell_w * cell_w
-
-    def node(layer: int, row: int, col: int) -> int:
-        return layer * cells + row * grid + col
-
-    matrix = lil_matrix((n, n))
-    rhs = np.zeros(n)
-
-    for li in range(nl - 1):
-        r_half = (
-            layers[li].vertical_resistance_per_area / 2.0
-            + layers[li + 1].vertical_resistance_per_area / 2.0
-        )
-        g = cell_area / r_half
-        for r in range(grid):
-            for c in range(grid):
-                a, b = node(li, r, c), node(li + 1, r, c)
-                matrix[a, a] += g
-                matrix[b, b] += g
-                matrix[a, b] -= g
-                matrix[b, a] -= g
-
-    for li, layer in enumerate(layers):
-        g_lat = layer.conductivity * layer.thickness
-        if g_lat <= 0:
-            continue
-        for r in range(grid):
-            for c in range(grid):
-                a = node(li, r, c)
-                if c + 1 < grid:
-                    b = node(li, r, c + 1)
-                    matrix[a, a] += g_lat
-                    matrix[b, b] += g_lat
-                    matrix[a, b] -= g_lat
-                    matrix[b, a] -= g_lat
-                if r + 1 < grid:
-                    b = node(li, r + 1, c)
-                    matrix[a, a] += g_lat
-                    matrix[b, b] += g_lat
-                    matrix[a, b] -= g_lat
-                    matrix[b, a] -= g_lat
-
-    r_cell = (
-        stack.sink_resistance * cells
-        + stack.spreading_resistance_area / cell_area
-    )
-    g_sink = 1.0 / r_cell
-    top = nl - 1
-    for r in range(grid):
-        for c in range(grid):
-            a = node(top, r, c)
-            matrix[a, a] += g_sink
-            rhs[a] += g_sink * stack.ambient_c
-
-    for li, power_map in enumerate(power_maps):
-        if power_map is None:
-            continue
-        for r in range(grid):
-            for c in range(grid):
-                rhs[node(li, r, c)] += power_map[r][c] * cell_area
-
-    temperatures = spsolve(matrix.tocsr(), rhs)
-    return ThermalSolution(
-        stack_name=stack.name,
-        grid=grid,
-        temperatures=temperatures.reshape(nl, grid, grid),
         ambient_c=stack.ambient_c,
     )
 

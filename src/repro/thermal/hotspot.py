@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
+from repro.tech import constants
 from repro.thermal.floorplan import (
     floorplan_2d,
     floorplan_folded,
@@ -40,7 +41,7 @@ class ThermalReport:
 
     @property
     def exceeds_tjmax(self) -> bool:
-        return self.peak_c > 100.0
+        return self.peak_c > constants.T_JMAX_C
 
 
 def _report(design: str, trace: str, solution: ThermalSolution,

@@ -19,7 +19,6 @@ K_METAL: float = 12.0
 K_SILICON: float = 120.0
 K_ILD: float = 1.5
 K_TIM: float = 5.0
-K_SPREADER: float = 400.0
 
 
 @dataclasses.dataclass(frozen=True)

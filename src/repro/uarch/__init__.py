@@ -11,7 +11,6 @@ from repro.uarch.cache import (
 from repro.uarch.interval import (
     WorkloadStats,
     predict_cpi,
-    predict_speedup,
     workload_stats_from_sim,
 )
 from repro.uarch.isa import FU_POOLS, OP_LATENCY, MicroOp, OpClass, Trace
@@ -34,7 +33,6 @@ __all__ = [
     "SetAssociativeCache",
     "WorkloadStats",
     "predict_cpi",
-    "predict_speedup",
     "workload_stats_from_sim",
     "kernel_enabled",
     "run_trace_batch",

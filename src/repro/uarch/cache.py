@@ -85,11 +85,6 @@ class SetAssociativeCache:
             line.pop(0)
         return False
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
 class AccessResult:
     """Outcome of one memory access through the hierarchy."""
 

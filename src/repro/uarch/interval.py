@@ -4,9 +4,9 @@ Interval analysis (Karkhanis & Smith) predicts IPC from first-order
 statistics: the core sustains its dispatch width between *miss events*
 (branch mispredictions, long-latency cache misses), each of which drains
 and refills the window.  The model is orders of magnitude faster than the
-cycle model and is used by tests to sanity-check the simulator's trends —
-if the two disagree on the *direction* of a config change, something is
-broken.
+cycle model, and :func:`repro.design.sweep.interval_crosscheck` uses it to
+sanity-check the simulator's trends — if the two disagree on the
+*direction* of a config CPI change, something is broken.
 """
 
 from __future__ import annotations
@@ -71,18 +71,4 @@ def workload_stats_from_sim(result) -> WorkloadStats:
         mispredicts_per_kilo=stats.mispredictions * 1000.0 / uops,
         l2_misses_per_kilo=levels.get("L3", 0) * 1000.0 / uops,
         dram_misses_per_kilo=levels.get("DRAM", 0) * 1000.0 / uops,
-    )
-
-
-def predict_runtime(config: CoreConfig, workload: WorkloadStats,
-                    instructions: int) -> float:
-    """Predicted wall-clock seconds for ``instructions``."""
-    return instructions * predict_cpi(config, workload) / config.frequency
-
-
-def predict_speedup(config: CoreConfig, base: CoreConfig,
-                    workload: WorkloadStats) -> float:
-    """Analytical speedup of ``config`` over ``base`` on a workload."""
-    return predict_runtime(base, workload, 1000) / predict_runtime(
-        config, workload, 1000
     )

@@ -289,13 +289,3 @@ class Trace:
         total = max(1, len(self.codes))
         return {OP_ORDER[code]: count / total
                 for code, count in Counter(self.codes.tolist()).items()}
-
-
-def validate_trace(ops: Sequence[MicroOp]) -> None:
-    """Raise if any µop references a producer outside the trace prefix."""
-    for index, op in enumerate(ops):
-        for dist in (op.src1, op.src2):
-            if dist is not None and dist > index:
-                raise ValueError(
-                    f"uop {index} references producer {dist} before trace start"
-                )

@@ -95,24 +95,6 @@ class SimStats:
     def ipc(self) -> float:
         return self.uops / self.cycles if self.cycles else 0.0
 
-    @property
-    def branch_accuracy(self) -> float:
-        """Fraction of branches predicted correctly (1.0 with no branches)."""
-        if not self.branches:
-            return 1.0
-        return 1.0 - self.mispredictions / self.branches
-
-    def cache_hit_rates(self) -> Dict[str, float]:
-        """Fraction of data accesses served at each memory level."""
-        total = sum(self.mem_level_counts.values())
-        if not total:
-            return {}
-        return {
-            level: count / total
-            for level, count in sorted(self.mem_level_counts.items())
-        }
-
-
 @dataclasses.dataclass(frozen=True)
 class SimResult:
     """Outcome of simulating one trace on one configuration."""

@@ -3,7 +3,7 @@ plus the deterministic trace generator."""
 
 from repro.workloads.generator import TraceGenerator, generate_trace
 from repro.workloads.parallel import parallel_by_name, parallel_profiles
-from repro.workloads.profiles import AppProfile, classify, memory_bound_score
+from repro.workloads.profiles import AppProfile
 from repro.workloads.spec import spec_by_name, spec_profiles
 
 __all__ = [
@@ -12,8 +12,6 @@ __all__ = [
     "parallel_by_name",
     "parallel_profiles",
     "AppProfile",
-    "classify",
-    "memory_bound_score",
     "spec_by_name",
     "spec_profiles",
 ]

@@ -23,7 +23,6 @@ stalls — *emerge* from simulation rather than being dialled in.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,17 +101,3 @@ class AppProfile:
             + self.div_frac
             + self.complex_frac
         )
-
-
-def memory_bound_score(profile: AppProfile) -> float:
-    """Rough 0-1 score of how memory-bound a profile is (for reports)."""
-    ws = min(1.0, profile.working_set_bytes / float(32 << 20))
-    miss_exposure = (1.0 - profile.hot_frac) * profile.load_frac * 4.0
-    return min(1.0, 0.5 * ws + 0.5 * min(1.0, miss_exposure))
-
-
-def classify(profile: AppProfile) -> Tuple[str, str]:
-    """(compute|memory, predictable|branchy) coarse classification."""
-    kind = "memory" if memory_bound_score(profile) > 0.5 else "compute"
-    branchy = "branchy" if profile.easy_branch_frac < 0.7 else "predictable"
-    return kind, branchy

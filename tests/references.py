@@ -7,6 +7,10 @@
 * :func:`reference_key`: ``make_key`` as one ``json.dumps`` of the whole
   canonical payload, the form every stored key was built with.
 * :func:`reference_generate`: the trace generator's Python row loop.
+* :func:`solve_stack_reference`: the thermal grid solve as scalar
+  ``lil_matrix`` assembly and one ``spsolve``.
+* :func:`reference_timing`: a netlist's arrival times and slacks by
+  Kahn's algorithm over its own edge set.
 """
 
 import hashlib
@@ -14,7 +18,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+from scipy.sparse import lil_matrix
+from scipy.sparse.linalg import spsolve
+
 from repro.engine.cache import _canonical, code_fingerprint
+from repro.thermal.grid import ThermalSolution
 from repro.uarch.isa import OP_CODE, WARMUP_FRAC, OpClass, Trace
 from repro.workloads.generator import SHARED_REGION_BASE
 
@@ -199,3 +208,129 @@ def reference_generate(generator, num_uops, warmup_frac=WARMUP_FRAC):
         resident_code=generator._resident_code(),
         columns=[codes, src1, src2, address, pc, taken, barrier],
     )
+
+
+def solve_stack_reference(stack, power_maps, chip_area, grid=16):
+    """``repro.thermal.grid.solve_stack`` as scalar ``lil_matrix``
+    assembly and one ``spsolve``: the oracle its vectorized assembly and
+    reused ``splu`` factorization are checked against."""
+    if len(power_maps) != len(stack.layers):
+        raise ValueError("need one power map (or None) per stack layer")
+    layers = stack.layers
+    nl = len(layers)
+    cells = grid * grid
+    n = nl * cells
+    side = chip_area**0.5
+    cell_w = side / grid
+    cell_area = cell_w * cell_w
+
+    def node(layer: int, row: int, col: int) -> int:
+        return layer * cells + row * grid + col
+
+    matrix = lil_matrix((n, n))
+    rhs = np.zeros(n)
+
+    for li in range(nl - 1):
+        r_half = (
+            layers[li].vertical_resistance_per_area / 2.0
+            + layers[li + 1].vertical_resistance_per_area / 2.0
+        )
+        g = cell_area / r_half
+        for r in range(grid):
+            for c in range(grid):
+                a, b = node(li, r, c), node(li + 1, r, c)
+                matrix[a, a] += g
+                matrix[b, b] += g
+                matrix[a, b] -= g
+                matrix[b, a] -= g
+
+    for li, layer in enumerate(layers):
+        g_lat = layer.conductivity * layer.thickness
+        if g_lat <= 0:
+            continue
+        for r in range(grid):
+            for c in range(grid):
+                a = node(li, r, c)
+                if c + 1 < grid:
+                    b = node(li, r, c + 1)
+                    matrix[a, a] += g_lat
+                    matrix[b, b] += g_lat
+                    matrix[a, b] -= g_lat
+                    matrix[b, a] -= g_lat
+                if r + 1 < grid:
+                    b = node(li, r + 1, c)
+                    matrix[a, a] += g_lat
+                    matrix[b, b] += g_lat
+                    matrix[a, b] -= g_lat
+                    matrix[b, a] -= g_lat
+
+    r_cell = (
+        stack.sink_resistance * cells
+        + stack.spreading_resistance_area / cell_area
+    )
+    g_sink = 1.0 / r_cell
+    top = nl - 1
+    for r in range(grid):
+        for c in range(grid):
+            a = node(top, r, c)
+            matrix[a, a] += g_sink
+            rhs[a] += g_sink * stack.ambient_c
+
+    for li, power_map in enumerate(power_maps):
+        if power_map is None:
+            continue
+        for r in range(grid):
+            for c in range(grid):
+                rhs[node(li, r, c)] += power_map[r][c] * cell_area
+
+    temperatures = spsolve(matrix.tocsr(), rhs)
+    return ThermalSolution(
+        stack_name=stack.name,
+        grid=grid,
+        temperatures=temperatures.reshape(nl, grid, grid),
+        ambient_c=stack.ambient_c,
+    )
+
+
+def reference_timing(gates, edges):
+    """Arrival times and slacks of a gate DAG, as ``(arrivals, slacks)``.
+
+    ``gates`` maps a node name to ``(gate, wire_load)``; ``edges`` holds
+    ``(src, dst)`` pairs, a repeated pair being one edge.  Nodes are
+    ordered by Kahn's algorithm over this edge set, never by the order a
+    ``Netlist`` was built in, and a node drives its wire load plus the
+    input capacitance of each distinct fanout gate."""
+    edges = set(edges)
+    fanin = {name: [] for name in gates}
+    fanout = {name: [] for name in gates}
+    for src, dst in sorted(edges):
+        fanin[dst].append(src)
+        fanout[src].append(dst)
+    delay = {}
+    for name, (gate, wire_load) in gates.items():
+        load = wire_load + sum(gates[succ][0].input_capacitance
+                               for succ in fanout[name])
+        delay[name] = gate.delay(load)
+    pending = {name: len(fanin[name]) for name in gates}
+    ready = sorted(name for name, count in pending.items() if not count)
+    order = []
+    while ready:
+        name = ready.pop()
+        order.append(name)
+        for succ in fanout[name]:
+            pending[succ] -= 1
+            if not pending[succ]:
+                ready.append(succ)
+    if len(order) != len(gates):
+        raise ValueError("the edge set has a cycle")
+    arrivals = {}
+    for name in order:
+        arrivals[name] = delay[name] + max(
+            (arrivals[src] for src in fanin[name]), default=0.0)
+    critical = max(arrivals.values(), default=0.0)
+    required = {}
+    for name in reversed(order):
+        required[name] = min(
+            (required[succ] - delay[succ] for succ in fanout[name]),
+            default=critical)
+    return arrivals, {name: required[name] - arrivals[name] for name in gates}

@@ -1,8 +1,14 @@
 """Integration tests chaining the full pipeline:
 SRAM -> partition -> frequency -> simulator -> power -> thermal."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import frequency as freqmod
 from repro.core.structures import core_structures
 from repro.design.resolve import (
@@ -140,3 +146,27 @@ class TestAllConfigsRun:
             result = run_trace(cfg, trace)
             assert result.cycles > 0
             assert result.ipc > 0
+
+
+_IMPORT_ALL_WITHOUT_NETWORKX = """
+import importlib, pkgutil, sys
+sys.modules["networkx"] = None
+import repro
+names = [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+         if info.name != "repro.__main__"]
+for name in names:
+    importlib.import_module(name)
+print(len(names))
+"""
+
+
+def test_every_module_imports_without_networkx():
+    """No module needs networkx: with it blocked, every ``repro`` module
+    still imports, even where networkx happens to be installed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ALL_WITHOUT_NETWORKX],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) > 50

@@ -14,8 +14,6 @@ from repro.experiments.tables import (
 from repro.uarch.interval import (
     WorkloadStats,
     predict_cpi,
-    predict_runtime,
-    predict_speedup,
     workload_stats_from_sim,
 )
 
@@ -45,33 +43,6 @@ class TestIntervalModel:
         cfg = BASE
         assert predict_cpi(cfg, self._memory_workload()) > predict_cpi(
             cfg, self._compute_workload()
-        )
-
-    def test_m3d_speedup_direction_matches_cycle_model(self):
-        # The interval model must agree with the simulator's *direction*:
-        # M3D-Iso is faster than Base on every workload.
-        for workload in (self._compute_workload(), self._memory_workload()):
-            assert predict_speedup(ISO, BASE, workload) > 1.0
-
-    def test_compute_apps_gain_more(self):
-        compute = predict_speedup(
-            ISO, BASE, self._compute_workload()
-        )
-        memory = predict_speedup(
-            ISO, BASE, self._memory_workload()
-        )
-        assert compute > memory
-
-    def test_het_between_base_and_iso(self):
-        workload = self._compute_workload()
-        het = predict_speedup(resolve("M3D-Het").config, BASE, workload)
-        iso = predict_speedup(ISO, BASE, workload)
-        assert 1.0 < het <= iso + 1e-9
-
-    def test_runtime_scales_with_instructions(self):
-        workload = self._compute_workload()
-        assert predict_runtime(BASE, workload, 2000) == pytest.approx(
-            2 * predict_runtime(BASE, workload, 1000)
         )
 
     def test_workload_stats_from_sim(self):

@@ -76,10 +76,9 @@ class TestStallAttribution:
         profile = spec_profiles()[0]
         trace = generate_trace(profile, 2000, seed=1234)
         result = run_trace(resolve("Base").config, trace)
-        assert 0.0 <= result.stats.branch_accuracy <= 1.0
-        rates = result.stats.cache_hit_rates()
-        assert rates  # loads happened
-        assert abs(sum(rates.values()) - 1.0) < 1e-9
+        stats = result.stats
+        assert 0 <= stats.mispredictions <= stats.branches
+        assert sum(stats.mem_level_counts.values()) > 0  # loads happened
 
     def test_multicore_aggregates_stalls(self):
         water = parallel_by_name()["Water-Spatial"]

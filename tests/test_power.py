@@ -9,7 +9,6 @@ from repro.power.dvfs import (
     OperatingPoint,
     iso_power_core_count,
     min_voltage_at_base_frequency,
-    power_budget_check,
 )
 from repro.power.energy import (
     factors_for_stack,
@@ -131,11 +130,6 @@ class TestDvfs:
     def test_iso_power_count_is_eight(self):
         # Section 6.1: "in between 7 and 8. We pick 8."
         assert iso_power_core_count() == 8
-
-    def test_power_budget_tolerance(self):
-        # 8 cores at ~0.565 power each ~ 4.5 vs budget 4: within ~13%.
-        assert power_budget_check(8, 0.56)
-        assert not power_budget_check(8, 0.80)
 
     def test_operating_point_scales(self):
         nominal = OperatingPoint(3.3e9, 0.8)

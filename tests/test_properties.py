@@ -3,9 +3,12 @@
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.logic.gates import Gate, GateType
+from repro.logic.netlist import Netlist
 from repro.sram.array import ArrayGeometry, analyze_plane, solve_2d
 from repro.sram.bitcell import Bitcell
 from repro.tech.transistor import Transistor
@@ -13,6 +16,7 @@ from repro.tech.wire import LOCAL_WIRE
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.noc import RingNoc
 from repro.uarch.ooo import _FuPool, _PerCycleBandwidth, _WidthLimiter
+from tests.references import reference_timing
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +75,9 @@ def test_bitcell_dimensions_monotonic_in_ports(ports):
 @given(mult=st.floats(min_value=1.0, max_value=4.0))
 def test_upsizing_trades_speed_for_wordline_load(mult):
     base = Bitcell(ports=4)
-    upsized = base.scaled(mult)
-    assert upsized.read_path_resistance <= base.read_path_resistance
-    assert upsized.wordline_cap_per_cell >= base.wordline_cap_per_cell
+    sized_up = base.scaled(mult)
+    assert sized_up.read_path_resistance <= base.read_path_resistance
+    assert sized_up.wordline_cap_per_cell >= base.wordline_cap_per_cell
 
 
 @settings(deadline=None, max_examples=25)
@@ -460,9 +464,6 @@ def test_noc_shared_stops_never_slower(cores):
 )
 def test_netlist_slack_nonnegative_and_critical_zero(lengths):
     """In any fan-out tree, slacks are >= 0 and the critical path has 0."""
-    from repro.logic.gates import Gate, GateType
-    from repro.logic.netlist import Netlist
-
     netlist = Netlist("prop")
     netlist.add_gate("root", Gate(GateType.INV, size=2.0))
     for b, chain_len in enumerate(lengths):
@@ -476,6 +477,42 @@ def test_netlist_slack_nonnegative_and_critical_zero(lengths):
     path, _ = netlist.critical_path()
     for name in path:
         assert abs(slacks[name]) < 1e-15
+
+
+@st.composite
+def _gate_dags(draw):
+    """``{name: (gate, wire_load)}`` in insertion order, plus each node's
+    fanin names: a fanin list may repeat a name, and any node may end up
+    without fanout."""
+    gates, fanins = {}, {}
+    for index in range(draw(st.integers(min_value=1, max_value=24))):
+        name = f"n{index}"
+        fanins[name] = [f"n{i}" for i in draw(st.lists(
+            st.integers(min_value=0, max_value=index - 1), max_size=4,
+        ))] if index else []
+        gate = Gate(draw(st.sampled_from(list(GateType))),
+                    size=draw(st.floats(min_value=0.5, max_value=8.0)),
+                    layer_penalty=draw(st.sampled_from([0.0, 0.17])))
+        gates[name] = (gate, draw(st.floats(min_value=0.0, max_value=20e-15)))
+    return gates, fanins
+
+
+@settings(deadline=None, max_examples=60)
+@given(dag=_gate_dags())
+def test_netlist_timing_matches_kahn_reference(dag):
+    """Insertion-order timing equals a Kahn's-algorithm longest path."""
+    gates, fanins = dag
+    netlist = Netlist("random")
+    for name, (gate, wire_load) in gates.items():
+        netlist.add_gate(name, gate, fanin=fanins[name], wire_load=wire_load)
+    edges = [(src, dst) for dst, srcs in fanins.items() for src in srcs]
+    arrivals, slacks = reference_timing(gates, edges)
+    critical = max(arrivals.values())
+    # Zero slacks are compared on the critical delay's scale.
+    tolerance = dict(rel=1e-12, abs=1e-12 * critical)
+    assert netlist.arrival_times() == pytest.approx(arrivals, **tolerance)
+    assert netlist.slacks() == pytest.approx(slacks, **tolerance)
+    assert netlist.critical_path()[1] == pytest.approx(critical, rel=1e-12)
 
 
 @given(scale=st.floats(min_value=0.1, max_value=1.0))

@@ -31,10 +31,6 @@ class TestGeometryValidation:
         g = geometry(read_ports=12, write_ports=6)
         assert g.ports == 18
 
-    def test_total_bits(self):
-        g = geometry(banks=4)
-        assert g.total_bits == 128 * 64 * 4
-
 
 class TestPlaneAnalysis:
     def test_positive_results(self):

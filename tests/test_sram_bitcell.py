@@ -31,9 +31,9 @@ class TestGeometry:
 
     def test_upsized_ports_widen_cell_sublinearly(self):
         base = Bitcell(ports=8)
-        upsized = base.scaled(2.0)
-        assert upsized.width > base.width
-        assert upsized.width < 2 * base.width  # track pitch is litho-limited
+        sized_up = base.scaled(2.0)
+        assert sized_up.width > base.width
+        assert sized_up.width < 2 * base.width  # track pitch is litho-limited
 
     def test_miv_vias_nearly_free(self):
         base = Bitcell(ports=9)
@@ -59,8 +59,8 @@ class TestElectrical:
         # Section 4.2.1: wider access transistors "increase the capacitance
         # on the wordlines slightly".
         base = Bitcell(ports=4)
-        upsized = base.scaled(2.0)
-        assert upsized.wordline_cap_per_cell > base.wordline_cap_per_cell
+        sized_up = base.scaled(2.0)
+        assert sized_up.wordline_cap_per_cell > base.wordline_cap_per_cell
 
     def test_layer_penalty_slows_read_path(self):
         bottom = Bitcell(ports=2)
@@ -82,8 +82,3 @@ class TestElectrical:
     def test_cam_leaks_more(self):
         assert Bitcell(ports=2, cam=True).leakage > Bitcell(ports=2).leakage
 
-    def test_with_ports_copy(self):
-        cell = Bitcell(ports=4, cam=True)
-        copy = cell.with_ports(2)
-        assert copy.ports == 2
-        assert copy.cam

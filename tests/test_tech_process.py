@@ -12,7 +12,7 @@ from repro.tech.process import (
     stack_m3d_lp_top,
     stack_tsv3d,
 )
-from repro.tech.transistor import ProcessFlavor, VtClass
+from repro.tech.transistor import ProcessFlavor
 
 
 class TestLayerSpec:
@@ -26,12 +26,6 @@ class TestLayerSpec:
     def test_lp_layer_slower_still(self):
         lp = LayerSpec("top", flavor=ProcessFlavor.LP)
         assert lp.relative_speed < 1.0
-
-    def test_device_carries_layer_penalty(self):
-        top = LayerSpec("top", delay_penalty=0.17)
-        device = top.device(width=2.0, vt=VtClass.LOW)
-        assert device.layer_penalty == 0.17
-        assert device.width == 2.0
 
 
 class TestStacks:

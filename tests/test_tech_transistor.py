@@ -3,12 +3,9 @@
 import pytest
 
 from repro.tech import constants
-from repro.tech.transistor import (
-    ProcessFlavor,
-    Transistor,
-    VtClass,
-    gate_delay,
-)
+from repro.tech.transistor import ProcessFlavor, Transistor, VtClass
+
+PENALTY = constants.TOP_LAYER_DELAY_PENALTY
 
 
 class TestSizing:
@@ -30,13 +27,6 @@ class TestSizing:
         with pytest.raises(ValueError):
             Transistor(width=0.0)
 
-    def test_resized_preserves_other_fields(self):
-        device = Transistor(width=1.0, vt=VtClass.LOW, layer_penalty=0.1)
-        resized = device.resized(5.0)
-        assert resized.width == 5.0
-        assert resized.vt is VtClass.LOW
-        assert resized.layer_penalty == 0.1
-
 
 class TestVtClasses:
     def test_lvt_fastest(self):
@@ -54,21 +44,21 @@ class TestVtClasses:
 class TestLayerPenalty:
     def test_top_layer_is_slower(self):
         bottom = Transistor()
-        top = bottom.on_top_layer()
+        top = Transistor(layer_penalty=PENALTY)
         assert top.drive_resistance > bottom.drive_resistance
 
     def test_penalty_matches_shi_et_al(self):
         # 17% drive loss -> resistance up by 1/(1-0.17).
         bottom = Transistor()
-        top = bottom.on_top_layer()
+        top = Transistor(layer_penalty=PENALTY)
         assert top.drive_resistance == pytest.approx(
-            bottom.drive_resistance / (1 - constants.TOP_LAYER_DELAY_PENALTY)
+            bottom.drive_resistance / (1 - PENALTY)
         )
 
     def test_compensating_width_restores_drive(self):
+        # Up-sizing by 1/(1-p) restores a bottom-layer device's drive.
         bottom = Transistor(width=1.0)
-        width = bottom.compensating_width()
-        compensated = Transistor(width=width).on_top_layer()
+        compensated = Transistor(width=1.0 / (1 - PENALTY), layer_penalty=PENALTY)
         assert compensated.drive_resistance == pytest.approx(
             bottom.drive_resistance
         )
@@ -76,7 +66,7 @@ class TestLayerPenalty:
     def test_doubling_overcompensates_17_percent(self):
         # The paper doubles widths; that more than cancels a 17% penalty.
         bottom = Transistor(width=1.0)
-        doubled_top = Transistor(width=2.0).on_top_layer()
+        doubled_top = Transistor(width=2.0, layer_penalty=PENALTY)
         assert doubled_top.drive_resistance < bottom.drive_resistance
 
     def test_invalid_penalty_rejected(self):
@@ -97,14 +87,3 @@ class TestFlavors:
         lp = Transistor(flavor=ProcessFlavor.LP)
         assert lp.leakage_current < hp.leakage_current / 2
 
-
-class TestGateDelay:
-    def test_delay_linear_in_load(self):
-        device = Transistor(width=2.0)
-        d1 = gate_delay(device, 1e-15)
-        d2 = gate_delay(device, 2e-15)
-        assert d2 == pytest.approx(2 * d1)
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(ValueError):
-            gate_delay(Transistor(), -1e-15)

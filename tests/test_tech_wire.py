@@ -3,12 +3,7 @@
 import pytest
 
 from repro.tech.transistor import Transistor
-from repro.tech.wire import (
-    GLOBAL_WIRE,
-    LOCAL_WIRE,
-    SEMI_GLOBAL_WIRE,
-    WireTechnology,
-)
+from repro.tech.wire import LOCAL_WIRE, SEMI_GLOBAL_WIRE, WireTechnology
 
 
 class TestWireRc:
@@ -32,11 +27,7 @@ class TestWireRc:
 
     def test_metal_hierarchy_resistance(self):
         # Upper metals are fatter: less resistive per metre.
-        assert (
-            GLOBAL_WIRE.resistance_per_m
-            < SEMI_GLOBAL_WIRE.resistance_per_m
-            < LOCAL_WIRE.resistance_per_m
-        )
+        assert SEMI_GLOBAL_WIRE.resistance_per_m < LOCAL_WIRE.resistance_per_m
 
     def test_tungsten_three_times_copper(self):
         w = LOCAL_WIRE.with_tungsten()
@@ -74,14 +65,6 @@ class TestElmore:
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
             LOCAL_WIRE.elmore_delay(1e-6, Transistor(), load_cap=-1e-15)
-
-    def test_repeated_wire_linear_per_metre(self):
-        repeater = Transistor(width=16.0)
-        per_m = LOCAL_WIRE.repeated_delay_per_m(repeater)
-        assert per_m > 0
-        # Repeated delay should beat unrepeated for long wires.
-        unrepeated = LOCAL_WIRE.elmore_delay(1e-3, repeater)
-        assert per_m * 1e-3 < unrepeated
 
 
 class TestEnergy:

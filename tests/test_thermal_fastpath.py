@@ -2,8 +2,8 @@
 
 ``solve_stack`` assembles the conductance matrix with vectorized COO
 construction and reuses one ``splu`` factorization per (stack, area,
-grid); ``solve_stack_reference`` keeps the original scalar
-``lil_matrix``+``spsolve`` implementation as the oracle.
+grid); ``tests.references.solve_stack_reference`` keeps the original
+scalar ``lil_matrix``+``spsolve`` implementation as the oracle.
 """
 
 import numpy as np
@@ -15,13 +15,13 @@ from repro.thermal.grid import (
     factorization_cache_size,
     solve_floorplans,
     solve_stack,
-    solve_stack_reference,
 )
 from repro.thermal.stack import (
     stack_2d_thermal,
     stack_m3d_thermal,
     stack_tsv3d_thermal,
 )
+from tests.references import solve_stack_reference
 
 CHIP_AREA = 5e-6
 
