@@ -241,7 +241,7 @@ def cmd_explore(args: argparse.Namespace) -> None:
             limit=args.limit,
             progress=progress,
         )
-    except SpaceError as exc:
+    except ValueError as exc:  # a SpaceError, or an app count below 1
         raise SystemExit(str(exc))
     summary = report.as_dict()
     print(f"\n{summary['space']}: {summary['unique_points']} unique of "
@@ -312,7 +312,7 @@ def cmd_manycore(args: argparse.Namespace) -> None:
             base_grid=args.grid,
             apps=args.apps,
         )
-    except GridError as exc:
+    except ValueError as exc:  # a GridError, or an app count below 1
         raise SystemExit(str(exc))
     seconds = time.perf_counter() - start
     report.print()

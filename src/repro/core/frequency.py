@@ -50,11 +50,11 @@ class FrequencyDerivation:
         return self.frequency / 1e9
 
 
-def frequency_from_reduction(reduction: float, base: float = BASE_FREQUENCY) -> float:
+def frequency_from_reduction(reduction: float) -> float:
     """``f = f_base / (1 - reduction)`` — shorter stage, faster clock."""
     if not 0.0 <= reduction < 1.0:
         raise ValueError(f"latency reduction {reduction} out of range")
-    return base / (1.0 - reduction)
+    return BASE_FREQUENCY / (1.0 - reduction)
 
 
 def _limiting(plans: Iterable[StructurePlan],
@@ -75,14 +75,13 @@ def derive_from_plans(
     plans: List[StructurePlan],
     *,
     only: Optional[Iterable[str]] = None,
-    base: float = BASE_FREQUENCY,
 ) -> FrequencyDerivation:
     """Derive a design's frequency from its per-structure partition plans."""
     limiter = _limiting(plans, only)
     reduction = max(0.0, limiter.best_report.latency_pct / 100.0)
     return FrequencyDerivation(
         design=design,
-        frequency=frequency_from_reduction(reduction, base),
+        frequency=frequency_from_reduction(reduction),
         limiting_structure=limiter.geometry.name,
         limiting_reduction=reduction,
         plans=plans,

@@ -2,8 +2,8 @@
 
 Every table the benchmarks reproduce is mirrored here so the harness can
 print model-vs-paper side by side and EXPERIMENTS.md can record residuals.
-Values are percentage *reductions* relative to 2D (positive = better),
-exactly as printed in the paper.
+The partitioning tables (3-6 and 8) hold percentage *reductions* relative
+to 2D (positive = better), exactly as printed in the paper.
 """
 
 from __future__ import annotations
@@ -19,6 +19,27 @@ class PaperRow(NamedTuple):
     energy: float
     footprint: float
 
+
+#: Table 1: area overhead of one via against a 32-bit adder and against 32
+#: SRAM cells (fractions: 0.08 means 8%).
+TABLE1_VIA_OVERHEADS: Dict[str, Dict[str, float]] = {
+    "MIV": {"adder32": 0.0001, "sram32": 0.001},
+    "TSV(1.3um)": {"adder32": 0.080, "sram32": 2.717},
+    "TSV(5um)": {"adder32": 1.287, "sram32": 43.478},
+}
+
+#: Table 2: via dimensions and electrical characteristics, as printed
+#: (the integers stay integers).
+TABLE2_VIAS: Dict[str, Dict[str, float]] = {
+    "MIV": {"diameter_um": 0.05, "height_um": 0.31, "cap_fF": 0.1, "res_ohm": 5.5},
+    "TSV(1.3um)": {"diameter_um": 1.3, "height_um": 13, "cap_fF": 2.5, "res_ohm": 0.1},
+    "TSV(5um)": {"diameter_um": 5, "height_um": 25, "cap_fF": 37, "res_ohm": 0.02},
+}
+
+#: Figure 2: areas relative to an FO1 inverter at 15nm.
+FIGURE2_RELATIVE_AREAS: Dict[str, float] = {
+    "INV_FO1": 1.0, "MIV": 0.07, "SRAM_bitcell": 2.0, "TSV(1.3um)": 37.0,
+}
 
 #: Table 6, M3D columns: best iso-layer partition per structure.
 TABLE6_M3D: Dict[str, PaperRow] = {

@@ -196,20 +196,6 @@ class ResolvedManycore:
         """Per-tile :class:`~repro.core.configs.CoreConfig`s, row-major."""
         return [design.config for design in self.designs]
 
-    @property
-    def stack_kind(self) -> str:
-        """The chip's thermal stack: M3D beats TSV3D beats 2D — one
-        folded tile is enough to need the folded stack's layer count."""
-        kinds = {design.point.stack for design in self.designs}
-        for kind in ("M3D", "TSV3D"):
-            if kind in kinds:
-                return kind
-        return "2D"
-
-    @property
-    def folded(self) -> bool:
-        return self.noc.folded_tiles
-
 
 def resolve_manycore(grid: TileGrid) -> ResolvedManycore:
     """Resolve every tile of a grid to a single-core design + the mesh NoC.

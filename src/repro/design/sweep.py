@@ -317,17 +317,16 @@ def _plan_group(designs: List[ResolvedDesign], *, multicore: bool,
                 apps: Optional[int]) -> _SuiteGroup:
     from repro.engine.sweep import suite_specs
     from repro.workloads.parallel import parallel_profiles
+    from repro.workloads.profiles import first_apps
     from repro.workloads.spec import spec_profiles
 
     if multicore:
         baseline = resolve(BASELINE_POINT,
                            num_cores=MULTICORE_BASELINE_CORES)
-        profiles = parallel_profiles()
+        profiles = first_apps(parallel_profiles(), apps)
     else:
         baseline = resolve(BASELINE_POINT)
-        profiles = spec_profiles()
-    if apps is not None:
-        profiles = profiles[:apps]
+        profiles = first_apps(spec_profiles(), apps)
 
     configs = [baseline.config] + [
         design.config for design in designs

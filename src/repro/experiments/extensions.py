@@ -23,6 +23,7 @@ from repro.tech.constants import TUNGSTEN_RESISTANCE_FACTOR
 from repro.tech.transistor import Transistor, VtClass
 from repro.tech.wire import LOCAL_WIRE
 from repro.workloads.parallel import parallel_profiles
+from repro.workloads.profiles import first_apps
 from repro.workloads.spec import spec_profiles
 
 
@@ -60,7 +61,7 @@ def lp_top_energy_study(uops: int = 6000, apps: int = 8) -> LpTopResult:
     names: List[str] = []
     het_energy: List[float] = []
     lp_energy: List[float] = []
-    for profile in spec_profiles()[:apps]:
+    for profile in first_apps(spec_profiles(), apps):
         base_run = engine.simulate(base_cfg, profile, uops)
         het_run = engine.simulate(het_cfg, profile, uops)
         base_report = base_model.evaluate(base_run)
@@ -87,7 +88,7 @@ def design_alternatives_study(total_uops: int = 24000,
     sums = {cfg.name: {"speedup": 0.0, "energy": 0.0} for cfg in configs}
 
     engine = get_engine()
-    profiles = parallel_profiles()[:apps]
+    profiles = first_apps(parallel_profiles(), apps)
     for profile in profiles:
         base = engine.simulate_parallel(configs[0], profile, total_uops)
         base_report = models["Base"].evaluate_multicore(base)

@@ -29,6 +29,7 @@ from repro.uarch.multicore import (
     run_parallel_tiles,
 )
 from repro.workloads.parallel import parallel_profiles
+from repro.workloads.profiles import first_apps
 
 #: Thermal grid base resolution (per-core); scaled to the mesh by
 #: :func:`repro.thermal.hotspot.manycore_grid_resolution`.
@@ -208,9 +209,7 @@ def evaluate_manycore(
 
     resolved = resolve_manycore(grid)
     tiles = resolved.tiles
-    profiles = parallel_profiles()
-    if apps is not None:
-        profiles = profiles[:apps]
+    profiles = first_apps(parallel_profiles(), apps)
     thermal_grid = manycore_grid_resolution(base_grid, grid.rows, grid.cols)
     stacks = [design.point.stack for design in resolved.designs]
     models = [design.power_model() for design in resolved.designs]

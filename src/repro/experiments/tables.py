@@ -93,13 +93,8 @@ class TableVariants:
 def table1() -> List[TableRow]:
     """Table 1: via area overhead vs a 32b adder and 32 SRAM cells."""
     overheads = table1_area_overheads()
-    paper = {
-        "MIV": {"adder32": 0.0001, "sram32": 0.001},
-        "TSV(1.3um)": {"adder32": 0.080, "sram32": 2.717},
-        "TSV(5um)": {"adder32": 1.287, "sram32": 43.478},
-    }
     return [
-        TableRow(name, overheads[name], paper[name])
+        TableRow(name, overheads[name], reference.TABLE1_VIA_OVERHEADS[name])
         for name in ("MIV", "TSV(1.3um)", "TSV(5um)")
     ]
 
@@ -109,11 +104,6 @@ def table2() -> List[TableRow]:
     from repro.tech.via import make_miv, make_tsv_aggressive, make_tsv_research
 
     rows = []
-    paper = {
-        "MIV": {"diameter_um": 0.05, "height_um": 0.31, "cap_fF": 0.1, "res_ohm": 5.5},
-        "TSV(1.3um)": {"diameter_um": 1.3, "height_um": 13, "cap_fF": 2.5, "res_ohm": 0.1},
-        "TSV(5um)": {"diameter_um": 5, "height_um": 25, "cap_fF": 37, "res_ohm": 0.02},
-    }
     for via in (make_miv(), make_tsv_aggressive(), make_tsv_research()):
         rows.append(
             TableRow(
@@ -124,7 +114,7 @@ def table2() -> List[TableRow]:
                     "cap_fF": via.capacitance * 1e15,
                     "res_ohm": via.resistance,
                 },
-                paper[via.name],
+                reference.TABLE2_VIAS[via.name],
             )
         )
     return rows
@@ -132,9 +122,8 @@ def table2() -> List[TableRow]:
 
 def figure2() -> TableRow:
     """Figure 2: areas relative to an FO1 inverter."""
-    model = figure2_relative_areas()
-    paper = {"INV_FO1": 1.0, "MIV": 0.07, "SRAM_bitcell": 2.0, "TSV(1.3um)": 37.0}
-    return TableRow("figure2", model, paper)
+    return TableRow("figure2", figure2_relative_areas(),
+                    reference.FIGURE2_RELATIVE_AREAS)
 
 
 def _strategy_table(strategy, paper_table, structures=("RF", "BPT")) -> List[TableRow]:

@@ -17,42 +17,31 @@ from repro.logic.netlist import Netlist
 from repro.tech.transistor import VtClass
 from repro.tech.wire import LOCAL_WIRE
 
+#: Adder width (the paper's example).
+ADDER_BITS: int = 64
+#: Bits per carry-skip group (Figure 5).
+GROUP_BITS: int = 4
+
 #: Wire length between adjacent 4-bit groups in a 2D layout (m).  The skip
 #: chain snakes across the whole adder, so each hop carries a substantial
 #: semi-global detour — this is the wire the M3D fold shortens.
 GROUP_WIRE_LENGTH_2D: float = 18e-6
 
 
-def build_carry_skip_adder(
-    bits: int = 64,
-    group: int = 4,
-    *,
-    wire_scale: float = 1.0,
-) -> Netlist:
-    """Build the carry-skip adder netlist.
-
-    Parameters
-    ----------
-    bits:
-        Adder width (64 in the paper's example).
-    group:
-        Bits per carry-skip group (4 in Figure 5).
-    wire_scale:
-        Multiplier on inter-group wire capacitance; a folded M3D layout
-        passes < 1.0 (Section 3.1's 41% footprint reduction shortens the
-        skip chain).
+def build_carry_skip_adder() -> Netlist:
+    """Build the 2D netlist of the :data:`ADDER_BITS`-bit carry-skip adder.
 
     Returns
     -------
     Netlist
         The timing graph.  Node naming: ``p{i}`` (propagate), ``s{i}``
-        (sum), ``skip{i}`` (skip mux), ``final{i}`` (final sum).
+        (sum), ``skip{i}`` (skip mux), ``final`` (final sum).  A folded
+        layout shortens its inter-group wires through
+        :func:`repro.logic.placement.fold_stage`.
     """
-    if bits % group:
-        raise ValueError("adder width must be a multiple of the group size")
-    netlist = Netlist(f"csa{bits}")
-    groups = bits // group
-    wire_cap = LOCAL_WIRE.capacitance(GROUP_WIRE_LENGTH_2D) * wire_scale
+    netlist = Netlist(f"csa{ADDER_BITS}")
+    groups = ADDER_BITS // GROUP_BITS
+    wire_cap = LOCAL_WIRE.capacitance(GROUP_WIRE_LENGTH_2D)
 
     prev_skip = None
     for g in range(groups):
@@ -60,7 +49,7 @@ def build_carry_skip_adder(
         # Carry-propagate block: every group computes its propagate signals
         # in parallel, straight from the operand bits — only group 0 feeds
         # the head of the skip chain without slack.
-        for b in range(group):
+        for b in range(GROUP_BITS):
             netlist.add_gate(
                 f"p{g}_{b}",
                 Gate(GateType.AOI, size=4.0, vt=vt),
@@ -69,7 +58,7 @@ def build_carry_skip_adder(
         # Skip mux: selects between the group ripple carry and the incoming
         # skip carry; the serial chain of these muxes, with their
         # inter-group wires, is the critical spine of Figure 5.
-        skip_fanin = [f"p{g}_{group - 1}"]
+        skip_fanin = [f"p{g}_{GROUP_BITS - 1}"]
         if prev_skip is not None:
             skip_fanin.append(prev_skip)
         netlist.add_gate(
@@ -80,7 +69,7 @@ def build_carry_skip_adder(
         )
         # Sum block: needs the *incoming* carry, so group g's sums wait for
         # skip{g-1}; their slack shrinks toward the MSB end.
-        for b in range(group):
+        for b in range(GROUP_BITS):
             sum_fanin = [f"p{g}_{b}"]
             if prev_skip is not None:
                 sum_fanin.append(prev_skip)

@@ -7,7 +7,7 @@ number of ALUs — which is why Section 3.1 finds a single folded ALU buys a
 
 The model: stage delay = ALU critical path (from the adder netlist) + the
 bypass wire flight + the result mux.  Folding multiplies the bypass length
-by ``(1 - footprint_reduction)``, with the Section 3.1 default of 41%: the
+by ``(1 - footprint_reduction)``, with Section 3.1's 41% reduction: the
 bypass endpoints stack vertically, so the wire sees the full footprint
 reduction rather than its square root.
 """
@@ -84,12 +84,13 @@ def bypass_delay(length: float, num_loads: int) -> float:
     )
 
 
-def bypass_energy(length: float, num_loads: int,
-                  vdd: float = constants.VDD_NOMINAL_22NM) -> float:
+def bypass_energy(length: float, num_loads: int) -> float:
     """Energy of one 64-bit result broadcast (J)."""
     mux = Gate(GateType.MUX2, size=4.0, vt=VtClass.LOW)
     load = num_loads * 2 * mux.input_capacitance
-    per_bit = SEMI_GLOBAL_WIRE.switching_energy(length, vdd, load)
+    per_bit = SEMI_GLOBAL_WIRE.switching_energy(
+        length, constants.VDD_NOMINAL_22NM, load
+    )
     return 64.0 * per_bit * 0.5 * BYPASS_ACTIVITY
 
 
@@ -97,20 +98,15 @@ def evaluate_execute_stage(
     num_alus: int = 4,
     *,
     top_penalty: float = constants.TOP_LAYER_DELAY_PENALTY,
-    footprint_reduction: float = constants.FOOTPRINT_REDUCTION_LOGIC,
 ) -> BypassResult:
     """Time an N-ALU execute stage (ALU + bypass) in 2D and folded M3D.
 
     Reproduces the Section 3.1 numbers: ~15% frequency gain for one ALU,
     ~28% for four ALUs with bypass, ~10% lower energy, 41% lower footprint.
     """
+    footprint_reduction = constants.FOOTPRINT_REDUCTION_LOGIC
     # ALU core delay from the adder netlist, 2D then folded+partitioned.
-    adder = build_carry_skip_adder()
-    folded = fold_stage(
-        adder,
-        top_penalty=top_penalty,
-        footprint_reduction=footprint_reduction,
-    )
+    folded = fold_stage(build_carry_skip_adder(), top_penalty=top_penalty)
     alu_2d, alu_3d = folded.delay_2d, folded.delay_3d
 
     length_2d = bypass_wire_length(num_alus)

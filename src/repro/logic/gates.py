@@ -110,11 +110,11 @@ class Gate:
         parasitic = _PARASITIC[self.kind] * 0.69 * device.drive_resistance * device.drain_capacitance
         return effort + parasitic
 
-    def switching_energy(self, vdd: float = constants.VDD_NOMINAL_22NM) -> float:
+    def switching_energy(self) -> float:
         """Internal switching energy of one output transition (J)."""
         device = self._device
         internal_cap = device.gate_capacitance * _DEVICE_COUNT[self.kind] / 2.0
-        return internal_cap * vdd**2
+        return internal_cap * constants.VDD_NOMINAL_22NM**2
 
     @property
     def leakage_current(self) -> float:

@@ -18,6 +18,9 @@ from typing import Dict, Iterable, List, Tuple
 from repro.logic.gates import Gate
 from repro.tech import constants
 
+#: Fraction of a stage's gates that switch per cycle.
+ACTIVITY: float = 0.15
+
 
 @dataclasses.dataclass
 class Node:
@@ -84,15 +87,21 @@ class Netlist:
         """Delay through one node: gate delay into its fanout + wire load."""
         return self._nodes[name].gate.delay(self._load(name))
 
-    def arrival_times(self) -> Dict[str, float]:
-        """Latest arrival time at each node's output (s)."""
+    def _forward(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Each node's delay and latest output arrival, one delay per node."""
+        delays: Dict[str, float] = {}
         arrivals: Dict[str, float] = {}
         for name in self._nodes:  # insertion order is topological
+            delays[name] = self._node_delay(name)
             latest_in = max(
                 (arrivals[p] for p in self._fanin[name]), default=0.0
             )
-            arrivals[name] = latest_in + self._node_delay(name)
-        return arrivals
+            arrivals[name] = latest_in + delays[name]
+        return delays, arrivals
+
+    def arrival_times(self) -> Dict[str, float]:
+        """Latest arrival time at each node's output (s)."""
+        return self._forward()[1]
 
     def critical_path(self) -> Tuple[List[str], float]:
         """The longest path (node names) and its delay (s)."""
@@ -106,18 +115,26 @@ class Netlist:
         path.reverse()
         return path, arrivals[end]
 
-    def slacks(self) -> Dict[str, float]:
-        """Slack per node: critical delay minus the node's worst path (s)."""
-        arrivals = self.arrival_times()
+    def timing(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Arrival time and slack per node (s), from one timing pass.
+
+        Slack is the critical delay minus the node's worst path.
+        """
+        delays, arrivals = self._forward()
         critical = max(arrivals.values(), default=0.0)
         # Required times in reverse insertion (topological) order.
         required: Dict[str, float] = {}
         for name in reversed(self._nodes):
             required[name] = min(
-                (required[s] - self._node_delay(s) for s in self._fanout[name]),
+                (required[s] - delays[s] for s in self._fanout[name]),
                 default=critical,
             )
-        return {name: required[name] - arrivals[name] for name in self._nodes}
+        slacks = {name: required[name] - arrivals[name] for name in self._nodes}
+        return arrivals, slacks
+
+    def slacks(self) -> Dict[str, float]:
+        """Slack per node: critical delay minus the node's worst path (s)."""
+        return self.timing()[1]
 
     def critical_fraction(self, slack_threshold: float = 0.0) -> float:
         """Fraction of gates whose slack is at or below a threshold.
@@ -129,22 +146,21 @@ class Netlist:
         """
         if not self._nodes:
             return 0.0
-        slacks = self.slacks()
-        critical = max(self.arrival_times().values())
+        arrivals, slacks = self.timing()
+        critical = max(arrivals.values())
         cutoff = slack_threshold * critical
         tight = sum(1 for s in slacks.values() if s <= cutoff + 1e-18)
         return tight / len(self._nodes)
 
     # -- energy / area ------------------------------------------------------
 
-    def switching_energy(
-        self, activity: float = 0.15, vdd: float = constants.VDD_NOMINAL_22NM
-    ) -> float:
-        """Expected switching energy per cycle (J) at the given activity."""
+    def switching_energy(self) -> float:
+        """Expected switching energy per cycle (J) at :data:`ACTIVITY`."""
+        vdd = constants.VDD_NOMINAL_22NM
         total = 0.0
         for name, node in self._nodes.items():
-            total += activity * (
-                self._load(name) * vdd**2 + node.gate.switching_energy(vdd)
+            total += ACTIVITY * (
+                self._load(name) * vdd**2 + node.gate.switching_energy()
             )
         return total
 

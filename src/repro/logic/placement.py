@@ -14,10 +14,13 @@ place the slack-rich half on top, and report the frequency gain.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.logic.netlist import Netlist
 from repro.tech import constants
+
+#: Share of a stage's gates the placement tries to move to the top layer.
+TARGET_TOP_FRACTION: float = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,21 +50,19 @@ class PlacementResult:
 def partition_netlist(
     netlist: Netlist,
     top_penalty: float = constants.TOP_LAYER_DELAY_PENALTY,
-    target_top_fraction: float = 0.5,
 ) -> Dict[str, int]:
     """Assign gates to layers, most-slack-first, critical path at bottom.
 
     Returns a ``{node: layer}`` map.  Gates are moved to the top layer in
-    decreasing slack order until either the target fraction is reached or
-    only gates without enough slack remain.  A gate has "enough slack" when
-    its slack exceeds the extra delay it would incur on the slow layer
-    (approximated as ``penalty x its current path contribution``).
+    decreasing slack order until either :data:`TARGET_TOP_FRACTION` of them
+    have moved or only gates without enough slack remain.  A gate has
+    "enough slack" when its slack exceeds the extra delay it would incur on
+    the slow layer (approximated as ``penalty x its current path
+    contribution``).
     """
-    if not 0.0 <= target_top_fraction <= 1.0:
-        raise ValueError("target top fraction must be in [0, 1]")
-    slacks = netlist.slacks()
-    _, critical_delay = netlist.critical_path()
-    budget = int(round(target_top_fraction * len(netlist)))
+    arrivals, slacks = netlist.timing()
+    critical_delay = max(arrivals.values(), default=0.0)
+    budget = int(round(TARGET_TOP_FRACTION * len(netlist)))
 
     placement = {name: 0 for name in netlist.names}
     moved = 0
@@ -82,33 +83,30 @@ def fold_stage(
     netlist: Netlist,
     *,
     top_penalty: float = constants.TOP_LAYER_DELAY_PENALTY,
-    footprint_reduction: float = constants.FOOTPRINT_REDUCTION_LOGIC,
-    wire_scale: Optional[float] = None,
-    activity: float = 0.15,
 ) -> PlacementResult:
     """Fold a logic stage into two layers and measure the gains.
 
     The 2D netlist is timed as-is; the 3D variant shortens every explicit
-    wire by the folded footprint (``sqrt(1 - reduction)`` by default, or an
-    explicit ``wire_scale``), places the slack-rich half on the (possibly
+    wire by the folded footprint (``sqrt(1 - reduction)``, with Section
+    3.1's 41% reduction), places the slack-rich half on the (possibly
     slower) top layer, and re-times.
 
     With ``top_penalty = 0`` this reproduces the iso-layer Section 3.1
     numbers; with the default 17% penalty it shows the hetero-layer
     partition recovering nearly all of the gain (Section 4.1).
     """
+    footprint_reduction = constants.FOOTPRINT_REDUCTION_LOGIC
     delay_2d = netlist.critical_path()[1]
-    energy_2d = netlist.switching_energy(activity)
+    energy_2d = netlist.switching_energy()
     critical_frac = netlist.critical_fraction()
 
-    scale = wire_scale if wire_scale is not None else (1.0 - footprint_reduction) ** 0.5
-    netlist.scale_wires(scale)
+    netlist.scale_wires((1.0 - footprint_reduction) ** 0.5)
     placement = partition_netlist(netlist, top_penalty=top_penalty)
     netlist.assign_layers(placement)
     netlist.apply_layer_penalties(top_penalty)
 
     delay_3d = netlist.critical_path()[1]
-    energy_3d = netlist.switching_energy(activity)
+    energy_3d = netlist.switching_energy()
     _, top_count = netlist.layer_counts()
 
     return PlacementResult(

@@ -27,7 +27,6 @@ from repro.partition.strategies import (
     word_partition,
 )
 from repro.sram.array import ArrayGeometry
-from repro.tech import constants
 from repro.tech.process import StackSpec
 
 
@@ -57,7 +56,6 @@ def evaluate_strategies(
     stack: StackSpec,
     *,
     asymmetric: bool = False,
-    vdd: float = constants.VDD_NOMINAL_22NM,
 ) -> Dict[str, PartitionResult]:
     """Evaluate every strategy applicable to a structure on a stack.
 
@@ -69,15 +67,15 @@ def evaluate_strategies(
     """
     results: Dict[str, PartitionResult] = {}
     if asymmetric and stack.is_hetero:
-        results["BP"] = best_asymmetric_bp(geometry, stack, vdd=vdd)
-        results["WP"] = best_asymmetric_wp(geometry, stack, vdd=vdd)
+        results["BP"] = best_asymmetric_bp(geometry, stack)
+        results["WP"] = best_asymmetric_wp(geometry, stack)
         if geometry.ports >= 2:
-            results["PP"] = best_asymmetric_pp(geometry, stack, vdd=vdd)
+            results["PP"] = best_asymmetric_pp(geometry, stack)
     else:
-        results["BP"] = bit_partition(geometry, stack, vdd=vdd)
-        results["WP"] = word_partition(geometry, stack, vdd=vdd)
+        results["BP"] = bit_partition(geometry, stack)
+        results["WP"] = word_partition(geometry, stack)
         if geometry.ports >= 2:
-            results["PP"] = port_partition(geometry, stack, vdd=vdd)
+            results["PP"] = port_partition(geometry, stack)
     return results
 
 
@@ -86,11 +84,10 @@ def plan_structure(
     stack: StackSpec,
     *,
     asymmetric: bool = False,
-    vdd: float = constants.VDD_NOMINAL_22NM,
 ) -> StructurePlan:
     """Pick the best partition for one structure (one row of Table 6/8)."""
-    baseline = evaluate_2d(geometry, vdd=vdd)
-    candidates = evaluate_strategies(geometry, stack, asymmetric=asymmetric, vdd=vdd)
+    baseline = evaluate_2d(geometry)
+    candidates = evaluate_strategies(geometry, stack, asymmetric=asymmetric)
     reports = {
         name: reduction_report(baseline, result)
         for name, result in candidates.items()
@@ -120,10 +117,9 @@ def plan_core(
     stack: StackSpec,
     *,
     asymmetric: bool = False,
-    vdd: float = constants.VDD_NOMINAL_22NM,
 ) -> List[StructurePlan]:
     """Plan every storage structure of a core (the full Table 6/8)."""
     return [
-        plan_structure(geometry, stack, asymmetric=asymmetric, vdd=vdd)
+        plan_structure(geometry, stack, asymmetric=asymmetric)
         for geometry in geometries
     ]

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.sram.array import (
+    VDD,
     ArrayGeometry,
     ArrayMetrics,
     banked_metrics,
@@ -36,7 +37,6 @@ from repro.sram.array import (
     solve_with_org,
 )
 from repro.sram.bitcell import Bitcell
-from repro.tech import constants
 from repro.tech.process import StackSpec, stack_2d
 from repro.tech.transistor import Transistor, VtClass
 
@@ -109,11 +109,9 @@ def reduction_report(base: PartitionResult, part: PartitionResult) -> ReductionR
 # ---------------------------------------------------------------------------
 
 
-def evaluate_2d(
-    geometry: ArrayGeometry, vdd: float = constants.VDD_NOMINAL_22NM
-) -> PartitionResult:
+def evaluate_2d(geometry: ArrayGeometry) -> PartitionResult:
     """The planar baseline every table normalises against."""
-    bank = solve_2d(geometry, vdd=vdd)
+    bank = solve_2d(geometry)
     return PartitionResult(
         structure=geometry.name,
         strategy="2D",
@@ -141,9 +139,9 @@ def _via_delay(stack: StackSpec, driver_resistance: float) -> float:
     return via.drive_delay(driver_resistance)
 
 
-def _via_energy(stack: StackSpec, vdd: float) -> float:
+def _via_energy(stack: StackSpec) -> float:
     """Energy of one full swing of one via (J)."""
-    return stack.via.capacitance * vdd**2 if stack.via is not None else 0.0
+    return stack.via.capacitance * VDD**2 if stack.via is not None else 0.0
 
 
 def _via_area(stack: StackSpec, count: int) -> float:
@@ -162,7 +160,6 @@ def _combine_layers(
     vias_on_access_path: int,
     via_driver_resistance: float,
     active_energy: str,
-    vdd: float,
     bottom_fraction: float = 0.5,
     top_width_mult: float = 1.0,
     bottom_ports: int = 0,
@@ -192,7 +189,7 @@ def _combine_layers(
     top_path = top.access_time - top_own_decode + shared_decode + t_via
     access = max(bottom.access_time, top_path) + extra_path_delay
 
-    e_via = _via_energy(stack, vdd)
+    e_via = _via_energy(stack)
     if active_energy == "both":
         read = bottom.read_energy + top.read_energy + e_via * min(1, via_count)
         write = bottom.write_energy + top.write_energy + e_via * min(1, via_count)
@@ -280,7 +277,6 @@ def bit_partition(
     *,
     bottom_fraction: float = 0.5,
     top_width_mult: float = 1.0,
-    vdd: float = constants.VDD_NOMINAL_22NM,
 ) -> PartitionResult:
     """Bit partitioning (Figure 3(a)): half of each word per layer.
 
@@ -298,12 +294,11 @@ def bit_partition(
     # One via per word: the split wordline crosses layers through a strip
     # of vias along the array edge, lengthening every wordline.
     strip = _via_strip(stack)
-    org = solve_2d(geometry, vdd=vdd)
+    org = solve_2d(geometry)
     bottom = solve_with_org(
         geometry,
         org,
         cell=geometry.cell(),
-        vdd=vdd,
         bits=bits_bottom,
         wordline_extension=strip,
     )
@@ -311,7 +306,6 @@ def bit_partition(
         geometry,
         org,
         cell=_top_cell(geometry, stack, top_width_mult),
-        vdd=vdd,
         bits=bits_top,
         include_decoder=False,
         wordline_extension=strip,
@@ -338,7 +332,6 @@ def bit_partition(
         active_energy="both",
         extra_path_delay=cam_penalty,
         via_area_charge=_via_field_area(stack, via_count),
-        vdd=vdd,
         bottom_fraction=bottom_fraction,
         top_width_mult=top_width_mult,
     )
@@ -355,7 +348,6 @@ def word_partition(
     *,
     bottom_fraction: float = 0.5,
     top_width_mult: float = 1.0,
-    vdd: float = constants.VDD_NOMINAL_22NM,
 ) -> PartitionResult:
     """Word partitioning (Figure 3(b)): half of the words per layer.
 
@@ -375,12 +367,11 @@ def word_partition(
     # through a strip of vias along the sense boundary, lengthening every
     # bitline.
     strip = _via_strip(stack)
-    org = solve_2d(geometry, vdd=vdd)
+    org = solve_2d(geometry)
     bottom = solve_with_org(
         geometry,
         org,
         cell=geometry.cell(),
-        vdd=vdd,
         words=words_bottom,
         bitline_extension=strip,
     )
@@ -388,7 +379,6 @@ def word_partition(
         geometry,
         org,
         cell=_top_cell(geometry, stack, top_width_mult),
-        vdd=vdd,
         words=words_top,
         include_decoder=False,
         bitline_extension=strip,
@@ -410,7 +400,6 @@ def word_partition(
         # SRAM reads touch only the layer holding the addressed word.
         active_energy="both" if geometry.cam else "either",
         via_area_charge=_via_field_area(stack, via_count),
-        vdd=vdd,
         bottom_fraction=words_bottom / geometry.words,
         top_width_mult=top_width_mult,
     )
@@ -427,7 +416,6 @@ def port_partition(
     *,
     bottom_ports: Optional[int] = None,
     top_width_mult: float = 1.0,
-    vdd: float = constants.VDD_NOMINAL_22NM,
 ) -> PartitionResult:
     """Port partitioning (Figure 3(c)): storage below, split ports.
 
@@ -468,9 +456,9 @@ def port_partition(
         max(cell_bottom.height, cell_top.height),
     )
 
-    org = solve_2d(geometry, vdd=vdd)
+    org = solve_2d(geometry)
     bottom = solve_with_org(
-        geometry, org, cell=cell_bottom, vdd=vdd, pitch_override=pitch
+        geometry, org, cell=cell_bottom, pitch_override=pitch
     )
     # A top-layer access reads the bottom-layer storage node through a via:
     # the read path resistance is the (possibly up-sized, layer-penalised)
@@ -479,7 +467,6 @@ def port_partition(
         geometry,
         org,
         cell=cell_top,
-        vdd=vdd,
         include_decoder=False,
         pitch_override=pitch,
     )
@@ -498,7 +485,6 @@ def port_partition(
         vias_on_access_path=2,
         via_driver_resistance=cell_top.access_transistor().drive_resistance,
         active_energy="worst",
-        vdd=vdd,
         top_width_mult=top_width_mult,
         bottom_ports=bottom_ports,
         top_ports=top_ports,
@@ -510,41 +496,20 @@ def port_partition(
 # ---------------------------------------------------------------------------
 
 
-def best_asymmetric_bp(
-    geometry: ArrayGeometry,
-    stack: StackSpec,
-    *,
-    fractions: Sequence[float] = ASYM_ARRAY_FRACTIONS,
-    width_mults: Sequence[float] = ASYM_WIDTH_MULTS,
-    vdd: float = constants.VDD_NOMINAL_22NM,
-) -> PartitionResult:
+def best_asymmetric_bp(geometry: ArrayGeometry,
+                       stack: StackSpec) -> PartitionResult:
     """Search asymmetric bit partitions for a hetero-layer stack."""
-    return _best_over(
-        bit_partition, geometry, stack, fractions, width_mults, vdd=vdd
-    )
+    return _best_over(bit_partition, geometry, stack)
 
 
-def best_asymmetric_wp(
-    geometry: ArrayGeometry,
-    stack: StackSpec,
-    *,
-    fractions: Sequence[float] = ASYM_ARRAY_FRACTIONS,
-    width_mults: Sequence[float] = ASYM_WIDTH_MULTS,
-    vdd: float = constants.VDD_NOMINAL_22NM,
-) -> PartitionResult:
+def best_asymmetric_wp(geometry: ArrayGeometry,
+                       stack: StackSpec) -> PartitionResult:
     """Search asymmetric word partitions for a hetero-layer stack."""
-    return _best_over(
-        word_partition, geometry, stack, fractions, width_mults, vdd=vdd
-    )
+    return _best_over(word_partition, geometry, stack)
 
 
-def best_asymmetric_pp(
-    geometry: ArrayGeometry,
-    stack: StackSpec,
-    *,
-    width_mults: Sequence[float] = ASYM_WIDTH_MULTS,
-    vdd: float = constants.VDD_NOMINAL_22NM,
-) -> PartitionResult:
+def best_asymmetric_pp(geometry: ArrayGeometry,
+                       stack: StackSpec) -> PartitionResult:
     """Search asymmetric port splits for a hetero-layer stack.
 
     Sweeps the number of bottom-layer ports and the top-layer width multiple,
@@ -554,14 +519,13 @@ def best_asymmetric_pp(
     total = geometry.ports
     best: Optional[PartitionResult] = None
     for bottom_ports in range(max(1, total // 2), total):
-        for mult in width_mults:
+        for mult in ASYM_WIDTH_MULTS:
             try:
                 candidate = port_partition(
                     geometry,
                     stack,
                     bottom_ports=bottom_ports,
                     top_width_mult=mult,
-                    vdd=vdd,
                 )
             except ValueError:
                 continue
@@ -572,17 +536,16 @@ def best_asymmetric_pp(
     return best
 
 
-def _best_over(strategy, geometry, stack, fractions, width_mults, *, vdd):
+def _best_over(strategy, geometry, stack):
     best: Optional[PartitionResult] = None
-    for fraction in fractions:
-        for mult in width_mults:
+    for fraction in ASYM_ARRAY_FRACTIONS:
+        for mult in ASYM_WIDTH_MULTS:
             try:
                 candidate = strategy(
                     geometry,
                     stack,
                     bottom_fraction=fraction,
                     top_width_mult=mult,
-                    vdd=vdd,
                 )
             except ValueError:
                 continue

@@ -21,6 +21,13 @@ from repro.tech import constants
 #: ScalCore / wide-operating-range literature [18, 23] (V).
 MAX_VDD_REDUCTION: float = 0.05
 
+#: Cores of the 2D multicore whose power budget M3D-Het-2X matches
+#: (Section 6.1).
+BASE_CORES: int = 4
+
+#: Leakage share of an M3D core's power at the reduced voltage.
+LEAKAGE_FRACTION: float = 0.18
+
 
 @dataclasses.dataclass(frozen=True)
 class OperatingPoint:
@@ -40,39 +47,31 @@ class OperatingPoint:
         return vdd_leakage_scale(self.vdd)
 
 
-def min_voltage_at_base_frequency(
-    nominal_vdd: float = constants.VDD_NOMINAL_22NM,
-) -> float:
+def min_voltage_at_base_frequency() -> float:
     """The lowest safe Vdd when running the M3D design at 3.3 GHz.
 
     The M3D-Het design has cycle-time slack at the base frequency (its
     structures are ~13% faster), which the voltage reduction consumes;
     the literature caps the reduction at 50 mV.
     """
-    return nominal_vdd - MAX_VDD_REDUCTION
+    return constants.VDD_NOMINAL_22NM - MAX_VDD_REDUCTION
 
 
-def iso_power_core_count(
-    base_cores: int = 4,
-    *,
-    per_core_power_scale: float | None = None,
-    leakage_fraction: float = 0.18,
-) -> int:
+def iso_power_core_count() -> int:
     """Cores an M3D multicore can run in the 2D baseline's power budget.
 
-    ``per_core_power_scale`` is the M3D core's power relative to a 2D core
-    at the reduced voltage; by default it combines the 3D dynamic-energy
-    savings (~35-40%) with the V=0.75 V scaling.  The paper lands "in
-    between 7 and 8" and rounds up to 8 for power-of-two core counts.
+    The M3D core's power relative to a 2D core at the reduced voltage
+    combines the 3D dynamic-energy savings (~35-40%) with the V=0.75 V
+    scaling.  The paper lands "in between 7 and 8" and rounds up to 8 for
+    power-of-two core counts.
     """
-    if per_core_power_scale is None:
-        point = OperatingPoint(frequency=3.3e9, vdd=min_voltage_at_base_frequency())
-        dynamic = 0.60 * point.dynamic_power_scale  # 3D dynamic savings
-        leakage = point.leakage_power_scale
-        per_core_power_scale = (
-            (1.0 - leakage_fraction) * dynamic + leakage_fraction * leakage
-        )
-    raw = base_cores / per_core_power_scale
+    point = OperatingPoint(frequency=3.3e9, vdd=min_voltage_at_base_frequency())
+    dynamic = 0.60 * point.dynamic_power_scale  # 3D dynamic savings
+    leakage = point.leakage_power_scale
+    per_core_power_scale = (
+        (1.0 - LEAKAGE_FRACTION) * dynamic + LEAKAGE_FRACTION * leakage
+    )
+    raw = BASE_CORES / per_core_power_scale
     # Parallel applications want power-of-two counts; the paper rounds the
     # "between 7 and 8" budget to 8 (Section 6.1, tolerating a modest
     # overshoot that Section 7.2.2 reports as ~13% extra power).

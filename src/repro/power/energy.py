@@ -138,15 +138,15 @@ def factors_for_stack(stack_name: str) -> StackEnergyFactors:
     raise ValueError(f"unknown stack {stack_name!r}")
 
 
-def vdd_dynamic_scale(vdd: float, nominal: float = constants.VDD_NOMINAL_22NM) -> float:
-    """Dynamic energy scales as V^2."""
+def vdd_dynamic_scale(vdd: float) -> float:
+    """Dynamic energy scales as V^2, relative to the nominal 22nm supply."""
     if vdd <= 0:
         raise ValueError("vdd must be positive")
-    return (vdd / nominal) ** 2
+    return (vdd / constants.VDD_NOMINAL_22NM) ** 2
 
 
-def vdd_leakage_scale(vdd: float, nominal: float = constants.VDD_NOMINAL_22NM) -> float:
+def vdd_leakage_scale(vdd: float) -> float:
     """Leakage power scales super-linearly with V (DIBL); we use V^3."""
     if vdd <= 0:
         raise ValueError("vdd must be positive")
-    return (vdd / nominal) ** 3
+    return (vdd / constants.VDD_NOMINAL_22NM) ** 3

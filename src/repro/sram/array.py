@@ -21,17 +21,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.lru import LruMemo
 from repro.sram.bitcell import Bitcell
 from repro.tech import constants
 from repro.tech.transistor import Transistor, VtClass
-from repro.tech.wire import LOCAL_WIRE, SEMI_GLOBAL_WIRE, WireTechnology
+from repro.tech.wire import LOCAL_WIRE, SEMI_GLOBAL_WIRE
 
 # ---------------------------------------------------------------------------
 # Model coefficients (calibration surface — see tests/test_calibration.py)
 # ---------------------------------------------------------------------------
+
+#: Supply voltage of every array (V).  The paper sizes every storage
+#: structure with CACTI at one 22nm supply; only M3D-Het-2X's cores change
+#: voltage, through the power model's scaling (Section 6.1).
+VDD: float = constants.VDD_NOMINAL_22NM
 
 #: Wordline driver width (unit-transistor multiples).
 WORDLINE_DRIVER_WIDTH: float = 12.0
@@ -198,16 +203,16 @@ def analyze_plane(
     cols: float,
     cell: Bitcell,
     *,
-    vdd: float = constants.VDD_NOMINAL_22NM,
-    wire: WireTechnology = LOCAL_WIRE,
     include_decoder: bool = True,
-    driver_penalty: Optional[float] = None,
     cam_search: bool = False,
     pitch_override: Optional[Tuple[float, float]] = None,
     wordline_extension: float = 0.0,
     bitline_extension: float = 0.0,
 ) -> PlaneResult:
     """Analyse one slab of ``rows x cols`` cells of the given bitcell.
+
+    Wordlines and bitlines are local wires, and the plane's wordline driver
+    sits on the cell's own layer.
 
     Parameters
     ----------
@@ -220,9 +225,6 @@ def analyze_plane(
     include_decoder:
         Whether this plane carries the row decoder strip (shared decoders
         live in the bottom plane only).
-    driver_penalty:
-        Layer penalty applied to the plane's wordline driver; defaults to
-        the cell's own layer penalty.
     cam_search:
         When True, adds the CAM search path (search line + match line).
     pitch_override:
@@ -242,7 +244,7 @@ def analyze_plane(
     """
     if rows < 1 or cols <= 0:
         raise ValueError(f"plane must have at least one cell ({rows}x{cols})")
-    penalty = cell.layer_penalty if driver_penalty is None else driver_penalty
+    penalty = cell.layer_penalty
     driver = _wordline_driver(penalty)
 
     # --- geometry ---------------------------------------------------------
@@ -258,19 +260,19 @@ def analyze_plane(
     plane_h = array_h + SENSE_STRIP_HEIGHT
 
     # --- wordline ---------------------------------------------------------
-    c_wordline = wire.capacitance(array_w) + cols * cell.wordline_cap_per_cell
-    r_wordline = wire.resistance(array_w)
+    c_wordline = LOCAL_WIRE.capacitance(array_w) + cols * cell.wordline_cap_per_cell
+    r_wordline = LOCAL_WIRE.resistance(array_w)
     t_wordline = 0.69 * driver.drive_resistance * c_wordline + 0.38 * r_wordline * c_wordline
-    e_wordline = c_wordline * vdd**2
+    e_wordline = c_wordline * VDD**2
 
     # --- bitline (read: small swing; write: full swing) --------------------
-    c_bitline = wire.capacitance(array_h) + rows * cell.bitline_cap_per_cell
-    r_bitline = wire.resistance(array_h)
+    c_bitline = LOCAL_WIRE.capacitance(array_h) + rows * cell.bitline_cap_per_cell
+    r_bitline = LOCAL_WIRE.resistance(array_h)
     r_cell = cell.read_path_resistance
     t_bitline = (0.69 * r_cell * c_bitline + 0.38 * r_bitline * c_bitline) * BITLINE_SWING
     # Differential pair: two bitlines per column, swing-limited on reads.
-    e_bitline_read = 2.0 * cols * c_bitline * vdd * (vdd * BITLINE_SWING)
-    e_bitline_write = 2.0 * cols * c_bitline * vdd**2 * 0.5
+    e_bitline_read = 2.0 * cols * c_bitline * VDD * (VDD * BITLINE_SWING)
+    e_bitline_write = 2.0 * cols * c_bitline * VDD**2 * 0.5
 
     # --- CAM search path ----------------------------------------------------
     t_matchline = 0.0
@@ -279,19 +281,19 @@ def analyze_plane(
         search_driver = Transistor(
             width=BITLINE_DRIVER_WIDTH, vt=VtClass.LOW, layer_penalty=penalty
         )
-        c_search = wire.capacitance(array_h) + rows * cell.wordline_cap_per_cell
-        r_search = wire.resistance(array_h)
+        c_search = LOCAL_WIRE.capacitance(array_h) + rows * cell.wordline_cap_per_cell
+        r_search = LOCAL_WIRE.resistance(array_h)
         t_search = (
             0.69 * search_driver.drive_resistance * c_search
             + 0.38 * r_search * c_search
         )
-        c_match = wire.capacitance(array_w) + cols * cell.bitline_cap_per_cell
-        r_match = wire.resistance(array_w)
+        c_match = LOCAL_WIRE.capacitance(array_w) + cols * cell.bitline_cap_per_cell
+        r_match = LOCAL_WIRE.resistance(array_w)
         r_pulldown = cell.match_path_resistance
         t_match = 0.69 * r_pulldown * c_match + 0.38 * r_match * c_match
         t_matchline = t_search + t_match
         # Every search line swings and every match line precharges.
-        e_matchline = (cols * c_search + rows * c_match) * vdd**2 * 0.5
+        e_matchline = (cols * c_search + rows * c_match) * VDD**2 * 0.5
 
     # --- decode -------------------------------------------------------------
     t_decode = DECODE_BASE_DELAY + DECODE_DELAY_PER_BIT * addr_bits if include_decoder else 0.0
@@ -368,12 +370,12 @@ class ArrayGeometry:
         """Total port count (read + write)."""
         return self.read_ports + self.write_ports
 
-    def cell(self, **overrides) -> Bitcell:
+    def cell(self) -> Bitcell:
         """The 2D bitcell implied by this geometry."""
-        return Bitcell(ports=self.ports, cam=self.cam, **overrides)
+        return Bitcell(ports=self.ports, cam=self.cam)
 
 
-def _route_delay(width: float, height: float, wire: WireTechnology) -> float:
+def _route_delay(width: float, height: float) -> float:
     """Address/data routing delay across half the array extent.
 
     This is the H-tree trunk: its length tracks the structure's physical
@@ -382,34 +384,23 @@ def _route_delay(width: float, height: float, wire: WireTechnology) -> float:
     """
     length = width + height
     driver = Transistor(width=ROUTE_DRIVER_WIDTH, vt=VtClass.LOW)
-    return wire.elmore_delay(length, driver)
+    return SEMI_GLOBAL_WIRE.elmore_delay(length, driver)
 
 
-def _route_energy(width: float, height: float, bits: float, vdd: float,
-                  wire: WireTechnology) -> float:
+def _route_energy(width: float, height: float, bits: float) -> float:
     """Energy of moving ``bits`` across half the array extent."""
     length = (width + height) / 2.0
-    return bits * wire.capacitance(length) * vdd**2 * 0.5
+    return bits * SEMI_GLOBAL_WIRE.capacitance(length) * VDD**2 * 0.5
 
 
-#: Solved organisations, keyed on every argument of :func:`solve_2d`
-#: (all frozen).  The partition strategies and the power model's energy
-#: factors re-solve the same dozen structures for every design point;
-#: capped because a long-lived server may meet new geometries or supply
-#: voltages.
+#: Solved organisations, keyed on the geometry (frozen).  The partition
+#: strategies and the power model's energy factors re-solve the same dozen
+#: structures for every design point; capped because a long-lived server
+#: may meet new geometries.
 _SOLVE_2D_MEMO = LruMemo(cap=128)
 
 
-def solve_2d(
-    geometry: ArrayGeometry,
-    *,
-    cell: Optional[Bitcell] = None,
-    vdd: float = constants.VDD_NOMINAL_22NM,
-    degrees: Iterable[int] = DIVISION_DEGREES,
-    words: Optional[int] = None,
-    bits: Optional[float] = None,
-    **plane_kwargs,
-) -> ArrayMetrics:
+def solve_2d(geometry: ArrayGeometry) -> ArrayMetrics:
     """Find the delay-optimal 2D organisation of one bank of a structure.
 
     Searches wordline/bitline division degrees (Ndwl, Ndbl) exhaustively,
@@ -418,35 +409,20 @@ def solve_2d(
     caches fold into many subarrays — which is why 3D partitioning helps the
     small wire-dominated structures relatively more (Section 3.2.1).
 
-    The search is a pure function of its arguments, so each distinct
-    argument set is solved once per process (:data:`_SOLVE_2D_MEMO`).
+    The search is a pure function of the geometry, so each geometry is
+    solved once per process (:data:`_SOLVE_2D_MEMO`).
     """
-    degrees = tuple(degrees)
-    key = (geometry, cell, vdd, degrees, words, bits,
-           tuple(sorted(plane_kwargs.items())))
-    return _SOLVE_2D_MEMO.get(key, lambda: _search_2d(
-        geometry, cell=cell, vdd=vdd, degrees=degrees, words=words,
-        bits=bits, **plane_kwargs,
-    ))
+    return _SOLVE_2D_MEMO.get(geometry, lambda: _search_2d(geometry))
 
 
-def _search_2d(
-    geometry: ArrayGeometry,
-    *,
-    cell: Optional[Bitcell] = None,
-    vdd: float = constants.VDD_NOMINAL_22NM,
-    degrees: Tuple[int, ...] = DIVISION_DEGREES,
-    words: Optional[int] = None,
-    bits: Optional[float] = None,
-    **plane_kwargs,
-) -> ArrayMetrics:
+def _search_2d(geometry: ArrayGeometry) -> ArrayMetrics:
     """The unmemoized organisation search behind :func:`solve_2d`."""
-    the_cell = cell if cell is not None else geometry.cell()
-    n_words = geometry.words if words is None else words
-    n_bits = float(geometry.bits) if bits is None else float(bits)
+    the_cell = geometry.cell()
+    n_words = geometry.words
+    n_bits = float(geometry.bits)
     best: Optional[ArrayMetrics] = None
-    for ndwl in degrees:
-        for ndbl in degrees:
+    for ndwl in DIVISION_DEGREES:
+        for ndbl in DIVISION_DEGREES:
             for nspd in SPD_DEGREES:
                 eff_words = n_words // nspd
                 if eff_words % ndbl and ndbl > 1:
@@ -464,15 +440,7 @@ def _search_2d(
                 if not 1.0 / 8.0 <= aspect <= 8.0:
                     continue
                 metrics = _organized_metrics(
-                    geometry,
-                    the_cell,
-                    rows,
-                    cols,
-                    ndwl,
-                    ndbl,
-                    vdd,
-                    nspd=nspd,
-                    **plane_kwargs,
+                    geometry, the_cell, rows, cols, ndwl, ndbl, nspd=nspd
                 )
                 if best is None or (metrics.access_time, metrics.read_energy) < (
                     best.access_time,
@@ -482,9 +450,7 @@ def _search_2d(
     if best is None:
         # Degenerate geometries (very small planes) may fail every aspect
         # filter; fall back to the unfolded organisation.
-        best = _organized_metrics(
-            geometry, the_cell, n_words, n_bits, 1, 1, vdd, **plane_kwargs
-        )
+        best = _organized_metrics(geometry, the_cell, n_words, n_bits, 1, 1)
     return best
 
 
@@ -493,7 +459,6 @@ def solve_with_org(
     org: ArrayMetrics,
     *,
     cell: Optional[Bitcell] = None,
-    vdd: float = constants.VDD_NOMINAL_22NM,
     words: Optional[int] = None,
     bits: Optional[float] = None,
     **plane_kwargs,
@@ -521,7 +486,7 @@ def solve_with_org(
         ndwl //= 2
     cols = n_bits * nspd / ndwl
     return _organized_metrics(
-        geometry, the_cell, rows, cols, ndwl, ndbl, vdd, nspd=nspd, **plane_kwargs
+        geometry, the_cell, rows, cols, ndwl, ndbl, nspd=nspd, **plane_kwargs
     )
 
 
@@ -532,21 +497,20 @@ def _organized_metrics(
     cols: float,
     ndwl: int,
     ndbl: int,
-    vdd: float,
     nspd: int = 1,
     **plane_kwargs,
 ) -> ArrayMetrics:
     """Metrics of one specific (Ndwl, Ndbl, Nspd) organisation of one bank."""
     plane = analyze_plane(
-        rows, cols, cell, vdd=vdd, cam_search=geometry.cam, **plane_kwargs
+        rows, cols, cell, cam_search=geometry.cam, **plane_kwargs
     )
     n_sub = ndwl * ndbl
     total_w = ndwl * plane.width
     total_h = ndbl * plane.height
     area = total_w * total_h * (1.0 + (HTREE_AREA_FRACTION if n_sub > 1 else 0.0))
 
-    route_t = _route_delay(total_w, total_h, SEMI_GLOBAL_WIRE)
-    route_e = _route_energy(total_w, total_h, cols * ndwl, vdd, SEMI_GLOBAL_WIRE)
+    route_t = _route_delay(total_w, total_h)
+    route_e = _route_energy(total_w, total_h, cols * ndwl)
     select_t = SUBARRAY_SELECT_DELAY * math.log2(n_sub) if n_sub > 1 else 0.0
 
     # Wordline-divided arrays need a *global wordline* distributing the
@@ -558,7 +522,7 @@ def _organized_metrics(
     if ndwl > 1:
         gwl_driver = Transistor(width=24.0, vt=VtClass.LOW)
         gwl_t = SEMI_GLOBAL_WIRE.elmore_delay(total_w, gwl_driver)
-        gwl_e = SEMI_GLOBAL_WIRE.capacitance(total_w) * vdd**2
+        gwl_e = SEMI_GLOBAL_WIRE.capacitance(total_w) * VDD**2
 
     delay = dataclasses.replace(
         plane.delay,
@@ -568,7 +532,7 @@ def _organized_metrics(
     )
     read_e = plane.read_energy.total + route_e + gwl_e
     write_e = plane.write_energy.total + route_e + gwl_e
-    leak = plane.leakage_current * n_sub * 1.1 * vdd  # +10% periphery
+    leak = plane.leakage_current * n_sub * 1.1 * VDD  # +10% periphery
     return ArrayMetrics(
         access_time=delay.total,
         read_energy=read_e,

@@ -46,9 +46,9 @@ PORT_WIDTH_SIZING_FRACTION: float = 0.4
 #: ports").
 INVERTER_PORT_EQUIVALENT: float = 2.0
 
-#: Width multiple of the default bitcell access transistor (relative to a
-#: unit device).  Register-file class cells use stronger access devices.
-DEFAULT_ACCESS_WIDTH: float = 2.0
+#: Width multiple of the bitcell access transistor (relative to a unit
+#: device).  Register-file class cells use stronger access devices.
+ACCESS_WIDTH: float = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,8 +62,6 @@ class Bitcell:
     has_storage:
         Whether the cross-coupled inverters live in this cell.  False for
         the top half of a port-partitioned cell.
-    access_width:
-        Width multiple of the access transistors.
     port_width_mult:
         Extra sizing applied to this cell's port transistors (2.0 for the
         up-sized top-layer ports of hetero-layer PP).
@@ -79,7 +77,6 @@ class Bitcell:
 
     ports: float
     has_storage: bool = True
-    access_width: float = DEFAULT_ACCESS_WIDTH
     port_width_mult: float = 1.0
     layer_penalty: float = 0.0
     cam: bool = False
@@ -152,11 +149,10 @@ class Bitcell:
 
     # -- electricals -------------------------------------------------------
 
-    def access_transistor(self, vt: VtClass = VtClass.REGULAR) -> Transistor:
+    def access_transistor(self) -> Transistor:
         """The read-access device of this cell (layer-aware, sized)."""
         return Transistor(
-            width=self.access_width * self.port_width_mult,
-            vt=vt,
+            width=ACCESS_WIDTH * self.port_width_mult,
             layer_penalty=self.layer_penalty,
         )
 

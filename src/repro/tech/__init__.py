@@ -19,7 +19,6 @@ from repro.tech.process import (
 from repro.tech.transistor import (
     ProcessFlavor,
     Transistor,
-    TransistorParams,
     VtClass,
 )
 from repro.tech.via import (
@@ -47,7 +46,6 @@ __all__ = [
     "stack_tsv3d",
     "ProcessFlavor",
     "Transistor",
-    "TransistorParams",
     "VtClass",
     "Via",
     "figure2_relative_areas",

@@ -21,6 +21,10 @@ from repro.tech import constants
 from repro.tech.transistor import ProcessFlavor
 from repro.tech.via import Via, make_miv, make_tsv_aggressive
 
+#: Drive speed of an LP/FDSOI device relative to HP at equal Vt (~25%
+#: slower).
+LP_RELATIVE_SPEED: float = 0.75
+
 
 @dataclasses.dataclass(frozen=True)
 class LayerSpec:
@@ -44,7 +48,7 @@ class LayerSpec:
     @property
     def relative_speed(self) -> float:
         """Drive speed relative to an HP bottom-layer device (1.0 = full)."""
-        flavor_speed = 1.0 if self.flavor is ProcessFlavor.HP else 0.75
+        flavor_speed = 1.0 if self.flavor is ProcessFlavor.HP else LP_RELATIVE_SPEED
         return flavor_speed * (1.0 - self.delay_penalty)
 
 

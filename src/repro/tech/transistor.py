@@ -17,8 +17,9 @@ quantities the rest of the library needs:
 * leakage current (for the power model),
 * area (for footprint accounting),
 
-all as functions of the device width multiple, threshold class, process
-flavour (HP bulk vs LP FDSOI) and the layer it sits on.
+all as functions of the device width multiple, threshold class and the
+layer it sits on.  An LP/FDSOI top layer enters the models through its
+:class:`~repro.tech.process.LayerSpec` speed and the M3D-LPtop energy table.
 """
 
 from __future__ import annotations
@@ -60,33 +61,19 @@ _VT_DRIVE = {VtClass.LOW: 1.00, VtClass.REGULAR: 0.85, VtClass.HIGH: 0.70}
 #: Relative leakage of each Vt class (LVT leaks the most, ~30x HVT).
 _VT_LEAK = {VtClass.LOW: 30.0, VtClass.REGULAR: 6.0, VtClass.HIGH: 1.0}
 
-#: LP/FDSOI flavour: ~25% slower, ~10x lower leakage than HP at equal Vt.
-_FLAVOR_DRIVE = {ProcessFlavor.HP: 1.00, ProcessFlavor.LP: 0.75}
-_FLAVOR_LEAK = {ProcessFlavor.HP: 1.00, ProcessFlavor.LP: 0.10}
-
-
-@dataclasses.dataclass(frozen=True)
-class TransistorParams:
-    """Unit-width (1x) NMOS-equivalent device parameters at 22nm HP.
-
-    The absolute values are CACTI-flavoured 22nm ITRS numbers; everything in
-    the library that matters is a *ratio* against these.
-    """
-
-    #: Effective switching resistance of a unit-width device (Ohm).
-    unit_resistance: float = 12.0e3
-    #: Gate capacitance of a unit-width device (F).
-    unit_gate_cap: float = 0.05e-15
-    #: Drain (diffusion) capacitance of a unit-width device (F).
-    unit_drain_cap: float = 0.03e-15
-    #: Sub-threshold leakage of a unit-width device at 85 C (A).
-    unit_leakage: float = 20e-9
-    #: Layout area of a unit-width device (m^2), ~ (6F)x(10F) at F=22nm.
-    unit_area: float = (6 * constants.FEATURE_22NM) * (10 * constants.FEATURE_22NM)
-
-
-#: Shared default parameter set.
-DEFAULT_PARAMS = TransistorParams()
+# Unit-width (1x) NMOS-equivalent device parameters at 22nm HP.  The
+# absolute values are CACTI-flavoured 22nm ITRS numbers; everything in the
+# library that matters is a *ratio* against these.
+#: Effective switching resistance of a unit-width device (Ohm).
+UNIT_RESISTANCE: float = 12.0e3
+#: Gate capacitance of a unit-width device (F).
+UNIT_GATE_CAP: float = 0.05e-15
+#: Drain (diffusion) capacitance of a unit-width device (F).
+UNIT_DRAIN_CAP: float = 0.03e-15
+#: Sub-threshold leakage of a unit-width device at 85 C (A).
+UNIT_LEAKAGE: float = 20e-9
+#: Layout area of a unit-width device (m^2), ~ (6F)x(10F) at F=22nm.
+UNIT_AREA: float = (6 * constants.FEATURE_22NM) * (10 * constants.FEATURE_22NM)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,8 +88,6 @@ class Transistor:
     vt:
         Threshold class; critical paths use ``LOW``, the bulk of a stage
         uses ``HIGH``.
-    flavor:
-        HP bulk or LP FDSOI.
     layer_penalty:
         Fractional drive-current loss of the hosting layer; 0 for the bottom
         layer, ``constants.TOP_LAYER_DELAY_PENALTY`` (0.17) for a
@@ -111,9 +96,7 @@ class Transistor:
 
     width: float = 1.0
     vt: VtClass = VtClass.REGULAR
-    flavor: ProcessFlavor = ProcessFlavor.HP
     layer_penalty: float = 0.0
-    params: TransistorParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
         if self.width <= 0:
@@ -131,26 +114,25 @@ class Transistor:
         penalty of ``p`` multiplies the delay (and hence resistance) of the
         device by ``1 / (1 - p)``.
         """
-        drive = _VT_DRIVE[self.vt] * _FLAVOR_DRIVE[self.flavor] * (1.0 - self.layer_penalty)
-        return self.params.unit_resistance / (self.width * drive)
+        drive = _VT_DRIVE[self.vt] * (1.0 - self.layer_penalty)
+        return UNIT_RESISTANCE / (self.width * drive)
 
     @property
     def gate_capacitance(self) -> float:
         """Input (gate) capacitance (F); linear in width."""
-        return self.params.unit_gate_cap * self.width
+        return UNIT_GATE_CAP * self.width
 
     @property
     def drain_capacitance(self) -> float:
         """Output (drain) capacitance (F); linear in width."""
-        return self.params.unit_drain_cap * self.width
+        return UNIT_DRAIN_CAP * self.width
 
     @property
     def leakage_current(self) -> float:
         """Sub-threshold leakage at the reference temperature (A)."""
-        leak = _VT_LEAK[self.vt] * _FLAVOR_LEAK[self.flavor]
-        return self.params.unit_leakage * self.width * leak / _VT_LEAK[VtClass.REGULAR]
+        return UNIT_LEAKAGE * self.width * _VT_LEAK[self.vt] / _VT_LEAK[VtClass.REGULAR]
 
     @property
     def area(self) -> float:
         """Layout area (m^2); linear in width."""
-        return self.params.unit_area * self.width
+        return UNIT_AREA * self.width

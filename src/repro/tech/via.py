@@ -94,17 +94,15 @@ class Via:
             raise ValueError("driver resistance must be positive")
         return 0.69 * (driver_resistance + self.resistance) * self.capacitance
 
-    def area_overhead_vs(self, reference_area: float, count: int = 1) -> float:
-        """Fractional area overhead of ``count`` vias against a reference.
+    def area_overhead_vs(self, reference_area: float) -> float:
+        """Fractional area overhead of one via against a reference.
 
         This is the quantity tabulated in Table 1 (e.g. a single 1.3 um TSV
         with KOZ is 8.0% of a 32-bit adder).
         """
         if reference_area <= 0:
             raise ValueError("reference area must be positive")
-        if count < 0:
-            raise ValueError("via count must be non-negative")
-        return count * self.footprint / reference_area
+        return self.footprint / reference_area
 
 
 def make_miv() -> Via:

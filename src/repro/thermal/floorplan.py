@@ -23,6 +23,13 @@ from repro.workloads.profiles import AppProfile
 #: 2D core footprint at 22nm (m^2): a Zen-like core+L2 region, ~5 mm^2.
 CORE_AREA_2D: float = 5e-6
 
+#: Footprint reduction of a folded (3D) core: the conservative 50% of
+#: Section 7.1.3.
+FOLDED_FOOTPRINT_REDUCTION: float = 0.5
+
+#: Share of each folded block's power dissipated in the bottom layer.
+FOLDED_BOTTOM_SHARE: float = 0.55
+
 #: Per-block area fractions of the 2D core.
 BLOCK_AREAS: Dict[str, float] = {
     "fetch_bp": 0.12,
@@ -145,23 +152,21 @@ def floorplan_folded(
     core_power: float,
     profile: Optional[AppProfile] = None,
     *,
-    footprint_reduction: float = 0.5,
-    bottom_share: float = 0.55,
     hot_block_extra_saving: bool = True,
 ) -> List[Floorplan]:
     """The two per-layer floorplans of a folded (3D) core.
 
     Returns ``[bottom, top]``.  Each block splits across the layers
-    (``bottom_share`` of its power below); the footprint shrinks by the
-    conservative 50% of Section 7.1.3; PP-partitioned hot blocks shed
-    extra power when ``hot_block_extra_saving`` is set (M3D, not TSV3D).
+    (:data:`FOLDED_BOTTOM_SHARE` of its power below); the footprint shrinks
+    by the conservative :data:`FOLDED_FOOTPRINT_REDUCTION`; PP-partitioned
+    hot blocks shed extra power when ``hot_block_extra_saving`` is set
+    (M3D, not TSV3D).
     """
-    if not 0.0 < bottom_share < 1.0:
-        raise ValueError("bottom share must be in (0, 1)")
     weights = _power_weights(profile)
-    area = CORE_AREA_2D * (1.0 - footprint_reduction)
+    area = CORE_AREA_2D * (1.0 - FOLDED_FOOTPRINT_REDUCTION)
     layers: List[Floorplan] = []
-    for layer, share in (("bottom", bottom_share), ("top", 1.0 - bottom_share)):
+    for layer, share in (("bottom", FOLDED_BOTTOM_SHARE),
+                         ("top", 1.0 - FOLDED_BOTTOM_SHARE)):
         blocks = []
         for name in BLOCK_AREAS:
             power = core_power * weights[name] * share

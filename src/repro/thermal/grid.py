@@ -27,7 +27,12 @@ from scipy.sparse.linalg import splu
 
 from repro.lru import LruMemo
 from repro.thermal.floorplan import Floorplan
-from repro.thermal.stack import ThermalStack
+from repro.thermal.stack import (
+    AMBIENT_C,
+    SINK_RESISTANCE,
+    SPREADING_RESISTANCE_AREA,
+    ThermalStack,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,8 +111,8 @@ class _FactorizedStack:
         # spreading resistance proportional to its area — the term that
         # makes power density matter (HotSpot's spreader, in miniature).
         r_cell = (
-            stack.sink_resistance * cells
-            + stack.spreading_resistance_area / cell_area
+            SINK_RESISTANCE * cells
+            + SPREADING_RESISTANCE_AREA / cell_area
         )
         g_sink = 1.0 / r_cell
         top_nodes = (nl - 1) * cells + cell_ids
@@ -126,7 +131,7 @@ class _FactorizedStack:
         self.cell_area = cell_area
         self.lu = splu(matrix)
         self.sink_rhs = np.zeros(n)
-        self.sink_rhs[top_nodes] = g_sink * stack.ambient_c
+        self.sink_rhs[top_nodes] = g_sink * AMBIENT_C
 
     def solve(self, power_maps: List[Optional[List[List[float]]]]) -> np.ndarray:
         """One RHS solve against the cached factorization."""
@@ -153,15 +158,7 @@ def _stack_signature(stack: ThermalStack, chip_area: float,
         (layer.name, layer.thickness, layer.conductivity, layer.power_layer)
         for layer in stack.layers
     )
-    return (
-        stack.name,
-        layers,
-        stack.sink_resistance,
-        stack.spreading_resistance_area,
-        stack.ambient_c,
-        float(chip_area),
-        int(grid),
-    )
+    return (stack.name, layers, float(chip_area), int(grid))
 
 
 def _factorized(stack: ThermalStack, chip_area: float,
@@ -205,7 +202,7 @@ def solve_stack(
         stack_name=stack.name,
         grid=grid,
         temperatures=temperatures.reshape(len(stack.layers), grid, grid),
-        ambient_c=stack.ambient_c,
+        ambient_c=AMBIENT_C,
     )
 
 

@@ -20,6 +20,18 @@ K_SILICON: float = 120.0
 K_ILD: float = 1.5
 K_TIM: float = 5.0
 
+#: Lumped sink resistance from the spreader to ambient (K/W) for the whole
+#: chip — scales with total power only.
+SINK_RESISTANCE: float = 0.5
+
+#: Local spreading resistance through TIM/IHS per unit area (K*m^2/W) —
+#: this is the term that makes *power density* matter: a folded core
+#: concentrates the same heat on half the area.
+SPREADING_RESISTANCE_AREA: float = 10e-6
+
+#: Ambient temperature at the heat sink (C).
+AMBIENT_C: float = 45.0
+
 
 @dataclasses.dataclass(frozen=True)
 class ThermalLayer:
@@ -42,24 +54,19 @@ class ThermalLayer:
 
 @dataclasses.dataclass(frozen=True)
 class ThermalStack:
-    """A full stack, ordered from the board side (bottom) to the sink."""
+    """A full stack, ordered from the board side (bottom) to the sink.
+
+    Every stack meets ambient through the same sink
+    (:data:`SINK_RESISTANCE`, :data:`SPREADING_RESISTANCE_AREA`,
+    :data:`AMBIENT_C`).
+    """
 
     name: str
     layers: List[ThermalLayer]
-    #: Lumped sink resistance from the spreader to ambient (K/W) for the
-    #: whole chip — scales with total power only.
-    sink_resistance: float = 0.5
-    #: Local spreading resistance through TIM/IHS per unit area (K*m^2/W) —
-    #: this is the term that makes *power density* matter: a folded core
-    #: concentrates the same heat on half the area.
-    spreading_resistance_area: float = 10e-6
-    ambient_c: float = 45.0
 
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("stack needs layers")
-        if self.sink_resistance <= 0:
-            raise ValueError("sink resistance must be positive")
 
     @property
     def active_indices(self) -> List[int]:

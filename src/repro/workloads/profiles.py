@@ -23,6 +23,7 @@ stalls — *emerge* from simulation rather than being dialled in.
 from __future__ import annotations
 
 import dataclasses
+from typing import List, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,3 +102,17 @@ class AppProfile:
             + self.div_frac
             + self.complex_frac
         )
+
+
+def first_apps(profiles: List[AppProfile],
+               apps: Optional[int]) -> List[AppProfile]:
+    """The first ``apps`` profiles of a suite (all of them for ``None``).
+
+    Raises :class:`ValueError` for a count below 1, which would otherwise
+    empty or (negative) truncate the suite without a word.
+    """
+    if apps is None:
+        return profiles
+    if apps < 1:
+        raise ValueError(f"apps must be at least 1, got {apps}")
+    return profiles[:apps]

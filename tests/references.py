@@ -24,6 +24,11 @@ from scipy.sparse.linalg import spsolve
 
 from repro.engine.cache import _canonical, code_fingerprint
 from repro.thermal.grid import ThermalSolution
+from repro.thermal.stack import (
+    AMBIENT_C,
+    SINK_RESISTANCE,
+    SPREADING_RESISTANCE_AREA,
+)
 from repro.uarch.isa import OP_CODE, WARMUP_FRAC, OpClass, Trace
 from repro.workloads.generator import SHARED_REGION_BASE
 
@@ -265,8 +270,8 @@ def solve_stack_reference(stack, power_maps, chip_area, grid=16):
                     matrix[b, a] -= g_lat
 
     r_cell = (
-        stack.sink_resistance * cells
-        + stack.spreading_resistance_area / cell_area
+        SINK_RESISTANCE * cells
+        + SPREADING_RESISTANCE_AREA / cell_area
     )
     g_sink = 1.0 / r_cell
     top = nl - 1
@@ -274,7 +279,7 @@ def solve_stack_reference(stack, power_maps, chip_area, grid=16):
         for c in range(grid):
             a = node(top, r, c)
             matrix[a, a] += g_sink
-            rhs[a] += g_sink * stack.ambient_c
+            rhs[a] += g_sink * AMBIENT_C
 
     for li, power_map in enumerate(power_maps):
         if power_map is None:
@@ -288,7 +293,7 @@ def solve_stack_reference(stack, power_maps, chip_area, grid=16):
         stack_name=stack.name,
         grid=grid,
         temperatures=temperatures.reshape(nl, grid, grid),
-        ambient_c=stack.ambient_c,
+        ambient_c=AMBIENT_C,
     )
 
 

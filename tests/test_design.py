@@ -258,3 +258,8 @@ class TestSweepEvaluation:
                             partition="asymmetric")
         with pytest.raises(ValueError, match="both resolve"):
             evaluate_points(["M3D-Het50", clash], uops=200, apps=1)
+
+    @pytest.mark.parametrize("apps", [0, -1])
+    def test_app_count_below_one_rejected(self, apps):
+        with pytest.raises(ValueError, match="apps must be at least 1"):
+            evaluate_points(["M3D-Het"], uops=300, apps=apps)

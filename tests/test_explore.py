@@ -359,6 +359,12 @@ def fresh_engine():
 
 
 class TestExploreRunner:
+    @pytest.mark.parametrize("apps", [0, -1])
+    def test_app_count_below_one_rejected(self, apps, fresh_engine):
+        with pytest.raises(ValueError, match="apps must be at least 1"):
+            explore(small_cartesian(), uops=300, apps=apps,
+                    engine=fresh_engine)
+
     def test_full_run_counts(self, tmp_path, fresh_engine):
         path = tmp_path / "store.jsonl"
         report = explore(small_cartesian(), store_path=path, chunk_size=3,
@@ -588,6 +594,14 @@ class TestExploreCli:
             ["--uops", "300", "explore", str(spec), "--apps", "2",
              "--store", str(store)], capsys)
         assert "0 evaluated, 4 resumed from store" in out
+
+    def test_explore_zero_apps_exits_with_one_line(self, tmp_path, capsys):
+        spec = tmp_path / "space.json"
+        spec.write_text(json.dumps(small_cartesian().to_dict()))
+        with pytest.raises(SystemExit, match="^apps must be at least 1, "
+                                             "got 0$"):
+            self.run_cli(["--uops", "300", "explore", str(spec),
+                          "--apps", "0", "--limit", "3", "--pareto"], capsys)
 
     def test_explore_missing_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="cannot load space"):

@@ -93,12 +93,6 @@ class TestNetlist:
         _, after = netlist.critical_path()
         assert after < before
 
-    def test_energy_positive_and_activity_linear(self):
-        netlist = self._chain(6)
-        assert netlist.switching_energy(0.2) == pytest.approx(
-            2 * netlist.switching_energy(0.1)
-        )
-
     def test_layer_penalty_slows_assigned_gates(self):
         netlist = self._chain(4)
         _, before = netlist.critical_path()
@@ -139,10 +133,6 @@ class TestAdder:
         for name in [f"p{g}_{b}" for g in (8, 9) for b in range(4)]:
             assert slacks[name] > 0, name
 
-    def test_width_must_divide(self):
-        with pytest.raises(ValueError):
-            build_carry_skip_adder(bits=62, group=4)
-
 
 class TestPlacement:
     def test_fold_places_about_half_on_top(self):
@@ -169,12 +159,25 @@ class TestPlacement:
         for name in path:
             assert placement[name] == 0, name
 
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            partition_netlist(build_carry_skip_adder(), target_top_fraction=1.5)
-
 
 class TestBypass:
+    def test_execute_stage_times_each_gate_once_per_pass(self, monkeypatch):
+        """Each timing pass computes one delay per gate: folding the adder
+        takes four passes (2D delay, critical fraction, placement, 3D
+        delay)."""
+        calls = []
+        node_delay = Netlist._node_delay
+
+        def counting(netlist, name):
+            calls.append(name)
+            return node_delay(netlist, name)
+
+        monkeypatch.setattr(Netlist, "_node_delay", counting)
+        evaluate_execute_stage(4)
+        gates = len(build_carry_skip_adder())
+        assert gates == 145
+        assert len(calls) <= 4 * gates
+
     def test_wire_length_superlinear(self):
         assert bypass_wire_length(4) > 2 * bypass_wire_length(2)
 

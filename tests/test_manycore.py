@@ -143,22 +143,27 @@ class TestTileGrid:
 
 class TestResolveManycore:
     def test_mixed_grid_is_not_folded(self):
+        from repro.thermal.hotspot import manycore_temperatures
+
         grid = TileGrid(name="mix", rows=1, cols=2,
                         tiles=("Base", "M3D-Het"))
         resolved = resolve_manycore(grid)
-        assert resolved.folded is False
-        assert resolved.stack_kind == "M3D"  # one folded tile is enough
+        assert resolved.noc.folded_tiles is False
         assert len(resolved.tiles) == 2
+        # One folded tile is enough for the chip to take the folded stack.
+        stacks = [design.point.stack for design in resolved.designs]
+        solution, _ = manycore_temperatures(stacks, [5.0, 5.0], grid=8)
+        assert solution.stack_name == "M3D"
 
     def test_all_3d_grid_folds_automatically(self):
         grid = TileGrid(name="m3d", rows=1, cols=2,
                         tiles=("M3D-Het", "M3D-Het"))
-        assert resolve_manycore(grid).folded is True
+        assert resolve_manycore(grid).noc.folded_tiles is True
 
     def test_explicit_folded_overrides_derivation(self):
         grid = TileGrid(name="m3d", rows=1, cols=2,
                         tiles=("M3D-Het", "M3D-Het"), folded_tiles=False)
-        assert resolve_manycore(grid).folded is False
+        assert resolve_manycore(grid).noc.folded_tiles is False
 
     def test_tiles_resolve_single_core(self):
         # Multicore registry points (num_cores=4) still resolve to
@@ -209,6 +214,14 @@ class TestManycoreThermal:
 
 
 class TestEvaluateManycore:
+    @pytest.mark.parametrize("apps", [0, -1])
+    def test_app_count_below_one_rejected(self, apps):
+        from repro.experiments.manycore import evaluate_manycore, get_scenario
+
+        with pytest.raises(ValueError, match="apps must be at least 1"):
+            evaluate_manycore(get_scenario("mixed-2x2"), total_uops=400,
+                              apps=apps)
+
     @pytest.fixture(scope="class")
     def report(self):
         from repro.experiments.manycore import evaluate_manycore, get_scenario

@@ -80,10 +80,10 @@ class TestEnergyTableMapping:
 
 class TestVddScaling:
     def test_dynamic_quadratic(self):
-        assert vdd_dynamic_scale(0.4, nominal=0.8) == pytest.approx(0.25)
+        assert vdd_dynamic_scale(0.4) == pytest.approx(0.25)
 
     def test_leakage_cubic(self):
-        assert vdd_leakage_scale(0.4, nominal=0.8) == pytest.approx(0.125)
+        assert vdd_leakage_scale(0.4) == pytest.approx(0.125)
 
     def test_positive_required(self):
         with pytest.raises(ValueError):

@@ -537,11 +537,11 @@ def test_thermal_maximum_principle(power):
     """No cell may be cooler than ambient, and peak grows with power."""
     from repro.thermal.floorplan import floorplan_2d
     from repro.thermal.grid import solve_floorplans
-    from repro.thermal.stack import stack_2d_thermal
+    from repro.thermal.stack import AMBIENT_C, stack_2d_thermal
 
     stack = stack_2d_thermal()
     solution = solve_floorplans(stack, [floorplan_2d(power)], grid=6)
-    assert (solution.temperatures >= stack.ambient_c - 1e-6).all()
+    assert (solution.temperatures >= AMBIENT_C - 1e-6).all()
     hotter = solve_floorplans(stack, [floorplan_2d(power * 1.5)], grid=6)
     assert hotter.peak_c >= solution.peak_c
 

@@ -177,9 +177,9 @@ class TestBanking:
 
 class TestSolve2dMemo:
     def test_memoized_solves_equal_fresh_searches(self, monkeypatch):
-        """Every argument set met while resolving all registered points
-        gets the same organisation from the memo as from a fresh
-        unmemoized search, and each set is searched once."""
+        """Every geometry met while resolving all registered points gets
+        the same organisation from the memo as from a fresh unmemoized
+        search, and each geometry is searched once."""
         import importlib
 
         from repro.design.registry import registered_points
@@ -194,15 +194,15 @@ class TestSolve2dMemo:
         searched = []
         search = array._search_2d
 
-        def counting_search(geometry, **kwargs):
-            searched.append((geometry, kwargs["vdd"]))
-            return search(geometry, **kwargs)
+        def counting_search(geometry):
+            searched.append(geometry)
+            return search(geometry)
 
         solved = []
 
-        def recording_solve(geometry, **kwargs):
-            result = array.solve_2d(geometry, **kwargs)
-            solved.append((geometry, kwargs, result))
+        def recording_solve(geometry):
+            result = array.solve_2d(geometry)
+            solved.append((geometry, result))
             return result
 
         monkeypatch.setattr(array, "_search_2d", counting_search)
@@ -210,10 +210,9 @@ class TestSolve2dMemo:
         for point in registered_points():
             resolve_module.resolve(point)
         fresh = {}
-        for geometry, kwargs, result in solved:
-            key = (geometry, tuple(sorted(kwargs.items())))
-            if key not in fresh:
-                fresh[key] = search(geometry, **kwargs)
-            assert result == fresh[key]
+        for geometry, result in solved:
+            if geometry not in fresh:
+                fresh[geometry] = search(geometry)
+            assert result == fresh[geometry]
         assert len(solved) > len(fresh)  # the memo had work to save
         assert len(searched) == len(set(searched)) == len(fresh)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.tech import constants
-from repro.tech.transistor import ProcessFlavor, Transistor, VtClass
+from repro.tech.transistor import Transistor, VtClass
 
 PENALTY = constants.TOP_LAYER_DELAY_PENALTY
 
@@ -74,16 +74,3 @@ class TestLayerPenalty:
             Transistor(layer_penalty=1.0)
         with pytest.raises(ValueError):
             Transistor(layer_penalty=-0.1)
-
-
-class TestFlavors:
-    def test_lp_slower_than_hp(self):
-        hp = Transistor(flavor=ProcessFlavor.HP)
-        lp = Transistor(flavor=ProcessFlavor.LP)
-        assert lp.drive_resistance > hp.drive_resistance
-
-    def test_lp_leaks_less(self):
-        hp = Transistor(flavor=ProcessFlavor.HP)
-        lp = Transistor(flavor=ProcessFlavor.LP)
-        assert lp.leakage_current < hp.leakage_current / 2
-

@@ -97,12 +97,6 @@ class TestTable1:
         assert table["TSV(5um)"]["adder32"] > 1.0
         assert table["TSV(5um)"]["sram32"] > 20.0
 
-    def test_overhead_scales_with_count(self):
-        via = make_tsv_aggressive()
-        one = via.area_overhead_vs(1e-10, count=1)
-        sixteen = via.area_overhead_vs(1e-10, count=16)
-        assert sixteen == pytest.approx(16 * one)
-
     def test_overhead_rejects_bad_reference(self):
         with pytest.raises(ValueError):
             make_miv().area_overhead_vs(0.0)

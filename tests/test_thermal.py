@@ -10,6 +10,7 @@ from repro.thermal.floorplan import (
 from repro.thermal.grid import solve_floorplans, solve_stack
 from repro.thermal.hotspot import peak_temperature_for
 from repro.thermal.stack import (
+    AMBIENT_C,
     ThermalLayer,
     stack_2d_thermal,
     stack_m3d_thermal,
@@ -91,7 +92,7 @@ class TestSolver:
         stack = stack_2d_thermal()
         plan = floorplan_2d(6.4)
         solution = solve_floorplans(stack, [plan], grid=8)
-        assert (solution.temperatures >= stack.ambient_c - 1e-6).all()
+        assert (solution.temperatures >= AMBIENT_C - 1e-6).all()
 
     def test_zero_power_is_ambient(self):
         stack = stack_2d_thermal()

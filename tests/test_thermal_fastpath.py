@@ -17,6 +17,7 @@ from repro.thermal.grid import (
     solve_stack,
 )
 from repro.thermal.stack import (
+    AMBIENT_C,
     stack_2d_thermal,
     stack_m3d_thermal,
     stack_tsv3d_thermal,
@@ -57,7 +58,7 @@ class TestFastPathMatchesReference:
         maps = [None] * len(stack.layers)
         maps[stack.active_indices[0]] = [[0.0] * 8 for _ in range(8)]
         fast = solve_stack(stack, maps, CHIP_AREA, grid=8)
-        assert fast.peak_c == pytest.approx(stack.ambient_c, abs=1e-6)
+        assert fast.peak_c == pytest.approx(AMBIENT_C, abs=1e-6)
 
     def test_floorplan_solve_matches_reference(self):
         stack = stack_m3d_thermal()
