@@ -19,7 +19,9 @@ Sections
     Wall-clock of every table and figure through the engine: a cold pass
     (empty caches), a warm in-memory pass (same process), and a warm
     on-disk pass (fresh engine, populated cache directory — must not
-    simulate anything).
+    simulate anything).  ``cold_peak_rss_mb`` is the process's peak
+    resident memory (Linux ``ru_maxrss``) right after the cold pass,
+    which runs first: start-up plus the cold report.
 ``explore_pipeline``
     Serial-chunk (``in_flight=1``, one pool spawn per chunk) vs
     pipelined (``in_flight=2`` on the warm persistent worker pool)
@@ -50,6 +52,7 @@ import io
 import json
 import os
 import platform
+import resource
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -75,13 +78,14 @@ from repro.obs import (  # noqa: E402  (path set up above)
 #: commit-over-commit rather than forever-vs-seed.
 SEED_RUNNER_SECONDS = 175.3
 
-#: Performance gate on the cold full-size runner pass.  The two latest
-#: full records on the reference container (BENCH_20260806, 21.97s;
-#: BENCH_20260808, 21.8s) put the floor at ~21.8s; the gate allows
-#: ~20% headroom for container jitter.  A full-mode cold pass slower
+#: Performance gate on the cold full-size runner pass.  Ten full runs on
+#: a 2-vCPU x86_64 host read 0.921-1.313 s (median 0.954 s); the
+#: committed median-run record, BENCH_20261021_012412, reads 0.957 s, and
+#: the gate sits just under 1.5x that, the most
+#: ``tests/test_bench_gate.py`` allows.  A full-mode cold pass slower
 #: than this fails CI (``gate_ok`` in the runner record) — raise the
 #: gate deliberately, with a committed BENCH record, not by accident.
-RUNNER_GATE_SECONDS = 26.0
+RUNNER_GATE_SECONDS = 1.43
 
 
 def latest_bench_baseline(exclude: Path = None) -> tuple:
@@ -136,6 +140,8 @@ def bench_runner(uops: int, multicore_uops: int, quick: bool,
     # Cold: fresh engine, nothing cached anywhere.
     engine.configure(jobs=1, cache_dir=None)
     cold_seconds, _ = _silent("runner.cold", full_report)
+    # Linux reports ``ru_maxrss`` in KiB.
+    cold_peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     # Warm memory: same engine, same process.
     warm_memory_seconds, _ = _silent("runner.warm_memory", full_report)
@@ -154,6 +160,7 @@ def bench_runner(uops: int, multicore_uops: int, quick: bool,
         "uops": uops,
         "multicore_uops": multicore_uops,
         "cold_seconds": round(cold_seconds, 3),
+        "cold_peak_rss_mb": round(cold_peak_kib / 1024, 1),
         "warm_memory_seconds": round(warm_memory_seconds, 3),
         "warm_disk_seconds": round(warm_disk_seconds, 3),
         "warm_disk_misses": warm_disk_misses,
@@ -484,7 +491,8 @@ def bench(args: argparse.Namespace, run: RunRecord) -> None:
     record["runner"] = bench_runner(
         sizes["uops"], sizes["multicore_uops"], args.quick, baseline=baseline
     )
-    print(f"  cold {record['runner']['cold_seconds']}s, "
+    print(f"  cold {record['runner']['cold_seconds']}s "
+          f"(peak RSS {record['runner']['cold_peak_rss_mb']} MB), "
           f"warm-memory {record['runner']['warm_memory_seconds']}s, "
           f"warm-disk {record['runner']['warm_disk_seconds']}s "
           f"({record['runner']['warm_disk_misses']} misses)")

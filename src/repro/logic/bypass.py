@@ -50,7 +50,6 @@ class BypassResult:
     delay_3d: float
     energy_2d: float
     energy_3d: float
-    footprint_reduction: float
 
     @property
     def frequency_gain(self) -> float:
@@ -127,5 +126,4 @@ def evaluate_execute_stage(
         delay_3d=delay_3d,
         energy_2d=energy_2d,
         energy_3d=energy_3d,
-        footprint_reduction=footprint_reduction,
     )

@@ -132,10 +132,6 @@ class Netlist:
         slacks = {name: required[name] - arrivals[name] for name in self._nodes}
         return arrivals, slacks
 
-    def slacks(self) -> Dict[str, float]:
-        """Slack per node: critical delay minus the node's worst path (s)."""
-        return self.timing()[1]
-
     def critical_fraction(self, slack_threshold: float = 0.0) -> float:
         """Fraction of gates whose slack is at or below a threshold.
 

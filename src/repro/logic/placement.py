@@ -31,10 +31,8 @@ class PlacementResult:
     delay_2d: float
     delay_3d: float
     top_fraction: float
-    critical_fraction: float
     energy_2d: float
     energy_3d: float
-    footprint_reduction: float
 
     @property
     def frequency_gain(self) -> float:
@@ -98,7 +96,6 @@ def fold_stage(
     footprint_reduction = constants.FOOTPRINT_REDUCTION_LOGIC
     delay_2d = netlist.critical_path()[1]
     energy_2d = netlist.switching_energy()
-    critical_frac = netlist.critical_fraction()
 
     netlist.scale_wires((1.0 - footprint_reduction) ** 0.5)
     placement = partition_netlist(netlist, top_penalty=top_penalty)
@@ -114,8 +111,6 @@ def fold_stage(
         delay_2d=delay_2d,
         delay_3d=delay_3d,
         top_fraction=top_count / max(1, len(netlist)),
-        critical_fraction=critical_frac,
         energy_2d=energy_2d,
         energy_3d=energy_3d,
-        footprint_reduction=footprint_reduction,
     )

@@ -116,10 +116,11 @@ COLUMNS = ("codes", "src1", "src2", "address", "pc", "taken", "barrier")
 _COLUMN_TYPES = (np.int8, np.int32, np.int32, np.int64, np.int64, np.bool_,
                  np.int32)
 
-#: The bound on addresses, pcs and resident lines: C's ``/`` and ``%``
-#: truncate toward zero where Python's floor, so a negative one would land
-#: in a plausible wrong set, and the compiled prefetcher's read ahead of
-#: one from here up could overflow ``int64``.
+#: The bound on addresses, pcs and resident lines.  The compiled replay
+#: takes a line's tag and set with shifts and masks, which equal Python's
+#: ``//`` and ``%`` only for values that are not negative (so a negative
+#: one would land in a plausible wrong set), and its prefetcher's read
+#: ahead of one from here up could overflow ``int64``.
 _MAX_ADDRESS = 2 ** 62
 
 #: Default warmup length as a fraction of a trace's measured ops; the
@@ -155,6 +156,45 @@ def _frozen(name: str, what: str, values, dtype) -> np.ndarray:
     return array
 
 
+def _segments_of(name: str, lines) -> np.ndarray:
+    """Hand-built resident ``lines`` as segments: one ``(line, 0, 1)``
+    row per line, in order."""
+    lines = _frozen(name, "resident line", lines, np.int64)
+    return np.column_stack((lines, np.zeros_like(lines), np.ones_like(lines)))
+
+
+def _frozen_segments(name: str, segments) -> np.ndarray:
+    """``segments`` as a read-only ``(k, 3)`` ``int64`` array, refusing a
+    row the compiled replay cannot index: a negative start, step or
+    count, or a last line from :data:`_MAX_ADDRESS` up (computed in
+    Python ints, so it cannot wrap)."""
+    array = _frozen(name, "resident segment", segments, np.int64)
+    if not array.size:  # ``[]`` has no row shape to check
+        array = array.reshape(0, 3)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise ValueError(f"trace {name!r} has resident segments that are "
+                         f"not (start, step, count) rows")
+    for start, step, count in array.tolist():
+        for part, value in (("start", start), ("step", step),
+                            ("count", count)):
+            if value < 0:
+                raise ValueError(f"trace {name!r} has a resident line "
+                                 f"segment with a negative {part}")
+        if count and start + step * (count - 1) >= _MAX_ADDRESS:
+            raise ValueError(f"trace {name!r} has a resident line segment "
+                             f"whose last line reaches 2**62")
+    return array
+
+
+def _expand(segments: np.ndarray) -> np.ndarray:
+    """The lines of ``segments``' ``(start, step, count)`` rows, in row
+    order: the ``int64`` line array they stand for."""
+    starts, steps, counts = segments.T
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+    return np.repeat(starts, counts) + np.repeat(steps, counts) * offsets
+
+
 class Trace:
     """A finished instruction trace plus its identity, stored as columns.
 
@@ -170,24 +210,42 @@ class Trace:
     ``warmup_ops`` marks a fast-forward prefix: the simulator replays it
     through the caches and predictor untimed, then measures the rest —
     the standard steady-state methodology for sampled simulation.
-    ``resident_data``/``resident_code`` are the checkpoint-style warm
-    state: line addresses resident in the data / instruction hierarchy
-    at the start of the measured region, as read-only ``int64`` arrays.
+
+    The checkpoint-style warm state, the line addresses resident in the
+    data / instruction hierarchy at the start of the measured region,
+    is stored only as ``data_segments`` / ``code_segments``: read-only
+    ``(k, 3)`` ``int64`` arrays of ``(start, step, count)`` rows, each
+    the arithmetic run ``start, start + step, ...`` of ``count`` lines,
+    oldest row first.  The generator builds its resident lines as such
+    runs and passes ``segments=(data, code)``; a hand-built
+    ``resident_data=[...]`` / ``resident_code=[...]`` line list becomes
+    one single-line row per line.  :attr:`resident_data` and
+    :attr:`resident_code` expand the rows into line arrays on every
+    read and are never stored: only the scalar oracle's
+    :meth:`~repro.uarch.cache.CacheHierarchy.preload`,
+    :func:`~repro.golden.serialize.trace_digest` and tests read them.
+    The compiled replay walks the rows themselves.
 
     Building a trace checks, once, what the compiled kernel would get
     wrong, and raises a :class:`ValueError` naming the trace: columns of
     different lengths, a warmup outside the trace, an unknown op code, a
-    value outside its column's type, or a negative address, pc or
-    resident line or one from :data:`_MAX_ADDRESS` up.
+    value outside its column's type, a negative address or pc or one
+    from :data:`_MAX_ADDRESS` up, or a resident segment with a negative
+    start, step or count or whose last line reaches :data:`_MAX_ADDRESS`.
     """
 
     def __init__(self, name: str, ops: Optional[Sequence[MicroOp]] = None,
                  warmup_ops: int = 0,
                  resident_data: Sequence[int] = (),
                  resident_code: Sequence[int] = (), *,
-                 columns: Optional[Sequence[Sequence]] = None) -> None:
+                 columns: Optional[Sequence[Sequence]] = None,
+                 segments: Optional[Sequence] = None) -> None:
         if (ops is None) == (columns is None):
             raise TypeError("Trace needs exactly one of ops= or columns=")
+        if segments is not None and (len(resident_data)
+                                     or len(resident_code)):
+            raise TypeError("Trace takes resident lines or segments=, "
+                            "not both")
         self.name = name
         self.warmup_ops = warmup_ops
         self._ops: Optional[List[MicroOp]] = None
@@ -198,9 +256,11 @@ class Trace:
          self.taken, self.barrier) = (
             _frozen(name, what, values, dtype)
             for what, values, dtype in zip(COLUMNS, columns, _COLUMN_TYPES))
-        self.resident_data, self.resident_code = (
-            _frozen(name, "resident line", lines, np.int64)
-            for lines in (resident_data, resident_code))
+        if segments is None:
+            segments = (_segments_of(name, resident_data),
+                        _segments_of(name, resident_code))
+        self.data_segments, self.code_segments = (
+            _frozen_segments(name, rows) for rows in segments)
         rows = len(self.codes)
         if any(len(column) != rows for column in self.columns):
             raise ValueError(f"trace {name!r} has columns of different lengths")
@@ -209,9 +269,7 @@ class Trace:
         if rows and (self.codes.min() < 0
                      or self.codes.max() >= len(OP_ORDER)):
             raise ValueError(f"trace {name!r} has an unknown op code")
-        for what, values in (("pc", self.pc), ("address", self.address),
-                             ("resident line", self.resident_data),
-                             ("resident line", self.resident_code)):
+        for what, values in (("pc", self.pc), ("address", self.address)):
             if len(values) and (values.min() < 0
                                 or values.max() >= _MAX_ADDRESS):
                 raise ValueError(f"trace {name!r} has a negative or "
@@ -222,6 +280,16 @@ class Trace:
         """The seven columns, in :data:`COLUMNS` order."""
         return (self.codes, self.src1, self.src2, self.address, self.pc,
                 self.taken, self.barrier)
+
+    @property
+    def resident_data(self) -> np.ndarray:
+        """The resident data lines, expanded from :attr:`data_segments`."""
+        return _expand(self.data_segments)
+
+    @property
+    def resident_code(self) -> np.ndarray:
+        """The resident code lines, expanded from :attr:`code_segments`."""
+        return _expand(self.code_segments)
 
     @property
     def ops(self) -> List[MicroOp]:
@@ -256,7 +324,8 @@ class Trace:
         For one ``(profile, seed, thread)`` the generator's draws do not
         depend on the requested length, so this equals
         ``generate_trace(profile, num_uops, ...)`` for any trace generated
-        at least that long with the default warmup fraction.
+        at least that long with the default warmup fraction.  It shares
+        this trace's segment arrays.
         """
         warmup = int(num_uops * WARMUP_FRAC)
         rows = num_uops + warmup
@@ -266,8 +335,7 @@ class Trace:
                 f"{len(self.codes)}-row trace"
             )
         return Trace(self.name, warmup_ops=warmup,
-                     resident_data=self.resident_data,
-                     resident_code=self.resident_code,
+                     segments=(self.data_segments, self.code_segments),
                      columns=[column[:rows] for column in self.columns])
 
     def __len__(self) -> int:

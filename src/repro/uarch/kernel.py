@@ -20,10 +20,15 @@ the arrays the compiled code reads (checked once, when the
 **once per trace** and the cache hierarchy (with the coherence
 directory, in a multicore) **once per cache geometry**, into
 per-access level/outcome arrays; and the timing recurrences are then
-evaluated against those arrays.  All three replays and the timing loop
-are compiled C (``timing.c``, built with the system ``gcc`` on first
-use and called through :mod:`ctypes`); Python only dispatches.  The
-same library also synthesizes the traces: the row loop of
+evaluated against those arrays.  The cache replay warms each level
+from the trace's resident segments (``(start, step, count)`` rows; no
+line array is built) and finds a line's tag and set with a shift and a
+mask, as every set count and line size in
+:func:`~repro.uarch.cache.level_geometries` is a power of two.  All
+three replays and the timing loop are compiled C (``timing.c``, built
+with the system ``gcc`` on first use and called through
+:mod:`ctypes`); Python only dispatches.  The same library also
+synthesizes the traces: the row loop of
 :meth:`~repro.workloads.generator.TraceGenerator.generate` is its
 ``generate_trace``.
 
@@ -268,6 +273,11 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
     group's coherence directory), recording the level that served each
     instruction block and each load.
 
+    The C walks the trace's resident segments, not line arrays, and
+    takes tags and sets with shifts and masks, so every level's set
+    count and line size must be a power of two (a geometry that is not
+    raises :class:`ValueError`).
+
     The donor config only contributes its cache *geometry*
     (``shared_l2``); single-core images are memoized on the trace per
     geometry.  Multicore replays are coupled across cores through the
@@ -296,8 +306,8 @@ def replay_memory(trace: Trace, donor_config: CoreConfig, core_id: int = 0,
         len(trace.codes), trace.codes, trace.pc, trace.address,
         trace.warmup_ops, _LOAD, _STORE, FETCH_BLOCK_UOPS, PREFETCH_DEGREE,
         _geometry(donor_config.shared_l2),
-        len(trace.resident_data), trace.resident_data,
-        len(trace.resident_code), trace.resident_code,
+        len(trace.data_segments), trace.data_segments,
+        len(trace.code_segments), trace.code_segments,
         core_id, len(owner), owner, line_ids, transfers,
         fetch_levels, load_levels, load_remote, counts,
     ))
@@ -353,7 +363,7 @@ _SIGNATURES = {
         _INT, _I8, _I64, _I64, _INT,  # n, codes, pc, address, warmup
         _INT, _INT, _INT, _INT,       # load/store codes, fetch block, degree
         _I64,                         # geometry
-        _INT, _I64, _INT, _I64,       # resident data lines, code lines
+        _INT, _I64, _INT, _I64,       # resident data / code segments
         _INT, _INT, _I64, _I64, _I64,  # core, nowner, owner, line_id, transfers
         _I8, _I8, _I8, _I64,          # fetch / load levels, remote, counts
     ),
@@ -457,6 +467,9 @@ def _check(status: int) -> None:
         raise MemoryError("the compiled kernel could not allocate its state")
     if status == -3:  # CPython's error for the randrange it replays
         raise ValueError("empty range for randrange()")
+    if status == -4:
+        raise ValueError("a cache level's set count and line size must be "
+                         "powers of two, and it needs at least one way")
     if status:
         raise RuntimeError(f"the compiled kernel failed with status {status}")
 

@@ -260,8 +260,9 @@ class OutOfOrderCore:
         """Simulate a trace; fast-forwards its warmup prefix, then times
         the measured region.  Returns timing plus activity stats."""
         cfg = self.config
-        if len(trace.resident_data) or len(trace.resident_code):
-            self.caches.preload(trace.resident_data, trace.resident_code)
+        data, code = trace.resident_data, trace.resident_code
+        if len(data) or len(code):
+            self.caches.preload(data, code)
         if trace.warmup_ops:
             self.warmup(trace.ops[: trace.warmup_ops])
         ops = trace.ops[trace.warmup_ops :]

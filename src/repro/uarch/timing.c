@@ -28,9 +28,10 @@
  * serves every configuration and profile.
  *
  * Every entry point returns 0 on success.  On failure (-1: out of
- * memory, -2: a broken window invariant, -3: an empty randrange) it
- * stops at once; the outputs are then incomplete and the caller raises
- * instead of reading them.
+ * memory, -2: a broken window invariant, -3: an empty randrange, -4: a
+ * cache level whose set count or line size is not a power of two, or
+ * that has no ways) it stops at once; the outputs are then incomplete
+ * and the caller raises instead of reading them.
  */
 
 #include <math.h>
@@ -357,43 +358,61 @@ finish:
 
 /* One LRU set-associative level, as SetAssociativeCache in
  * repro/uarch/cache.py keeps it: set s holds fill[s] tags in
- * tag[s * ways ...], least recently used first. */
+ * tag[s * ways ...], least recently used first.  Its set count and line
+ * size are powers of two, so a line's tag is its address shifted right
+ * by `shift` and its set is the tag's low bits, `tag & mask`: for the
+ * addresses a Trace admits, none negative, Python's // and % exactly. */
 typedef struct {
     int64_t *tag;
     int64_t *fill;
-    int64_t sets, ways, line_bytes;
+    int64_t sets, ways, line_bytes, shift, mask;
 } level;
 
 /* Rows of `geometry`: IL1, DL1, L2, L3; columns: sets, ways, line bytes. */
 enum { L_IL1, L_DL1, L_L2, L_L3, L_COUNT };
+
+static int power_of_two(int64_t x)
+{
+    return x > 0 && (x & (x - 1)) == 0;
+}
 
 static int level_init(level *c, const int64_t *geometry)
 {
     c->sets = geometry[0];
     c->ways = geometry[1];
     c->line_bytes = geometry[2];
+    if (!power_of_two(c->sets) || !power_of_two(c->line_bytes) || c->ways < 1)
+        return -4;
+    c->mask = c->sets - 1;
+    for (c->shift = 0; (INT64_C(1) << c->shift) < c->line_bytes; ++c->shift)
+        ;
     c->tag = malloc((size_t)(c->sets * c->ways) * sizeof *c->tag);
     c->fill = calloc((size_t)c->sets, sizeof *c->fill);
     return c->tag && c->fill ? 0 : -1;
 }
 
-/* Warm state from resident lines walked newest first: a set keeps the
- * first `ways` distinct tags it sees, which are the ones an in-order
- * access of every line would leave there.  level_settle() then turns
- * each set from newest-first into LRU-first order. */
-static void level_warm(level *c, const int64_t *lines, int64_t nlines)
+/* Warm state from the resident segments, (start, step, count) rows that
+ * each stand for the lines start + step * i, i < count, walked newest
+ * first (last row, last line): a set keeps the first `ways` distinct
+ * tags it sees, which are the ones an in-order access of every line
+ * would leave there.  level_settle() then turns each set from
+ * newest-first into LRU-first order. */
+static void level_warm(level *c, const int64_t *segments, int64_t nsegments)
 {
-    for (int64_t i = nlines - 1; i >= 0; --i) {
-        const int64_t tag = lines[i] / c->line_bytes;
-        const int64_t set = tag % c->sets;
-        int64_t *row = c->tag + set * c->ways;
-        const int64_t fill = c->fill[set];
-        if (fill < c->ways) {
-            int64_t k = 0;
-            while (k < fill && row[k] != tag)
-                ++k;
-            if (k == fill)
-                row[c->fill[set]++] = tag;
+    for (int64_t r = nsegments - 1; r >= 0; --r) {
+        const int64_t start = segments[3 * r], step = segments[3 * r + 1];
+        for (int64_t i = segments[3 * r + 2] - 1; i >= 0; --i) {
+            const int64_t tag = (start + step * i) >> c->shift;
+            const int64_t set = tag & c->mask;
+            int64_t *row = c->tag + set * c->ways;
+            const int64_t fill = c->fill[set];
+            if (fill < c->ways) {
+                int64_t k = 0;
+                while (k < fill && row[k] != tag)
+                    ++k;
+                if (k == fill)
+                    row[c->fill[set]++] = tag;
+            }
         }
     }
 }
@@ -415,8 +434,8 @@ static void level_settle(level *c)
  * Returns 1 on a hit. */
 static int level_access(level *c, int64_t address)
 {
-    const int64_t tag = address / c->line_bytes;
-    const int64_t set = tag % c->sets;
+    const int64_t tag = address >> c->shift;
+    const int64_t set = tag & c->mask;
     int64_t *row = c->tag + set * c->ways;
     const int64_t fill = c->fill[set];
     int64_t k = fill - 1;
@@ -466,8 +485,9 @@ static int8_t data_code(level *levels, int64_t address, int64_t degree)
 
 /*
  * Replays a trace's warmup and measured region through one core's cache
- * hierarchy, warmed first from the resident lines (IL1 the code lines,
- * DL1 the data lines, L2 and L3 the data lines and then the code lines).
+ * hierarchy, warmed first from the resident segments (IL1 the code
+ * lines, DL1 the data lines, L2 and L3 the data lines and then the code
+ * lines; each segment table has 3 int64 columns, start, step and count).
  * Writes the level of each measured fetch block and load, the load's
  * remote flag, and the per-level load counts.
  *
@@ -481,8 +501,8 @@ int replay_memory(
     const int64_t *address, int64_t warmup,
     int64_t load, int64_t store, int64_t fetch_block, int64_t degree,
     const int64_t *geometry,
-    int64_t ndata, const int64_t *data_lines,
-    int64_t ncode, const int64_t *code_lines,
+    int64_t ndata, const int64_t *data_segments,
+    int64_t ncode, const int64_t *code_segments,
     int64_t core, int64_t nowner, int64_t *owner, const int64_t *line_id,
     int64_t *transfers,
     int8_t *fetch_level, int8_t *load_level, int8_t *load_remote,
@@ -495,11 +515,11 @@ int replay_memory(
     if (status)
         goto finish;
 
-    level_warm(&levels[L_IL1], code_lines, ncode);
-    level_warm(&levels[L_DL1], data_lines, ndata);
+    level_warm(&levels[L_IL1], code_segments, ncode);
+    level_warm(&levels[L_DL1], data_segments, ndata);
     for (int k = L_L2; k <= L_L3; ++k) {
-        level_warm(&levels[k], code_lines, ncode);
-        level_warm(&levels[k], data_lines, ndata);
+        level_warm(&levels[k], code_segments, ncode);
+        level_warm(&levels[k], data_segments, ndata);
     }
     for (int k = 0; k < L_COUNT; ++k)
         level_settle(&levels[k]);

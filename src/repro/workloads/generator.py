@@ -164,8 +164,7 @@ class TraceGenerator:
         return Trace(
             name=profile.name,
             warmup_ops=warmup_ops,
-            resident_data=self._resident_data(),
-            resident_code=self._resident_code(),
+            segments=(self._data_segments(), self._code_segments()),
             columns=columns,
         )
 
@@ -199,28 +198,36 @@ class TraceGenerator:
                 f"{profile.name}: thread {self._thread}'s addresses could "
                 f"leave [0, 2**62)")
 
-    def _resident_data(self) -> np.ndarray:
-        """Checkpoint-warm data lines: the hot set plus the working-set
-        pool (capped — for huge working sets only a steady-state LRU
-        residue would survive anyway)."""
+    def _data_segments(self) -> np.ndarray:
+        """Checkpoint-warm data lines as ``(start, step, count)`` rows,
+        oldest first: the hot set, the working-set pool (capped — for
+        huge working sets only a steady-state LRU residue would survive
+        anyway) and, for a parallel profile that shares, the shared
+        region."""
         profile = self.profile
         base = self._private_base
-        # ``i * 64`` over a 64-byte step puts these lines 4 KiB apart,
-        # most of them past the hot set; the goldens pin it.
-        lines = [base + np.arange(0, profile.hot_set_bytes, 64) * 64]
-        step = max(1, self._pool_lines // 40000)
-        lines.append(base + np.arange(0, self._pool_lines, step)
-                     * self._pool_stride)
+        pool_step = max(1, self._pool_lines // 40000)
+        rows = [
+            # The hot set's lines are 4 KiB (64 lines) apart, not 64 bytes:
+            # its line index is scaled by 64 twice, so most of these lines
+            # lie past the hot set.  The goldens, the pinned trace digests
+            # and perfbench's explore frontier digest pin this step.
+            (base, 64 * 64, len(range(0, profile.hot_set_bytes, 64))),
+            (base, pool_step * self._pool_stride,
+             len(range(0, self._pool_lines, pool_step))),
+        ]
         if profile.is_parallel and profile.sharing_frac > 0:
             shared_span = max(64, profile.working_set_bytes // 8)
             shared_step = max(64, shared_span // 8192)
-            lines.append(SHARED_REGION_BASE
-                         + np.arange(0, shared_span, shared_step))
-        return np.concatenate(lines)
+            rows.append((SHARED_REGION_BASE, shared_step,
+                         len(range(0, shared_span, shared_step))))
+        return np.array(rows, dtype=np.int64)
 
-    def _resident_code(self) -> np.ndarray:
-        """Checkpoint-warm instruction lines covering the code footprint."""
-        return 4096 + np.arange(0, self.profile.code_bytes, 32)
+    def _code_segments(self) -> np.ndarray:
+        """Checkpoint-warm instruction lines covering the code footprint,
+        as one ``(start, step, count)`` row."""
+        return np.array([(4096, 32, len(range(0, self.profile.code_bytes,
+                                              32)))], dtype=np.int64)
 
 
 def generate_trace(profile: AppProfile, num_uops: int, seed: int = 1234,

@@ -209,8 +209,7 @@ def reference_generate(generator, num_uops, warmup_frac=WARMUP_FRAC):
     return Trace(
         name=profile.name,
         warmup_ops=warmup_ops,
-        resident_data=generator._resident_data(),
-        resident_code=generator._resident_code(),
+        segments=(generator._data_segments(), generator._code_segments()),
         columns=[codes, src1, src2, address, pc, taken, barrier],
     )
 

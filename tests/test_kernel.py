@@ -176,7 +176,8 @@ def test_windows_across_prunes_match_oracle():
 
 def _tampered_trace(field, value):
     """A generated trace, rebuilt from plain lists with one ``field``
-    value replaced by ``value``."""
+    value replaced by ``value``; a tuple ``value`` replaces its first
+    resident data segment instead, so the trace takes segments."""
     from repro.uarch.isa import OP_CODE, OpClass, Trace
 
     trace = _fresh_trace(spec_profiles()[0], 200)
@@ -184,6 +185,12 @@ def _tampered_trace(field, value):
     codes, src1, address, pc = columns[0], columns[1], columns[3], columns[4]
     resident_data = trace.resident_data.tolist()
     warmup = trace.warmup_ops
+    if isinstance(value, tuple):
+        segments = trace.data_segments.tolist()
+        segments[0] = value
+        return Trace("tampered", warmup_ops=warmup,
+                     segments=(segments, trace.code_segments),
+                     columns=columns)
     if field == "warmup":
         warmup = value
     elif field == "columns":
@@ -203,16 +210,24 @@ def _tampered_trace(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("address", -64), ("pc", -4), ("resident line", -64),
+    ("resident line", 2 ** 62),
     ("address", 2 ** 62), ("warmup", -1), ("warmup", 10 ** 6),
     ("columns", -1), ("src1", 2 ** 31),
+    ("negative start", (-64, 64, 4)), ("negative step", (1 << 34, -64, 4)),
+    ("negative count", (1 << 34, 64, -1)),
+    ("last line", (1 << 34, 4096, 2 ** 50)),
+    # ``step * (count - 1)`` is 2**63: it would wrap to a negative int64.
+    ("last line", (1 << 34, 2 ** 62, 3)),
 ])
 def test_replay_rejects_what_the_c_would_get_wrong(field, value):
-    """C's ``/`` and ``%`` truncate toward zero where Python's floor, so
-    a negative value would be served from a plausible wrong set, and a
-    prefetch past ``2**62`` could overflow; a short column or a warmup
-    outside the trace would make it read or write past an array, and a
-    value outside its column's C type cannot be stored.  Building the
-    trace refuses them all, so no replay ever sees one."""
+    """The replay's shifts and masks equal Python's ``//`` and ``%`` only
+    for values that are not negative, so a negative address, pc or
+    resident line (or a segment that steps or counts backwards) would be
+    served from a plausible wrong set, and a prefetch past ``2**62``
+    could overflow; a short column or a warmup outside the trace would
+    make it read or write past an array, and a value outside its
+    column's C type cannot be stored.  Building the trace refuses them
+    all, so no replay ever sees one."""
     with pytest.raises(ValueError, match=f"'tampered'.*{field}"):
         _tampered_trace(field, value)
 
@@ -233,8 +248,8 @@ def test_trace_refuses_an_array_its_column_cannot_hold():
 
 def test_prefix_shares_its_stream():
     """A prefix is views of its stream's columns and the stream's own
-    resident arrays, all read-only, and the compiled code reads views
-    that start inside the longer stream's buffers."""
+    resident segment arrays, all read-only, and the compiled code reads
+    views that start inside the longer stream's buffers."""
     import numpy as np
 
     profile = parallel_profiles()[0]
@@ -245,11 +260,11 @@ def test_prefix_shares_its_stream():
         assert np.shares_memory(mine, theirs)
         with pytest.raises(ValueError):
             mine[0] = mine[0]
-    assert prefix.resident_data is stream.resident_data
-    assert prefix.resident_code is stream.resident_code
-    for lines in (prefix.resident_data, prefix.resident_code):
+    assert prefix.data_segments is stream.data_segments
+    assert prefix.code_segments is stream.code_segments
+    for segments in (prefix.data_segments, prefix.code_segments):
         with pytest.raises(ValueError):
-            lines[0] = 0
+            segments[0, 0] = 0
     arrays = kernel.decode(prefix)
     for name in ("codes", "src1", "src2"):
         assert np.shares_memory(getattr(arrays, name), getattr(prefix, name))
@@ -296,6 +311,23 @@ def test_replay_geometry_is_the_hierarchy_geometry(shared_l2):
         for level in (hierarchy.il1, hierarchy.dl1, hierarchy.l2,
                       hierarchy.l3)
     ]
+
+
+@pytest.mark.parametrize("level, column, value", [
+    (0, 0, 96), (2, 0, 0), (3, 2, 48), (1, 2, 0), (1, 1, 0),
+])
+def test_replay_refuses_a_geometry_it_cannot_shift_and_mask(
+        monkeypatch, level, column, value):
+    """The replay takes a line's tag and set with a shift and a mask: a
+    set count or line size that is not a power of two (or a level with
+    no ways) makes the library return a status that raises, before it
+    replays any access."""
+    geometry = kernel._geometry(False)
+    geometry[level, column] = value
+    monkeypatch.setattr(kernel, "_geometry", lambda shared_l2: geometry)
+    trace = _fresh_trace(spec_profiles()[0], 200)
+    with pytest.raises(ValueError, match="powers of two"):
+        kernel.replay_memory(trace, resolve("Base").config)
 
 
 # ---------------------------------------------------------------------------

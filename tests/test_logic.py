@@ -54,13 +54,13 @@ class TestNetlist:
 
     def test_chain_slack_zero_everywhere(self):
         netlist = self._chain(4)
-        slacks = netlist.slacks()
+        _, slacks = netlist.timing()
         assert all(abs(s) < 1e-15 for s in slacks.values())
 
     def test_side_branch_has_slack(self):
         netlist = self._chain(5)
         netlist.add_gate("side", Gate(GateType.INV), fanin=["g0"])
-        slacks = netlist.slacks()
+        _, slacks = netlist.timing()
         assert slacks["side"] > 0
 
     def test_duplicate_node_rejected(self):
@@ -129,7 +129,7 @@ class TestAdder:
     def test_noncritical_blocks_have_slack(self):
         # The {32:39} propagate blocks, the first the paper moves up.
         adder = build_carry_skip_adder()
-        slacks = adder.slacks()
+        _, slacks = adder.timing()
         for name in [f"p{g}_{b}" for g in (8, 9) for b in range(4)]:
             assert slacks[name] > 0, name
 
@@ -163,8 +163,7 @@ class TestPlacement:
 class TestBypass:
     def test_execute_stage_times_each_gate_once_per_pass(self, monkeypatch):
         """Each timing pass computes one delay per gate: folding the adder
-        takes four passes (2D delay, critical fraction, placement, 3D
-        delay)."""
+        takes three passes (2D delay, placement, 3D delay)."""
         calls = []
         node_delay = Netlist._node_delay
 
@@ -176,7 +175,7 @@ class TestBypass:
         evaluate_execute_stage(4)
         gates = len(build_carry_skip_adder())
         assert gates == 145
-        assert len(calls) <= 4 * gates
+        assert len(calls) <= 3 * gates
 
     def test_wire_length_superlinear(self):
         assert bypass_wire_length(4) > 2 * bypass_wire_length(2)

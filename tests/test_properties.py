@@ -239,10 +239,27 @@ _CODE_POOL = (0,) + tuple((k << 16) + offset
                           for k in range(1, 13) for offset in (0, 32))
 #: Branch sites that share predictor-table entries (``pc & 4095``).
 _BRANCH_PCS = (4104, 8200, 12296, 16396, 20480)
+#: Resident segment steps: one line repeated (0), consecutive IL1/DL1
+#: and L2 lines (32, 64), and the strides that keep a run in one set of
+#: IL1 (``1 << 13``), DL1 (4096), L2 (``1 << 15``, ``1 << 16`` when
+#: shared) or L3 (``1 << 17``), so a long run fills that set past its
+#: ways.
+_SEGMENT_STEPS = (0, 32, 64, 4096, 1 << 13, 1 << 15, 1 << 16, 1 << 17)
+
+
+def _segment_tables(starts):
+    """Lists of ``(start, step, count)`` rows: empty, a step of 0, empty
+    runs, and, as starts come from a small pool of aliasing lines, runs
+    that overlap and lines that repeat."""
+    return st.lists(st.tuples(st.sampled_from(starts),
+                              st.sampled_from(_SEGMENT_STEPS),
+                              st.integers(0, 40)), max_size=6)
 
 
 @st.composite
-def _replay_traces(draw):
+def _replay_traces(draw, segments=False):
+    """Random traces over the aliasing pools, warmed from hand-built
+    resident line lists or, with ``segments``, from segment tables."""
     from repro.uarch.isa import OP_CODE, OpClass, Trace
 
     alu, load, store, branch = (
@@ -266,8 +283,13 @@ def _replay_traces(draw):
         [taken and code == branch for code, _, _, _, taken in ops],
         [-1] * n,
     ]
+    warmup = draw(st.integers(0, n))
+    if segments:
+        return Trace("replay-prop", warmup_ops=warmup, columns=columns,
+                     segments=(draw(_segment_tables(_DATA_POOL)),
+                               draw(_segment_tables(_CODE_POOL[1:]))))
     return Trace(
-        "replay-prop", warmup_ops=draw(st.integers(0, n)),
+        "replay-prop", warmup_ops=warmup,
         resident_data=draw(st.lists(st.sampled_from(_DATA_POOL),
                                     max_size=80)),
         resident_code=draw(st.lists(st.sampled_from(_CODE_POOL[1:]),
@@ -421,6 +443,30 @@ def test_compiled_coherence_matches_the_directory(traces, shared_l2):
     assert table.transfers == transfers
 
 
+@settings(deadline=None, max_examples=30)
+@given(traces=st.lists(_replay_traces(segments=True), min_size=2,
+                       max_size=3))
+def test_segment_warm_state_matches_the_expanded_lines(traces):
+    """Warm state built from resident segments equals the oracle's
+    ``CacheHierarchy`` preloaded from the lines they expand to, under
+    both L2 geometries, for one core and for a coherence group."""
+    from repro.design.resolve import resolve
+    from repro.uarch import kernel
+
+    for shared_l2 in (False, True):
+        config = dataclasses.replace(resolve("Base").config, shared_l2=shared_l2)
+        (expected,), _ = _reference_replay(traces[:1], shared_l2)
+        assert _image_tuple(kernel.replay_memory(traces[0], config)) == expected
+        expected, transfers = _reference_replay(traces, shared_l2)
+        table = kernel.OwnerTable(traces)
+        assert [
+            _image_tuple(kernel.replay_memory(trace, config, core_id=core_id,
+                                              coherence=table))
+            for core_id, trace in enumerate(traces)
+        ] == expected
+        assert table.transfers == transfers
+
+
 # ---------------------------------------------------------------------------
 # Cache invariants
 # ---------------------------------------------------------------------------
@@ -472,7 +518,7 @@ def test_netlist_slack_nonnegative_and_critical_zero(lengths):
             name = f"b{b}_g{i}"
             netlist.add_gate(name, Gate(GateType.NAND2, size=2.0), fanin=[prev])
             prev = name
-    slacks = netlist.slacks()
+    _, slacks = netlist.timing()
     assert all(s >= -1e-18 for s in slacks.values())
     path, _ = netlist.critical_path()
     for name in path:
@@ -510,8 +556,10 @@ def test_netlist_timing_matches_kahn_reference(dag):
     critical = max(arrivals.values())
     # Zero slacks are compared on the critical delay's scale.
     tolerance = dict(rel=1e-12, abs=1e-12 * critical)
+    timed_arrivals, timed_slacks = netlist.timing()
     assert netlist.arrival_times() == pytest.approx(arrivals, **tolerance)
-    assert netlist.slacks() == pytest.approx(slacks, **tolerance)
+    assert timed_arrivals == pytest.approx(arrivals, **tolerance)
+    assert timed_slacks == pytest.approx(slacks, **tolerance)
     assert netlist.critical_path()[1] == pytest.approx(critical, rel=1e-12)
 
 

@@ -454,3 +454,23 @@ def test_every_report_trace_is_pinned():
     }
     assert len(digests) == 141
     assert digests == REPORT_TRACE_DIGESTS
+
+
+@pytest.mark.parametrize("case", ["Gcc/0", "Canneal/5", "Ocean/3"])
+def test_generated_trace_stores_segments_not_lines(case):
+    """A generated trace keeps its warm state as at most four ``(start,
+    step, count)`` rows per residency kind and stores no line array; the
+    lines those rows stand for still give the pinned digest."""
+    name, thread = case.split("/")
+    profile = {**spec_by_name(), **parallel_by_name()}[name]
+    trace = generate_trace(profile, REPORT_TRACE_UOPS, seed=1234,
+                           thread=int(thread))
+    segments = (trace.data_segments, trace.code_segments)
+    for rows in segments:
+        assert rows.dtype == np.int64
+        assert rows.ndim == 2 and rows.shape[1] == 3 and len(rows) <= 4
+    for value in vars(trace).values():
+        if isinstance(value, np.ndarray):
+            assert len(value) == len(trace) or any(
+                value is rows for rows in segments)
+    assert column_digest(trace) == REPORT_TRACE_DIGESTS[case]
