@@ -156,13 +156,6 @@ def _frozen(name: str, what: str, values, dtype) -> np.ndarray:
     return array
 
 
-def _segments_of(name: str, lines) -> np.ndarray:
-    """Hand-built resident ``lines`` as segments: one ``(line, 0, 1)``
-    row per line, in order."""
-    lines = _frozen(name, "resident line", lines, np.int64)
-    return np.column_stack((lines, np.zeros_like(lines), np.ones_like(lines)))
-
-
 def _frozen_segments(name: str, segments) -> np.ndarray:
     """``segments`` as a read-only ``(k, 3)`` ``int64`` array, refusing a
     row the compiled replay cannot index: a negative start, step or
@@ -216,10 +209,9 @@ class Trace:
     is stored only as ``data_segments`` / ``code_segments``: read-only
     ``(k, 3)`` ``int64`` arrays of ``(start, step, count)`` rows, each
     the arithmetic run ``start, start + step, ...`` of ``count`` lines,
-    oldest row first.  The generator builds its resident lines as such
-    runs and passes ``segments=(data, code)``; a hand-built
-    ``resident_data=[...]`` / ``resident_code=[...]`` line list becomes
-    one single-line row per line.  :attr:`resident_data` and
+    oldest row first, passed as ``segments=(data, code)`` (default: no
+    warm state).  The generator builds its resident lines as such runs;
+    a single line is the row ``(line, 0, 1)``.  :attr:`resident_data` and
     :attr:`resident_code` expand the rows into line arrays on every
     read and are never stored: only the scalar oracle's
     :meth:`~repro.uarch.cache.CacheHierarchy.preload`,
@@ -235,17 +227,11 @@ class Trace:
     """
 
     def __init__(self, name: str, ops: Optional[Sequence[MicroOp]] = None,
-                 warmup_ops: int = 0,
-                 resident_data: Sequence[int] = (),
-                 resident_code: Sequence[int] = (), *,
+                 warmup_ops: int = 0, *,
                  columns: Optional[Sequence[Sequence]] = None,
-                 segments: Optional[Sequence] = None) -> None:
+                 segments: Sequence = ((), ())) -> None:
         if (ops is None) == (columns is None):
             raise TypeError("Trace needs exactly one of ops= or columns=")
-        if segments is not None and (len(resident_data)
-                                     or len(resident_code)):
-            raise TypeError("Trace takes resident lines or segments=, "
-                            "not both")
         self.name = name
         self.warmup_ops = warmup_ops
         self._ops: Optional[List[MicroOp]] = None
@@ -256,9 +242,6 @@ class Trace:
          self.taken, self.barrier) = (
             _frozen(name, what, values, dtype)
             for what, values, dtype in zip(COLUMNS, columns, _COLUMN_TYPES))
-        if segments is None:
-            segments = (_segments_of(name, resident_data),
-                        _segments_of(name, resident_code))
         self.data_segments, self.code_segments = (
             _frozen_segments(name, rows) for rows in segments)
         rows = len(self.codes)

@@ -7,6 +7,7 @@
 * :func:`reference_key`: ``make_key`` as one ``json.dumps`` of the whole
   canonical payload, the form every stored key was built with.
 * :func:`reference_generate`: the trace generator's Python row loop.
+* :func:`line_segments`: resident lines as ``Trace`` segment rows.
 * :func:`solve_stack_reference`: the thermal grid solve as scalar
   ``lil_matrix`` assembly and one ``spsolve``.
 * :func:`reference_timing`: a netlist's arrival times and slacks by
@@ -212,6 +213,12 @@ def reference_generate(generator, num_uops, warmup_frac=WARMUP_FRAC):
         segments=(generator._data_segments(), generator._code_segments()),
         columns=[codes, src1, src2, address, pc, taken, barrier],
     )
+
+
+def line_segments(lines):
+    """Resident ``lines`` as ``Trace(segments=...)`` rows: one
+    ``(line, 0, 1)`` row per line, in order."""
+    return [(line, 0, 1) for line in lines]
 
 
 def solve_stack_reference(stack, power_maps, chip_area, grid=16):

@@ -176,22 +176,21 @@ def test_windows_across_prunes_match_oracle():
 
 def _tampered_trace(field, value):
     """A generated trace, rebuilt from plain lists with one ``field``
-    value replaced by ``value``; a tuple ``value`` replaces its first
-    resident data segment instead, so the trace takes segments."""
+    value replaced by ``value``.  A tuple ``value`` replaces its first
+    resident data segment, and a ``"resident line"`` replaces it with
+    that one line, the row ``(value, 0, 1)``."""
     from repro.uarch.isa import OP_CODE, OpClass, Trace
 
     trace = _fresh_trace(spec_profiles()[0], 200)
     columns = [column.tolist() for column in trace.columns]
     codes, src1, address, pc = columns[0], columns[1], columns[3], columns[4]
-    resident_data = trace.resident_data.tolist()
+    segments = trace.data_segments.tolist()
     warmup = trace.warmup_ops
     if isinstance(value, tuple):
-        segments = trace.data_segments.tolist()
         segments[0] = value
-        return Trace("tampered", warmup_ops=warmup,
-                     segments=(segments, trace.code_segments),
-                     columns=columns)
-    if field == "warmup":
+    elif field == "resident line":
+        segments[0] = (value, 0, 1)
+    elif field == "warmup":
         warmup = value
     elif field == "columns":
         del pc[value:]
@@ -199,13 +198,10 @@ def _tampered_trace(field, value):
         address[codes.index(OP_CODE[OpClass.LOAD])] = value
     elif field == "pc":
         pc[0] = value
-    elif field == "src1":
-        src1[-1] = value
     else:
-        resident_data[0] = value
+        src1[-1] = value
     return Trace("tampered", warmup_ops=warmup,
-                 resident_data=resident_data,
-                 resident_code=trace.resident_code, columns=columns)
+                 segments=(segments, trace.code_segments), columns=columns)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -16,7 +16,7 @@ from repro.tech.wire import LOCAL_WIRE
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.noc import RingNoc
 from repro.uarch.ooo import _FuPool, _PerCycleBandwidth, _WidthLimiter
-from tests.references import reference_timing
+from tests.references import line_segments, reference_timing
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +258,9 @@ def _segment_tables(starts):
 
 @st.composite
 def _replay_traces(draw, segments=False):
-    """Random traces over the aliasing pools, warmed from hand-built
-    resident line lists or, with ``segments``, from segment tables."""
+    """Random traces over the aliasing pools, warmed from resident line
+    lists (one single-line row each) or, with ``segments``, from segment
+    tables."""
     from repro.uarch.isa import OP_CODE, OpClass, Trace
 
     alu, load, store, branch = (
@@ -285,17 +286,17 @@ def _replay_traces(draw, segments=False):
     ]
     warmup = draw(st.integers(0, n))
     if segments:
-        return Trace("replay-prop", warmup_ops=warmup, columns=columns,
-                     segments=(draw(_segment_tables(_DATA_POOL)),
-                               draw(_segment_tables(_CODE_POOL[1:]))))
-    return Trace(
-        "replay-prop", warmup_ops=warmup,
-        resident_data=draw(st.lists(st.sampled_from(_DATA_POOL),
-                                    max_size=80)),
-        resident_code=draw(st.lists(st.sampled_from(_CODE_POOL[1:]),
-                                    max_size=40)),
-        columns=columns,
-    )
+        tables = (draw(_segment_tables(_DATA_POOL)),
+                  draw(_segment_tables(_CODE_POOL[1:])))
+    else:
+        tables = (
+            line_segments(draw(st.lists(st.sampled_from(_DATA_POOL),
+                                        max_size=80))),
+            line_segments(draw(st.lists(st.sampled_from(_CODE_POOL[1:]),
+                                        max_size=40))),
+        )
+    return Trace("replay-prop", warmup_ops=warmup, columns=columns,
+                 segments=tables)
 
 
 def _reference_replay(traces, shared_l2):

@@ -184,8 +184,7 @@ class TestColumnarTrace:
         assert any(code == 0 for code in trace.src1)  # ready operands
         rebuilt = Trace(
             trace.name, ops=trace.ops, warmup_ops=trace.warmup_ops,
-            resident_data=trace.resident_data,
-            resident_code=trace.resident_code,
+            segments=(trace.data_segments, trace.code_segments),
         )
         self.assert_same_trace(rebuilt, trace)
         assert rebuilt.ops == trace.ops
