@@ -69,6 +69,7 @@ from repro.obs import (
     run_record,
     write_manifest,
 )
+from repro.obs.telemetry import ManycoreSection
 from repro.experiments.runner import (
     ARTIFACTS,
     BuildParams,
@@ -317,23 +318,23 @@ def cmd_manycore(args: argparse.Namespace) -> None:
     seconds = time.perf_counter() - start
     report.print()
     noc = report.resolved.noc
-    attach_section("manycore", {
-        "scenario": grid.name,
-        "rows": grid.rows,
-        "cols": grid.cols,
-        "tiles": grid.num_tiles,
-        "apps": len(report.apps),
-        "folded_tiles": noc.folded_tiles,
-        "injection_rate": noc.injection_rate,
-        "noc_latency": noc.average_latency,
-        "contention_cycles": noc.contention_cycles,
-        "dropped_phases": sum(
+    attach_section("manycore", ManycoreSection(
+        scenario=grid.name,
+        rows=grid.rows,
+        cols=grid.cols,
+        tiles=grid.num_tiles,
+        apps=len(report.apps),
+        folded_tiles=noc.folded_tiles,
+        injection_rate=noc.injection_rate,
+        noc_latency=noc.average_latency,
+        contention_cycles=noc.contention_cycles,
+        dropped_phases=sum(
             result.dropped_phases for result in report.results.values()
         ),
-        "max_peak_c": max(report.peak_c.values()),
-        "thermal_grid": report.thermal_grid,
-        "seconds": seconds,
-    })
+        max_peak_c=max(report.peak_c.values()),
+        thermal_grid=report.thermal_grid,
+        seconds=seconds,
+    ).as_record())
 
 
 def main(argv=None) -> None:

@@ -17,7 +17,7 @@ single-core Base; multicore points run the parallel suite against the
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.design.resolve import ResolvedDesign, as_point, resolve
 from repro.obs import warn_model_disagreement
@@ -83,6 +83,22 @@ class PointEvaluation:
             "speedup": self.avg_speedup,
             "energy": self.avg_energy,
             "peak_c": self.max_peak_c,
+        }
+
+    def as_record(self) -> Dict[str, Any]:
+        """The JSON record of this point: identity, per-app series and
+        headline summary (what the explore store and ``repro serve``
+        keep per point)."""
+        return {
+            "name": self.name,
+            "point": self.design.point.to_dict(),
+            "ghz": self.ghz,
+            "apps": list(self.apps),
+            "cpi": list(self.cpi),
+            "speedup": list(self.speedup),
+            "energy": list(self.energy),
+            "peak_c": list(self.peak_c),
+            "summary": self.summary_row(),
         }
 
     def print(self) -> None:
@@ -367,15 +383,14 @@ def _finish_group(group: _SuiteGroup,
             if multicore:
                 base_report = base_model.evaluate_multicore(base_run)
                 report = model.evaluate_multicore(run)
-                # Normalise at equal total work (cf. figure10).
-                scale = max(1, base_run.total_uops) / max(1, run.total_uops)
+                energy.append(report.normalized_to(base_report, run,
+                                                   base_run))
                 core_power = report.average_power / cores
             else:
                 base_report = base_model.evaluate(base_run)
                 report = model.evaluate(run)
-                scale = 1.0
+                energy.append(report.normalized_to(base_report))
                 core_power = report.average_power
-            if not multicore:
                 message = interval_crosscheck(
                     design.config, baseline.config, run, base_run,
                     label=f"{design.point.name}/{profile.name}",
@@ -385,7 +400,6 @@ def _finish_group(group: _SuiteGroup,
             names.append(profile.name)
             cpi.append(_effective_cpi(run, cores))
             speedup.append(run.speedup_over(base_run))
-            energy.append(report.total * scale / base_report.total)
             peak.append(
                 design.peak_temperature(core_power, profile,
                                         grid=group.grid).peak_c

@@ -9,9 +9,9 @@ the Accelergy plug-in apply to their on-disk result stores).
 
 Two layers:
 
-* an in-memory dictionary, shared by every sweep in one process — this is
-  what lets figure6/7/8 reuse one single-core sweep and figure9/10 one
-  multicore sweep;
+* an in-memory :class:`~repro.lru.LruMemo` of ``max_memory_entries``,
+  shared by every sweep in one process — this is what lets figure6/7/8
+  reuse one single-core sweep and figure9/10 one multicore sweep;
 * an optional on-disk SQLite layer (``cache_dir/cache.sqlite``), so
   repeated invocations of the runner, the benchmarks, the CLI — and many
   concurrent ``repro serve`` clients — skip simulation entirely.
@@ -37,6 +37,7 @@ from typing import Any, Iterable, Optional, Tuple
 
 from repro.lru import LruMemo
 from repro.obs.record import current_record
+from repro.obs.telemetry import CacheStats
 
 _FINGERPRINT: Optional[str] = None
 
@@ -114,29 +115,8 @@ def make_key(kind: str, **parts: Any) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclasses.dataclass
-class CacheStats:
-    """Hit/miss accounting, exposed to bench and the tests."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Disk writes that failed (full disk, read-only directory, an
-    #: unpicklable result, ...); each one degraded that store to
-    #: memory-only instead of aborting the sweep.
-    disk_put_failures: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over lookups (0.0 on an untouched cache)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
+#: ``ResultCache.get``'s memory-miss marker (a stored value may be ``None``).
+_ABSENT = object()
 
 #: Filename of the SQLite database inside ``cache_dir``.
 DB_FILENAME = "cache.sqlite"
@@ -236,8 +216,7 @@ class ResultCache:
             raise ValueError(f"ResultCache max_memory_entries must be >= 1, "
                              f"got {max_memory_entries}")
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.max_memory_entries = max_memory_entries
-        self._memory: dict = {}
+        self._memory = LruMemo(cap=max_memory_entries)
         self.stats = CacheStats()
         self._disk_warned = False
         self._disk: Optional[_SqliteLayer] = None
@@ -251,13 +230,9 @@ class ResultCache:
     def get(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; consults memory first, then disk."""
         with self._lock:
-            memory = self._memory
-            if key in memory:
+            value = self._memory.peek(key, _ABSENT)
+            if value is not _ABSENT:
                 self._count("memory_hits")
-                # Refresh recency: a hit entry moves to the back of the
-                # eviction queue (dicts preserve insertion order).
-                value = memory.pop(key)
-                memory[key] = value
                 return True, value
             if self._disk is not None:
                 try:
@@ -266,7 +241,7 @@ class ResultCache:
                     hit, value = False, None
                 if hit:
                     self._count("disk_hits")
-                    self._remember(key, value)
+                    self._memory.put(key, value)
                     return True, value
             self._count("misses")
             return False, None
@@ -289,7 +264,7 @@ class ResultCache:
             self._count("stores", len(items))
             blobs = []
             for key, value in items:
-                self._remember(key, value)
+                self._memory.put(key, value)
                 if self._disk is not None:
                     try:
                         blobs.append(
@@ -340,20 +315,3 @@ class ResultCache:
                 RuntimeWarning,
                 stacklevel=3,
             )
-
-    def _remember(self, key: str, value: Any) -> None:
-        memory = self._memory
-        if key in memory:
-            # Re-store of a live key: refresh its recency, no eviction.
-            del memory[key]
-        elif len(memory) >= self.max_memory_entries:
-            # Evict the least recently used quarter, and at least one
-            # entry: both ``get`` hits and re-stores move keys to the
-            # back of the dict, so the front really is the coldest end
-            # (true LRU — insertion order alone would evict the hottest
-            # keys first).
-            evict = max(1, self.max_memory_entries // 4)
-            for stale in list(memory)[:evict]:
-                del memory[stale]
-        memory[key] = value
-

@@ -31,6 +31,7 @@ from repro.design.resolve import (
 from repro.engine import pool as worker_pool
 from repro.engine.cache import ResultCache, make_key
 from repro.obs.record import current_record
+from repro.obs.telemetry import BatchRecord, KernelBatchRecord, SpecTiming
 from repro.uarch.kernel import kernel_enabled, run_trace_batch
 from repro.uarch.multicore import MulticoreResult, run_parallel_batch, \
     run_parallel_tiles
@@ -373,24 +374,24 @@ class ExperimentEngine:
                     (keys[index], results[index]) for index in indices
                 )
             if record is not None:
-                record.add_kernel_batch(
+                record.add_kernel_batch(KernelBatchRecord(
                     mode=first.mode,
                     width=len(indices),
                     seconds=seconds,
                     used_kernel=used_kernel,
-                )
+                ))
         if record is None:
             return results
-        record.add_batch(
+        record.batches.append(BatchRecord(
             specs=len(specs),
             hits=len(specs) - len(missing),
             misses=len(missing),
             seconds=time.perf_counter() - batch_start,
             workers=workers,
-        )
+        ))
         missing_set = set(missing)
         for index, (spec, key) in enumerate(zip(specs, keys)):
-            record.add_spec(
+            record.spec_timings.append(SpecTiming(
                 key=key,
                 mode=spec.mode,
                 config=spec.config.name,
@@ -399,7 +400,7 @@ class ExperimentEngine:
                 seed=spec.seed,
                 cached=index not in missing_set,
                 seconds=durations.get(index),
-            )
+            ))
             record.observe_result(results[index])
         return results
 

@@ -95,9 +95,9 @@ def design_alternatives_study(total_uops: int = 24000,
         for cfg in configs:
             result = engine.simulate_parallel(cfg, profile, total_uops)
             report = models[cfg.name].evaluate_multicore(result)
-            scale = base.total_uops / max(1, result.total_uops)
             sums[cfg.name]["speedup"] += result.speedup_over(base)
-            sums[cfg.name]["energy"] += report.total * scale / base_report.total
+            sums[cfg.name]["energy"] += report.normalized_to(
+                base_report, result, base)
     return {
         name: {key: value / len(profiles) for key, value in metrics.items()}
         for name, metrics in sums.items()

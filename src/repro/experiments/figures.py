@@ -153,11 +153,9 @@ def figure10(total_uops: int = MULTICORE_UOPS, seed: int = 1234) -> FigureSeries
     for app in apps:
         base_report = models["Base"].evaluate_multicore(runs[app]["Base"])
         for cfg in configs:
-            report = models[cfg.name].evaluate_multicore(runs[app][cfg.name])
-            # Normalise at equal total work.
-            scale = max(1, runs[app]["Base"].total_uops) / max(
-                1, runs[app][cfg.name].total_uops
-            )
-            values[cfg.name].append(report.total * scale / base_report.total)
+            run = runs[app][cfg.name]
+            report = models[cfg.name].evaluate_multicore(run)
+            values[cfg.name].append(
+                report.normalized_to(base_report, run, runs[app]["Base"]))
     return FigureSeries("Figure 10: multicore normalized energy", apps, values)
 

@@ -174,58 +174,35 @@ def table5() -> List[TableRow]:
     return _strategy_table(port_partition, reference.TABLE5_PP, structures=("RF",))
 
 
+def _plan_rows(plans, paper) -> List[TableRow]:
+    """One row per structure plan: its best partition against the paper's
+    entry for the structure."""
+    rows = []
+    for plan in plans:
+        best, ref = plan.best_report, paper[plan.geometry.name]
+        rows.append(TableRow(
+            plan.geometry.name,
+            {"strategy": plan.strategy, "latency": best.latency_pct,
+             "energy": best.energy_pct, "footprint": best.footprint_pct},
+            {"strategy": ref.strategy, "latency": ref.latency,
+             "energy": ref.energy, "footprint": ref.footprint},
+        ))
+    return rows
+
+
 def table6(stack: str = "M3D") -> List[TableRow]:
     """Table 6: best iso-layer partition per structure (M3D or TSV3D)."""
     the_stack = stack_m3d_iso() if stack == "M3D" else stack_tsv3d()
     paper = reference.TABLE6_M3D if stack == "M3D" else reference.TABLE6_TSV
-    rows = []
-    for plan in plan_core(core_structures(), the_stack):
-        name = plan.geometry.name
-        rows.append(
-            TableRow(
-                name,
-                {
-                    "strategy": plan.strategy,
-                    "latency": plan.best_report.latency_pct,
-                    "energy": plan.best_report.energy_pct,
-                    "footprint": plan.best_report.footprint_pct,
-                },
-                {
-                    "strategy": paper[name].strategy,
-                    "latency": paper[name].latency,
-                    "energy": paper[name].energy,
-                    "footprint": paper[name].footprint,
-                },
-            )
-        )
-    return rows
+    return _plan_rows(plan_core(core_structures(), the_stack), paper)
 
 
 def table8() -> List[TableRow]:
     """Table 8: hetero-layer (asymmetric) partition per structure."""
-    rows = []
-    plans = plan_core(core_structures(), stack_m3d_hetero(), asymmetric=True)
-    for plan in plans:
-        name = plan.geometry.name
-        paper = reference.TABLE8_HETERO[name]
-        rows.append(
-            TableRow(
-                name,
-                {
-                    "strategy": plan.strategy,
-                    "latency": plan.best_report.latency_pct,
-                    "energy": plan.best_report.energy_pct,
-                    "footprint": plan.best_report.footprint_pct,
-                },
-                {
-                    "strategy": paper.strategy,
-                    "latency": paper.latency,
-                    "energy": paper.energy,
-                    "footprint": paper.footprint,
-                },
-            )
-        )
-    return rows
+    return _plan_rows(
+        plan_core(core_structures(), stack_m3d_hetero(), asymmetric=True),
+        reference.TABLE8_HETERO,
+    )
 
 
 def table11() -> List[TableRow]:

@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.design.space import SpaceSpec
 from repro.explore.frontier import pareto_frontier
 from repro.explore.store import ResultStore, evaluation_record, point_key
+from repro.obs.telemetry import ExploreSection
 
 #: Default points per evaluation chunk.  One chunk is one
 #: ``submit_points`` call, which fans out into one batched-kernel group
@@ -80,26 +81,24 @@ class ExploreReport:
 
     def as_dict(self) -> Dict[str, Any]:
         """The manifest/CLI summary view."""
-        out = {
-            "space": self.space.name,
-            "kind": self.space.kind,
-            "store": str(self.store_path) if self.store_path else None,
-            "chunk_size": self.chunk_size,
-            "in_flight": self.in_flight,
-            "total_points": self.total_points,
-            "unique_points": self.unique_points,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-            "duplicates": self.duplicates,
-            "chunks": self.chunks,
-            "frontier_size": len(self.frontier),
-            "seconds": self.seconds,
-            "points_per_second": self.points_per_second,
-            "pool_reuses": self.pool_reuses,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        return ExploreSection(
+            space=self.space.name,
+            kind=self.space.kind,
+            store=str(self.store_path) if self.store_path else None,
+            chunk_size=self.chunk_size,
+            in_flight=self.in_flight,
+            total_points=self.total_points,
+            unique_points=self.unique_points,
+            evaluated=self.evaluated,
+            skipped=self.skipped,
+            duplicates=self.duplicates,
+            chunks=self.chunks,
+            frontier_size=len(self.frontier),
+            seconds=self.seconds,
+            points_per_second=self.points_per_second,
+            pool_reuses=self.pool_reuses,
+            error=self.error,
+        ).as_record()
 
 
 def explore(space: SpaceSpec,
@@ -172,8 +171,8 @@ def explore(space: SpaceSpec,
         chunk, handle = inflight.popleft()
         evaluations = handle.result()
         store.append_many(
-            evaluation_record(key, point, evaluation, params)
-            for (point, key), evaluation in zip(chunk, evaluations)
+            evaluation_record(key, evaluation, params)
+            for (_, key), evaluation in zip(chunk, evaluations)
         )
         evaluated += len(chunk)
         chunks += 1

@@ -48,23 +48,16 @@ def point_key(point, *, uops: int, seed: int, grid: int,
                     grid=grid, apps=apps)
 
 
-def evaluation_record(key: str, point, evaluation,
+def evaluation_record(key: str, evaluation,
                       params: Dict[str, Any]) -> Dict[str, Any]:
-    """One JSONL line's payload for an evaluated point."""
+    """One JSONL line's payload for an evaluated point: its store
+    identity and :meth:`~repro.design.sweep.PointEvaluation.as_record`."""
     return {
         "schema": STORE_SCHEMA_VERSION,
         "key": key,
         "fingerprint": code_fingerprint(),
-        "name": point.name,
-        "point": point.to_dict(),
         "params": dict(params),
-        "ghz": evaluation.ghz,
-        "apps": list(evaluation.apps),
-        "cpi": list(evaluation.cpi),
-        "speedup": list(evaluation.speedup),
-        "energy": list(evaluation.energy),
-        "peak_c": list(evaluation.peak_c),
-        "summary": evaluation.summary_row(),
+        **evaluation.as_record(),
     }
 
 

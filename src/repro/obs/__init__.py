@@ -14,6 +14,9 @@ through:
   :func:`~repro.obs.manifest.validate_manifest` — schema-versioned JSON
   views of one record (``--metrics-out`` / ``$REPRO_METRICS`` on every
   entry point; ``python -m repro.obs`` validates one from the shell).
+
+Each part of a manifest is declared once, in :mod:`repro.obs.telemetry`:
+records, manifests and the validator all read that declaration.
 """
 
 from repro.obs.manifest import (
@@ -36,9 +39,10 @@ from repro.obs.telemetry import (
     KernelBatchRecord,
     ModelDisagreementWarning,
     SpecTiming,
+    TimerSpan,
     warn_model_disagreement,
 )
-from repro.obs.timer import TimerSpan, timer
+from repro.obs.timer import timer
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",

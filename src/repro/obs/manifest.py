@@ -22,20 +22,27 @@ Every entry point (``python -m repro``, the experiment runner,
 A manifest describes exactly one :class:`~repro.obs.record.RunRecord`:
 one CLI invocation, or one served request.
 
-:func:`validate_manifest` is a dependency-free structural validator
-(``python -m repro.obs <manifest.json>`` runs it from the command line;
-CI fails if the benchmark's manifest does not validate).
+:func:`build_manifest` writes, and :func:`validate_manifest` checks,
+each part by its declaration in :mod:`repro.obs.telemetry`.  The
+validator is dependency-free (``python -m repro.obs <manifest.json>``
+runs it from the command line; CI fails if the benchmark's manifest does
+not validate).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import (Annotated, Any, Dict, List, Literal, Optional, Union,
+                    get_args, get_origin)
 
 from repro.obs.record import RunRecord
+from repro.obs.telemetry import (COUNT, NOTE, PARTS, RATIO, SECTIONS, Counts,
+                                 EngineSection, PlatformSection, declared,
+                                 marks, written)
 
 #: Current manifest schema identifier; bump when the shape changes.
 #: v2 added the ``kernel`` section (batched SoA-kernel usage records).
@@ -96,28 +103,26 @@ def build_manifest(command: str, record: RunRecord,
         "created": datetime.now(timezone.utc).isoformat(),
         "command": command,
         "code_fingerprint": code_fingerprint(),
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count() or 1,
-        },
-        "engine": {
-            "jobs": engine.jobs,
-            "cache_dir": str(cache_dir) if cache_dir is not None else None,
-        },
-        "cache": dict(record.cache),
-        "batches": [batch.as_record() for batch in record.batches],
-        "kernel": {
-            "summary": record.kernel_summary(),
-            "batches": [batch.as_record() for batch in record.kernel_batches],
-        },
-        "specs": [spec.as_record() for spec in record.spec_timings],
-        "stalls": dict(record.stall_cycles),
-        "counters": dict(record.counters),
-        "mem_level_counts": dict(record.mem_level_counts),
-        "timers": [span.as_record() for span in record.timers],
+        "platform": PlatformSection(platform.python_version(),
+                                    platform.machine(),
+                                    os.cpu_count() or 1).as_record(),
+        "engine": EngineSection(
+            engine.jobs, str(cache_dir) if cache_dir is not None else None,
+        ).as_record(),
     }
-    for name in ("validation", "explore", "manycore", "serve"):
+    for key, attr, declaration in PARTS:
+        value = getattr(record, attr)
+        if isinstance(value, list):
+            value = [entry.as_record() for entry in value]
+        else:
+            value = dict(value) if declaration is Counts \
+                else written(declaration, value)
+        outer, _, inner = key.partition(".")
+        if inner:
+            manifest.setdefault(outer, {})[inner] = value
+        else:
+            manifest[outer] = value
+    for name in SECTIONS:
         if name in record.sections:
             manifest[name] = record.sections[name]
     return manifest
@@ -138,152 +143,49 @@ def metrics_path(cli_value: Optional[str] = None) -> Optional[str]:
 
 # -- validation ---------------------------------------------------------------
 
-#: Field -> required type(s) for each nested record (``None`` in a tuple
-#: means the JSON value may be null).
-_PLATFORM_FIELDS = {"python": str, "machine": str, "cpu_count": int}
-_ENGINE_FIELDS = {"jobs": int, "cache_dir": (str, type(None))}
-_CACHE_FIELDS = {
-    "memory_hits": int,
-    "disk_hits": int,
-    "misses": int,
-    "stores": int,
-    "disk_put_failures": int,
-}
-_COUNTER_FIELDS = {
-    "uops": int,
-    "cycles": int,
-    "branches": int,
-    "mispredictions": int,
-    "loads": int,
-    "stores": int,
-}
-_BATCH_FIELDS = {
-    "specs": int,
-    "hits": int,
-    "misses": int,
-    "seconds": (int, float),
-    "workers": int,
-}
-_SPEC_FIELDS = {
-    "key": str,
-    "mode": str,
-    "config": str,
-    "profile": str,
-    "uops": int,
-    "seed": int,
-    "cached": bool,
-    "seconds": (int, float, type(None)),
-}
-_TIMER_FIELDS = {"name": str, "seconds": (int, float)}
-_KERNEL_SUMMARY_FIELDS = {
-    "groups": int,
-    "batched_specs": int,
-    "fallback_specs": int,
-    "singleton_specs": int,
-    "max_width": int,
-    "seconds": (int, float),
-}
-_KERNEL_BATCH_FIELDS = {
-    "mode": str,
-    "width": int,
-    "seconds": (int, float),
-    "used_kernel": bool,
-}
-_VALIDATION_FIELDS = {
-    "schema": str,
-    "mode": str,
-    "deep": bool,
-    "status": str,
-    "artifacts": list,
-    "summary": dict,
-}
-_VALIDATION_ARTIFACT_FIELDS = {
-    "artifact": str,
-    "status": str,
-    "cells": int,
-    "drifts": list,
-}
-_DRIFT_FIELDS = {"path": str, "kind": str, "message": str}
-_EXPLORE_FIELDS = {
-    "space": str,
-    "kind": str,
-    "store": (str, type(None)),
-    "chunk_size": int,
-    "in_flight": int,
-    "total_points": int,
-    "unique_points": int,
-    "evaluated": int,
-    "skipped": int,
-    "duplicates": int,
-    "chunks": int,
-    "frontier_size": int,
-    "seconds": (int, float),
-    "points_per_second": (int, float),
-    "pool_reuses": int,
-}
-_SERVE_FIELDS = {
-    "requests": int,
-    "rejected": int,
-    "queue_depth": int,
-    "wait_seconds": (int, float),
-    "service_seconds": (int, float),
-    "cache_hit_ratio": (int, float),
-}
-_MANYCORE_FIELDS = {
-    "scenario": str,
-    "rows": int,
-    "cols": int,
-    "tiles": int,
-    "apps": int,
-    "folded_tiles": bool,
-    "injection_rate": (int, float),
-    "noc_latency": int,
-    "contention_cycles": (int, float),
-    "dropped_phases": int,
-    "max_peak_c": (int, float),
-    "thermal_grid": int,
-    "seconds": (int, float),
-}
 
-
-def _typecheck(value: Any, expected, where: str, problems: List[str]) -> None:
-    kinds = expected if isinstance(expected, tuple) else (expected,)
+def _check(value: Any, hint: Any, where: str, problems: List[str]) -> None:
+    """Append to ``problems`` every way ``value`` breaks ``hint``, a
+    declaration or one of its field annotations."""
+    origin, args = get_origin(hint), get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            problems.append(f"{where}: expected an object, got "
+                            f"{type(value).__name__}")
+            return
+        for name, field in declared(hint).items():
+            if name in value:
+                _check(value[name], field, f"{where}.{name}", problems)
+            elif NOTE not in marks(field):
+                problems.append(f"{where}: missing field {name!r}")
+    elif origin is Annotated:
+        _check(value, args[0], where, problems)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if COUNT in args and value < 0:
+                problems.append(f"{where}: negative count {value}")
+            if RATIO in args and not 0.0 <= value <= 1.0:
+                problems.append(f"{where}: {value} outside [0, 1]")
+    elif origin is Union:  # Optional[...]
+        if value is not None:
+            _check(value, args[0], where, problems)
+    elif origin is Literal:
+        if value not in args:
+            problems.append(f"{where}: expected one of {args}, got {value!r}")
+    elif origin in (list, dict):
+        if not isinstance(value, origin):
+            problems.append(f"{where}: expected a {origin.__name__}, got "
+                            f"{type(value).__name__}")
+            return
+        for key, item in (enumerate(value) if origin is list
+                          else value.items()):
+            if origin is dict:
+                _check(key, args[0], f"{where} key", problems)
+            _check(item, args[-1], f"{where}[{key!r}]", problems)
     # bool is an int subclass; only accept it where bool is asked for.
-    if isinstance(value, bool) and bool not in kinds:
-        problems.append(f"{where}: expected {kinds}, got bool")
-        return
-    if not isinstance(value, kinds):
-        problems.append(
-            f"{where}: expected {tuple(k.__name__ for k in kinds)}, "
-            f"got {type(value).__name__}"
-        )
-
-
-def _check_record(record: Any, fields: Dict[str, Any], where: str,
-                  problems: List[str]) -> None:
-    if not isinstance(record, dict):
-        problems.append(f"{where}: expected an object, got "
-                        f"{type(record).__name__}")
-        return
-    for name, expected in fields.items():
-        if name not in record:
-            problems.append(f"{where}: missing field {name!r}")
-        else:
-            _typecheck(record[name], expected, f"{where}.{name}", problems)
-
-
-def _check_counter_map(mapping: Any, where: str,
-                       problems: List[str]) -> None:
-    if not isinstance(mapping, dict):
-        problems.append(f"{where}: expected an object, got "
-                        f"{type(mapping).__name__}")
-        return
-    for key, value in mapping.items():
-        _typecheck(key, str, f"{where} key", problems)
-        _typecheck(value, (int, float), f"{where}[{key!r}]", problems)
-        if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and value < 0:
-            problems.append(f"{where}[{key!r}]: negative count {value}")
+    elif not isinstance(value, (int, float) if hint is float else hint) \
+            or isinstance(value, bool) and hint is not bool:
+        problems.append(f"{where}: expected {hint.__name__}, got "
+                        f"{type(value).__name__}")
 
 
 def validate_manifest(manifest: Any) -> List[str]:
@@ -300,109 +202,23 @@ def validate_manifest(manifest: Any) -> List[str]:
         if field not in manifest:
             problems.append(f"manifest: missing field {field!r}")
         else:
-            _typecheck(manifest[field], str, field, problems)
+            _check(manifest[field], str, field, problems)
     fingerprint = manifest.get("code_fingerprint")
     if isinstance(fingerprint, str) and (
         len(fingerprint) != 64
         or any(c not in "0123456789abcdef" for c in fingerprint)
     ):
         problems.append("code_fingerprint: not a 64-char hex digest")
-    _check_record(manifest.get("platform"), _PLATFORM_FIELDS, "platform",
-                  problems)
-    _check_record(manifest.get("engine"), _ENGINE_FIELDS, "engine", problems)
-    _check_record(manifest.get("cache"), _CACHE_FIELDS, "cache", problems)
-    _check_record(manifest.get("counters"), _COUNTER_FIELDS, "counters",
-                  problems)
-    for section, fields in (("batches", _BATCH_FIELDS),
-                            ("specs", _SPEC_FIELDS),
-                            ("timers", _TIMER_FIELDS)):
-        entries = manifest.get(section)
-        if not isinstance(entries, list):
-            problems.append(f"{section}: expected a list, got "
-                            f"{type(entries).__name__}")
-            continue
-        for index, entry in enumerate(entries):
-            _check_record(entry, fields, f"{section}[{index}]", problems)
-    kernel = manifest.get("kernel")
-    if not isinstance(kernel, dict):
-        problems.append(f"kernel: expected an object, got "
-                        f"{type(kernel).__name__}")
-    else:
-        _check_record(kernel.get("summary"), _KERNEL_SUMMARY_FIELDS,
-                      "kernel.summary", problems)
-        entries = kernel.get("batches")
-        if not isinstance(entries, list):
-            problems.append(f"kernel.batches: expected a list, got "
-                            f"{type(entries).__name__}")
-        else:
-            for index, entry in enumerate(entries):
-                _check_record(entry, _KERNEL_BATCH_FIELDS,
-                              f"kernel.batches[{index}]", problems)
-    _check_counter_map(manifest.get("stalls"), "stalls", problems)
-    _check_counter_map(manifest.get("mem_level_counts"), "mem_level_counts",
-                       problems)
-    if "validation" in manifest:
-        validation = manifest["validation"]
-        _check_record(validation, _VALIDATION_FIELDS, "validation", problems)
-        if isinstance(validation, dict):
-            status = validation.get("status")
-            if status not in ("pass", "fail", "updated"):
-                problems.append(
-                    f"validation.status: expected pass/fail/updated, "
-                    f"got {status!r}"
-                )
-            entries = validation.get("artifacts")
-            if isinstance(entries, list):
-                for index, entry in enumerate(entries):
-                    where = f"validation.artifacts[{index}]"
-                    _check_record(entry, _VALIDATION_ARTIFACT_FIELDS, where,
-                                  problems)
-                    if isinstance(entry, dict) \
-                            and isinstance(entry.get("drifts"), list):
-                        for j, drift in enumerate(entry["drifts"]):
-                            _check_record(drift, _DRIFT_FIELDS,
-                                          f"{where}.drifts[{j}]", problems)
-    if "explore" in manifest:
-        explore = manifest["explore"]
-        _check_record(explore, _EXPLORE_FIELDS, "explore", problems)
-        if isinstance(explore, dict):
-            for name in ("total_points", "unique_points", "evaluated",
-                         "skipped", "duplicates", "chunks", "frontier_size",
-                         "in_flight", "pool_reuses"):
-                value = explore.get(name)
-                if isinstance(value, int) and not isinstance(value, bool) \
-                        and value < 0:
-                    problems.append(f"explore.{name}: negative count {value}")
-            # ``error`` is optional: present (as a string) only when the
-            # run died mid-space and recorded a partial summary.
-            if "error" in explore:
-                _typecheck(explore["error"], str, "explore.error", problems)
-    if "manycore" in manifest:
-        manycore = manifest["manycore"]
-        _check_record(manycore, _MANYCORE_FIELDS, "manycore", problems)
-        if isinstance(manycore, dict):
-            for name in ("rows", "cols", "tiles", "apps", "dropped_phases",
-                         "noc_latency", "thermal_grid"):
-                value = manycore.get(name)
-                if isinstance(value, int) and not isinstance(value, bool) \
-                        and value < 0:
-                    problems.append(
-                        f"manycore.{name}: negative count {value}")
-    if "serve" in manifest:
-        serve = manifest["serve"]
-        _check_record(serve, _SERVE_FIELDS, "serve", problems)
-        if isinstance(serve, dict):
-            for name in ("requests", "rejected", "queue_depth"):
-                value = serve.get(name)
-                if isinstance(value, int) and not isinstance(value, bool) \
-                        and value < 0:
-                    problems.append(f"serve.{name}: negative count {value}")
-            ratio = serve.get("cache_hit_ratio")
-            if isinstance(ratio, (int, float)) \
-                    and not isinstance(ratio, bool) \
-                    and not 0.0 <= ratio <= 1.0:
-                problems.append(
-                    f"serve.cache_hit_ratio: {ratio} outside [0, 1]")
+    parts = [("platform", PlatformSection), ("engine", EngineSection),
+             *((key, declaration) for key, _, declaration in PARTS)]
+    for key, declaration in parts:
+        value = manifest
+        for name in key.split("."):
+            value = value.get(name) if isinstance(value, dict) else None
+        _check(value, declaration, key, problems)
+    for name, declaration in SECTIONS.items():
+        if name in manifest:
+            _check(manifest[name], declaration, name, problems)
     return problems
 
 

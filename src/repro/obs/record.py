@@ -6,6 +6,7 @@ aggregated stall/activity/memory-level counters), the result-cache
 lookup deltas, the :func:`~repro.obs.timer.timer` spans and the optional
 summary ``sections`` (``validation``, ``explore``, ``manycore``,
 ``serve``) — all of it for one unit of work, never for the process.
+:data:`~repro.obs.telemetry.PARTS` declares each of its lists and maps.
 
 The active record lives in a :class:`contextvars.ContextVar`, so the
 engine, the cache, the timers and the summary producers attach to
@@ -25,87 +26,46 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
 import threading
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional, get_origin
 
-from repro.obs.telemetry import (
-    COUNTER_FIELDS,
-    BatchRecord,
-    KernelBatchRecord,
-    SpecTiming,
-)
+from repro.obs.telemetry import PARTS, PEAK, Counts, KernelBatchRecord, marked
 
-if TYPE_CHECKING:
-    from repro.obs.timer import TimerSpan
 
-#: Result-cache counters a record keeps as deltas (the manifest's
-#: ``cache`` section).
-CACHE_FIELDS = ("memory_hits", "disk_hits", "misses", "stores",
-                "disk_put_failures")
-
-#: Kernel-summary totals kept incrementally, so a parent that only ever
-#: receives folds still reports them without the per-group list.
-_KERNEL_TOTALS = ("groups", "batched_specs", "fallback_specs",
-                  "singleton_specs", "max_width", "seconds")
+#: Each part's attribute and starting value: no entries, no counts, or
+#: the declared fields' defaults.
+_STARTS = tuple(
+    (attr, [] if get_origin(declaration) is list
+     else {} if declaration is Counts
+     else dataclasses.asdict(declaration()))
+    for _, attr, declaration in PARTS)
 
 
 class RunRecord:
-    """Accumulates one run's telemetry, cache deltas, spans and sections."""
+    """One run's telemetry, cache deltas, spans and sections: each row
+    of :data:`~repro.obs.telemetry.PARTS` is an attribute."""
 
     def __init__(self) -> None:
-        self.batches: List[BatchRecord] = []
-        self.kernel_batches: List[KernelBatchRecord] = []
-        self.spec_timings: List[SpecTiming] = []
-        self.timers: List["TimerSpan"] = []
+        for attr, start in _STARTS:
+            setattr(self, attr, start.copy())
         self.sections: Dict[str, Dict[str, Any]] = {}
-        self.stall_cycles: Dict[str, int] = {}
-        self.counters: Dict[str, int] = dict.fromkeys(COUNTER_FIELDS, 0)
-        self.mem_level_counts: Dict[str, int] = {}
-        self.cache: Dict[str, int] = dict.fromkeys(CACHE_FIELDS, 0)
-        self.kernel_totals: Dict[str, float] = {
-            name: 0.0 if name == "seconds" else 0 for name in _KERNEL_TOTALS
-        }
         self._fold_lock = threading.Lock()
 
     # -- feeding --------------------------------------------------------------
 
-    def add_batch(self, specs: int, hits: int, misses: int,
-                  seconds: float, workers: int) -> None:
-        self.batches.append(BatchRecord(specs, hits, misses, seconds, workers))
-
-    def add_kernel_batch(self, mode: str, width: int, seconds: float,
-                         used_kernel: bool) -> None:
-        self.kernel_batches.append(
-            KernelBatchRecord(mode, width, seconds, used_kernel)
-        )
+    def add_kernel_batch(self, batch: KernelBatchRecord) -> None:
+        self.kernel_batches.append(batch)
         totals = self.kernel_totals
         totals["groups"] += 1
-        totals["seconds"] += seconds
-        if used_kernel:
-            totals["batched_specs"] += width
-            totals["max_width"] = max(totals["max_width"], width)
-        elif width > 1:
-            totals["fallback_specs"] += width
+        totals["seconds"] += batch.seconds
+        if batch.used_kernel:
+            totals["batched_specs"] += batch.width
+            totals["max_width"] = max(totals["max_width"], batch.width)
+        elif batch.width > 1:
+            totals["fallback_specs"] += batch.width
         else:
             totals["singleton_specs"] += 1
-
-    def kernel_summary(self) -> Dict[str, object]:
-        """Aggregate kernel usage: how many specs were batched through
-        the SoA kernel vs fell back to the scalar oracle.
-
-        Only ``$REPRO_KERNEL=0`` sends groups to the oracle:
-        ``fallback_specs`` counts the specs of such groups of width >= 2
-        and ``singleton_specs`` those of one spec."""
-        summary = dict(self.kernel_totals)
-        summary["seconds"] = round(summary["seconds"], 6)
-        return summary
-
-    def add_spec(self, key: str, mode: str, config: str, profile: str,
-                 uops: int, seed: int, cached: bool,
-                 seconds: Optional[float] = None) -> None:
-        self.spec_timings.append(
-            SpecTiming(key, mode, config, profile, uops, seed, cached, seconds)
-        )
 
     def observe_result(self, result: object) -> None:
         """Fold one simulation result (single- or multicore) into the
@@ -123,7 +83,7 @@ class RunRecord:
 
     def _observe_stats(self, stats: object) -> None:
         counters = self.counters
-        for name in COUNTER_FIELDS:
+        for name in counters:
             counters[name] += int(getattr(stats, name, 0))
         _add_counts(self.stall_cycles, getattr(stats, "stall_cycles", {}))
         _add_counts(self.mem_level_counts,
@@ -132,20 +92,19 @@ class RunRecord:
     # -- nesting --------------------------------------------------------------
 
     def fold(self, child: "RunRecord") -> None:
-        """Add ``child``'s fixed-size totals; its lists and sections are
-        not copied.  Serialised per parent, so children may close from
-        several threads."""
+        """Add ``child``'s maps; its lists and sections are not copied.
+        Serialised per parent, so children may close from several
+        threads."""
         with self._fold_lock:
-            for mine, theirs in ((self.counters, child.counters),
-                                 (self.stall_cycles, child.stall_cycles),
-                                 (self.mem_level_counts,
-                                  child.mem_level_counts),
-                                 (self.cache, child.cache)):
-                _add_counts(mine, theirs)
-            totals = self.kernel_totals
-            for name, value in child.kernel_totals.items():
-                totals[name] = (max(totals[name], value) if name == "max_width"
-                                else totals[name] + value)
+            for _, attr, declaration in PARTS:
+                mine = getattr(self, attr)
+                if isinstance(mine, list):
+                    continue
+                peaks = () if declaration is Counts \
+                    else marked(declaration, PEAK)
+                for key, value in getattr(child, attr).items():
+                    mine[key] = (max(mine[key], value) if key in peaks
+                                 else mine.get(key, 0) + value)
 
 
 def _add_counts(into: Dict[str, Any], counts: Dict[str, Any]) -> None:
@@ -191,7 +150,6 @@ def attach_section(name: str, summary: Dict[str, Any]) -> None:
 
 
 __all__ = [
-    "CACHE_FIELDS",
     "RunRecord",
     "attach_section",
     "current_record",

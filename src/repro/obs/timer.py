@@ -11,22 +11,11 @@ exactly the same shape.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import time
-from typing import Dict, Iterator
+from typing import Iterator
 
 from repro.obs.record import current_record
-
-
-@dataclasses.dataclass
-class TimerSpan:
-    """One timed region: a dotted name and its wall-clock seconds."""
-
-    name: str
-    seconds: float = 0.0
-
-    def as_record(self) -> Dict[str, object]:
-        return {"name": self.name, "seconds": round(self.seconds, 6)}
+from repro.obs.telemetry import TimerSpan
 
 
 @contextlib.contextmanager

@@ -67,9 +67,18 @@ class EnergyReport:
     def average_power(self) -> float:
         return self.total / self.seconds if self.seconds else 0.0
 
-    def normalized_to(self, base: "EnergyReport") -> float:
-        """Energy relative to a baseline run of the same work."""
-        return self.total / base.total
+    def normalized_to(self, base: "EnergyReport", run: object = None,
+                      base_run: object = None) -> float:
+        """Energy relative to a baseline run of the same work.
+
+        Given the two multicore runs, the comparison is at equal total
+        work: this energy is scaled by the baseline's micro-ops over the
+        run's.
+        """
+        scale = 1.0
+        if run is not None:
+            scale = max(1, base_run.total_uops) / max(1, run.total_uops)
+        return self.total * scale / base.total
 
 
 class CorePowerModel:

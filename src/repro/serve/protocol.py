@@ -185,26 +185,10 @@ def parse_request(endpoint: str, body: Any) -> Dict[str, Any]:
 
 
 def evaluation_payload(evaluations) -> List[Dict[str, Any]]:
-    """Deterministic JSON form of a list of :class:`PointEvaluation`.
-
-    The same fields the explore store records per point — identity,
-    per-app series, headline summary — so served results line up with
-    every other result surface in the repo.
-    """
-    return [
-        {
-            "name": ev.name,
-            "point": ev.design.point.to_dict(),
-            "ghz": ev.ghz,
-            "apps": list(ev.apps),
-            "cpi": list(ev.cpi),
-            "speedup": list(ev.speedup),
-            "energy": list(ev.energy),
-            "peak_c": list(ev.peak_c),
-            "summary": ev.summary_row(),
-        }
-        for ev in evaluations
-    ]
+    """Deterministic JSON form of a list of :class:`PointEvaluation`:
+    each point's :meth:`~repro.design.sweep.PointEvaluation.as_record`,
+    the record the explore store keeps too."""
+    return [evaluation.as_record() for evaluation in evaluations]
 
 
 #: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without

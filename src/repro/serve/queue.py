@@ -21,6 +21,8 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
+from repro.obs.telemetry import CacheStats, ServeSection
+
 
 @dataclasses.dataclass
 class RequestTicket:
@@ -123,17 +125,22 @@ class ServeStats:
                 "by_endpoint": dict(self.by_endpoint),
             }
 
-    def serve_section(self, cache_hit_ratio: float) -> Dict[str, Any]:
-        """The aggregate manifest ``serve`` section (schema v8 shape)."""
+    def serve_section(self, cache: CacheStats) -> Dict[str, Any]:
+        """The server lifetime's manifest ``serve`` section."""
         with self._lock:
-            return {
-                "requests": self.requests,
-                "rejected": self.rejected,
-                "queue_depth": self.queue_depth,
-                "wait_seconds": self.wait_seconds,
-                "service_seconds": self.service_seconds,
-                "cache_hit_ratio": cache_hit_ratio,
-            }
+            return serve_section(cache, requests=self.requests,
+                                 rejected=self.rejected,
+                                 queue_depth=self.queue_depth,
+                                 wait_seconds=self.wait_seconds,
+                                 service_seconds=self.service_seconds)
 
 
-__all__ = ["RequestTicket", "ServeStats"]
+def serve_section(cache: CacheStats, **figures: Any) -> Dict[str, Any]:
+    """A manifest ``serve`` section: ``figures`` (each
+    :class:`~repro.obs.telemetry.ServeSection` field but the last) and
+    the hit ratio of the lookups ``cache`` counted."""
+    return ServeSection(cache_hit_ratio=cache.hit_ratio,
+                        **figures).as_record()
+
+
+__all__ = ["RequestTicket", "ServeStats", "serve_section"]

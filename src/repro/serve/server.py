@@ -50,13 +50,14 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.obs import RunRecord, build_manifest, current_record, run_record
+from repro.obs.telemetry import CacheStats
 from repro.serve.protocol import (
     SERVE_SCHEMA_VERSION,
     ProtocolError,
     execute_request,
     parse_request,
 )
-from repro.serve.queue import RequestTicket, ServeStats
+from repro.serve.queue import RequestTicket, ServeStats, serve_section
 
 _REASONS = {
     200: "OK",
@@ -248,24 +249,17 @@ class ReproServer:
                           record: RunRecord) -> Dict[str, Any]:
         """The manifest of the request's own record, with its ``serve``
         section."""
-        cache = record.cache
-        hits = cache["memory_hits"] + cache["disk_hits"]
-        lookups = hits + cache["misses"]
-        record.sections["serve"] = {
-            "requests": 1,
-            "rejected": 0,
-            "queue_depth": ticket.queue_depth_at_enqueue,
-            "wait_seconds": ticket.wait_seconds,
-            "service_seconds": ticket.service_seconds,
-            "cache_hit_ratio": hits / lookups if lookups else 0.0,
-        }
+        record.sections["serve"] = serve_section(
+            CacheStats(**record.cache), requests=1, rejected=0,
+            queue_depth=ticket.queue_depth_at_enqueue,
+            wait_seconds=ticket.wait_seconds,
+            service_seconds=ticket.service_seconds)
         return build_manifest(f"serve {ticket.endpoint}", record,
                               engine=self.engine)
 
     def serve_section(self) -> Dict[str, Any]:
         """Aggregate lifetime ``serve`` section (the shutdown manifest)."""
-        return self.stats.serve_section(
-            cache_hit_ratio=self.engine.cache.stats.hit_ratio)
+        return self.stats.serve_section(self.engine.cache.stats)
 
     # -- HTTP plumbing (runs on the event loop) -------------------------------
 

@@ -123,7 +123,7 @@ class TestLruSemanticsWithSqliteBackend:
         for i in range(8):
             cache.put_many([(f"k{i}", i)])
         assert cache.get("k0")[0]  # refresh: k0 is now most recent
-        cache.put_many([("k8", 8)])  # over capacity: evicts the stale quarter
+        cache.put_many([("k8", 8)])  # over capacity: evicts the LRU entry, k1
         assert cache.stats.memory_hits == 1
         hit, value = cache.get("k0")
         assert hit and value == 0 and cache.stats.memory_hits == 2

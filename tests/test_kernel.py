@@ -509,7 +509,7 @@ def test_engine_telemetry_counts_kernel_batches(monkeypatch):
     eng = ExperimentEngine(jobs=1, cache_dir=None)
     with run_record() as record:
         eng.single_core_runs(700, profiles=spec_profiles()[:2])
-    summary = record.kernel_summary()
+    summary = record.kernel_totals
     assert summary["groups"] == 2  # one batch per profile
     assert summary["batched_specs"] == 2 * len(paper_single_core_configs())
     assert summary["max_width"] == len(paper_single_core_configs())

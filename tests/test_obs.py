@@ -10,6 +10,7 @@ from repro.design.resolve import paper_single_core_configs, resolve
 from repro.engine import ExperimentEngine
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
+    KernelBatchRecord,
     ManifestError,
     RunRecord,
     build_manifest,
@@ -130,8 +131,8 @@ class TestRunRecord:
         assert warm.cache == {"memory_hits": 4, "disk_hits": 0,
                               "misses": 0, "stores": 0,
                               "disk_put_failures": 0}
-        assert cold.kernel_summary()["groups"] == 2
-        assert warm.kernel_summary()["groups"] == 0
+        assert cold.kernel_totals["groups"] == 2
+        assert warm.kernel_totals["groups"] == 0
         assert len(warm.spec_timings) == 4 and not warm.kernel_batches
 
     def test_child_folds_fixed_size_totals_only(self):
@@ -147,7 +148,7 @@ class TestRunRecord:
         assert parent.stall_cycles == child.stall_cycles
         assert parent.mem_level_counts == child.mem_level_counts
         assert parent.cache == child.cache
-        assert parent.kernel_summary() == child.kernel_summary()
+        assert parent.kernel_totals == child.kernel_totals
         assert parent.batches == parent.spec_timings == []
         assert parent.kernel_batches == parent.timers == []
         assert parent.sections == {}
@@ -156,8 +157,9 @@ class TestRunRecord:
         lifetime = RunRecord()
         for width in (3, 5, 2):
             with run_record(parent=lifetime) as child:
-                child.add_kernel_batch("single", width, 0.5, True)
-        summary = lifetime.kernel_summary()
+                child.add_kernel_batch(
+                    KernelBatchRecord("single", width, 0.5, True))
+        summary = lifetime.kernel_totals
         assert summary["groups"] == 3 and summary["batched_specs"] == 10
         assert summary["max_width"] == 5 and summary["seconds"] == 1.5
         assert current_record() is None
@@ -264,6 +266,101 @@ class TestManifest:
         monkeypatch.setenv("REPRO_METRICS", "env.json")
         assert metrics_path(None) == "env.json"
         assert metrics_path("cli.json") == "cli.json"  # CLI wins
+
+
+def _declared_slots(manifest):
+    """``(where, container, slot)`` of every declared object in a
+    manifest: the fixed sections and maps, then each list entry."""
+    for key in ("platform", "engine", "cache", "counters", "explore",
+                "serve", "manycore"):
+        yield key, manifest, key
+    yield "kernel.summary", manifest["kernel"], "summary"
+    for key, entries in (("batches", manifest["batches"]),
+                         ("specs", manifest["specs"]),
+                         ("kernel.batches", manifest["kernel"]["batches"]),
+                         ("timers", manifest["timers"])):
+        for index in range(len(entries)):
+            yield f"{key}[{index}]", entries, index
+
+
+def _wrong_values(value):
+    """Values whose type no key holding ``value`` accepts."""
+    if isinstance(value, bool):
+        return [1, "true"]
+    if isinstance(value, int):
+        return ["1", True, 0.5]
+    if isinstance(value, float):
+        return ["0.5", True]
+    if isinstance(value, str):
+        return [1, True]
+    return [[]]
+
+
+class TestEveryManifestKey:
+    """One manifest carrying every section, each written by its real
+    producer: every key of every declared part is validated, and each
+    part lists its keys in the order the validator declares them."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        from repro.design.space import SpaceSpec
+        from repro.explore import explore
+        from repro.obs import attach_section
+        from repro.serve import ReproServer, request_json
+
+        tmp = tmp_path_factory.mktemp("every-key")
+        engine = ExperimentEngine(jobs=1, cache_dir=tmp / "cache")
+        space = SpaceSpec(name="grid", kind="cartesian",
+                          base={"stack": "M3D"}, axes={"vdd": [0.9, 1.0]})
+        with run_record() as record:
+            with timer("unit.every_key"):
+                _small_sweep(engine)
+                _small_sweep(engine)  # cache hits: specs without seconds
+            explore(space, store_path=tmp / "explore.jsonl", engine=engine,
+                    uops=UOPS, apps=1)
+            out = tmp / "manycore.json"
+            cli.main(["--uops", "300", "manycore", "mixed-2x2", "--apps",
+                      "1", "--metrics-out", str(out)])
+            attach_section("manycore", json.loads(out.read_text())["manycore"])
+            with ReproServer(port=0, engine=ExperimentEngine(jobs=1)) as server:
+                status, _ = request_json(server.port, "POST", "/sweep", {
+                    "points": ["Base"], "uops": UOPS, "apps": 1})
+                assert status == 200
+                attach_section("serve", server.serve_section())
+        return build_manifest("every key", record, engine=engine)
+
+    def test_every_key_is_validated_in_declaration_order(self, manifest):
+        import re
+
+        assert validate_manifest(manifest) == []
+        seen = set()
+        for where, container, slot in _declared_slots(manifest):
+            entry = container[slot]
+            seen.add(where.split("[")[0])
+            try:
+                container[slot] = {}
+                declared = [
+                    match.group(1) for match in (
+                        re.fullmatch(re.escape(where)
+                                     + r": missing field '(\w+)'", problem)
+                        for problem in validate_manifest(manifest))
+                    if match
+                ]
+                assert list(entry) == declared, where
+                for key, value in entry.items():
+                    container[slot] = {k: v for k, v in entry.items()
+                                       if k != key}
+                    assert validate_manifest(manifest), f"{where}.{key} dropped"
+                    for wrong in _wrong_values(value):
+                        container[slot] = {**entry, key: wrong}
+                        assert validate_manifest(manifest), \
+                            f"{where}.{key} = {wrong!r} accepted"
+            finally:
+                container[slot] = entry
+        assert validate_manifest(manifest) == []
+        assert seen == {"platform", "engine", "cache", "counters", "explore",
+                        "serve", "manycore", "kernel.summary", "batches",
+                        "specs", "kernel.batches", "timers"}
 
 
 class TestCliManifests:

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.logic.gates import Gate, GateType
@@ -400,12 +400,18 @@ def test_compiled_predictor_matches_the_model(trace):
     assert mispredictions == expected.count(0)
 
 
+#: Phases for the compiled-replay properties: every one but shrinking.
+#: They draw traces of up to 300 rows, and shrinking a failing one runs
+#: for minutes, so a fault is reported with its first failing example.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
 def _image_tuple(image):
     return (image.fetch_levels.tolist(), image.load_levels.tolist(),
             image.load_remote.tolist(), image.mem_level_counts)
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30, phases=_NO_SHRINK)
 @given(trace=_replay_traces())
 def test_compiled_replay_matches_the_models(trace):
     """``replay_memory`` under both L2 geometries and ``branch_outcomes``
@@ -424,7 +430,7 @@ def test_compiled_replay_matches_the_models(trace):
     assert mispredictions == expected.count(0)
 
 
-@settings(deadline=None, max_examples=20)
+@settings(deadline=None, max_examples=20, phases=_NO_SHRINK)
 @given(traces=st.lists(_replay_traces(), min_size=2, max_size=4),
        shared_l2=st.booleans())
 def test_compiled_coherence_matches_the_directory(traces, shared_l2):
@@ -444,7 +450,7 @@ def test_compiled_coherence_matches_the_directory(traces, shared_l2):
     assert table.transfers == transfers
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=30, phases=_NO_SHRINK)
 @given(traces=st.lists(_replay_traces(segments=True), min_size=2,
                        max_size=3))
 def test_segment_warm_state_matches_the_expanded_lines(traces):
