@@ -11,16 +11,14 @@ Run with::
     python examples/multicore_iso_power.py
 """
 
-from repro.design import resolve
-from repro.engine import get_engine
-from repro.power.core_power import power_model_for
+from repro.design import evaluate_points
 from repro.power.dvfs import (
     iso_power_core_count,
     min_voltage_at_base_frequency,
 )
-from repro.workloads.parallel import parallel_profiles
 
-APPS = ("Fft", "Ocean", "Lu", "Water-Spatial", "Blackscholes")
+DESIGNS = ("Base-4C", "M3D-Het-4C", "M3D-Het-2X")
+APPS = 5
 TOTAL_UOPS = 24000
 
 
@@ -31,30 +29,16 @@ def main() -> None:
     print(f"  minimum Vdd at 3.3 GHz: {vdd:.2f} V (paper: 0.75 V)")
     print(f"  cores within the 4-core 2D budget: {cores} (paper: 8)")
 
-    configs = [
-        resolve(name).config
-        for name in ("Base-4C", "M3D-Het-4C", "M3D-Het-2X")
-    ]
-    models = {cfg.name: power_model_for(cfg) for cfg in configs}
-    profiles = {p.name: p for p in parallel_profiles()}
-    engine = get_engine()
-
+    # Speedup and equal-work energy against the 4-core Base, and peak
+    # temperature, for the first APPS parallel applications.
+    evaluations = evaluate_points(DESIGNS, multicore_uops=TOTAL_UOPS,
+                                  apps=APPS)
     print(f"\n{'app':<15} {'design':<12} {'speedup':>8} {'energy':>8} "
-          f"{'power':>8}")
-    for app in APPS:
-        profile = profiles[app]
-        base = engine.simulate_parallel(configs[0], profile, TOTAL_UOPS)
-        base_energy = models["Base"].evaluate_multicore(base)
-        for cfg in configs:
-            result = engine.simulate_parallel(cfg, profile, TOTAL_UOPS)
-            report = models[cfg.name].evaluate_multicore(result)
-            scale = base.total_uops / max(1, result.total_uops)
-            print(
-                f"{app:<15} {cfg.name:<12} "
-                f"{result.speedup_over(base):7.2f}x "
-                f"{report.total * scale / base_energy.total:7.2f} "
-                f"{report.average_power:7.1f}W"
-            )
+          f"{'peak C':>8}")
+    for i, app in enumerate(evaluations[0].apps):
+        for ev in evaluations:
+            print(f"{app:<15} {ev.name:<12} {ev.speedup[i]:7.2f}x "
+                  f"{ev.energy[i]:8.2f} {ev.peak_c[i]:8.1f}")
         print()
 
     print("Reading: M3D-Het-2X runs ~2x faster than the 4-core 2D baseline "

@@ -168,7 +168,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         if not token:
             continue
         if token.endswith(".json"):
-            points.extend(load_points(token))
+            try:
+                points.extend(load_points(token))
+            except (OSError, ValueError) as exc:
+                raise SystemExit(f"cannot load points: {exc}")
         else:
             try:
                 points.append(get_point(token))
@@ -176,7 +179,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
                 raise SystemExit(exc.args[0])
     if not points:
         raise SystemExit("no design points requested")
-    evaluations = evaluate_points(points, uops=args.uops)
+    try:
+        evaluations = evaluate_points(points, uops=args.uops)
+    except ValueError as exc:  # a config-name clash, or a size below 1
+        raise SystemExit(str(exc))
     for evaluation in evaluations:
         evaluation.print()
     print_sweep_summary(evaluations)

@@ -1,13 +1,19 @@
-"""End-to-end evaluation of arbitrary design points (``repro sweep``).
+"""End-to-end evaluation of design points: the one lineup evaluator.
 
 For every requested point — registered name, JSON-declared spec, or
 :class:`DesignPoint` object — the sweep resolves the full pipeline
-(stack → partition plans → frequency → core config), then runs the
-figure-6/7/8-style evaluation against the 2D Base reference through
-:mod:`repro.engine`: simulated CPI/speedup per application, energy
-normalised to Base, and peak temperature on the point's thermal stack.
-Engine caching, ``--jobs`` parallelism and run manifests apply exactly
-as they do for the paper figures.
+(stack → partition plans → frequency → core config), then evaluates it
+against the 2D Base reference through :mod:`repro.engine`: simulated
+CPI/speedup per application, energy normalised to Base at equal work,
+peak temperature on the point's thermal stack, and the interval-model
+cross-check of each single-core CPI change.
+
+:func:`evaluate_points` is the only place engine runs become those
+numbers.  The paper's figures 6-10 are projections of the
+``PAPER_SINGLE_CORE`` and ``PAPER_MULTICORE`` lineups' evaluations
+(:mod:`repro.experiments.figures`); the extension studies, the
+``interval_direction`` oracle, ``repro sweep``, ``repro explore`` and
+``repro serve`` read it too.
 
 Single-core points (``num_cores == 1``) run the SPEC suite against the
 single-core Base; multicore points run the parallel suite against the
@@ -39,6 +45,10 @@ class PointEvaluation:
     speedup: List[float]  # wall-clock speedup over the Base reference
     energy: List[float]  # total energy normalised to Base at equal work
     peak_c: List[float]  # peak temperature on the point's thermal stack
+    #: ``point/app`` labels where the interval model disagrees with the
+    #: cycle model on the direction of the Base-to-point CPI change
+    #: (single-core only; not part of :meth:`as_record`).
+    disagreements: List[str]
 
     @property
     def name(self) -> str:
@@ -344,12 +354,12 @@ def _plan_group(designs: List[ResolvedDesign], *, multicore: bool,
         baseline = resolve(BASELINE_POINT)
         profiles = first_apps(spec_profiles(), apps)
 
+    # Base first, then each other design's config: for a paper lineup
+    # that is the figure order, and Base's runs are shared, not repeated.
     configs = [baseline.config] + [
         design.config for design in designs
         if design.config != baseline.config
     ]
-    # The exact spec list single_core_runs/multicore_runs would build —
-    # same cache keys, same result order, bit-identical evaluations.
     specs = suite_specs("multicore" if multicore else "single",
                         uops, seed, configs, profiles)
     return _SuiteGroup(
@@ -376,6 +386,7 @@ def _finish_group(group: _SuiteGroup,
         speedup: List[float] = []
         energy: List[float] = []
         peak: List[float] = []
+        disagreements: List[str] = []
         cores = design.config.num_cores
         for profile in group.profiles:
             base_run = runs[profile.name][baseline.config.name]
@@ -391,11 +402,12 @@ def _finish_group(group: _SuiteGroup,
                 report = model.evaluate(run)
                 energy.append(report.normalized_to(base_report))
                 core_power = report.average_power
+                label = f"{design.point.name}/{profile.name}"
                 message = interval_crosscheck(
-                    design.config, baseline.config, run, base_run,
-                    label=f"{design.point.name}/{profile.name}",
+                    design.config, baseline.config, run, base_run, label,
                 )
                 if message is not None:
+                    disagreements.append(label)
                     warn_model_disagreement(message)
             names.append(profile.name)
             cpi.append(_effective_cpi(run, cores))
@@ -406,7 +418,7 @@ def _finish_group(group: _SuiteGroup,
             )
         out[design.point.name] = PointEvaluation(
             design=design, apps=names, cpi=cpi, speedup=speedup,
-            energy=energy, peak_c=peak,
+            energy=energy, peak_c=peak, disagreements=disagreements,
         )
     return out
 

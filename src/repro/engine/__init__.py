@@ -4,9 +4,9 @@
 the repository.  It contributes three things on top of the raw models:
 
 * a content-keyed **result cache** (:class:`~repro.engine.cache.ResultCache`)
-  so each (app, config) simulation runs exactly once per sweep — shared
-  across figures 6/7/8 and 9/10 — with an optional on-disk layer that
-  makes repeat invocations skip simulation entirely;
+  so each (app, config) simulation runs once, whichever sweep asks for
+  it, with an optional on-disk layer that makes repeat invocations skip
+  simulation entirely;
 * a **parallel sweep runner**
   (:class:`~repro.engine.sweep.ExperimentEngine`) fanning (app, config)
   pairs across worker processes with deterministic result ordering and a

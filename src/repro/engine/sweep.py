@@ -1,17 +1,20 @@
 """The shared experiment engine: memoized, parallel sweep execution.
 
-All figure/table sweeps funnel through one :class:`ExperimentEngine`.
+Every simulation sweep funnels through one :class:`ExperimentEngine`.
 Each (application, configuration) simulation is described by a
-:class:`SimSpec`; the engine looks every spec up in the result cache,
-fans the misses out across worker processes (``jobs > 1``) or runs them
-inline (``jobs == 1``), and returns results in submission order — so a
-parallel sweep is bit-identical to a serial one.
+:class:`SimSpec`; :meth:`~ExperimentEngine.run_specs` and
+:meth:`~ExperimentEngine.submit_specs`, the engine's only entry points,
+look every spec up in the result cache, fan the misses out across
+worker processes (``jobs > 1``) or run them inline (``jobs == 1``), and
+return results in submission order — so a parallel sweep is
+bit-identical to a serial one.
 
 Traces come from :func:`~repro.workloads.generator.memoized_trace` (one
 trace per ``(profile, uops, seed, thread)`` no matter how many
 configurations consume it), and simulation results are memoized across
-sweeps: figure6, figure7 and figure8 together cost *one* single-core
-sweep, figure9 and figure10 one multicore sweep.
+sweeps.  Lineup sweeps are built by :func:`suite_specs` and turned into
+speedups, energies and temperatures by
+:func:`repro.design.sweep.evaluate_points`.
 """
 
 from __future__ import annotations
@@ -24,25 +27,18 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.configs import CoreConfig
-from repro.design.resolve import (
-    paper_multicore_configs,
-    paper_single_core_configs,
-)
 from repro.engine import pool as worker_pool
 from repro.engine.cache import ResultCache, make_key
 from repro.obs.record import current_record
 from repro.obs.telemetry import BatchRecord, KernelBatchRecord, SpecTiming
 from repro.uarch.kernel import kernel_enabled, run_trace_batch
-from repro.uarch.multicore import MulticoreResult, run_parallel_batch, \
-    run_parallel_tiles
-from repro.uarch.ooo import SimResult, run_trace
+from repro.uarch.multicore import run_parallel_batch, run_parallel_tiles
+from repro.uarch.ooo import run_trace
 # Bound here as well: perfbench's tracer wraps every ``repro`` alias of
 # ``generate_trace``, and its tests check this one.
 from repro.workloads.generator import generate_trace  # noqa: F401
 from repro.workloads.generator import memoized_trace
-from repro.workloads.parallel import parallel_profiles
 from repro.workloads.profiles import AppProfile
-from repro.workloads.spec import spec_profiles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,12 +120,13 @@ def _timed_execute_unit(specs: Sequence[SimSpec]):
 def suite_specs(mode: str, uops: int, seed: int,
                 configs: Sequence[CoreConfig],
                 profiles: Sequence[AppProfile]) -> List[SimSpec]:
-    """The canonical spec list for a (configs x profiles) suite sweep.
+    """The canonical spec list for a (configs x profiles) suite sweep:
+    every config of one profile, then the next profile.
 
-    One ordering for every caller — ``single_core_runs``,
-    ``multicore_runs`` and the design-sweep submit path — so a batch
-    built here is bit-identical (cache keys, result order, telemetry)
-    no matter which entry point requested it.
+    :func:`repro.design.sweep.evaluate_points` builds every lineup sweep
+    here, so the paper figures, ``repro sweep``, explore and serve ask
+    the engine for the same specs, in the same order, under the same
+    cache keys.
     """
     return [
         SimSpec(mode, config, profile, uops, seed)
@@ -432,62 +429,6 @@ class ExperimentEngine:
                 unit_indices.append(indices[cursor:cursor + size])
                 cursor += size
         return unit_indices
-
-    # -- single results -------------------------------------------------------
-
-    def simulate(self, config: CoreConfig, profile: AppProfile, uops: int,
-                 seed: int = 1234) -> SimResult:
-        """One cached single-core run."""
-        return self.run_specs([SimSpec("single", config, profile, uops,
-                                       seed)])[0]
-
-    def simulate_parallel(self, config: CoreConfig, profile: AppProfile,
-                          total_uops: int, seed: int = 1234) -> MulticoreResult:
-        """One cached multicore run."""
-        return self.run_specs([SimSpec("multicore", config, profile,
-                                       total_uops, seed)])[0]
-
-    # -- full sweeps ----------------------------------------------------------
-
-    def single_core_runs(
-        self,
-        uops: int,
-        seed: int = 1234,
-        configs: Optional[List[CoreConfig]] = None,
-        profiles: Optional[List[AppProfile]] = None,
-    ) -> Tuple[List[CoreConfig], Dict[str, Dict[str, SimResult]]]:
-        """Every SPEC app on every single-core config (the Figure 6-8 sweep)."""
-        configs = (
-            list(configs) if configs is not None
-            else paper_single_core_configs()
-        )
-        profiles = list(profiles) if profiles is not None else spec_profiles()
-        specs = suite_specs("single", uops, seed, configs, profiles)
-        flat = self.run_specs(specs)
-        runs: Dict[str, Dict[str, SimResult]] = {}
-        for spec, result in zip(specs, flat):
-            runs.setdefault(spec.profile.name, {})[spec.config.name] = result
-        return configs, runs
-
-    def multicore_runs(
-        self,
-        total_uops: int,
-        seed: int = 1234,
-        configs: Optional[List[CoreConfig]] = None,
-        profiles: Optional[List[AppProfile]] = None,
-    ) -> Tuple[List[CoreConfig], Dict[str, Dict[str, MulticoreResult]]]:
-        """Every parallel app on every multicore config (Figure 9-10)."""
-        configs = (
-            list(configs) if configs is not None
-            else paper_multicore_configs()
-        )
-        profiles = list(profiles) if profiles is not None else parallel_profiles()
-        specs = suite_specs("multicore", total_uops, seed, configs, profiles)
-        flat = self.run_specs(specs)
-        runs: Dict[str, Dict[str, MulticoreResult]] = {}
-        for spec, result in zip(specs, flat):
-            runs.setdefault(spec.profile.name, {})[spec.config.name] = result
-        return configs, runs
 
 
 # -- process-wide default engine ----------------------------------------------

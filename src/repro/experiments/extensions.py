@@ -16,15 +16,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-from repro.design.resolve import resolve
-from repro.engine.sweep import get_engine
-from repro.power.core_power import power_model_for
+from repro.design.sweep import evaluate_points
 from repro.tech.constants import TUNGSTEN_RESISTANCE_FACTOR
 from repro.tech.transistor import Transistor, VtClass
 from repro.tech.wire import LOCAL_WIRE
-from repro.workloads.parallel import parallel_profiles
-from repro.workloads.profiles import first_apps
-from repro.workloads.spec import spec_profiles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,59 +43,33 @@ def lp_top_energy_study(uops: int = 6000, apps: int = 8) -> LpTopResult:
 
     The LP-top design clocks like M3D-Het (our partitioning hides the slow
     layer either way) but leaks an order of magnitude less in half the
-    devices and switches less in the top layer.
+    devices and switches less in the top layer.  Its config differs from
+    M3D-Het's only in its name, so its runs time exactly like M3D-Het's
+    and only its energy table differs.
     """
-    base_cfg = resolve("Base").config
-    het_cfg = resolve("M3D-Het").config
-    base_model = power_model_for(base_cfg)
-    het_model = power_model_for(het_cfg)
-    # M3D-LPtop's config is M3D-Het's; only its energy table differs.
-    lp_model = power_model_for("M3D-LPtop")
-
-    engine = get_engine()
-    names: List[str] = []
-    het_energy: List[float] = []
-    lp_energy: List[float] = []
-    for profile in first_apps(spec_profiles(), apps):
-        base_run = engine.simulate(base_cfg, profile, uops)
-        het_run = engine.simulate(het_cfg, profile, uops)
-        base_report = base_model.evaluate(base_run)
-        names.append(profile.name)
-        het_energy.append(het_model.evaluate(het_run).normalized_to(base_report))
-        lp_energy.append(lp_model.evaluate(het_run).normalized_to(base_report))
-    return LpTopResult(names, het_energy, lp_energy)
+    het, lp_top = evaluate_points(["M3D-Het", "M3D-LPtop"], uops=uops,
+                                  apps=apps)
+    return LpTopResult(list(het.apps), het.energy, lp_top.energy)
 
 
 def design_alternatives_study(total_uops: int = 24000,
                               apps: int = 6) -> Dict[str, Dict[str, float]]:
     """Section 5's three ways to spend the M3D wire-delay win.
 
-    Returns ``{design: {"speedup": ..., "energy": ...}}`` averaged over a
-    subset of the parallel suite, all against the 4-core 2D Base.
+    Returns ``{config name: {"speedup": ..., "energy": ...}}`` averaged
+    over a subset of the parallel suite, all against the 4-core 2D Base.
     """
-    configs = [
-        resolve("Base-4C").config,
-        resolve("M3D-Het-4C").config,    # spend on frequency
-        resolve("M3D-Het-W").config,     # spend on issue width
-        resolve("M3D-Het-2X").config,    # spend on cores at low voltage
-    ]
-    models = {cfg.name: power_model_for(cfg) for cfg in configs}
-    sums = {cfg.name: {"speedup": 0.0, "energy": 0.0} for cfg in configs}
-
-    engine = get_engine()
-    profiles = first_apps(parallel_profiles(), apps)
-    for profile in profiles:
-        base = engine.simulate_parallel(configs[0], profile, total_uops)
-        base_report = models["Base"].evaluate_multicore(base)
-        for cfg in configs:
-            result = engine.simulate_parallel(cfg, profile, total_uops)
-            report = models[cfg.name].evaluate_multicore(result)
-            sums[cfg.name]["speedup"] += result.speedup_over(base)
-            sums[cfg.name]["energy"] += report.normalized_to(
-                base_report, result, base)
+    evaluations = evaluate_points(
+        ["Base-4C",
+         "M3D-Het-4C",   # spend on frequency
+         "M3D-Het-W",    # spend on issue width
+         "M3D-Het-2X"],  # spend on cores at low voltage
+        multicore_uops=total_uops, apps=apps,
+    )
     return {
-        name: {key: value / len(profiles) for key, value in metrics.items()}
-        for name, metrics in sums.items()
+        ev.design.config.name: {"speedup": ev.avg_speedup,
+                                "energy": ev.avg_energy}
+        for ev in evaluations
     }
 
 

@@ -1,29 +1,28 @@
 """Reproduction entry points for the paper's figures (6-10).
 
-Each function sweeps the relevant configurations over the relevant
-application suite and returns per-application series shaped exactly like
-the paper's bar charts, plus the suite average the text quotes.
+Each figure projects one lineup evaluation by
+:func:`repro.design.sweep.evaluate_points` into the paper's bar-chart
+shape plus the suite average the text quotes: figures 6-8 the
+``PAPER_SINGLE_CORE`` lineup's speedups, equal-work energies and peak
+temperatures, figures 9-10 the ``PAPER_MULTICORE`` lineup's speedups
+and energies.  Series are keyed by config name (``"Base"`` for the
+4-core Base) in lineup order.
 
-All sweeps execute through :mod:`repro.engine`: figure6, figure7 and
-figure8 share one cached single-core sweep, figure9 and figure10 one
-multicore sweep, and ``--jobs`` fans the work across worker processes
-without changing any result.  Within a sweep, each application's full
-config lineup is evaluated as one :mod:`repro.uarch.kernel` batch —
-one trace decode and one cache/predictor replay per L2 geometry serve
-every configuration — so a figure costs roughly one simulation per app,
-not one per (app, config) pair.
+The latest two evaluations are memoized on the engine, the lineup and
+the sizes, so figures 6/7/8 share one evaluation and figures 9/10
+another; ``engine.configure()`` installs a new engine and so forces a
+new evaluation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
+from repro.design.registry import PAPER_MULTICORE, PAPER_SINGLE_CORE
+from repro.design.sweep import evaluate_points
 from repro.engine.sweep import get_engine
-from repro.power.core_power import power_model_for
-from repro.thermal.hotspot import peak_temperature_for
-from repro.workloads.parallel import parallel_profiles
-from repro.workloads.spec import spec_profiles
+from repro.lru import LruMemo
 
 #: Default measured trace length per application (single core).
 SINGLE_CORE_UOPS: int = 8000
@@ -33,6 +32,10 @@ MULTICORE_UOPS: int = 24000
 
 #: The three designs whose thermals Figure 8 compares.
 FIGURE8_DESIGNS = ("Base", "TSV3D", "M3D-Het")
+
+#: The latest lineup evaluations, keyed on ``(engine, lineup, sizes)``:
+#: room for the single-core and the multicore lineup of one report.
+_EVALUATIONS = LruMemo(cap=2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,80 +85,60 @@ class FigureSeries:
         )
 
 
-def figure6(uops: int = SINGLE_CORE_UOPS, seed: int = 1234) -> FigureSeries:
+def _projection(name: str, lineup: Sequence[str], metric: str,
+                designs: Sequence[str] = (), **sizes: int) -> FigureSeries:
+    """One per-app ``metric`` series per design of ``lineup`` (or of
+    ``designs`` only), by config name, from the lineup's evaluation on
+    the current engine."""
+    engine = get_engine()
+    key = (engine, lineup, tuple(sizes.items()))
+    evaluations = _EVALUATIONS.get(
+        key, lambda: evaluate_points(lineup, engine=engine, **sizes))
+    by_config = {ev.design.config.name: ev for ev in evaluations}
+    return FigureSeries(name, list(evaluations[0].apps), {
+        config: list(getattr(by_config[config], metric))
+        for config in designs or by_config
+    })
+
+
+def figure6(uops: int = SINGLE_CORE_UOPS, seed: int = 1234,
+            grid: int = 12) -> FigureSeries:
     """Figure 6: single-core speedup over Base, 21 SPEC2006 apps."""
-    configs, runs = get_engine().single_core_runs(uops, seed=seed)
-    apps = [p.name for p in spec_profiles()]
-    values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
-    for app in apps:
-        base = runs[app]["Base"]
-        for cfg in configs:
-            values[cfg.name].append(runs[app][cfg.name].speedup_over(base))
-    return FigureSeries("Figure 6: single-core speedup", apps, values)
+    return _projection("Figure 6: single-core speedup", PAPER_SINGLE_CORE,
+                       "speedup", uops=uops, seed=seed, grid=grid)
 
 
-def figure7(uops: int = SINGLE_CORE_UOPS, seed: int = 1234) -> FigureSeries:
-    """Figure 7: single-core energy normalised to Base."""
-    configs, runs = get_engine().single_core_runs(uops, seed=seed)
-    models = {cfg.name: power_model_for(cfg) for cfg in configs}
-    apps = [p.name for p in spec_profiles()]
-    values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
-    for app in apps:
-        base_report = models["Base"].evaluate(runs[app]["Base"])
-        for cfg in configs:
-            report = models[cfg.name].evaluate(runs[app][cfg.name])
-            values[cfg.name].append(report.normalized_to(base_report))
-    return FigureSeries("Figure 7: single-core normalized energy", apps, values)
+def figure7(uops: int = SINGLE_CORE_UOPS, seed: int = 1234,
+            grid: int = 12) -> FigureSeries:
+    """Figure 7: single-core energy normalised to Base at equal work."""
+    return _projection("Figure 7: single-core normalized energy",
+                       PAPER_SINGLE_CORE, "energy",
+                       uops=uops, seed=seed, grid=grid)
 
 
 def figure8(uops: int = SINGLE_CORE_UOPS, seed: int = 1234,
             grid: int = 12) -> FigureSeries:
     """Figure 8: peak temperature for Base, TSV3D and M3D-Het.
 
-    Per-app core power comes from the power model's Base run, scaled per
-    design by its average power ratio (power = energy / time).
+    Each design's per-app core power is its own run's average power
+    (energy / time) under its own power model.
     """
-    configs, runs = get_engine().single_core_runs(uops, seed=seed)
-    by_name = {cfg.name: cfg for cfg in configs}
-    models = {cfg.name: power_model_for(cfg) for cfg in configs}
-    apps = [p.name for p in spec_profiles()]
-    profiles = {p.name: p for p in spec_profiles()}
-    values: Dict[str, List[float]] = {name: [] for name in FIGURE8_DESIGNS}
-    for app in apps:
-        profile = profiles[app]
-        for design in FIGURE8_DESIGNS:
-            power = models[design].evaluate(runs[app][design]).average_power
-            values[design].append(
-                peak_temperature_for(by_name[design], power, profile,
-                                     grid=grid).peak_c
-            )
-    return FigureSeries("Figure 8: peak temperature (C)", apps, values)
+    return _projection("Figure 8: peak temperature (C)", PAPER_SINGLE_CORE,
+                       "peak_c", FIGURE8_DESIGNS,
+                       uops=uops, seed=seed, grid=grid)
 
 
-def figure9(total_uops: int = MULTICORE_UOPS, seed: int = 1234) -> FigureSeries:
+def figure9(total_uops: int = MULTICORE_UOPS, seed: int = 1234,
+            grid: int = 12) -> FigureSeries:
     """Figure 9: multicore speedup over the 4-core Base."""
-    configs, runs = get_engine().multicore_runs(total_uops, seed=seed)
-    apps = [p.name for p in parallel_profiles()]
-    values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
-    for app in apps:
-        base = runs[app]["Base"]
-        for cfg in configs:
-            values[cfg.name].append(runs[app][cfg.name].speedup_over(base))
-    return FigureSeries("Figure 9: multicore speedup", apps, values)
+    return _projection("Figure 9: multicore speedup", PAPER_MULTICORE,
+                       "speedup", multicore_uops=total_uops, seed=seed,
+                       grid=grid)
 
 
-def figure10(total_uops: int = MULTICORE_UOPS, seed: int = 1234) -> FigureSeries:
+def figure10(total_uops: int = MULTICORE_UOPS, seed: int = 1234,
+             grid: int = 12) -> FigureSeries:
     """Figure 10: multicore energy normalised to the 4-core Base."""
-    configs, runs = get_engine().multicore_runs(total_uops, seed=seed)
-    models = {cfg.name: power_model_for(cfg) for cfg in configs}
-    apps = [p.name for p in parallel_profiles()]
-    values: Dict[str, List[float]] = {cfg.name: [] for cfg in configs}
-    for app in apps:
-        base_report = models["Base"].evaluate_multicore(runs[app]["Base"])
-        for cfg in configs:
-            run = runs[app][cfg.name]
-            report = models[cfg.name].evaluate_multicore(run)
-            values[cfg.name].append(
-                report.normalized_to(base_report, run, runs[app]["Base"]))
-    return FigureSeries("Figure 10: multicore normalized energy", apps, values)
-
+    return _projection("Figure 10: multicore normalized energy",
+                       PAPER_MULTICORE, "energy",
+                       multicore_uops=total_uops, seed=seed, grid=grid)

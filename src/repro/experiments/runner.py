@@ -65,11 +65,12 @@ STATIC: Dict[str, Builder] = {
 #: The report's second half: the simulated figures, whose titles are
 #: their :class:`~repro.experiments.figures.FigureSeries` names.
 SIMULATED: Dict[str, Builder] = {
-    "figure6": lambda p: figures.figure6(p.uops, p.seed),
-    "figure7": lambda p: figures.figure7(p.uops, p.seed),
+    "figure6": lambda p: figures.figure6(p.uops, p.seed, p.grid),
+    "figure7": lambda p: figures.figure7(p.uops, p.seed, p.grid),
     "figure8": lambda p: figures.figure8(p.uops, p.seed, p.grid),
-    "figure9": lambda p: figures.figure9(p.multicore_uops, p.seed),
-    "figure10": lambda p: figures.figure10(p.multicore_uops, p.seed),
+    "figure9": lambda p: figures.figure9(p.multicore_uops, p.seed, p.grid),
+    "figure10": lambda p: figures.figure10(p.multicore_uops, p.seed,
+                                           p.grid),
 }
 
 #: Every paper table and figure, in report order.

@@ -164,35 +164,26 @@ def sweep_identity_oracle() -> Tuple[dict, List[str]]:
 def interval_direction_oracle() -> Tuple[dict, List[str]]:
     """Cycle model vs interval model on CPI-change direction.
 
-    Never hard-fails: the disagreement *set* is the differential payload
-    the golden baseline pins.
+    Reads the disagreements :func:`repro.design.sweep.evaluate_points`
+    records for the paper's single-core lineup, every design against
+    Base.  Never hard-fails: the disagreement *set* is the differential
+    payload the golden baseline pins.
     """
-    from repro.design.sweep import interval_crosscheck
+    from repro.design.registry import PAPER_SINGLE_CORE
+    from repro.design.sweep import evaluate_points
     from repro.engine.sweep import ExperimentEngine
-    from repro.design.resolve import paper_single_core_configs
-    from repro.workloads.spec import spec_profiles
 
-    configs = paper_single_core_configs()
-    profiles = spec_profiles()
-    engine = ExperimentEngine(jobs=1)
-    _, runs = engine.single_core_runs(
-        INTERVAL_ORACLE_UOPS, configs=configs, profiles=profiles
+    # The lineup starts with Base, the reference of every other design.
+    _, *designs = evaluate_points(
+        PAPER_SINGLE_CORE, uops=INTERVAL_ORACLE_UOPS,
+        engine=ExperimentEngine(jobs=1),
     )
-    base = configs[0]
-    disagreements: List[str] = []
-    for profile in profiles:
-        base_run = runs[profile.name][base.name]
-        for config in configs[1:]:
-            message = interval_crosscheck(
-                config, base, runs[profile.name][config.name], base_run,
-                label=f"{config.name}/{profile.name}",
-            )
-            if message is not None:
-                disagreements.append(f"{config.name}/{profile.name}")
     payload = {
         "uops": INTERVAL_ORACLE_UOPS,
-        "checked": len(profiles) * (len(configs) - 1),
-        "disagreements": sorted(disagreements),
+        "checked": sum(len(ev.apps) for ev in designs),
+        "disagreements": sorted(
+            label for ev in designs for label in ev.disagreements
+        ),
     }
     return payload, []
 

@@ -253,7 +253,13 @@ class ManycoreSection(Entry):
 class ServeSection(Entry):
     """``repro serve`` telemetry (schema v8): one request's, on its
     response manifest, or a server lifetime's, on its shutdown
-    manifest."""
+    manifest.
+
+    ``queue_depth`` is, for one request, how many admitted requests
+    still waited ahead of it when it was admitted; for a lifetime, the
+    most admitted requests that waited at once (the request just
+    admitted included).
+    """
 
     requests: Count
     rejected: Count

@@ -126,11 +126,15 @@ class ServeStats:
             }
 
     def serve_section(self, cache: CacheStats) -> Dict[str, Any]:
-        """The server lifetime's manifest ``serve`` section."""
+        """The server lifetime's manifest ``serve`` section.
+
+        Its ``queue_depth`` is :attr:`max_queue_depth`: the section is
+        taken once the queue has drained, when the live depth is 0.
+        """
         with self._lock:
             return serve_section(cache, requests=self.requests,
                                  rejected=self.rejected,
-                                 queue_depth=self.queue_depth,
+                                 queue_depth=self.max_queue_depth,
                                  wait_seconds=self.wait_seconds,
                                  service_seconds=self.service_seconds)
 

@@ -311,64 +311,55 @@ class TestResultCache:
         assert hit and value == [2]
 
 
+def _suite():
+    return suite_specs("single", UOPS, 1234, _configs(), _profiles())
+
+
 class TestEngineExecution:
     def test_cached_rerun_identical_and_free(self):
         engine = ExperimentEngine(jobs=1)
-        configs, fresh = engine.single_core_runs(
-            UOPS, configs=_configs(), profiles=_profiles()
-        )
+        fresh = engine.run_specs(_suite())
         sims = engine.cache.stats.stores
         assert sims == len(_configs()) * len(_profiles())
-        _, cached = engine.single_core_runs(
-            UOPS, configs=_configs(), profiles=_profiles()
-        )
+        cached = engine.run_specs(_suite())
         assert engine.cache.stats.stores == sims  # nothing re-simulated
-        for app in fresh:
-            for name in fresh[app]:
-                assert cached[app][name].cycles == fresh[app][name].cycles
-                assert cached[app][name].stats == fresh[app][name].stats
+        for result, expected in zip(cached, fresh):
+            assert result.cycles == expected.cycles
+            assert result.stats == expected.stats
 
     def test_parallel_matches_serial(self):
         serial = ExperimentEngine(jobs=1)
         parallel = ExperimentEngine(jobs=4)
-        _, expected = serial.single_core_runs(
-            UOPS, configs=_configs(), profiles=_profiles()
-        )
-        _, actual = parallel.single_core_runs(
-            UOPS, configs=_configs(), profiles=_profiles()
-        )
-        assert list(actual) == list(expected)  # deterministic ordering
-        for app in expected:
-            for name in expected[app]:
-                assert actual[app][name].cycles == expected[app][name].cycles
-                assert actual[app][name].stats == expected[app][name].stats
+        expected = serial.run_specs(_suite())
+        actual = parallel.run_specs(_suite())
+        assert [r.config_name for r in actual] == \
+            [r.config_name for r in expected]  # deterministic ordering
+        for result, reference in zip(actual, expected):
+            assert result.cycles == reference.cycles
+            assert result.stats == reference.stats
 
     def test_warm_disk_cache_skips_all_simulation(self, tmp_path):
         first = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        _, expected = first.single_core_runs(
-            UOPS, configs=_configs(), profiles=_profiles()
-        )
+        expected = first.run_specs(_suite())
         second = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        _, warmed = second.single_core_runs(
-            UOPS, configs=_configs(), profiles=_profiles()
-        )
+        warmed = second.run_specs(_suite())
         assert second.cache.stats.misses == 0
         assert second.cache.stats.stores == 0
-        for app in expected:
-            for name in expected[app]:
-                assert warmed[app][name].cycles == expected[app][name].cycles
+        for result, reference in zip(warmed, expected):
+            assert result.cycles == reference.cycles
 
     def test_single_simulation_is_cached(self):
         engine = ExperimentEngine(jobs=1)
-        profile = _profiles(1)[0]
-        first = engine.simulate(BASE, profile, UOPS)
-        second = engine.simulate(BASE, profile, UOPS)
+        spec = SimSpec("single", BASE, _profiles(1)[0], UOPS)
+        [first] = engine.run_specs([spec])
+        [second] = engine.run_specs([spec])
         assert first.cycles == second.cycles
         assert engine.cache.stats.stores == 1
 
     def test_results_survive_pickling(self):
         engine = ExperimentEngine(jobs=1)
-        result = engine.simulate(BASE, _profiles(1)[0], UOPS)
+        [result] = engine.run_specs(
+            [SimSpec("single", BASE, _profiles(1)[0], UOPS)])
         clone = pickle.loads(pickle.dumps(result))
         assert clone.cycles == result.cycles
         assert clone.stats == result.stats

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.experiments.figures import figure6, figure7, figure9
+from repro.design import sweep
+from repro.engine import configure
+from repro.experiments.figures import (
+    figure6,
+    figure7,
+    figure8,
+    figure9,
+    figure10,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +62,40 @@ class TestFigure9Harness:
             "Base", "TSV3D", "M3D-Het", "M3D-Het-W", "M3D-Het-2X",
         }
         assert series.average("M3D-Het-2X") > 1.3
+
+
+class TestSharedEvaluation:
+    """Figures 6-8 project one single-core lineup evaluation and figures
+    9-10 one multicore lineup evaluation; a new engine evaluates again."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Each lineup group :func:`evaluate_points` finishes, as its
+        ``multicore`` flag, on a fresh default engine."""
+        real = sweep._finish_group
+        groups = []
+
+        def counting(group, flat):
+            groups.append(group.multicore)
+            return real(group, flat)
+
+        monkeypatch.setattr(sweep, "_finish_group", counting)
+        configure(jobs=1, cache_dir=None)
+        yield groups
+        configure(jobs=1, cache_dir=None)
+
+    def test_figures_6_to_8_share_one_evaluation(self, evaluated):
+        for figure in (figure6, figure7, figure8):
+            figure(uops=600)
+        assert evaluated == [False]
+
+    def test_figures_9_and_10_share_one_evaluation(self, evaluated):
+        for figure in (figure9, figure10):
+            figure(total_uops=3000)
+        assert evaluated == [True]
+
+    def test_a_new_engine_evaluates_again(self, evaluated):
+        figure6(uops=600)
+        configure(jobs=1, cache_dir=None)
+        figure7(uops=600)
+        assert evaluated == [False, False]

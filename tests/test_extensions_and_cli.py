@@ -210,3 +210,37 @@ class TestCli:
     def test_cli_sweep_rejects_empty_request(self):
         with pytest.raises(SystemExit, match="no design points"):
             main(["sweep", ","])
+
+    def test_cli_sweep_missing_points_file(self, tmp_path):
+        with pytest.raises(SystemExit, match="^cannot load points: .*"
+                                             "No such file"):
+            main(["sweep", str(tmp_path / "missing.json")])
+
+    def test_cli_sweep_invalid_point_file(self, tmp_path):
+        import json
+
+        spec = tmp_path / "points.json"
+        spec.write_text(json.dumps({"name": "M4D-Het", "stack": "M4D"}))
+        with pytest.raises(SystemExit, match="^cannot load points: stack "
+                                             "must be one of"):
+            main(["sweep", str(spec)])
+
+    def test_cli_sweep_zero_uops_exits_with_one_line(self):
+        # The generator refuses the length, or, when a longer trace of
+        # the app is already memoized, the prefix does.
+        with pytest.raises(SystemExit, match="^(trace length must be "
+                                             "positive|prefix of 0 rows "
+                                             "out of range .*)$"):
+            main(["--uops", "0", "sweep", "Base"])
+
+    def test_cli_sweep_config_name_clash_exits_with_one_line(self, tmp_path):
+        import json
+
+        spec = tmp_path / "points.json"
+        spec.write_text(json.dumps({
+            "name": "Mine", "config_name": "Base",
+            "frequency_policy": "base",
+        }))
+        with pytest.raises(SystemExit, match="^points 'Base' and 'Mine' both "
+                                             "resolve to config name 'Base'"):
+            main(["--uops", "200", "sweep", f"Base,{spec}"])

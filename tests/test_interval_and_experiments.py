@@ -138,6 +138,19 @@ class TestIntervalCrosscheck:
         with pytest.warns(ModelDisagreementWarning, match="direction test"):
             warn_model_disagreement("direction test")
 
+    def test_evaluation_records_each_disagreement(self):
+        """The evaluation that warns also records the label, which the
+        interval oracle reads; the served and stored record leaves it
+        out."""
+        from repro.design.sweep import evaluate_points
+        from repro.obs import ModelDisagreementWarning
+
+        with pytest.warns(ModelDisagreementWarning,
+                          match="^M3D-Het/Calculix: "):
+            [evaluation] = evaluate_points(["M3D-Het"], uops=1000, apps=3)
+        assert evaluation.disagreements == ["M3D-Het/Calculix"]
+        assert "disagreements" not in evaluation.as_record()
+
 
 class TestExperimentTables:
     def test_table1_rows(self):

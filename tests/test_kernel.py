@@ -489,26 +489,33 @@ def test_kernel_path_builds_no_micro_ops(monkeypatch):
 def test_figure6_identical_with_kernel_disabled(monkeypatch):
     from repro import engine
     from repro.experiments.figures import figure6
+    from repro.obs import run_record
 
     engine.configure(jobs=1, cache_dir=None)
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     with_kernel = figure6(uops=900)
     engine.configure(jobs=1, cache_dir=None)  # drop the cached sweep
     monkeypatch.setenv("REPRO_KERNEL", "0")
-    without_kernel = figure6(uops=900)
+    with run_record() as record:
+        without_kernel = figure6(uops=900)
     engine.configure(jobs=1, cache_dir=None)
+    # The second figure really ran the scalar oracle: a memoized
+    # evaluation would compare the first result with itself.
+    assert record.kernel_totals["fallback_specs"] > 0
     assert with_kernel == without_kernel
 
 
 def test_engine_telemetry_counts_kernel_batches(monkeypatch):
-    from repro.engine.sweep import ExperimentEngine
+    from repro.engine.sweep import ExperimentEngine, suite_specs
 
     from repro.obs import run_record
 
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     eng = ExperimentEngine(jobs=1, cache_dir=None)
     with run_record() as record:
-        eng.single_core_runs(700, profiles=spec_profiles()[:2])
+        eng.run_specs(suite_specs("single", 700, 1234,
+                                  paper_single_core_configs(),
+                                  spec_profiles()[:2]))
     summary = record.kernel_totals
     assert summary["groups"] == 2  # one batch per profile
     assert summary["batched_specs"] == 2 * len(paper_single_core_configs())
@@ -545,13 +552,15 @@ def test_generated_trace_digests_pinned(case):
 
 
 def test_manifest_kernel_section_roundtrip(monkeypatch):
-    from repro.engine.sweep import ExperimentEngine
+    from repro.engine.sweep import ExperimentEngine, suite_specs
     from repro.obs import build_manifest, run_record, validate_manifest
 
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
     eng = ExperimentEngine(jobs=1, cache_dir=None)
     with run_record() as record:
-        eng.single_core_runs(600, profiles=spec_profiles()[:1])
+        eng.run_specs(suite_specs("single", 600, 1234,
+                                  paper_single_core_configs(),
+                                  spec_profiles()[:1]))
     manifest = build_manifest("test", record, engine=eng)
     assert validate_manifest(manifest) == []
     assert manifest["kernel"]["summary"]["batched_specs"] == len(

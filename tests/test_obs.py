@@ -7,7 +7,8 @@ import pytest
 
 from repro import cli
 from repro.design.resolve import paper_single_core_configs, resolve
-from repro.engine import ExperimentEngine
+from repro.engine import ExperimentEngine, SimSpec
+from repro.engine.sweep import suite_specs
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
     KernelBatchRecord,
@@ -32,11 +33,11 @@ UOPS = 600
 
 
 def _small_sweep(engine: ExperimentEngine) -> None:
-    engine.single_core_runs(
-        UOPS,
-        configs=paper_single_core_configs()[:2],
-        profiles=spec_profiles()[:2],
-    )
+    engine.run_specs(suite_specs(
+        "single", UOPS, 1234,
+        paper_single_core_configs()[:2],
+        spec_profiles()[:2],
+    ))
 
 
 def _small_run(jobs: int = 1):
@@ -438,8 +439,10 @@ class TestTraceMemoRegression:
         )
         engine = ExperimentEngine(jobs=1)
         base = resolve("Base").config
-        engine.simulate(base, profile, UOPS)  # populates the memo
-        via_engine = engine.simulate(base, variant, UOPS)
+        # The first run populates the memo.
+        engine.run_specs([SimSpec("single", base, profile, UOPS)])
+        [via_engine] = engine.run_specs(
+            [SimSpec("single", base, variant, UOPS)])
         expected = run_trace(base, generate_trace(variant, UOPS, seed=1234))
         assert via_engine.cycles == expected.cycles
         assert via_engine.stats == expected.stats

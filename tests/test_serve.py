@@ -790,6 +790,24 @@ class TestGracefulShutdown:
         assert manifest["serve"] == section
         assert validate_manifest(manifest) == []
 
+    def test_lifetime_section_reports_the_deepest_queue(self):
+        """The shutdown manifest is taken after the drain, when the live
+        depth is 0, so the lifetime section reports the deepest queue."""
+        from repro.obs.telemetry import CacheStats
+        from repro.serve import RequestTicket, ServeStats
+
+        stats = ServeStats()
+        tickets = [RequestTicket("/sweep", {}) for _ in range(3)]
+        assert all(stats.admit(ticket, queue_size=8) for ticket in tickets)
+        for ticket in tickets:
+            stats.note_started()
+            ticket.started_at = ticket.finished_at = time.monotonic()
+            stats.note_completed(ticket, ok=True)
+        section = stats.serve_section(CacheStats())
+        assert stats.queue_depth == 0 and stats.max_queue_depth == 3
+        assert section["requests"] == 3
+        assert section["queue_depth"] == 3
+
 
 class TestBoundedResources:
     """A long warm stream must not grow the server: no record list grows
